@@ -1,8 +1,9 @@
 """blowlab: numerical laboratory for single-point blow-up in u_t = Δu + u^p with complex u.
 
-The package splits u = u1 + i*u2 into real components, works in the
-similarity frame w(y, s) = (T-t)^{1/(p-1)} u, y = x/sqrt(T-t),
-s = -ln(T-t), and provides:
+The solver state is one complex array u (or w); the split into real
+components u = u1 + i*u2 lives in `rhs`, where the analysis needs it.  The
+package works in the similarity frame w(y, s) = (T-t)^{1/(p-1)} u,
+y = x/sqrt(T-t), s = -ln(T-t), and provides:
 
 - closed-form blow-up profiles and constants (`params`),
 - Hermite spectral tools for the Gaussian-weighted linearization (`spectral`),

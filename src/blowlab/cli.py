@@ -316,8 +316,8 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
         errors.append(f"sweep.ps must be a list of integers in [2, {_params.MAX_P}]")
         sweep_ps = []
     if not (isinstance(sweep_ns, list) and
-            all(isinstance(v, int) and 1 <= v <= 3 for v in sweep_ns)):
-        errors.append("sweep.ns must be a list of integers in [1, 3]")
+            all(isinstance(v, int) and v in _spectral.N_DIMS for v in sweep_ns)):
+        errors.append(f"sweep.ns must be a list of integers in {_spectral.N_DIMS}")
         sweep_ns = []
     if sweep_n2d is not None and (sweep_n2d < 17 or sweep_n2d % 2 == 0):
         errors.append(f"sweep.N_2d must be an odd integer >= 17, got {sweep_n2d}")
@@ -340,6 +340,12 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
             workers = overrides["workers"]
 
     # cross-field constraints; each runs as soon as its own inputs parsed
+    if (mode == "simulate-similarity" and n_dim is not None and n_dim >= 1
+            and n_dim not in _spectral.N_DIMS):
+        errors.append(
+            f"simulate-similarity needs params.n_dim in {_spectral.N_DIMS} "
+            f"(the grid dimensions), got {n_dim}"
+        )
     if mode in ("simulate-similarity", "sweep"):
         window_ok = (
             s0 is not None and s_end is not None and s0 >= 1.0
@@ -401,10 +407,6 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     return config_from_dict(raw, overrides)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_header(config: RunConfig) -> None:
@@ -525,15 +527,9 @@ def _write_physical_csv(ptraj, path: str, max_rows: int = 5000) -> None:
         row = [rec.t, rec.dt, rec.max_u, *rec.argmax]
         for i in range(len(ptraj.probes)):
             row += [rec.probe_u1[i], rec.probe_u2[i]]
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_diag._fmt(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _u_star_prediction(params: _params.Params, x: float) -> float:
-    p = params.p
-    lx = abs(math.log(abs(x)))
-    return ((p - 1) ** 2 * x * x / (8.0 * p * lx)) ** (-1.0 / (p - 1))
 
 
 def _run_physical(config: RunConfig) -> int:
@@ -547,7 +543,7 @@ def _run_physical(config: RunConfig) -> int:
     probe_rows = []
     for lr, x in zip(config.probe_log_radii, probes):
         entry = {"log_radius": float(lr), "x": float(x),
-                 "u_star_prediction": _u_star_prediction(pr, float(x))}
+                 "u_star_prediction": float(_params.final_profile_prediction(pr, x)[0])}
         try:
             u1s, u2s = _diag.extract_final_profile(ptraj, float(x))
             entry.update({
@@ -665,7 +661,7 @@ def _run_sweep(config: RunConfig) -> int:
             if v is None:
                 cells.append("")
             elif isinstance(v, float):
-                cells.append(_fmt(v))
+                cells.append(_diag._fmt(v))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))

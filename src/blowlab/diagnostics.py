@@ -118,7 +118,7 @@ class SimilarityRecord:
 
 @dataclass
 class Trajectory:
-    """Ordered similarity records plus optional raw field snapshots."""
+    """Ordered similarity records plus optional raw snapshots (s, w), w complex."""
 
     grid: _spectral.Grid
     records: list = field(default_factory=list)
@@ -152,7 +152,7 @@ class PhysicalRecord:
 
 @dataclass
 class PhysicalTrajectory:
-    """Ordered physical records, snapshots, and blow-up fit results."""
+    """Ordered physical records, snapshots (t, u) with u complex, and blow-up fits."""
 
     grid: _spectral.Grid
     probes: np.ndarray
@@ -389,25 +389,28 @@ def profile_error(state, params: _params.Params) -> tuple:
     """Sup-norm distances to the leading profiles.
 
     e1 = sup |w1 - f0(|y|^2/s)|, e2 = sup |s w2 - g0(|y|^2/s)| over the
-    grid; grid sups stand in for sups over all of space since both the
-    deviation and the profiles decay or are clamped beyond the boundary.
+    grid, with w = w1 + i w2 the state's complex array; grid sups stand in
+    for sups over all of space since both the deviation and the profiles
+    decay or are clamped beyond the boundary.
     """
-    grid = state.w1.grid
-    z2 = grid.radius2() / state.s
-    e1 = float(np.max(np.abs(state.w1.values - _params.f0(params, z2))))
-    e2 = float(np.max(np.abs(state.s * state.w2.values - _params.g0(params, z2))))
+    z2 = state.grid.radius2() / state.s
+    e1 = float(np.max(np.abs(state.w.real - _params.f0(params, z2))))
+    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.g0(params, z2))))
     return e1, e2
 
 
 def radial_mode_coefficients(grid: _spectral.Grid, vals: np.ndarray) -> tuple:
-    """Coefficients (c0, c2) of vals against {1, |y|^2 - 2n} in the Gaussian weight."""
+    """Coefficients (c0, c2) of vals against {1, |y|^2 - 2n} in the Gaussian weight.
+
+    Complex vals give complex coefficients, one component in each part.
+    """
     n = grid.n_dim
     r2 = grid.radius2()
     rho = _spectral.weight_rho(r2, n)
     c0 = _spectral.integrate(grid, vals * rho)
     h2rad = r2 - 2.0 * n
     c2 = _spectral.integrate(grid, vals * h2rad * rho) / (8.0 * n)
-    return float(c0), float(c2)
+    return c0, c2
 
 
 @dataclass
@@ -475,29 +478,24 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     )
 
 
-def _interp_snapshot_x(grid: _spectral.Grid, vals: np.ndarray, x_points: np.ndarray) -> np.ndarray:
-    spline = CubicSpline(grid.axis(), vals)
-    return spline(x_points)
+def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray) -> np.ndarray:
+    """One complex cubic spline through a snapshot u = u1 + i u2, evaluated at x_points."""
+    return CubicSpline(grid.axis(), u)(x_points)
 
 
-def _field_at(ptraj: PhysicalTrajectory, t: float, x_points: np.ndarray) -> tuple:
-    """(u1, u2) at time t and positions x_points: cubic in x, linear in t."""
+def _field_at(ptraj: PhysicalTrajectory, t: float, x_points: np.ndarray) -> np.ndarray:
+    """Complex u at time t and positions x_points: cubic in x, linear in t."""
     times = np.array([snap[0] for snap in ptraj.snapshots])
     if t < times[0] or t > times[-1]:
         raise ValueError(f"time {t} outside the snapshot range")
     i = int(np.searchsorted(times, t))
     if i == 0:
         i = 1
-    t0, u1a, u2a = ptraj.snapshots[i - 1]
-    t1, u1b, u2b = ptraj.snapshots[i]
+    t0, ua = ptraj.snapshots[i - 1]
+    t1, ub = ptraj.snapshots[i]
     lam = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    u1 = (1 - lam) * _interp_snapshot_x(ptraj.grid, u1a, x_points) + lam * _interp_snapshot_x(
-        ptraj.grid, u1b, x_points
-    )
-    u2 = (1 - lam) * _interp_snapshot_x(ptraj.grid, u2a, x_points) + lam * _interp_snapshot_x(
-        ptraj.grid, u2b, x_points
-    )
-    return u1, u2
+    return ((1 - lam) * _interp_snapshot_x(ptraj.grid, ua, x_points)
+            + lam * _interp_snapshot_x(ptraj.grid, ub, x_points))
 
 
 @dataclass
@@ -569,9 +567,9 @@ def intermediate_profile_check(
     v2_win_err = 0.0
     u_hat, v2_hat = _params.hat_uv(params, tau_grid, k0**2)
     for i, tau in enumerate(tau_grid):
-        u1, u2 = _field_at(ptraj, t0 + tau * dT, x_points)
-        U1 = scale * u1
-        V2 = log_factor * scale * u2
+        u = _field_at(ptraj, t0 + tau * dT, x_points)
+        U1 = scale * u.real
+        V2 = log_factor * scale * u.imag
         mid = n_xi // 2
         u_center[i] = U1[mid]
         v2_center[i] = V2[mid]
@@ -590,9 +588,9 @@ def intermediate_profile_check(
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 0.01) -> tuple:
     """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up.
 
-    Samples the snapshots along a dyadic sequence in T - t and requires the
-    last two samples of each component to differ by less than rel_tol
-    relative to the final magnitude.
+    Snapshots are (t, u) pairs with u = u1 + i u2.  Samples them along a
+    dyadic sequence in T - t and requires the last two samples of each
+    component to differ by less than rel_tol relative to the final magnitude.
     """
     T = ptraj.T_estimate
     if T is None:
@@ -612,9 +610,9 @@ def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 
     samples1, samples2 = [], []
     for tgt in targets:
         idx = int(np.argmin(np.abs(left - tgt)))
-        _, u1s, u2s = snaps[idx]
-        samples1.append(float(_interp_snapshot_x(ptraj.grid, u1s, x_arr)[0]))
-        samples2.append(float(_interp_snapshot_x(ptraj.grid, u2s, x_arr)[0]))
+        u = _interp_snapshot_x(ptraj.grid, snaps[idx][1], x_arr)[0]
+        samples1.append(float(u.real))
+        samples2.append(float(u.imag))
     if len(samples1) < 2:
         raise NonConvergenceError(f"not enough snapshots to test convergence at x={x}")
     for name, ser in (("u1", samples1), ("u2", samples2)):

@@ -1,14 +1,18 @@
 """Time integration in similarity and physical variables.
 
-Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + F(w), with
-F = (F1, F2) the split power nonlinearity.  The default scheme is operator
-splitting per step: implicit diffusion (tridiagonal solve per axis, ADI in
-2D), explicit second-order upwind drift, explicit reaction.  Splitting is
-first order in ds and second order in h.  The drift CFL y_max ds/(2h) is
-checked each step and the step subdivided automatically when it exceeds the
-configured safety fraction.
+The state is one complex128 array, w = w1 + i w2 (resp. u = u1 + i u2).
+The linear operators are real, so they act on the real view of that array
+(`_real`, trailing axis of length two): both components are right-hand
+sides of one banded solve, one drift stencil, one boundary pass.
 
-Physical frame: d_t u = Lap u + F(u) with the same implicit diffusion and
+Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
+default scheme is operator splitting per step: implicit diffusion
+(tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
+drift, explicit reaction.  Splitting is first order in ds and second order
+in h.  The drift CFL y_max ds/(2h) is checked each step and the step
+subdivided automatically when it exceeds the configured safety fraction.
+
+Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
 timescale (kappa/max|u|)^{p-1}.
 
@@ -16,6 +20,7 @@ One trajectory is strictly sequential and single-owner; independent
 trajectories share no mutable state.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -51,44 +56,55 @@ class StallError(RuntimeError):
     """Physical run stopped making progress (step size collapsed)."""
 
 
+def _complex_on(grid: _spectral.Grid, vals) -> np.ndarray:
+    """vals as a contiguous complex128 array, checked against grid.shape."""
+    vals = np.ascontiguousarray(vals, dtype=np.complex128)
+    if vals.shape != grid.shape:
+        raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
+    return vals
+
+
 @dataclass
 class SimilarityState:
-    """Solution of the similarity-frame system at one instant s."""
+    """Solution w = w1 + i w2 of the similarity-frame system at one instant s."""
 
     s: float
-    w1: _spectral.Field
-    w2: _spectral.Field
+    grid: _spectral.Grid
+    w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.w1.grid != self.w2.grid:
-            raise ValueError("w1 and w2 must share a grid")
-        if not (np.all(np.isfinite(self.w1.values)) and np.all(np.isfinite(self.w2.values))):
-            raise ValueError("state values must be finite")
-
-    @property
-    def grid(self) -> _spectral.Grid:
-        return self.w1.grid
+        self.w = _complex_on(self.grid, self.w)
 
 
 @dataclass
 class PhysicalState:
-    """Solution of the physical-frame system at one instant t."""
+    """Solution u = u1 + i u2 of the physical-frame system at one instant t."""
 
     t: float
-    u1: _spectral.Field
-    u2: _spectral.Field
+    grid: _spectral.Grid
+    u: np.ndarray = field(repr=False)
     T_estimate: float = None
     status: str = "ok"
 
     def __post_init__(self):
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("u1 and u2 must share a grid")
+        self.u = _complex_on(self.grid, self.u)
         if self.T_estimate is not None and not self.t < self.T_estimate:
             raise ValueError(f"need t < T_estimate, got t={self.t}, T={self.T_estimate}")
 
-    @property
-    def grid(self) -> _spectral.Grid:
-        return self.u1.grid
+
+def _real(vals: np.ndarray) -> np.ndarray:
+    """Real view of a contiguous complex array: shape + (2,), no copy."""
+    return vals.view(np.float64).reshape(vals.shape + (2,))
+
+
+def _complex(vals: np.ndarray) -> np.ndarray:
+    """Inverse of _real: a (..., 2) float array as a complex array."""
+    return np.ascontiguousarray(vals).view(np.complex128)[..., 0]
+
+
+def _require_finite(vals: np.ndarray) -> None:
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("state values must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,74 +148,71 @@ class SolverConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
-def _implicit_diffusion(vals: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """Solve (I - dt D2) out = vals axis by axis (ADI beyond 1D).
+def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """Solve (I - dt D2) out = w axis by axis (ADI beyond 1D).
 
-    Boundary rows are identity; the caller re-applies its boundary condition
-    afterwards.
+    The matrix is real; both components of the complex w are right-hand
+    sides of one solve per axis.  Boundary rows are identity; the caller
+    re-applies its boundary condition afterwards.
     """
     r = dt / (h * h)
-    out = vals
-    for axis in range(vals.ndim):
+    npts = w.shape[0]
+    ab = np.zeros((3, npts))
+    ab[0, 2:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[0, 1] = 0.0
+    ab[2, :-2] = -r
+    ab[2, -2] = 0.0
+    out = _real(w)
+    for axis in range(w.ndim):
         moved = np.moveaxis(out, axis, 0)
-        npts = moved.shape[0]
-        ab = np.zeros((3, npts))
-        ab[0, 2:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, :-2] = -r
-        ab[2, -2] = 0.0
         flat = moved.reshape(npts, -1)
         solved = solve_banded((1, 1), ab, flat, overwrite_b=False, check_finite=False)
         out = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-    return out
+    return _complex(out)
 
 
 def _upwind_gradient_term(vals: np.ndarray, grid: _spectral.Grid) -> np.ndarray:
     """(y/2).grad vals with second-order upwind one-sided differences.
 
-    The drift velocity y/2 points outward, so the stencil leans toward the
-    origin.  Boundary nodes are left at zero; the boundary condition
-    overwrites them anyway.
+    vals is real with grid.shape leading; trailing axes (the components of
+    a real view) ride along.  The drift velocity y/2 points outward, so the
+    stencil leans toward the origin.  Boundary nodes are left at zero; the
+    boundary condition overwrites them anyway.
     """
     h = grid.h
     ax = grid.axis()
+    # interior nodes 1..k lie at y < 0, the rest of the interior at y >= 0
+    k = int(np.count_nonzero(ax[1:-2] < 0.0))
+    vel = (0.5 * ax).reshape((-1,) + (1,) * (vals.ndim - 1))
     total = np.zeros_like(vals)
-    for axis in range(vals.ndim):
+    for axis in range(grid.n_dim):
         moved = np.moveaxis(vals, axis, 0)
         d = np.zeros_like(moved)
-        # outward flow on the right half: stencil uses i, i-1, i-2
-        d[2:] = (3.0 * moved[2:] - 4.0 * moved[1:-1] + moved[:-2]) / (2.0 * h)
         # outward flow on the left half: stencil uses i, i+1, i+2
-        d[1:-2] = np.where(
-            (ax[1:-2] < 0.0).reshape((-1,) + (1,) * (moved.ndim - 1)),
-            (-3.0 * moved[1:-2] + 4.0 * moved[2:-1] - moved[3:]) / (2.0 * h),
-            d[1:-2],
-        )
-        d[0] = 0.0
-        d[-1] = 0.0
-        vel = (0.5 * ax).reshape((-1,) + (1,) * (moved.ndim - 1))
+        d[1 : k + 1] = (-3.0 * moved[1 : k + 1] + 4.0 * moved[2 : k + 2]
+                        - moved[3 : k + 3]) / (2.0 * h)
+        # outward flow on the right half: stencil uses i, i-1, i-2
+        d[k + 1 : -1] = (3.0 * moved[k + 1 : -1] - 4.0 * moved[k:-2]
+                         + moved[k - 1 : -3]) / (2.0 * h)
         total += np.moveaxis(vel * d, 0, axis)
     return total
 
 
-def _apply_boundary(vals: np.ndarray, boundary: str, profile_vals: np.ndarray) -> None:
-    """Overwrite the boundary faces in place."""
-    ndim = vals.ndim
-    for axis in range(ndim):
-        lo = tuple(slice(None) if a != axis else 0 for a in range(ndim))
-        hi = tuple(slice(None) if a != axis else -1 for a in range(ndim))
-        if boundary == "profile-clamp":
-            vals[lo] = profile_vals[lo]
-            vals[hi] = profile_vals[hi]
-        else:
-            one = tuple(slice(None) if a != axis else 1 for a in range(ndim))
-            two = tuple(slice(None) if a != axis else 2 for a in range(ndim))
-            m2 = tuple(slice(None) if a != axis else -2 for a in range(ndim))
-            m3 = tuple(slice(None) if a != axis else -3 for a in range(ndim))
-            vals[lo] = 2.0 * vals[one] - vals[two]
-            vals[hi] = 2.0 * vals[m2] - vals[m3]
+def _edge_mask(grid: _spectral.Grid) -> np.ndarray:
+    """True on the boundary nodes: every face of the grid box."""
+    edge = np.ones(grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * grid.n_dim] = False
+    return edge
+
+
+def _extrapolate_boundary(vals: np.ndarray) -> None:
+    """Overwrite the boundary faces in place by linear extrapolation, axis by axis."""
+    for axis in range(vals.ndim):
+        v = np.moveaxis(vals, axis, 0)
+        v[0] = 2.0 * v[1] - v[2]
+        v[-1] = 2.0 * v[-2] - v[-3]
 
 
 def _substep_count(cfg: SolverConfig, grid: _spectral.Grid, ds: float) -> int:
@@ -213,20 +226,20 @@ def _substep_count(cfg: SolverConfig, grid: _spectral.Grid, ds: float) -> int:
     return max(1, int(math.ceil(need - 1e-12)))
 
 
-def _rk4_rhs(w1, w2, grid, params, s):
-    lap1 = np.zeros_like(w1)
-    lap2 = np.zeros_like(w2)
-    g1 = np.zeros_like(w1)
-    g2 = np.zeros_like(w2)
-    meshes = grid.meshes()
-    for axis in range(grid.n_dim):
-        lap1 += _spectral.second_derivative(w1, grid.h, axis=axis)
-        lap2 += _spectral.second_derivative(w2, grid.h, axis=axis)
-        g1 += 0.5 * meshes[axis] * _spectral.first_derivative(w1, grid.h, axis=axis)
-        g2 += 0.5 * meshes[axis] * _spectral.first_derivative(w2, grid.h, axis=axis)
-    f1, f2 = _rhs.f1f2(w1, w2, params.p)
+def _rk4_rhs(w, grid, params):
+    wr = _real(w)
+    lap = np.zeros_like(wr)
+    g = np.zeros_like(wr)
+    for axis, y in enumerate(grid.meshes()):
+        lap += _spectral.second_derivative(wr, grid.h, axis=axis)
+        g += 0.5 * y[..., None] * _spectral.first_derivative(wr, grid.h, axis=axis)
     inv = 1.0 / (params.p - 1)
-    return (lap1 - g1 - inv * w1 + f1, lap2 - g2 - inv * w2 + f2)
+    return _complex(lap - g) - inv * w + w**params.p
+
+
+def _profile(params: _params.Params, r2: np.ndarray, s: float) -> np.ndarray:
+    """The profile pair as one complex array, Phi1 + i Phi2."""
+    return _params.phi1(params, r2, s) + 1j * _params.phi2(params, r2, s)
 
 
 def step_similarity(
@@ -238,74 +251,65 @@ def step_similarity(
     grid = state.grid
     n_sub = _substep_count(cfg, grid, ds)
     dss = ds / n_sub
-    w1 = state.w1.values.copy()
-    w2 = state.w2.values.copy()
-    r2 = grid.radius2()
+    w = state.w
+    edge = _edge_mask(grid)
+    r2_edge = grid.radius2()[edge]
     inv = 1.0 / (params.p - 1)
     s = state.s
     for k in range(n_sub):
         s_next = state.s + (k + 1) * dss
         if cfg.scheme == "semi-implicit":
-            w1 = _implicit_diffusion(w1, grid.h, dss)
-            w2 = _implicit_diffusion(w2, grid.h, dss)
-            w1 = w1 - dss * _upwind_gradient_term(w1, grid)
-            w2 = w2 - dss * _upwind_gradient_term(w2, grid)
-            f1, f2 = _rhs.f1f2(w1, w2, params.p)
-            w1 = w1 + dss * (f1 - inv * w1)
-            w2 = w2 + dss * (f2 - inv * w2)
+            w = _implicit_diffusion(w, grid.h, dss)
+            wr = _real(w)
+            wr -= dss * _upwind_gradient_term(wr, grid)
+            w = w + dss * (w**params.p - inv * w)
         else:
-            k1 = _rk4_rhs(w1, w2, grid, params, s)
-            k2 = _rk4_rhs(w1 + 0.5 * dss * k1[0], w2 + 0.5 * dss * k1[1], grid, params, s)
-            k3 = _rk4_rhs(w1 + 0.5 * dss * k2[0], w2 + 0.5 * dss * k2[1], grid, params, s)
-            k4 = _rk4_rhs(w1 + dss * k3[0], w2 + dss * k3[1], grid, params, s)
-            w1 = w1 + dss / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            w2 = w2 + dss / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            k1 = _rk4_rhs(w, grid, params)
+            k2 = _rk4_rhs(w + 0.5 * dss * k1, grid, params)
+            k3 = _rk4_rhs(w + 0.5 * dss * k2, grid, params)
+            k4 = _rk4_rhs(w + dss * k3, grid, params)
+            w = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if cfg.boundary == "profile-clamp":
-            p1 = _params.phi1(params, r2, s_next)
-            p2 = _params.phi2(params, r2, s_next)
+            w[edge] = _profile(params, r2_edge, s_next)
         else:
-            p1 = p2 = None
-        _apply_boundary(w1, cfg.boundary, p1)
-        _apply_boundary(w2, cfg.boundary, p2)
+            _extrapolate_boundary(w)
         s = s_next
-    max_w = float(max(np.max(np.abs(w1)), np.max(np.abs(w2))))
+    # the larger of max|w1| and max|w2|, as recorded in max_w
+    max_w = float(np.max(np.abs(_real(w))))
     if not math.isfinite(max_w) or max_w > 10.0 * params.kappa:
         raise BlowupInSimilarityError(s, max_w)
-    return SimilarityState(
-        s=s, w1=_spectral.Field(grid, w1), w2=_spectral.Field(grid, w2)
-    )
+    return SimilarityState(s=s, grid=grid, w=w)
 
 
 def _remove_expanding_content(q, grid, chi, rho, meshes):
     """Project chi q onto {1, y_j/2} and subtract (m0 + sum m_j y_j) chi.
 
-    q is the deviation from the reference profile; its constant and linear
-    modes are the ones the linearized flow amplifies.  Returns the new
-    field and the removed coefficients (m0, m_1..m_n).
+    q is the complex deviation from the reference profile; its constant and
+    linear modes are the ones the linearized flow amplifies.  Returns the
+    new field and the removed complex coefficients (m0, m_1..m_n), whose
+    real and imaginary parts belong to the two components.
     """
-    q_b = chi * q
-    removed = np.empty(1 + grid.n_dim)
-    removed[0] = _spectral.integrate(grid, q_b * rho)
-    correction = np.full(grid.shape, removed[0])
-    for j, y in enumerate(meshes):
-        removed[1 + j] = _spectral.integrate(grid, q_b * (0.5 * y) * rho)
-        correction = correction + removed[1 + j] * y
+    weight = chi * rho
+    removed = np.array([_spectral.integrate(grid, q * weight)]
+                       + [_spectral.integrate(grid, q * (0.5 * y * weight)) for y in meshes])
+    correction = removed[0]
+    for m, y in zip(removed[1:], meshes):
+        correction = correction + m * y
     return q - correction * chi, removed
 
 
-def _record_state(state, params, ssp, removal_rate1, removal_rate2):
-    q1 = _spectral.Field(state.grid, state.w1.values - _params.phi1(params, state.grid.radius2(), state.s))
-    q2 = _spectral.Field(state.grid, state.w2.values - _params.phi2(params, state.grid.radius2(), state.s))
-    d1 = _diag.decompose(q1, state.s, ssp)
-    d2 = _diag.decompose(q2, state.s, ssp)
+def _record_state(state, params, ssp, removal_rate):
+    grid = state.grid
+    q = state.w - _profile(params, grid.radius2(), state.s)
+    d1 = _diag.decompose(_spectral.Field(grid, q.real), state.s, ssp)
+    d2 = _diag.decompose(_spectral.Field(grid, q.imag), state.s, ssp)
     e1, e2 = _diag.profile_error(state, params)
-    _, w1b2 = _diag.radial_mode_coefficients(state.grid, state.w1.values - params.kappa)
-    w2h0, w2h2 = _diag.radial_mode_coefficients(state.grid, state.w2.values)
-    max_w = float(max(np.max(np.abs(state.w1.values)), np.max(np.abs(state.w2.values))))
+    c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
     return _diag.SimilarityRecord(
-        s=state.s, d1=d1, d2=d2, e1=e1, e2=e2, max_w=max_w,
-        w1bar_h2=w1b2, w2_h0=w2h0, w2_h2=w2h2,
-        removal_rate1=removal_rate1, removal_rate2=removal_rate2,
+        s=state.s, d1=d1, d2=d2, e1=e1, e2=e2,
+        max_w=float(np.max(np.abs(_real(state.w)))),
+        w1bar_h2=c2.real, w2_h0=c0.imag, w2_h2=c2.imag,
+        removal_rate1=removal_rate.real, removal_rate2=removal_rate.imag,
     )
 
 
@@ -327,6 +331,7 @@ def evolve(
         raise ValueError(f"initial s must be >= 1, got {initial.s}")
     if not cfg.s_end > initial.s:
         raise ValueError(f"s_end={cfg.s_end} must exceed initial s={initial.s}")
+    _require_finite(initial.w)
     if ssp is None:
         ssp = _diag.ShrinkingSetParams(K=cfg.cutoff.K)
     grid = initial.grid
@@ -348,29 +353,22 @@ def evolve(
     rho = _spectral.weight_rho(r2, grid.n_dim)
     meshes = grid.meshes()
 
-    removed_sum1 = np.zeros(1 + grid.n_dim)
-    removed_sum2 = np.zeros(1 + grid.n_dim)
+    removed_sum = np.zeros(1 + grid.n_dim, dtype=np.complex128)
     s_last_record = initial.s
 
     def push(state, first=False):
-        nonlocal removed_sum1, removed_sum2, s_last_record
+        nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
-        if first or span <= 0:
-            rate1 = np.zeros(1 + grid.n_dim)
-            rate2 = np.zeros(1 + grid.n_dim)
-        else:
-            rate1 = removed_sum1 / span
-            rate2 = removed_sum2 / span
-        rec = _record_state(state, params, ssp, rate1, rate2)
+        rate = np.zeros_like(removed_sum) if first or span <= 0 else removed_sum / span
+        rec = _record_state(state, params, ssp, rate)
         traj.add(rec)
         if observer is not None:
             observer(rec)
-        removed_sum1 = np.zeros(1 + grid.n_dim)
-        removed_sum2 = np.zeros(1 + grid.n_dim)
+        removed_sum = np.zeros_like(removed_sum)
         s_last_record = state.s
         while pending_snaps and state.s >= pending_snaps[0] - 1e-9:
             pending_snaps.pop(0)
-            traj.snapshots.append((state.s, state.w1.values.copy(), state.w2.values.copy()))
+            traj.snapshots.append((state.s, state.w.copy()))
 
     state = initial
     push(state, first=True)
@@ -380,24 +378,13 @@ def evolve(
         state = step_similarity(state, cfg, params, ds=ds_k)
         # keep s exact against accumulation drift
         s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
-        state = SimilarityState(s=s_exact, w1=state.w1, w2=state.w2)
+        state = dataclasses.replace(state, s=s_exact)
         if cfg.pin_unstable_modes:
             chi = _rhs.cutoff_chi(cfg.cutoff, r2, state.s)
-            phi1_s = _params.phi1(params, r2, state.s)
-            phi2_s = _params.phi2(params, r2, state.s)
-            q1_new, rem1 = _remove_expanding_content(
-                state.w1.values - phi1_s, grid, chi, rho, meshes
-            )
-            q2_new, rem2 = _remove_expanding_content(
-                state.w2.values - phi2_s, grid, chi, rho, meshes
-            )
-            removed_sum1 += rem1
-            removed_sum2 += rem2
-            state = SimilarityState(
-                s=state.s,
-                w1=_spectral.Field(grid, phi1_s + q1_new),
-                w2=_spectral.Field(grid, phi2_s + q2_new),
-            )
+            phi = _profile(params, r2, state.s)
+            q_new, removed = _remove_expanding_content(state.w - phi, grid, chi, rho, meshes)
+            removed_sum += removed
+            state = SimilarityState(s=state.s, grid=grid, w=phi + q_new)
         if k % cfg.record_every == 0 or k == total_steps:
             push(state)
     return traj
@@ -411,14 +398,12 @@ def similarity_initial_state(
 ) -> SimilarityState:
     """Profile plus localized deviation data at s = idp.s0 on the given grid."""
     q1, q2 = _rhs.initial_data(params, idp, cut, grid)
-    r2 = grid.radius2()
-    w1 = _params.phi1(params, r2, idp.s0) + q1
-    w2 = _params.phi2(params, r2, idp.s0) + q2
-    return SimilarityState(s=idp.s0, w1=_spectral.Field(grid, w1), w2=_spectral.Field(grid, w2))
+    w = _profile(params, grid.radius2(), idp.s0) + (q1 + 1j * q2)
+    return SimilarityState(s=idp.s0, grid=grid, w=w)
 
 
 def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> PhysicalState:
-    """One semi-implicit step of d_t u = Lap u + F(u).
+    """One semi-implicit step of d_t u = Lap u + u^p.
 
     Implicit diffusion, explicit reaction, Dirichlet boundary frozen at the
     incoming boundary values.  On overflow the incoming state is returned
@@ -427,29 +412,20 @@ def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> Ph
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    u1 = _implicit_diffusion(state.u1.values, grid.h, dt)
-    u2 = _implicit_diffusion(state.u2.values, grid.h, dt)
+    u = _implicit_diffusion(state.u, grid.h, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2 = _rhs.f1f2(u1, u2, params.p)
-        u1 = u1 + dt * f1
-        u2 = u2 + dt * f2
-    _apply_boundary(u1, "profile-clamp", state.u1.values)
-    _apply_boundary(u2, "profile-clamp", state.u2.values)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
-        return PhysicalState(
-            t=state.t, u1=state.u1, u2=state.u2,
-            T_estimate=state.T_estimate, status="overflow",
-        )
+        u = u + dt * u**params.p
+    edge = _edge_mask(grid)
+    u[edge] = state.u[edge]
+    if not np.all(np.isfinite(u)):
+        return dataclasses.replace(state, status="overflow")
     # the a priori estimate is advisory; drop it rather than fail once the
     # actual blow-up turns out to sit beyond it (e.g. truncated initial data)
     t_new = state.t + dt
     carry_T = state.T_estimate
     if carry_T is not None and t_new >= carry_T:
         carry_T = None
-    return PhysicalState(
-        t=t_new, u1=_spectral.Field(grid, u1), u2=_spectral.Field(grid, u2),
-        T_estimate=carry_T,
-    )
+    return PhysicalState(t=t_new, grid=grid, u=u, T_estimate=carry_T)
 
 
 def physical_initial_from_similarity(
@@ -467,20 +443,7 @@ def physical_initial_from_similarity(
     scale = T ** (-1.0 / (params.p - 1))
     grid_y = _spectral.Grid(grid_x.n_dim, grid_x.half_width / math.sqrt(T), grid_x.npts)
     sim = similarity_initial_state(params, idp, cut, grid_y)
-    return PhysicalState(
-        t=0.0,
-        u1=_spectral.Field(grid_x, scale * sim.w1.values),
-        u2=_spectral.Field(grid_x, scale * sim.w2.values),
-        T_estimate=T,
-    )
-
-
-def _probe_values(grid: _spectral.Grid, vals: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a 1D field at the probe positions."""
-    if probes.size == 0:
-        return np.empty(0)
-    ax = grid.axis()
-    return np.interp(probes, ax, vals)
+    return PhysicalState(t=0.0, grid=grid_x, u=scale * sim.w, T_estimate=T)
 
 
 def run_physical_blowup(
@@ -514,8 +477,10 @@ def run_physical_blowup(
     if not shrink_factor > 1.0:
         raise ValueError(f"shrink_factor must exceed 1, got {shrink_factor}")
     grid = u0.grid
+    ax = grid.axis()
     probes = np.asarray(probes, dtype=float)
-    mod0 = np.hypot(u0.u1.values, u0.u2.values)
+    _require_finite(u0.u)
+    mod0 = np.abs(u0.u)
     m0 = float(np.max(mod0))
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
@@ -528,21 +493,18 @@ def run_physical_blowup(
     )
 
     def snap(state):
-        traj.snapshots.append((state.t, state.u1.values.copy(), state.u2.values.copy()))
+        traj.snapshots.append((state.t, state.u.copy()))
 
-    def record(state, dt, m):
-        mod = np.hypot(state.u1.values, state.u2.values)
-        flat = int(np.argmax(mod))
-        idx = np.unravel_index(flat, grid.shape)
-        pos = tuple(float(grid.axis()[i]) for i in idx)
-        if grid.n_dim == 1:
-            p1 = _probe_values(grid, state.u1.values, probes)
-            p2 = _probe_values(grid, state.u2.values, probes)
+    def record(state, dt, m, mod):
+        idx = np.unravel_index(int(np.argmax(mod)), grid.shape)
+        pos = tuple(float(ax[i]) for i in idx)
+        if grid.n_dim == 1 and probes.size:
+            at_probes = np.interp(probes, ax, state.u)
         else:
-            p1 = np.empty(0)
-            p2 = np.empty(0)
+            at_probes = np.empty(0, dtype=np.complex128)
         traj.add(_diag.PhysicalRecord(
-            t=state.t, dt=dt, max_u=m, argmax=pos, probe_u1=p1, probe_u2=p2,
+            t=state.t, dt=dt, max_u=m, argmax=pos,
+            probe_u1=at_probes.real, probe_u2=at_probes.imag,
         ))
 
     state = u0
@@ -550,7 +512,7 @@ def run_physical_blowup(
     m_ref = m0
     kp = params.kappa ** (params.p - 1)
     dt = eta * kp * m_ref ** (1 - params.p)
-    record(state, dt, m0)
+    record(state, dt, m0, mod0)
     snap(state)
     m_snap = m0
     peak = m0
@@ -563,8 +525,9 @@ def run_physical_blowup(
             status = "blown-up"
             break
         state = new_state
-        m = float(np.max(np.hypot(state.u1.values, state.u2.values)))
-        record(state, dt, m)
+        mod = np.abs(state.u)
+        m = float(np.max(mod))
+        record(state, dt, m, mod)
         if m > peak * (1.0 + 1e-9):
             peak = m
             steps_since_peak = 0

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_HERMITE_DEGREE = 30
+# spatial dimensions a Grid supports
+N_DIMS = (1, 2)
 TAIL_WARN_FRACTION = 1e-12
 
 MultiIndex = tuple[int, ...]
@@ -35,8 +37,8 @@ class Grid:
     npts: int
 
     def __post_init__(self):
-        if self.n_dim not in (1, 2):
-            raise ValueError(f"n_dim must be 1 or 2, got {self.n_dim}")
+        if self.n_dim not in N_DIMS:
+            raise ValueError(f"n_dim must be one of {N_DIMS}, got {self.n_dim}")
         if self.half_width <= 0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
         if self.npts < 16:
@@ -142,12 +144,12 @@ def _trapz_uniform(vals: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     return h * (vals.sum(axis=axis) - 0.5 * (vals[tuple(sl_first)] + vals[tuple(sl_last)]))
 
 
-def integrate(grid: Grid, vals: np.ndarray) -> float:
-    """Trapezoid integral of vals over the grid domain."""
-    out = np.asarray(vals, dtype=float)
+def integrate(grid: Grid, vals: np.ndarray) -> float | complex:
+    """Trapezoid integral of vals over the grid domain (complex for complex vals)."""
+    out = np.asarray(vals, dtype=np.result_type(vals, float))
     for _ in range(grid.n_dim):
         out = _trapz_uniform(out, grid.h, axis=-1)
-    return float(out)
+    return out.item()
 
 
 @functools.lru_cache(maxsize=256)

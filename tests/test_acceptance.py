@@ -161,8 +161,7 @@ def test_3_solver_oracles():
     pr = bp.make_params(2, 1)
     grid = sp.Grid(1, 8.0, 33)
     st = solver.PhysicalState(
-        t=0.0, u1=sp.Field(grid, np.ones(grid.shape)),
-        u2=sp.Field(grid, np.zeros(grid.shape)),
+        t=0.0, grid=grid, u=np.ones(grid.shape) + 1j * np.zeros(grid.shape),
     )
     _, t_est = solver.run_physical_blowup(st, pr)
     t_err = abs(t_est - 1.0)
@@ -175,15 +174,15 @@ def test_3_solver_oracles():
         for k in range(p - 1):
             theta = 2.0 * math.pi * k / (p - 1)
             st0 = solver.SimilarityState(
-                s=10.0,
-                w1=sp.Field(grid, np.full(grid.shape, prp.kappa * math.cos(theta))),
-                w2=sp.Field(grid, np.full(grid.shape, prp.kappa * math.sin(theta))),
+                s=10.0, grid=grid,
+                w=np.full(grid.shape, prp.kappa * math.cos(theta))
+                + 1j * np.full(grid.shape, prp.kappa * math.sin(theta)),
             )
             st1 = solver.step_similarity(st0, cfg, prp)
             worst_step = max(
                 worst_step,
-                float(np.max(np.abs(st1.w1.values - st0.w1.values))),
-                float(np.max(np.abs(st1.w2.values - st0.w2.values))),
+                float(np.max(np.abs(st1.w.real - st0.w.real))),
+                float(np.max(np.abs(st1.w.imag - st0.w.imag))),
             )
 
     ok = t_err < 1e-3 and worst_step < 1e-12

@@ -405,9 +405,9 @@ class TestPhysicalMode:
         axis = grid.axis()
         bump = np.exp(-((axis / 0.1) ** 2))
         snaps = [
-            (0.9, 2.0 + 1.0 * bump, np.full_like(axis, 1.0)),
-            (0.95, 2.0 + 1.0 * bump, np.full_like(axis, 1.0)),
-            (0.975, 2.0 + 2.0 * bump, np.full_like(axis, 1.0)),
+            (0.9, 2.0 + 1.0 * bump + 1j * np.full_like(axis, 1.0)),
+            (0.95, 2.0 + 1.0 * bump + 1j * np.full_like(axis, 1.0)),
+            (0.975, 2.0 + 2.0 * bump + 1j * np.full_like(axis, 1.0)),
         ]
         ptraj = diagnostics.PhysicalTrajectory(
             grid=grid, probes=np.asarray(probes), T_estimate=1.0, status="ok",
@@ -470,12 +470,14 @@ class TestPhysicalMode:
     def test_u_star_prediction_spot_values(self):
         pr = params_mod.make_params(2, 1)
         x = math.exp(-10.0)
-        assert cli._u_star_prediction(pr, x) == pytest.approx(
+        assert params_mod.final_profile_prediction(pr, x)[0] == pytest.approx(
             160.0 * math.exp(20.0), rel=1e-12
         )
         pr3 = params_mod.make_params(3, 1)
         expect = (4.0 * x * x / (24.0 * 10.0)) ** -0.5
-        assert cli._u_star_prediction(pr3, x) == pytest.approx(expect, rel=1e-12)
+        assert params_mod.final_profile_prediction(pr3, x)[0] == pytest.approx(
+            expect, rel=1e-12
+        )
 
     def test_physical_csv_thins_long_runs(self, tmp_path):
         grid = spectral.Grid(1, 0.5, 17)
@@ -492,7 +494,7 @@ class TestPhysicalMode:
         lines = path.read_text().splitlines()
         # stride 3 keeps indices 0, 3, ..., 12000, plus the appended last row
         assert len(lines) == 1 + 4001 + 1
-        assert lines[-1].split(",")[0] == cli._fmt(12002.0)
+        assert lines[-1].split(",")[0] == diagnostics._fmt(12002.0)
 
 
 class TestMainEntry(unittest.TestCase):
@@ -548,6 +550,52 @@ class TestMainEntry(unittest.TestCase):
         self.assertEqual(code, 2)
         payload = json.loads(err)
         self.assertGreater(len(payload["messages"]), 1)
+
+
+def _main_on(raw, tmp_path, command):
+    import yaml
+
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    return code, err.getvalue()
+
+
+class TestGridDimensionValidation:
+    def test_similarity_three_dimensions_exits_2(self, tmp_path):
+        raw = tiny_raw(output_dir=str(tmp_path / "out"))
+        raw["params"]["n_dim"] = 3
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code == 2
+        messages = json.loads(err)["messages"]
+        assert any("params.n_dim in (1, 2)" in m and "got 3" in m for m in messages)
+        assert not (tmp_path / "out" / "error.json").exists()
+
+    def test_sweep_three_dimensions_exits_2(self, tmp_path):
+        raw = tiny_raw(mode="sweep", output_dir=str(tmp_path / "out"))
+        raw["sweep"] = {"ps": [2], "ns": [3], "N_2d": 65}
+        code, err = _main_on(raw, tmp_path, "sweep")
+        assert code == 2
+        assert "sweep.ns must be a list of integers in (1, 2)" in json.loads(err)["messages"]
+        assert not (tmp_path / "out").exists()
+
+    def test_allowed_set_is_the_grid_set(self):
+        for n in spectral.N_DIMS:
+            spectral.Grid(n, 1.0, 17)
+        raw = tiny_raw()
+        raw["params"]["n_dim"] = max(spectral.N_DIMS) + 1
+        with pytest.raises(ValueError):
+            spectral.Grid(raw["params"]["n_dim"], 1.0, 17)
+        with pytest.raises(cli.ConfigError):
+            cli.config_from_dict(raw)
+
+    def test_verify_three_dimensions_still_runs(self, tmp_path):
+        raw = {"mode": "verify", "params": {"p": 2, "n_dim": 3},
+               "output_dir": str(tmp_path / "out")}
+        code, _ = _main_on(raw, tmp_path, "verify")
+        assert code == 0
 
 
 def test_module_entry_point_help():

@@ -409,8 +409,8 @@ class TestProfileError:
         r2 = grid.radius2()
         state = type("S", (), {})()
         state.s = s
-        state.w1 = sp.Field(grid, bp.phi1(pr, r2, s))
-        state.w2 = sp.Field(grid, bp.phi2(pr, r2, s))
+        state.grid = grid
+        state.w = bp.phi1(pr, r2, s) + 1j * bp.phi2(pr, r2, s)
         e1, e2 = dg.profile_error(state, pr)
         assert e1 == pytest.approx(n * pr.kappa / (2 * p * s), rel=1e-12)
         assert e2 == pytest.approx(2 * n * pr.kappa / ((p - 1) * s), rel=1e-12)
@@ -488,7 +488,7 @@ def manufactured_physical_trajectory(pr, T, dT, half_width, npts, n_times=501):
         scale = left ** (-1.0 / (pr.p - 1))
         u1 = scale * bp.f0(pr, z2)
         u2 = scale * bp.g0(pr, z2) / abs(math.log(left))
-        ptraj.snapshots.append((t, u1, u2))
+        ptraj.snapshots.append((t, u1 + 1j * u2))
     return ptraj
 
 
@@ -498,17 +498,18 @@ class TestFieldInterpolation:
         x = grid.meshes()[0]
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]))
         for t in (0.0, 0.1, 0.2):
-            ptraj.snapshots.append(((t), (1.0 + t) * np.cos(x), (2.0 - t) * np.sin(x)))
+            ptraj.snapshots.append(((t), (1.0 + t) * np.cos(x) + 1j * ((2.0 - t) * np.sin(x))))
         pts = np.array([-1.3, 0.4, 2.2])
-        u1, u2 = dg._field_at(ptraj, 0.05, pts)
+        u = dg._field_at(ptraj, 0.05, pts)
+        u1, u2 = u.real, u.imag
         assert u1 == pytest.approx(1.05 * np.cos(pts), abs=1e-6)
         assert u2 == pytest.approx(1.95 * np.sin(pts), abs=1e-6)
 
     def test_outside_range_rejected(self):
         grid = sp.Grid(1, 4.0, 33)
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]))
-        ptraj.snapshots.append((0.0, np.zeros(grid.shape), np.zeros(grid.shape)))
-        ptraj.snapshots.append((0.1, np.zeros(grid.shape), np.zeros(grid.shape)))
+        ptraj.snapshots.append((0.0, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
+        ptraj.snapshots.append((0.1, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
         with pytest.raises(ValueError, match="outside"):
             dg._field_at(ptraj, 0.2, np.array([0.0]))
 
@@ -546,7 +547,7 @@ class TestIntermediateProfile:
         # snapshots end before t0 + tau_max dT
         for frac in np.linspace(0.95, 1.2, 20):
             t = T - dT * (2.0 - frac)
-            ptraj.snapshots.append((t, np.zeros(grid.shape), np.zeros(grid.shape)))
+            ptraj.snapshots.append((t, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
         with pytest.raises(ValueError, match="snapshot range"):
             dg.intermediate_profile_check(ptraj, x0, pr)
 
@@ -565,7 +566,7 @@ class TestExtractFinalProfile:
             left = 0.1 / 2**k
             u1 = np.full(grid.shape, c1 * (1.0 + left))
             u2 = np.full(grid.shape, c2 * (1.0 + left))
-            ptraj.snapshots.append((1.0 - left, u1, u2))
+            ptraj.snapshots.append((1.0 - left, u1 + 1j * u2))
         return ptraj
 
     def test_cauchy_converged_values_returned(self):
@@ -579,14 +580,14 @@ class TestExtractFinalProfile:
         for k in range(15):
             left = 0.1 / 2**k
             vals = np.full(grid.shape, left ** (-0.3))
-            ptraj.snapshots.append((1.0 - left, vals, 0.0 * vals))
+            ptraj.snapshots.append((1.0 - left, vals + 1j * (0.0 * vals)))
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
             dg.extract_final_profile(ptraj, 0.8)
 
     def test_needs_snapshots_before_blowup(self):
         grid = sp.Grid(1, 4.0, 65)
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
-        ptraj.snapshots.append((1.5, np.zeros(grid.shape), np.zeros(grid.shape)))
+        ptraj.snapshots.append((1.5, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
         with pytest.raises(dg.NonConvergenceError):
             dg.extract_final_profile(ptraj, 0.8)
 

@@ -69,8 +69,8 @@ def _configs():
     }
 
 
-# fits.json of each run as recorded before the solver state became one
-# complex array; "nan" is how write_json spells a non-finite float
+# recorded fits.json of each run; "nan" is how write_json spells a
+# non-finite float
 GOLDEN = {
     "phys_p2": {
         "T_estimate": 1.4272640327424978e-11,
