@@ -1,10 +1,12 @@
 """Golden fingerprints: short CLI runs reproduce recorded fits.json values.
 
-Four short runs go through `cli.run`, each naming its scheme explicitly:
-the p=2 similarity configuration of the determinism check (test_9), a p=3,
-n=2 similarity cell with nonzero direction data, the same p=2 configuration
-under the explicit RK4 oracle scheme, and a coarse physical collapse (the
-benchmark's reduced phys-collapse-1d inputs).  Every float in their
+Five short runs go through `cli.run`, each naming its scheme explicitly:
+the p=2 similarity configuration of the determinism check (test_9), the
+same configuration run to s=35 so that the inner-expansion fits (which come
+from the radial mode coefficients) are recorded, a p=3, n=2 similarity cell
+with nonzero direction data, the same p=2 configuration under the explicit
+RK4 oracle scheme, and a coarse physical collapse (the benchmark's reduced
+phys-collapse-1d inputs).  Every float in their
 fits.json must match the recorded value to rel 1e-9, however small (the
 physical blow-up time is ~1e-11).  The one exception is a mode residual
 constant below 1e-9: those sit at roundoff (1e-12 to 1e-15), move with any
@@ -48,6 +50,9 @@ def _configs():
         "d1": {"const": 0.3, "lin": [0.2, -0.1]},
         "d2": {"const": -0.4, "lin": [0.1, 0.3], "quad": [[0.0, 0.0], [0.0, 0.0]]},
     }
+    sim_p2_n1_long = copy.deepcopy(_SIM_P2)
+    sim_p2_n1_long["solver"]["s_end"] = 35.0
+    sim_p2_n1_long["solver"]["record_every"] = 20
     sim_p2_n1_rk4 = copy.deepcopy(_SIM_P2)
     sim_p2_n1_rk4["solver"]["scheme"] = "explicit-rk4"
     sim_p2_n1_rk4["solver"]["s_end"] = 25.1
@@ -63,6 +68,7 @@ def _configs():
     }
     return {
         "sim_p2_n1": copy.deepcopy(_SIM_P2),
+        "sim_p2_n1_long": sim_p2_n1_long,
         "sim_p3_n2": sim_p3_n2,
         "sim_p2_n1_rk4": sim_p2_n1_rk4,
         "phys_p2": phys_p2,
@@ -148,6 +154,50 @@ GOLDEN = {
             "e2_final": 0.0770669873292337,
             "e2_s_p1_final": 0.1740250307012417,
             "e2_slope": -0.9745843510564686,
+        },
+    },
+    "sim_p2_n1_long": {
+        "inner": {
+            "c0_tilde": 1.0013758034909763,
+            "drift_w1bar": 0.0011094921022957703,
+            "drift_w2h2": 0.004001201491215741,
+            "target_w1bar": -0.125,
+            "w1bar_limit": -0.1170830011568271,
+        },
+        "membership": {
+            "all_inside": True,
+            "final_margins": {
+                "q1_0": 0.9999999999999953,
+                "q1_e": 0.9990244465117685,
+                "q1_j": 0.9999999999999996,
+                "q1_jk": 0.9997347459115726,
+                "q1_minus": 0.998093310587981,
+                "q2_0": 1.0,
+                "q2_e": 0.9997140294010765,
+                "q2_j": 1.0,
+                "q2_jk": 0.999999769922926,
+                "q2_minus": 0.999316802521695,
+            },
+            "min_margin": 0.9980421912266894,
+        },
+        "mode_residuals": {
+            "achieved_exponent_q2_null": 12.941383157356446,
+            "constants": {
+                "q1_0": 0.3013752436696673,
+                "q1_j": 6.666660190352119e-13,
+                "q1_jk": 0.06674874744222563,
+                "q2_0": 0.9622966089559208,
+                "q2_j": 1.2414505267499626e-14,
+                "q2_jk": 0.0017502776574067661,
+            },
+        },
+        "profile_errors": {
+            "e1_final": 0.009347006483042375,
+            "e1_slope": -2.895260066020094,
+            "e1_sqrt_s_final": 0.05529763608682804,
+            "e2_final": 0.06209258771351567,
+            "e2_s_p1_final": 0.1510277563329003,
+            "e2_slope": -0.7735295587587047,
         },
     },
     "sim_p2_n1_rk4": {
