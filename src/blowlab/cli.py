@@ -363,7 +363,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
         if (L is not None and L > 0 and N is not None and N >= 17
                 and ds is not None and ds > 0):
             h = 2.0 * L / (N - 1)
-            substeps = math.ceil(L * ds / (2.0 * h * 0.9))
+            substeps = math.ceil(L * ds / (2.0 * h * _solver.CFL_SAFETY))
             if substeps > MAX_DRIFT_SUBSTEPS:
                 errors.append(
                     f"ds CFL pre-check failed: ds = {ds} needs ~{substeps} "
@@ -433,19 +433,6 @@ def _initial_pieces(config: RunConfig):
     return pr, cut, idp
 
 
-def _late_slope(s, vals) -> float:
-    s = np.asarray(s, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    half = len(s) // 2
-    s, vals = s[half:], vals[half:]
-    keep = vals > 0
-    if keep.sum() < 2:
-        return float("nan")
-    design = np.column_stack([np.ones(keep.sum()), np.log(s[keep])])
-    coef, *_ = np.linalg.lstsq(design, np.log(vals[keep]), rcond=None)
-    return float(coef[1])
-
-
 def _run_similarity(config: RunConfig) -> int:
     pr, cut, idp = _initial_pieces(config)
     grid = _spectral.Grid(config.n_dim, config.L, config.N)
@@ -471,8 +458,8 @@ def _run_similarity(config: RunConfig) -> int:
             "e2_final": float(e2[-1]),
             "e1_sqrt_s_final": float(e1[-1] * math.sqrt(s_vals[-1])),
             "e2_s_p1_final": float(e2[-1] * s_vals[-1] ** (config.p1 / 2.0)),
-            "e1_slope": _late_slope(s_vals, e1),
-            "e2_slope": _late_slope(s_vals, e2),
+            "e1_slope": _diag.late_loglog_slope(s_vals, e1),
+            "e2_slope": _diag.late_loglog_slope(s_vals, e2),
         },
         "membership": {
             "all_inside": bool(all(m.inside for m in memberships)),

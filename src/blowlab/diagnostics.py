@@ -12,6 +12,9 @@ Gaussian-weighted integrals: q0 = int q_b rho, q1_j = int q_b (y_j/2) rho,
 q2_jk = int q_b (y_j y_k/4 - delta_jk/2) rho, rho the normalized Gaussian
 weight.  q_minus is the pointwise remainder.  The flattened radial modes of
 the full solution w use the radial quadratic |y|^2 - 2n in the same weight.
+All of these moments come from one routine, spectral.gaussian_moments, which
+the solver's mode pinning uses too.  decompose acts on the complex deviation
+q = q1 + i q2 at once and returns one decomposition per component.
 
 All operations are read-only on their inputs; a finished trajectory can be
 analyzed concurrently.
@@ -173,14 +176,15 @@ class PhysicalTrajectory:
         return np.array([r.t for r in self.records])
 
 
-def decompose(q: _spectral.Field, s: float, ssp: ShrinkingSetParams) -> ModeDecomposition:
-    """Split q into (q0, q1, q2, q_minus, q_e) relative to the cutoff at scale K sqrt(s).
+def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
+              ssp: ShrinkingSetParams) -> tuple:
+    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) relative to the cutoff at scale K sqrt(s).
 
-    The grid must either cover the full cutoff transition (L >= 2K sqrt(s))
-    or sit entirely inside the plateau (L <= K sqrt(s), chi identically 1);
-    a grid ending mid-transition raises CoverageError.
+    Returns one ModeDecomposition per component, (d1, d2); for a real q, d2
+    is zero.  The grid must either cover the full cutoff transition
+    (L >= 2K sqrt(s)) or sit entirely inside the plateau (L <= K sqrt(s),
+    chi identically 1); a grid ending mid-transition raises CoverageError.
     """
-    grid = q.grid
     edge = ssp.K * math.sqrt(s)
     if grid.half_width > edge + 1e-9 and grid.half_width < 2.0 * edge - 1e-9:
         raise CoverageError(
@@ -191,19 +195,11 @@ def decompose(q: _spectral.Field, s: float, ssp: ShrinkingSetParams) -> ModeDeco
     n = grid.n_dim
     r2 = grid.radius2()
     chi = _rhs.cutoff_chi(_rhs.CutoffSpec(K=ssp.K), r2, s)
-    rho = _spectral.weight_rho(r2, n)
-    q_b = chi * q.values
-    q_e = (1.0 - chi) * q.values
+    q_b = chi * q
+    q_e = (1.0 - chi) * q
+    q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, _spectral.weight_rho(r2, n))
 
-    q0 = _spectral.integrate(grid, q_b * rho)
     meshes = grid.meshes()
-    q1 = np.array([_spectral.integrate(grid, q_b * (0.5 * y) * rho) for y in meshes])
-    q2 = np.empty((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            kern = 0.25 * meshes[j] * meshes[k] - 0.5 * (1.0 if j == k else 0.0)
-            q2[j, k] = q2[k, j] = _spectral.integrate(grid, q_b * kern * rho)
-
     poly = np.full(grid.shape, q0 - np.trace(q2))
     for j in range(n):
         poly = poly + q1[j] * meshes[j]
@@ -211,12 +207,15 @@ def decompose(q: _spectral.Field, s: float, ssp: ShrinkingSetParams) -> ModeDeco
             poly = poly + 0.5 * q2[j, k] * meshes[j] * meshes[k]
     q_minus = q_b - poly
     weight = 1.0 + np.sqrt(r2) ** 3
-    return ModeDecomposition(
-        q0=float(q0),
-        q1_vec=q1,
-        q2_mat=q2,
-        q_minus_weighted_norm=float(np.max(np.abs(q_minus) / weight)),
-        q_e_norm=float(np.max(np.abs(q_e))),
+    return tuple(
+        ModeDecomposition(
+            q0=float(part(q0)),
+            q1_vec=part(q1),
+            q2_mat=part(q2),
+            q_minus_weighted_norm=float(np.max(np.abs(part(q_minus)) / weight)),
+            q_e_norm=float(np.max(np.abs(part(q_e)))),
+        )
+        for part in (np.real, np.imag)
     )
 
 
@@ -385,6 +384,26 @@ def mode_ode_residuals(
     )
 
 
+def late_loglog_slope(x, y) -> float:
+    """Log-log slope of y against x over the late half, where transients are gone.
+
+    0.0 when every late y is zero; otherwise a least-squares line through
+    the positive late entries, NaN if fewer than two are positive.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    half = len(x) // 2
+    x, y = x[half:], y[half:]
+    if np.all(y == 0.0):
+        return 0.0
+    keep = y > 0
+    if keep.sum() < 2:
+        return math.nan
+    design = np.column_stack([np.ones(keep.sum()), np.log(x[keep])])
+    coef, *_ = np.linalg.lstsq(design, np.log(y[keep]), rcond=None)
+    return float(coef[1])
+
+
 def profile_error(state, params: _params.Params) -> tuple:
     """Sup-norm distances to the leading profiles.
 
@@ -402,15 +421,13 @@ def profile_error(state, params: _params.Params) -> tuple:
 def radial_mode_coefficients(grid: _spectral.Grid, vals: np.ndarray) -> tuple:
     """Coefficients (c0, c2) of vals against {1, |y|^2 - 2n} in the Gaussian weight.
 
-    Complex vals give complex coefficients, one component in each part.
+    |y|^2 - 2n = 4 sum_j (y_j^2/4 - 1/2) has weighted square norm 8n, so
+    c2 = tr(m2) / (2n).  Complex vals give complex coefficients, one
+    component in each part.
     """
     n = grid.n_dim
-    r2 = grid.radius2()
-    rho = _spectral.weight_rho(r2, n)
-    c0 = _spectral.integrate(grid, vals * rho)
-    h2rad = r2 - 2.0 * n
-    c2 = _spectral.integrate(grid, vals * h2rad * rho) / (8.0 * n)
-    return c0, c2
+    c0, _, m2 = _spectral.gaussian_moments(grid, vals, _spectral.weight_rho(grid.radius2(), n))
+    return c0, np.trace(m2) / (2.0 * n)
 
 
 @dataclass

@@ -194,13 +194,10 @@ class CutoffSpec:
     """
 
     K: float = 5.0
-    kind: str = "exp-partition"
 
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"K must be > 0, got {self.K}")
-        if self.kind != "exp-partition":
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
 
 
 def chi0(x) -> np.ndarray:

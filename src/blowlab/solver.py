@@ -10,7 +10,7 @@ default scheme is operator splitting per step: implicit diffusion
 (tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
 drift, explicit reaction.  Splitting is first order in ds and second order
 in h.  The drift CFL y_max ds/(2h) is checked each step and the step
-subdivided automatically when it exceeds the configured safety fraction.
+subdivided automatically when it exceeds the fraction CFL_SAFETY.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
@@ -34,6 +34,8 @@ from . import spectral as _spectral
 
 SCHEMES = ("semi-implicit", "explicit-rk4")
 BOUNDARIES = ("profile-clamp", "extrapolate")
+# fraction of each explicit stability limit a substep may use
+CFL_SAFETY = 0.9
 
 
 class BlowupInSimilarityError(RuntimeError):
@@ -128,7 +130,6 @@ class SolverConfig:
     record_every: int = 10
     pin_unstable_modes: bool = False
     cutoff: _rhs.CutoffSpec = field(default_factory=_rhs.CutoffSpec)
-    cfl_safety: float = 0.9
     snapshot_at: tuple = ()
 
     def __post_init__(self):
@@ -144,8 +145,6 @@ class SolverConfig:
             )
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
@@ -218,11 +217,11 @@ def _extrapolate_boundary(vals: np.ndarray) -> None:
 def _substep_count(cfg: SolverConfig, grid: _spectral.Grid, ds: float) -> int:
     """Number of equal substeps keeping the explicit pieces inside their limits."""
     drift_cfl = grid.half_width * ds / (2.0 * grid.h)
-    need = drift_cfl / cfg.cfl_safety
+    need = drift_cfl / CFL_SAFETY
     if cfg.scheme == "explicit-rk4":
         # explicit diffusion: |lambda|_max = 4 n / h^2 must stay under ~2.78
         diff = 4.0 * grid.n_dim * ds / (grid.h**2) / 2.78
-        need = max(need, diff / cfg.cfl_safety)
+        need = max(need, diff / CFL_SAFETY)
     return max(1, int(math.ceil(need - 1e-12)))
 
 
@@ -289,20 +288,17 @@ def _remove_expanding_content(q, grid, chi, rho, meshes):
     new field and the removed complex coefficients (m0, m_1..m_n), whose
     real and imaginary parts belong to the two components.
     """
-    weight = chi * rho
-    removed = np.array([_spectral.integrate(grid, q * weight)]
-                       + [_spectral.integrate(grid, q * (0.5 * y * weight)) for y in meshes])
-    correction = removed[0]
-    for m, y in zip(removed[1:], meshes):
+    m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * rho)
+    correction = m0
+    for m, y in zip(m1, meshes):
         correction = correction + m * y
-    return q - correction * chi, removed
+    return q - correction * chi, np.concatenate(([m0], m1))
 
 
-def _record_state(state, params, ssp, removal_rate):
+def _record_state(state, phi, params, ssp, removal_rate):
+    """One record of state, whose reference profile phi = Phi1 + i Phi2 is given."""
     grid = state.grid
-    q = state.w - _profile(params, grid.radius2(), state.s)
-    d1 = _diag.decompose(_spectral.Field(grid, q.real), state.s, ssp)
-    d2 = _diag.decompose(_spectral.Field(grid, q.imag), state.s, ssp)
+    d1, d2 = _diag.decompose(grid, state.w - phi, state.s, ssp)
     e1, e2 = _diag.profile_error(state, params)
     c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
     return _diag.SimilarityRecord(
@@ -356,11 +352,11 @@ def evolve(
     removed_sum = np.zeros(1 + grid.n_dim, dtype=np.complex128)
     s_last_record = initial.s
 
-    def push(state, first=False):
+    def push(state, phi, first=False):
         nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
         rate = np.zeros_like(removed_sum) if first or span <= 0 else removed_sum / span
-        rec = _record_state(state, params, ssp, rate)
+        rec = _record_state(state, phi, params, ssp, rate)
         traj.add(rec)
         if observer is not None:
             observer(rec)
@@ -371,7 +367,7 @@ def evolve(
             traj.snapshots.append((state.s, state.w.copy()))
 
     state = initial
-    push(state, first=True)
+    push(state, _profile(params, r2, state.s), first=True)
     total_steps = n_full + (1 if remainder > 0 else 0)
     for k in range(1, total_steps + 1):
         ds_k = cfg.ds if k <= n_full else remainder
@@ -379,14 +375,16 @@ def evolve(
         # keep s exact against accumulation drift
         s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
         state = dataclasses.replace(state, s=s_exact)
+        record = k % cfg.record_every == 0 or k == total_steps
+        if cfg.pin_unstable_modes or record:
+            phi = _profile(params, r2, state.s)
         if cfg.pin_unstable_modes:
             chi = _rhs.cutoff_chi(cfg.cutoff, r2, state.s)
-            phi = _profile(params, r2, state.s)
             q_new, removed = _remove_expanding_content(state.w - phi, grid, chi, rho, meshes)
             removed_sum += removed
             state = SimilarityState(s=state.s, grid=grid, w=phi + q_new)
-        if k % cfg.record_every == 0 or k == total_steps:
-            push(state)
+        if record:
+            push(state, phi)
     return traj
 
 

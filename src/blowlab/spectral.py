@@ -152,6 +152,38 @@ def integrate(grid: Grid, vals: np.ndarray) -> float | complex:
     return out.item()
 
 
+@functools.lru_cache(maxsize=32)
+def _moment_basis(grid: Grid) -> np.ndarray:
+    """Trapezoid weights times [1, y/2, y²/4 − 1/2] along one axis, shape (npts, 3), read-only."""
+    y = grid.axis()
+    basis = grid.h * np.column_stack([np.ones_like(y), 0.5 * y, 0.25 * y * y - 0.5])
+    basis[[0, -1]] *= 0.5
+    basis.setflags(write=False)
+    return basis
+
+
+def gaussian_moments(grid: Grid, f: np.ndarray, weight: np.ndarray) -> tuple:
+    """Trapezoid integrals (m0, m1, m2) of f·weight against 1, y_j/2 and y_j y_k/4 − δ_jk/2.
+
+    m1 has shape (n,) and m2 is symmetric (n, n); all are complex when f
+    is.  A complex integrand is contracted through its real view, so the
+    axis-by-axis contraction with the real basis stays real.
+    """
+    vals = np.ascontiguousarray(f * weight)
+    is_complex = np.iscomplexobj(vals)
+    # components (1 real or 2 complex) on a trailing axis
+    vals = (vals.view(np.float64) if is_complex else vals).reshape(grid.shape + (-1,))
+    basis_t = _moment_basis(grid).T
+    for axis in range(grid.n_dim):
+        # the axes before `axis` already hold basis indices
+        vals = basis_t @ vals.reshape((3,) * axis + (grid.npts, -1))
+    # raw[a_1, ..., a_n]: moment against the product of basis columns a_j, so
+    # y_j y_k/4 - δ_jk/2 sits at index e_j + e_k
+    raw = vals[..., 0] + 1j * vals[..., 1] if is_complex else vals[..., 0]
+    eye = np.eye(grid.n_dim, dtype=int)
+    return raw[(0,) * grid.n_dim], raw[tuple(eye)], raw[tuple(e[:, None] + e for e in eye)]
+
+
 @functools.lru_cache(maxsize=256)
 def _axis_tail_integral(m: int, half_width: float) -> float:
     """∫_{L}^{∞} |h_m(y)| e^{-y²/4} dy, approximated on a fine extension grid."""

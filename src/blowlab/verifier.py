@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import diagnostics as _diag
 from . import params as _params
 from . import rhs as _rhs
 
@@ -414,20 +415,6 @@ def _default_s_grid():
     return np.geomspace(10.0, 1e4, 13)
 
 
-def _loglog_slope(s_vals, sups) -> float:
-    """Log-log slope over the late half of the sweep, where transients are gone."""
-    s_vals = np.asarray(s_vals, dtype=float)
-    sups = np.asarray(sups, dtype=float)
-    half = len(s_vals) // 2
-    s_vals = s_vals[half:]
-    sups = sups[half:]
-    if np.all(sups < 1e-300):
-        return 0.0
-    design = np.column_stack([np.ones(len(s_vals)), np.log(s_vals)])
-    coef, *_ = np.linalg.lstsq(design, np.log(np.maximum(sups, 1e-300)), rcond=None)
-    return float(coef[1])
-
-
 def _bounded_verdict(s_grid, sups) -> dict:
     """Boundedness verdict for a per-s normalized sup on a geometric s grid.
 
@@ -437,7 +424,7 @@ def _bounded_verdict(s_grid, sups) -> dict:
     or power growth keeps its increments and fails.
     """
     sups = np.asarray(sups, dtype=float)
-    slope = _loglog_slope(s_grid, sups)
+    slope = _diag.late_loglog_slope(s_grid, sups)
     constant = float(np.max(sups))
     verdict = {"constant": constant, "slope": slope, "bounded": True}
     if slope < SLOPE_TOL:

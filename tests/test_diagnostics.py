@@ -119,8 +119,8 @@ class TestDecompose:
         grid = plateau_grid_1d()
         ssp = dg.ShrinkingSetParams()
         y = grid.meshes()[0]
-        q = sp.Field(grid, y**2 - 2.0)
-        d = dg.decompose(q, 25.0, ssp)
+        q = y**2 - 2.0
+        d = dg.decompose(grid, q, 25.0, ssp)[0]
         assert d.q0 == pytest.approx(0.0, abs=1e-8)
         assert d.q1_vec[0] == pytest.approx(0.0, abs=1e-8)
         assert d.q2_mat[0, 0] == pytest.approx(2.0, abs=1e-8)
@@ -128,16 +128,16 @@ class TestDecompose:
 
     def test_constant_recovers_q0(self):
         grid = plateau_grid_1d()
-        d = dg.decompose(sp.Field(grid, np.full(grid.shape, 0.37)), 25.0,
-                         dg.ShrinkingSetParams())
+        d = dg.decompose(grid, np.full(grid.shape, 0.37), 25.0,
+                         dg.ShrinkingSetParams())[0]
         assert d.q0 == pytest.approx(0.37, abs=1e-8)
         assert abs(d.q1_vec[0]) < 1e-9
         assert abs(d.q2_mat[0, 0]) < 1e-9
 
     def test_zero_gives_zeros(self):
         grid = plateau_grid_1d()
-        d = dg.decompose(sp.Field(grid, np.zeros(grid.shape)), 25.0,
-                         dg.ShrinkingSetParams())
+        d = dg.decompose(grid, np.zeros(grid.shape), 25.0,
+                         dg.ShrinkingSetParams())[0]
         assert d.q0 == 0.0
         assert np.all(d.q1_vec == 0.0)
         assert np.all(d.q2_mat == 0.0)
@@ -149,7 +149,7 @@ class TestDecompose:
         # int (y1 y2)(y1 y2/4) rho = 1
         grid = sp.Grid(2, 10.0, 81)
         y1, y2 = grid.meshes()
-        d = dg.decompose(sp.Field(grid, y1 * y2), 25.0, dg.ShrinkingSetParams())
+        d = dg.decompose(grid, y1 * y2, 25.0, dg.ShrinkingSetParams())[0]
         assert d.q2_mat[0, 1] == pytest.approx(1.0, abs=1e-8)
         assert d.q2_mat[1, 0] == pytest.approx(1.0, abs=1e-8)
         assert abs(d.q2_mat[0, 0]) < 1e-8
@@ -160,13 +160,12 @@ class TestDecompose:
         # K sqrt(s) = 25, 2K sqrt(s) = 50; half-width 30 ends inside
         grid = sp.Grid(1, 30.0, 61)
         with pytest.raises(dg.CoverageError):
-            dg.decompose(sp.Field(grid, np.zeros(grid.shape)), 25.0,
-                         dg.ShrinkingSetParams())
+            dg.decompose(grid, np.zeros(grid.shape), 25.0, dg.ShrinkingSetParams())
 
     def test_grid_covering_full_transition_accepted(self):
         grid = sp.Grid(1, 21.0, 211)
-        d = dg.decompose(sp.Field(grid, np.ones(grid.shape)), 4.0,
-                         dg.ShrinkingSetParams())
+        d = dg.decompose(grid, np.ones(grid.shape), 4.0,
+                         dg.ShrinkingSetParams())[0]
         assert d.q0 == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("K,s", [(5.0, 1.0), (3.0, 2.0), (2.0, 3.0)])
@@ -179,8 +178,8 @@ class TestDecompose:
         a0, a1, a2 = 0.3, -0.2, 0.15
         y = grid.meshes()[0]
         chi = rhs.cutoff_chi(rhs.CutoffSpec(K=K), grid.radius2(), s)
-        q = sp.Field(grid, (a0 + a1 * y + a2 * (y**2 - 2.0)) * chi)
-        d = dg.decompose(q, s, ssp)
+        q = (a0 + a1 * y + a2 * (y**2 - 2.0)) * chi
+        d = dg.decompose(grid, q, s, ssp)[0]
         tail = 20.0 * math.exp(-K**2 * s / 4.0)
         assert abs(d.q0 - a0) <= tail
         assert abs(d.q1_vec[0] - a1) <= tail
@@ -195,9 +194,9 @@ class TestDecompose:
         f = rng.standard_normal(grid.shape)
         g = rng.standard_normal(grid.shape)
         s = 1.0
-        d_f = dg.decompose(sp.Field(grid, f), s, ssp)
-        d_g = dg.decompose(sp.Field(grid, g), s, ssp)
-        d_c = dg.decompose(sp.Field(grid, a * f + b * g), s, ssp)
+        d_f = dg.decompose(grid, f, s, ssp)[0]
+        d_g = dg.decompose(grid, g, s, ssp)[0]
+        d_c = dg.decompose(grid, a * f + b * g, s, ssp)[0]
         assert d_c.q0 == pytest.approx(a * d_f.q0 + b * d_g.q0, abs=1e-11)
         assert d_c.q1_vec[0] == pytest.approx(
             a * d_f.q1_vec[0] + b * d_g.q1_vec[0], abs=1e-11
@@ -217,10 +216,32 @@ class TestDecompose:
         ssp = dg.ShrinkingSetParams()
         y = grid.meshes()[0]
         vals = 0.4 - 0.1 * y + 0.05 * (y**2 - 2.0)
-        d = dg.decompose(sp.Field(grid, vals), 25.0, ssp)
+        d = dg.decompose(grid, vals, 25.0, ssp)[0]
         poly = d.q0 + d.q1_vec[0] * y + 0.5 * d.q2_mat[0, 0] * y**2 - np.trace(d.q2_mat)
         assert np.max(np.abs(vals - poly)) < 1e-10
         assert d.q_minus_weighted_norm < 1e-10
+
+
+    @pytest.mark.parametrize("n,npts,s", [(1, 121, 1.0), (2, 61, 25.0)])
+    def test_complex_splits_into_components(self, n, npts, s):
+        # one pass over q1 + i q2 gives the same two decompositions as the
+        # components taken separately; a real q has a zero second one
+        grid = sp.Grid(n, 12.0, npts)
+        ssp = dg.ShrinkingSetParams()
+        rng = np.random.default_rng(3)
+        q1 = rng.standard_normal(grid.shape)
+        q2 = rng.standard_normal(grid.shape)
+        d1, d2 = dg.decompose(grid, q1 + 1j * q2, s, ssp)
+        for got, part in ((d1, q1), (d2, q2)):
+            want, zero = dg.decompose(grid, part, s, ssp)
+            assert got.q0 == pytest.approx(want.q0, rel=1e-14)
+            np.testing.assert_allclose(got.q1_vec, want.q1_vec, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(got.q2_mat, want.q2_mat, rtol=1e-14, atol=0)
+            assert got.q_minus_weighted_norm == pytest.approx(
+                want.q_minus_weighted_norm, rel=1e-14)
+            assert got.q_e_norm == pytest.approx(want.q_e_norm, rel=1e-14)
+            assert zero.q0 == 0.0 and not np.any(zero.q1_vec) and not np.any(zero.q2_mat)
+            assert zero.q_minus_weighted_norm == 0.0 and zero.q_e_norm == 0.0
 
 
 class TestMembership:
@@ -415,6 +436,27 @@ class TestProfileError:
         assert e1 == pytest.approx(n * pr.kappa / (2 * p * s), rel=1e-12)
         assert e2 == pytest.approx(2 * n * pr.kappa / ((p - 1) * s), rel=1e-12)
         assert e1 * s == pytest.approx(n * pr.kappa / (2 * p), rel=1e-12)
+
+
+class TestLateLoglogSlope:
+    def test_power_law_over_late_half(self):
+        # the early half carries a transient the fit must ignore
+        s = np.linspace(25.0, 60.0, 40)
+        y = 3.0 * s**-1.5
+        y[:20] = 7.0
+        assert dg.late_loglog_slope(s, y) == pytest.approx(-1.5, rel=1e-12)
+
+    def test_zero_and_too_few_positive(self):
+        s = np.linspace(25.0, 60.0, 10)
+        y = np.ones(10)
+        y[5:] = 0.0
+        assert dg.late_loglog_slope(s, y) == 0.0
+        y[7] = 1.0
+        assert math.isnan(dg.late_loglog_slope(s, y))
+        # zero entries are left out of the fit
+        y[5:] = s[5:] ** 2.0
+        y[6] = 0.0
+        assert dg.late_loglog_slope(s, y) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestRadialCoefficients:

@@ -264,8 +264,6 @@ class TestCutoff:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             rhs.CutoffSpec(K=0.0)
-        with pytest.raises(ValueError):
-            rhs.CutoffSpec(K=5.0, kind="cosine")
 
 
 class TestInitialData:

@@ -39,8 +39,6 @@ class TestConfig:
             solver.SolverConfig(ds=0.01, s_end=30.0, boundary="periodic")
         with pytest.raises(ValueError):
             solver.SolverConfig(ds=0.01, s_end=30.0, record_every=0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(ds=0.01, s_end=30.0, cfl_safety=1.5)
 
     def test_substep_count_frozen(self):
         cfg = solver.SolverConfig(ds=0.01, s_end=30.0)

@@ -171,6 +171,34 @@ class TestProject:
             sp.project(f, (1, 1))
 
 
+class TestGaussianMoments:
+    @pytest.mark.parametrize("n,npts", [(1, 201), (2, 61)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_matches_direct_integrals(self, n, npts, is_complex):
+        # each moment against a direct trapezoid integral of its basis function
+        grid = sp.Grid(n, 12.0, npts)
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(grid.shape)
+        if is_complex:
+            f = f + 1j * rng.standard_normal(grid.shape)
+        rho = sp.weight_rho(grid.radius2(), n)
+        m0, m1, m2 = sp.gaussian_moments(grid, f, rho)
+        assert np.iscomplexobj(m1) == is_complex
+        assert m1.shape == (n,) and m2.shape == (n, n)
+        ys = grid.meshes()
+
+        def direct(kernel):
+            return sp.integrate(grid, f * kernel * rho)
+
+        assert m0 == pytest.approx(direct(1.0), rel=1e-12)
+        for j in range(n):
+            assert m1[j] == pytest.approx(direct(0.5 * ys[j]), rel=1e-12)
+            for k in range(n):
+                kern = 0.25 * ys[j] * ys[k] - (0.5 if j == k else 0.0)
+                assert m2[j, k] == pytest.approx(direct(kern), rel=1e-12)
+        assert np.array_equal(m2, m2.T)
+
+
 class TestApplyL:
     @pytest.mark.parametrize("m,lam", [(0, 1.0), (1, 0.5), (2, 0.0), (3, -0.5),
                                        (4, -1.0), (5, -1.5), (6, -2.0)])
