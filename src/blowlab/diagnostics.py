@@ -48,6 +48,10 @@ class NonConvergenceError(RuntimeError):
     """Pointwise limit not Cauchy-converged over the recorded window."""
 
 
+# shortest window ln(s_last/s_first) over which a decay exponent in s is fitted
+MIN_EXPONENT_LOG_SPAN = 0.1
+
+
 @dataclass
 class ModeDecomposition:
     """Five-component split of a localized deviation field.
@@ -291,7 +295,8 @@ class ModeResidualSeries:
     by the centered difference).  constants holds the 95th-percentile
     normalized residual per ODE; achieved_exponent_q2_null is the fitted
     decay exponent e in |dq2_jk/ds + (2/s) q2_jk| ~ s^{-e}, recorded because
-    the target exponent for that bound is not pinned down a priori.
+    the target exponent for that bound is not pinned down a priori; it is
+    NaN when the records span less than MIN_EXPONENT_LOG_SPAN in ln s.
     """
 
     s: np.ndarray
@@ -369,15 +374,15 @@ def mode_ode_residuals(
     constants = {k: float(np.percentile(v, 95)) for k, v in residuals.items()}
 
     positive = raw2_jk > 0
-    if np.count_nonzero(positive) >= 3:
+    achieved = math.nan
+    if (np.count_nonzero(positive) >= 3
+            and math.log(s[-1] / s[0]) >= MIN_EXPONENT_LOG_SPAN):
         slope = np.linalg.lstsq(
             np.column_stack([np.ones(positive.sum()), np.log(s_mid[positive])]),
             np.log(raw2_jk[positive]),
             rcond=None,
         )[0][1]
         achieved = -float(slope)
-    else:
-        achieved = math.nan
     return ModeResidualSeries(
         s=s_mid, residuals=residuals, constants=constants,
         achieved_exponent_q2_null=achieved,

@@ -400,6 +400,15 @@ class TestModeResiduals:
         series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
         assert series.achieved_exponent_q2_null == pytest.approx(2.5, abs=0.02)
 
+    def test_achieved_exponent_not_fitted_on_a_short_window(self):
+        # one unit of s at s = 25 spans ln(26/25) = 0.039 in ln s, too
+        # short to tell one power of s from another
+        s_values = 25.0 + 0.1 * np.arange(11)
+        traj = synthetic_trajectory(s_values, q_fns={"d2_q2": lambda s: s**-1.5})
+        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        assert math.isnan(series.achieved_exponent_q2_null)
+        assert np.all(np.isfinite(series.residuals["q2_jk"]))
+
     def test_constants_are_95th_percentiles(self):
         c = 1e-4
         s_values = 25.0 + 0.1 * np.arange(11)

@@ -137,7 +137,7 @@ GOLDEN = {
             "min_margin": 0.9985747559489896,
         },
         "mode_residuals": {
-            "achieved_exponent_q2_null": 10.433453305603017,
+            "achieved_exponent_q2_null": "nan",
             "constants": {
                 "q1_0": 0.2981800881866175,
                 "q1_j": 5.227103620048939e-13,
@@ -259,7 +259,7 @@ GOLDEN = {
             "min_margin": 0.6000053428366161,
         },
         "mode_residuals": {
-            "achieved_exponent_q2_null": 99.96597514430519,
+            "achieved_exponent_q2_null": "nan",
             "constants": {
                 "q1_0": 0.4635223443916249,
                 "q1_j": 0.03154480689856565,
