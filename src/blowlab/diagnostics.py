@@ -182,7 +182,7 @@ class PhysicalTrajectory:
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
               ssp: ShrinkingSetParams) -> tuple:
-    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) relative to the cutoff at scale K sqrt(s).
+    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff at K sqrt(s).
 
     Returns one ModeDecomposition per component, (d1, d2); for a real q, d2
     is zero.  The grid must either cover the full cutoff transition
@@ -395,18 +395,16 @@ def late_loglog_slope(x, y) -> float:
     0.0 when every late y is zero; otherwise a least-squares line through
     the positive late entries, NaN if fewer than two are positive.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     half = len(x) // 2
-    x, y = x[half:], y[half:]
-    if np.all(y == 0.0):
+    x = np.asarray(x, dtype=float)[half:]
+    y = np.asarray(y, dtype=float)[half:]
+    if not np.any(y):
         return 0.0
     keep = y > 0
     if keep.sum() < 2:
         return math.nan
     design = np.column_stack([np.ones(keep.sum()), np.log(x[keep])])
-    coef, *_ = np.linalg.lstsq(design, np.log(y[keep]), rcond=None)
-    return float(coef[1])
+    return float(np.linalg.lstsq(design, np.log(y[keep]), rcond=None)[0][1])
 
 
 def profile_error(state, params: _params.Params) -> tuple:

@@ -352,10 +352,10 @@ def evolve(
     removed_sum = np.zeros(1 + grid.n_dim, dtype=np.complex128)
     s_last_record = initial.s
 
-    def push(state, phi, first=False):
+    def push(state, phi):
         nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
-        rate = np.zeros_like(removed_sum) if first or span <= 0 else removed_sum / span
+        rate = np.zeros_like(removed_sum) if span <= 0 else removed_sum / span
         rec = _record_state(state, phi, params, ssp, rate)
         traj.add(rec)
         if observer is not None:
@@ -367,7 +367,7 @@ def evolve(
             traj.snapshots.append((state.s, state.w.copy()))
 
     state = initial
-    push(state, _profile(params, r2, state.s), first=True)
+    push(state, _profile(params, r2, state.s))
     total_steps = n_full + (1 if remainder > 0 else 0)
     for k in range(1, total_steps + 1):
         ds_k = cfg.ds if k <= n_full else remainder

@@ -154,7 +154,7 @@ def integrate(grid: Grid, vals: np.ndarray) -> float | complex:
 
 @functools.lru_cache(maxsize=32)
 def _moment_basis(grid: Grid) -> np.ndarray:
-    """Trapezoid weights times [1, y/2, y²/4 − 1/2] along one axis, shape (npts, 3), read-only."""
+    """Trapezoid weights times [1, y/2, y²/4 − 1/2] along one axis: (npts, 3), read-only."""
     y = grid.axis()
     basis = grid.h * np.column_stack([np.ones_like(y), 0.5 * y, 0.25 * y * y - 0.5])
     basis[[0, -1]] *= 0.5
