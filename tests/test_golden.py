@@ -12,11 +12,13 @@ physical blow-up time is ~1e-11).  The one exception is a mode residual
 constant below 1e-9: those sit at roundoff (1e-12 to 1e-15), move with any
 reordering of floating-point work, and must match to abs 1e-10.  Every other
 entry (counts, flags, status, messages) must match exactly.
+The physical run's trajectory.csv is pinned byte for byte by its sha256.
 A refactor that only reorders floating-point work passes; one that moves an
 answer does not.
 """
 
 import copy
+import hashlib
 import json
 import math
 
@@ -281,6 +283,13 @@ GOLDEN = {
 }
 
 
+# sha256 of the physical run's trajectory.csv (per-step t, dt, max|u|,
+# argmax and probe values, 17 significant digits)
+GOLDEN_CSV_SHA256 = {
+    "phys_p2": "a92ff416994f47877d606e046d46f70189549e1c9594466fd45f736ba4e79631",
+}
+
+
 def _mismatches(got, want, where):
     if isinstance(want, float):
         if isinstance(got, bool) or not isinstance(got, (int, float)):
@@ -312,6 +321,15 @@ def test_fits_match_golden(name, tmp_path):
         fits = json.load(fh)
     bad = _mismatches(fits, GOLDEN[name], name)
     assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_trajectory_csv_matches_golden(name, tmp_path):
+    raw = _configs()[name]
+    raw["output_dir"] = str(tmp_path / name)
+    assert cli.run(cli.config_from_dict(raw)) == 0
+    data = (tmp_path / name / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CSV_SHA256[name]
 
 
 def test_comparison_catches_a_moved_value():
