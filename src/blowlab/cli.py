@@ -47,6 +47,8 @@ from . import verifier as _verifier
 ARTIFACT_VERSION = "1"
 MODES = ("simulate-similarity", "simulate-physical", "verify", "sweep")
 MAX_DRIFT_SUBSTEPS = 200
+# a physical trajectory.csv is thinned to about this many rows
+MAX_PHYSICAL_CSV_ROWS = 5000
 
 
 class ConfigError(ValueError):
@@ -137,6 +139,9 @@ def _take(node, key, where, errors, *, default=None, required=False, kind=None):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{where}.{key} must be a number, got {value!r}")
             return default
+        if not math.isfinite(value):
+            errors.append(f"{where}.{key} must be finite, got {value!r}")
+            return default
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -169,8 +174,7 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
     if node is None:
         return out
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        out["const"] = float(node)
-        return out
+        node = {"const": node}
     if not isinstance(node, dict):
         errors.append(f"initial_data.{name} must be a number or a mapping")
         return out
@@ -183,8 +187,10 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
             arr = np.asarray(lin, dtype=float)
         except (TypeError, ValueError):
             arr = None
-        if arr is None or arr.shape != (n,):
-            errors.append(f"initial_data.{name}.lin must be a list of {n} numbers")
+        if arr is None or arr.shape != (n,) or not np.all(np.isfinite(arr)):
+            errors.append(
+                f"initial_data.{name}.lin must be a list of {n} numbers, all finite"
+            )
         else:
             out["lin"] = [float(v) for v in arr]
     quad = node.pop("quad", None)
@@ -196,8 +202,10 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
                 arr = np.asarray(quad, dtype=float)
             except (TypeError, ValueError):
                 arr = None
-            if arr is None or arr.shape != (n, n):
-                errors.append(f"initial_data.{name}.quad must be an {n}x{n} matrix")
+            if arr is None or arr.shape != (n, n) or not np.all(np.isfinite(arr)):
+                errors.append(
+                    f"initial_data.{name}.quad must be an {n}x{n} matrix of finite numbers"
+                )
             else:
                 out["quad"] = [[float(v) for v in row] for row in arr]
     _reject_unknown(node, f"initial_data.{name}", errors)
@@ -302,6 +310,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
         probe_log_radii = [float(v) for v in np.asarray(probe_raw, dtype=float).ravel()]
     except (TypeError, ValueError):
         errors.append("physical.probe_log_radii must be a list of numbers")
+    if not all(math.isfinite(v) for v in probe_log_radii):
+        errors.append("physical.probe_log_radii entries must be finite numbers")
+        probe_log_radii = []
     if any(v <= 0 for v in probe_log_radii):
         errors.append("physical.probe_log_radii entries must be positive")
 
@@ -326,11 +337,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     seed = _take(raw, "seed", "<root>", errors, default=0, kind=int)
     workers = _take(raw, "workers", "<root>", errors, default=2, kind=int)
     _reject_unknown(raw, "<root>", errors)
-    if seed is not None and seed < 0:
-        errors.append(f"seed must be >= 0, got {seed}")
-    if workers is not None and workers < 1:
-        errors.append(f"workers must be >= 1, got {workers}")
-
+    # command-line overrides replace the file's values before they are checked
     if overrides:
         if overrides.get("out") is not None:
             output_dir = overrides["out"]
@@ -338,6 +345,10 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
             seed = overrides["seed"]
         if overrides.get("workers") is not None:
             workers = overrides["workers"]
+    if seed is not None and seed < 0:
+        errors.append(f"seed must be >= 0, got {seed}")
+    if workers is not None and workers < 1:
+        errors.append(f"workers must be >= 1, got {workers}")
 
     # cross-field constraints; each runs as soon as its own inputs parsed
     if (mode == "simulate-similarity" and n_dim is not None and n_dim >= 1
@@ -499,22 +510,21 @@ def _run_similarity(config: RunConfig) -> int:
     return 0
 
 
-def _write_physical_csv(ptraj, path: str, max_rows: int = 5000) -> None:
+def _write_physical_csv(ptraj, path: str) -> None:
     n = ptraj.grid.n_dim
     cols = ["t", "dt", "max_u"] + [f"argmax_{i}" for i in range(n)]
     for i in range(len(ptraj.probes)):
         cols += [f"probe{i}_u1", f"probe{i}_u2"]
     lines = [",".join(cols)]
-    # thin long runs to a bounded, deterministic subsample (last row kept)
-    stride = max(1, -(-len(ptraj.records) // max_rows))
-    picked = list(ptraj.records[::stride])
-    if picked and picked[-1] is not ptraj.records[-1]:
-        picked.append(ptraj.records[-1])
-    for rec in picked:
-        row = [rec.t, rec.dt, rec.max_u, *rec.argmax]
-        for i in range(len(ptraj.probes)):
-            row += [rec.probe_u1[i], rec.probe_u2[i]]
-        lines.append(",".join(_diag._fmt(v) for v in row))
+    # thin long runs to every stride-th row plus the last one; the float view
+    # of probe_u interleaves u1 and u2 per probe
+    recs = ptraj.records
+    stride = max(1, -(-len(recs) // MAX_PHYSICAL_CSV_ROWS))
+    last = recs[-1:] if (len(recs) - 1) % stride else recs[:0]
+    recs = np.concatenate([recs[::stride], last])
+    table = np.column_stack([recs["t"], recs["dt"], recs["max_u"], recs["argmax"],
+                             recs["probe_u"].view(np.float64)])
+    lines += [",".join(_diag._fmt(v) for v in row) for row in table]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -524,9 +534,7 @@ def _run_physical(config: RunConfig) -> int:
     grid_x = _spectral.Grid(1, config.L, config.N)
     u0 = _solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
     probes = np.exp(-np.asarray(config.probe_log_radii, dtype=float))
-    ptraj, t_est = _solver.run_physical_blowup(
-        u0, pr, eta=config.eta, probes=probes, raise_on_stall=False,
-    )
+    ptraj, t_est = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
     probe_rows = []
     for lr, x in zip(config.probe_log_radii, probes):
         entry = {"log_radius": float(lr), "x": float(x),

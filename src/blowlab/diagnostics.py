@@ -146,38 +146,47 @@ class Trajectory:
 
 
 @dataclass
-class PhysicalRecord:
-    """One recorded instant of a physical-frame run."""
-
-    t: float
-    dt: float
-    max_u: float
-    argmax: tuple
-    probe_u1: np.ndarray
-    probe_u2: np.ndarray
-
-
-@dataclass
 class PhysicalTrajectory:
-    """Ordered physical records, snapshots (t, u) with u complex, and blow-up fits."""
+    """Per-step physical records as columns, snapshots (t, u) with u complex, and blow-up fits.
+
+    records is a numpy structured array with one row per recorded step and
+    the fields t, dt, max_u, argmax (the position of max|u|, shape (n_dim,))
+    and probe_u (complex u at the probes, shape (n_probes,)).  add appends a
+    row to a buffer that doubles when full.
+    """
 
     grid: _spectral.Grid
     probes: np.ndarray
-    records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     T_estimate: float = None
     decay_slope: float = None
     status: str = "ok"
     meta: dict = field(default_factory=dict)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _count: int = field(default=0, init=False, repr=False)
 
-    def add(self, record: PhysicalRecord) -> None:
-        if self.records and record.t <= self.records[-1].t:
-            raise ValueError("records must have strictly increasing t")
-        self.records.append(record)
+    def __post_init__(self):
+        self.probes = np.asarray(self.probes, dtype=float)
+        self._rows = np.empty(16, dtype=[
+            ("t", float), ("dt", float), ("max_u", float),
+            ("argmax", float, (self.grid.n_dim,)),
+            ("probe_u", complex, (self.probes.size,)),
+        ])
 
     @property
-    def t_values(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+    def records(self) -> np.ndarray:
+        return self._rows[: self._count]
+
+    def add(self, t: float, dt: float, max_u: float, argmax, probe_u) -> None:
+        n = self._count
+        if n and not t > self._rows["t"][n - 1]:
+            raise ValueError("records must have strictly increasing t")
+        if n == len(self._rows):
+            grown = np.empty(2 * n, dtype=self._rows.dtype)
+            grown[:n] = self._rows
+            self._rows = grown
+        self._rows[n] = (t, dt, max_u, argmax, probe_u)
+        self._count = n + 1
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
@@ -377,16 +386,18 @@ def mode_ode_residuals(
     achieved = math.nan
     if (np.count_nonzero(positive) >= 3
             and math.log(s[-1] / s[0]) >= MIN_EXPONENT_LOG_SPAN):
-        slope = np.linalg.lstsq(
-            np.column_stack([np.ones(positive.sum()), np.log(s_mid[positive])]),
-            np.log(raw2_jk[positive]),
-            rcond=None,
-        )[0][1]
-        achieved = -float(slope)
+        achieved = -line_fit(np.log(s_mid[positive]), np.log(raw2_jk[positive]))[1]
     return ModeResidualSeries(
         s=s_mid, residuals=residuals, constants=constants,
         achieved_exponent_q2_null=achieved,
     )
+
+
+def line_fit(x, y) -> tuple:
+    """Least-squares (intercept, slope) of y against x: design [1, x], rcond=None."""
+    x = np.asarray(x, dtype=float)
+    coef = np.linalg.lstsq(np.column_stack([np.ones(x.size), x]), y, rcond=None)[0]
+    return float(coef[0]), float(coef[1])
 
 
 def late_loglog_slope(x, y) -> float:
@@ -403,8 +414,7 @@ def late_loglog_slope(x, y) -> float:
     keep = y > 0
     if keep.sum() < 2:
         return math.nan
-    design = np.column_stack([np.ones(keep.sum()), np.log(x[keep])])
-    return float(np.linalg.lstsq(design, np.log(y[keep]), rcond=None)[0][1])
+    return line_fit(np.log(x[keep]), np.log(y[keep]))[1]
 
 
 def profile_error(state, params: _params.Params) -> tuple:
@@ -471,9 +481,8 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     y0 = s**3 * w2h0
 
     half = s >= 0.5 * (s[0] + s[-1])
-    design = np.column_stack([np.ones(half.sum()), 1.0 / s[half]])
-    w1bar_limit = float(np.linalg.lstsq(design, y1[half], rcond=None)[0][0])
-    c0_tilde = float(np.linalg.lstsq(design, y2[half], rcond=None)[0][0])
+    w1bar_limit = line_fit(1.0 / s[half], y1[half])[0]
+    c0_tilde = line_fit(1.0 / s[half], y2[half])[0]
 
     thirds = np.array_split(np.arange(len(s))[half], 3)
     means1 = np.array([np.mean(y1[ix]) for ix in thirds])

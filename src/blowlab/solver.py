@@ -14,7 +14,11 @@ subdivided automatically when it exceeds the fraction CFL_SAFETY.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
-timescale (kappa/max|u|)^{p-1}.
+timescale (kappa/max|u|)^{p-1}.  run_physical_blowup records every step as
+one row of diagnostics.PhysicalTrajectory's columns, keeps full-field
+snapshots as max|u| grows, ends with a named status (blown-up, stalled or
+receded; see its docstring) and fits the blow-up time.  Its step-size,
+snapshot, stall and budget settings are the module constants below.
 
 One trajectory is strictly sequential and single-owner; independent
 trajectories share no mutable state.
@@ -36,6 +40,14 @@ SCHEMES = ("semi-implicit", "explicit-rk4")
 BOUNDARIES = ("profile-clamp", "extrapolate")
 # fraction of each explicit stability limit a substep may use
 CFL_SAFETY = 0.9
+# physical run: dt is refreshed each time max|u| grows by this factor
+SHRINK_FACTOR = 2.0
+# physical run: a snapshot is kept each time max|u| grows by this factor
+SNAPSHOT_FACTOR = 1.05
+# physical run: steps without a new peak of max|u| before it ends as "stalled"
+STALL_PATIENCE = 5000
+# physical run: step budget; running out of it also ends the run as "stalled"
+MAX_STEPS = 2_000_000
 
 
 class BlowupInSimilarityError(RuntimeError):
@@ -52,10 +64,6 @@ class BlowupInSimilarityError(RuntimeError):
 
 class NoBlowupError(RuntimeError):
     """Physical run stopped growing before reaching the blow-up threshold."""
-
-
-class StallError(RuntimeError):
-    """Physical run stopped making progress (step size collapsed)."""
 
 
 def _complex_on(grid: _spectral.Grid, vals) -> np.ndarray:
@@ -85,13 +93,10 @@ class PhysicalState:
     t: float
     grid: _spectral.Grid
     u: np.ndarray = field(repr=False)
-    T_estimate: float = None
     status: str = "ok"
 
     def __post_init__(self):
         self.u = _complex_on(self.grid, self.u)
-        if self.T_estimate is not None and not self.t < self.T_estimate:
-            raise ValueError(f"need t < T_estimate, got t={self.t}, T={self.T_estimate}")
 
 
 def _real(vals: np.ndarray) -> np.ndarray:
@@ -417,13 +422,7 @@ def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> Ph
     u[edge] = state.u[edge]
     if not np.all(np.isfinite(u)):
         return dataclasses.replace(state, status="overflow")
-    # the a priori estimate is advisory; drop it rather than fail once the
-    # actual blow-up turns out to sit beyond it (e.g. truncated initial data)
-    t_new = state.t + dt
-    carry_T = state.T_estimate
-    if carry_T is not None and t_new >= carry_T:
-        carry_T = None
-    return PhysicalState(t=t_new, grid=grid, u=u, T_estimate=carry_T)
+    return PhysicalState(t=state.t + dt, grid=grid, u=u)
 
 
 def physical_initial_from_similarity(
@@ -441,42 +440,41 @@ def physical_initial_from_similarity(
     scale = T ** (-1.0 / (params.p - 1))
     grid_y = _spectral.Grid(grid_x.n_dim, grid_x.half_width / math.sqrt(T), grid_x.npts)
     sim = similarity_initial_state(params, idp, cut, grid_y)
-    return PhysicalState(t=0.0, grid=grid_x, u=scale * sim.w, T_estimate=T)
+    return PhysicalState(t=0.0, grid=grid_x, u=scale * sim.w)
 
 
 def run_physical_blowup(
     u0: PhysicalState,
     params: _params.Params,
-    shrink_factor: float = 2.0,
     *,
     eta: float = 2.5e-4,
-    stop_max: float = None,
     probes=(),
-    snapshot_factor: float = 1.05,
-    max_steps: int = 2_000_000,
-    raise_on_stall: bool = True,
-    stall_patience: int = 5000,
+    stop_max: float = None,
 ) -> tuple:
     """Integrate toward blow-up with steps tied to the collapse timescale.
 
     dt = eta kappa^{p-1} max|u|^{1-p} is held fixed until max|u| grows by
-    shrink_factor, then refreshed (for p=2 and shrink_factor=2 this halves
-    dt every doubling).  Stops once max|u| reaches stop_max (default 10^6
-    scaled by the initial amplitude when that exceeds 1).  Returns
-    (PhysicalTrajectory, T_estimate).
+    SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
+    Every step is recorded, with u at the probes (x positions, 1-D grids
+    only); a snapshot is kept whenever max|u| has grown by SNAPSHOT_FACTOR.
+    Returns (PhysicalTrajectory, T_estimate), and the trajectory's status
+    names what ended the run:
 
-    A persistent decay of max|u| before any substantial growth raises
-    NoBlowupError ("no blow-up detected").  A growth stall (no progress
-    for stall_patience steps) or a recession after substantial growth
-    raises StallError, or, with raise_on_stall=False, ends the run with
-    status "stalled" (resp. "receded") and fits T over the trailing
-    records that were still collapsing at the self-similar rate.
+    - "blown-up": max|u| reached stop_max (default 10^6 scaled by the
+      initial amplitude when that exceeds 1), or the next step overflowed;
+    - "stalled": max|u| set no new peak for STALL_PATIENCE steps, or the
+      MAX_STEPS budget ran out;
+    - "receded": max|u| fell below half its peak after at least doubling.
+
+    T is fitted over the trailing records that were still collapsing at the
+    self-similar rate.  NoBlowupError is raised instead when max|u| decays
+    before it doubles, or when too little growth is left to fit T.
     """
-    if not shrink_factor > 1.0:
-        raise ValueError(f"shrink_factor must exceed 1, got {shrink_factor}")
     grid = u0.grid
     ax = grid.axis()
     probes = np.asarray(probes, dtype=float)
+    if probes.size and grid.n_dim != 1:
+        raise ValueError("probes are x positions and need a 1-D grid")
     _require_finite(u0.u)
     mod0 = np.abs(u0.u)
     m0 = float(np.max(mod0))
@@ -486,8 +484,7 @@ def run_physical_blowup(
         stop_max = 1e6 * max(1.0, m0)
     traj = _diag.PhysicalTrajectory(
         grid=grid, probes=probes,
-        meta={"eta": eta, "shrink_factor": shrink_factor, "stop_max": stop_max,
-              "p": params.p, "n_dim": params.n_dim},
+        meta={"eta": eta, "stop_max": stop_max, "p": params.p, "n_dim": params.n_dim},
     )
 
     def snap(state):
@@ -495,15 +492,8 @@ def run_physical_blowup(
 
     def record(state, dt, m, mod):
         idx = np.unravel_index(int(np.argmax(mod)), grid.shape)
-        pos = tuple(float(ax[i]) for i in idx)
-        if grid.n_dim == 1 and probes.size:
-            at_probes = np.interp(probes, ax, state.u)
-        else:
-            at_probes = np.empty(0, dtype=np.complex128)
-        traj.add(_diag.PhysicalRecord(
-            t=state.t, dt=dt, max_u=m, argmax=pos,
-            probe_u1=at_probes.real, probe_u2=at_probes.imag,
-        ))
+        at_probes = np.interp(probes, ax, state.u) if probes.size else ()
+        traj.add(state.t, dt, m, ax[list(idx)], at_probes)
 
     state = u0
     m = m0
@@ -517,7 +507,7 @@ def run_physical_blowup(
     steps_since_peak = 0
     i_growth_end = 0
     status = "blown-up"
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         new_state = step_physical(state, dt, params)
         if new_state.status == "overflow":
             status = "blown-up"
@@ -532,7 +522,7 @@ def run_physical_blowup(
             i_growth_end = len(traj.records) - 1
         else:
             steps_since_peak += 1
-        if m >= m_snap * snapshot_factor:
+        if m >= m_snap * SNAPSHOT_FACTOR:
             snap(state)
             m_snap = m
         if m >= stop_max:
@@ -545,37 +535,26 @@ def run_physical_blowup(
                     f"from peak {peak:.4g}"
                 )
             # the collapse happened and then receded, which a genuinely
-            # decaying solution cannot do; treat it like a stall so the
-            # clean growth records still yield a blow-up time
-            if raise_on_stall:
-                raise StallError(
-                    f"collapse receded: max|u| fell to {m:.4g} "
-                    f"from peak {peak:.4g}"
-                )
+            # decaying solution cannot do; the clean growth records still
+            # yield a blow-up time
             status = "receded"
             snap(state)
             break
-        if steps_since_peak >= stall_patience:
-            if raise_on_stall:
-                raise StallError(
-                    f"no progress for {stall_patience} steps near max|u| = {peak:.4g}"
-                )
+        if steps_since_peak >= STALL_PATIENCE:
             status = "stalled"
             snap(state)
             break
-        if m >= shrink_factor * m_ref:
+        if m >= SHRINK_FACTOR * m_ref:
             m_ref = m
             dt = eta * kp * m_ref ** (1 - params.p)
     else:
         if peak < 2.0 * m0:
             raise NoBlowupError("no blow-up detected: growth never took off")
-        if raise_on_stall:
-            raise StallError(f"step budget exhausted at max|u| = {peak:.4g}")
         status = "stalled"
     traj.status = status
 
-    ts = traj.t_values
-    ms = np.array([r.max_u for r in traj.records])
+    ts = traj.records["t"]
+    ms = traj.records["max_u"]
     # Fit the blow-up time on the clean part of the collapse.  For a genuine
     # single-point blow-up y = kappa^(p-1) max|u|^(1-p) decays at rate
     # dy/dt ~ -1 for every p; records where under-resolution or a rotating
@@ -614,9 +593,6 @@ def run_physical_blowup(
     T_est = float(t_bar - y_bar / slope)
     left = T_est - ts_g[sel]
     if np.all(left > 0):
-        slope_design = np.column_stack([np.ones(left.size), np.log(left)])
-        traj.decay_slope = float(
-            np.linalg.lstsq(slope_design, np.log(ms_g[sel]), rcond=None)[0][1]
-        )
+        traj.decay_slope = _diag.line_fit(np.log(left), np.log(ms_g[sel]))[1]
     traj.T_estimate = T_est
     return traj, T_est

@@ -582,9 +582,8 @@ def check_rest_bounds(
     # fitted origin constants from the scaling of R(0, s)
     r1_origin = np.array([_rhs.rest_r(params, np.array([0.0]), s)[0][0] for s in s_grid])
     r2_origin = np.array([_rhs.rest_r(params, np.array([0.0]), s)[1][0] for s in s_grid])
-    design = np.column_stack([np.ones(len(s_grid)), 1.0 / s_grid])
-    c1_fit = float(np.linalg.lstsq(design, r1_origin * s_grid**2, rcond=None)[0][0])
-    c2_fit = float(np.linalg.lstsq(design, r2_origin * s_grid**3, rcond=None)[0][0])
+    c1_fit = _diag.line_fit(1.0 / s_grid, r1_origin * s_grid**2)[0]
+    c2_fit = _diag.line_fit(1.0 / s_grid, r2_origin * s_grid**3)[0]
     c2_err = abs(c2_fit - c2) / abs(c2)
 
     def tilde_sup(s, which, weight_pow, s_pow, c_lead, lead_pow):

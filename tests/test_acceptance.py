@@ -70,7 +70,7 @@ def physical_run():
     log_radii = (10.5, 11.0, 11.5)
     probes = np.exp(-np.array(log_radii))
     ptraj, t_est = solver.run_physical_blowup(
-        u0, pr, eta=2.5e-4, probes=probes, raise_on_stall=False,
+        u0, pr, eta=2.5e-4, probes=probes,
     )
     runtime = time.perf_counter() - t0
     return pr, ptraj, t_est, log_radii, probes, runtime

@@ -413,11 +413,7 @@ class TestPhysicalMode:
             grid=grid, probes=np.asarray(probes), T_estimate=1.0, status="ok",
         )
         for k, t in enumerate((0.5, 0.7, 0.9)):
-            ptraj.add(diagnostics.PhysicalRecord(
-                t=t, dt=0.01, max_u=2.0 + k, argmax=(8,),
-                probe_u1=np.full(len(probes), 2.0),
-                probe_u2=np.full(len(probes), 1.0),
-            ))
+            ptraj.add(t, 0.01, 2.0 + k, (8,), np.full(len(probes), 2.0 + 1.0j))
         ptraj.snapshots = snaps
         return ptraj
 
@@ -485,10 +481,7 @@ class TestPhysicalMode:
             grid=grid, probes=np.array([]), T_estimate=None,
         )
         for k in range(12003):
-            ptraj.add(diagnostics.PhysicalRecord(
-                t=float(k), dt=1.0, max_u=1.0, argmax=(0,),
-                probe_u1=np.array([]), probe_u2=np.array([]),
-            ))
+            ptraj.add(float(k), 1.0, 1.0, (0,), ())
         path = tmp_path / "long.csv"
         cli._write_physical_csv(ptraj, str(path))
         lines = path.read_text().splitlines()
@@ -596,6 +589,64 @@ class TestGridDimensionValidation:
                "output_dir": str(tmp_path / "out")}
         code, _ = _main_on(raw, tmp_path, "verify")
         assert code == 0
+
+
+_PHYSICAL = {
+    "mode": "simulate-physical",
+    "params": {"p": 2, "n_dim": 1},
+    "grid": {"L": 0.5, "N": 1025},
+    "solver": {"s0": 10.0},
+    "physical": {"probe_log_radii": [4.0, 5.0]},
+}
+_BASES = {"sim": TINY, "phys": _PHYSICAL}
+
+
+class TestValidationBeforeRun:
+    """Bad values exit 2 at validation and leave no output directory."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("verify", ["--seed", "-1"]), ("sweep", ["--workers", "0"])],
+    )
+    def test_invalid_override_exits_2(self, tmp_path, command, flags):
+        import yaml
+
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
+        if command == "sweep":
+            path = tmp_path / "run.yaml"
+            path.write_text(yaml.safe_dump(tiny_raw(mode="sweep")))
+            argv += ["--config", str(path)]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2
+        assert json.loads(err.getvalue())["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "base, dotted, value",
+        [
+            ("sim", "grid.L", math.nan),
+            ("sim", "grid.L", math.inf),
+            ("sim", "solver.s0", math.nan),
+            ("sim", "shrinking_set.A", math.inf),
+            ("sim", "shrinking_set.p1", math.nan),
+            ("sim", "shrinking_set.K", math.nan),
+            ("sim", "initial_data.d1", math.nan),
+            ("sim", "initial_data.d1", {"const": -math.inf}),
+            ("sim", "initial_data.d2", {"lin": [math.nan]}),
+            ("sim", "initial_data.d2", {"quad": [[math.nan]]}),
+            ("phys", "physical.probe_log_radii", None),
+            ("phys", "physical.probe_log_radii", [4.0, math.nan]),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, base, dotted, value):
+        raw = _set_in(copy.deepcopy(_BASES[base]), dotted, value)
+        raw["output_dir"] = str(tmp_path / "out")
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code == 2
+        assert any("finite" in m for m in json.loads(err)["messages"])
+        assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_help():

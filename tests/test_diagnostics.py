@@ -94,14 +94,10 @@ class TestTrajectoryTypes:
     def test_physical_t_strictly_increasing(self):
         grid = sp.Grid(1, 4.0, 17)
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]))
-        mk = lambda t: dg.PhysicalRecord(
-            t=t, dt=1e-3, max_u=1.0, argmax=(0.0,),
-            probe_u1=np.array([]), probe_u2=np.array([]),
-        )
-        ptraj.add(mk(0.0))
-        ptraj.add(mk(1e-3))
+        ptraj.add(0.0, 1e-3, 1.0, (0.0,), ())
+        ptraj.add(1e-3, 1e-3, 1.0, (0.0,), ())
         with pytest.raises(ValueError):
-            ptraj.add(mk(5e-4))
+            ptraj.add(5e-4, 1e-3, 1.0, (0.0,), ())
 
     def test_removal_rates_default_to_zeros(self):
         rec = dg.SimilarityRecord(

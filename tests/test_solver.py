@@ -366,6 +366,13 @@ class TestPhysical:
         assert traj.status == "blown-up"
         assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
 
+    def test_probes_need_a_1d_grid(self):
+        pr = bp.make_params(2, 2)
+        grid = sp.Grid(2, 8.0, 17)
+        st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
+        with pytest.raises(ValueError, match="1-D grid"):
+            solver.run_physical_blowup(st, pr, probes=[0.5])
+
     def test_no_blowup_detected_for_decaying_data(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 129)
@@ -373,7 +380,7 @@ class TestPhysical:
             t=0.0, grid=grid, u=0.01 * np.exp(-grid.radius2()) + 1j * np.zeros(grid.shape),
         )
         with pytest.raises(solver.NoBlowupError):
-            solver.run_physical_blowup(st, pr, max_steps=20_000)
+            solver.run_physical_blowup(st, pr)
 
     def test_constructed_data_blows_up_at_origin(self):
         # short run: the max stays at x = 0 and T lands near e^{-s0}
@@ -383,16 +390,19 @@ class TestPhysical:
         T = math.exp(-20.0)
         grid_x = sp.Grid(1, 20.0 * math.sqrt(T), 801)
         st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
-        assert st.T_estimate == pytest.approx(T, rel=1e-12)
         m0 = np.max(np.abs(st.u.real))
-        traj, T_est = solver.run_physical_blowup(
-            st, pr, stop_max=300.0 * m0, raise_on_stall=False
-        )
+        probes = np.array([-0.3, 0.0, 0.6]) * grid_x.half_width
+        traj, T_est = solver.run_physical_blowup(st, pr, stop_max=300.0 * m0, probes=probes)
         assert T_est == pytest.approx(T, rel=0.05)
         # argmax stays on the center node (whose coordinate is 0 up to
         # linspace rounding)
-        assert all(
-            max(abs(c) for c in r.argmax) <= 0.5 * grid_x.h for r in traj.records
+        assert np.all(np.abs(traj.records["argmax"]) <= 0.5 * grid_x.h)
+        # one row per step: strictly increasing t, one complex value per probe
+        recs = traj.records
+        assert np.all(np.diff(recs["t"]) > 0)
+        assert recs["probe_u"].shape == (len(recs), probes.size)
+        assert recs["probe_u"][-1] == pytest.approx(
+            np.interp(probes, grid_x.axis(), traj.snapshots[-1][1]), rel=1e-12
         )
 
     def test_underresolved_collapse_recedes_but_still_fits_T(self):
@@ -404,21 +414,10 @@ class TestPhysical:
         idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5)
         grid_x = sp.Grid(1, 9e-5, 1201)
         st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
-        traj, T_est = solver.run_physical_blowup(
-            st, pr, eta=5e-4, raise_on_stall=False
-        )
+        traj, T_est = solver.run_physical_blowup(st, pr, eta=5e-4)
         assert traj.status == "receded"
         assert T_est == pytest.approx(math.exp(-25.0), rel=0.01)
         assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
-
-    def test_receded_collapse_raises_stall_error_in_strict_mode(self):
-        pr = bp.make_params(2, 1)
-        cut = rhs.CutoffSpec(K=5.0)
-        idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5)
-        grid_x = sp.Grid(1, 9e-5, 1201)
-        st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
-        with pytest.raises(solver.StallError, match="receded"):
-            solver.run_physical_blowup(st, pr, eta=5e-4)
 
     def test_similarity_physical_equivalence(self):
         # the two pictures agree through the similarity change of variables
