@@ -1,9 +1,11 @@
 """Time integration in similarity and physical variables.
 
 The state is one complex128 array, w = w1 + i w2 (resp. u = u1 + i u2).
-The linear operators are real, so they act on the real view of that array
-(`_real`, trailing axis of length two): both components are right-hand
-sides of one banded solve, one drift stencil, one boundary pass.
+The linear operators are real.  The diffusion solve uses one cached LU
+factor per (npts, dt/h^2), applied to the complex state by zgttrs; the
+drift stencil acts on the real view (`_real`, trailing axis of length
+two), so both components go through one solve, one stencil, one boundary
+pass.
 
 Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
 default scheme is operator splitting per step: implicit diffusion
@@ -25,11 +27,12 @@ trajectories share no mutable state.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import diagnostics as _diag
 from . import params as _params
@@ -152,29 +155,39 @@ class SolverConfig:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
+# a physical run moves to a smaller dt each time max|u| doubles and never
+# returns to an old one, so only the latest few factors are worth keeping
+@functools.lru_cache(maxsize=4)
+def _diffusion_factor(npts: int, r: float) -> tuple:
+    """LU factor of I - r D2 (identity boundary rows) as zgttrs takes it.
+
+    The factor is real (dgttrf); its four arrays are cast to complex128 so
+    zgttrs applies it to a complex right-hand side.  r = dt/h^2.
+    """
+    diag = np.full(npts, 1.0 + 2.0 * r)
+    diag[[0, -1]] = 1.0
+    lower = np.full(npts - 1, -r)
+    upper = np.full(npts - 1, -r)
+    upper[0] = lower[-1] = 0.0
+    # strictly diagonally dominant for r > 0, so the factor always exists
+    dl, d, du, du2, ipiv, _ = lapack.dgttrf(lower, diag, upper)
+    return tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
+
+
 def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
     """Solve (I - dt D2) out = w axis by axis (ADI beyond 1D).
 
-    The matrix is real; both components of the complex w are right-hand
-    sides of one solve per axis.  Boundary rows are identity; the caller
-    re-applies its boundary condition afterwards.
+    One cached LU factor per (npts, dt/h^2), applied to the complex state
+    by zgttrs in place on a copy: the columns of a Fortran-order copy for
+    axis 0, then those of out.T for axis 1.  w itself is not modified.
+    Boundary rows are identity; the caller re-applies its boundary
+    condition afterwards.
     """
-    r = dt / (h * h)
-    npts = w.shape[0]
-    ab = np.zeros((3, npts))
-    ab[0, 2:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, :-2] = -r
-    ab[2, -2] = 0.0
-    out = _real(w)
-    for axis in range(w.ndim):
-        moved = np.moveaxis(out, axis, 0)
-        flat = moved.reshape(npts, -1)
-        solved = solve_banded((1, 1), ab, flat, overwrite_b=False, check_finite=False)
-        out = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-    return _complex(out)
+    factor = _diffusion_factor(w.shape[0], dt / (h * h))
+    out = lapack.zgttrs(*factor, np.array(w, order="F"), overwrite_b=1)[0]
+    if w.ndim == 2:
+        out = lapack.zgttrs(*factor, np.ascontiguousarray(out).T, overwrite_b=1)[0].T
+    return out
 
 
 def _upwind_gradient_term(vals: np.ndarray, grid: _spectral.Grid) -> np.ndarray:
@@ -204,10 +217,12 @@ def _upwind_gradient_term(vals: np.ndarray, grid: _spectral.Grid) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=32)
 def _edge_mask(grid: _spectral.Grid) -> np.ndarray:
-    """True on the boundary nodes: every face of the grid box."""
+    """True on the boundary nodes: every face of the grid box (read-only)."""
     edge = np.ones(grid.shape, dtype=bool)
     edge[(slice(1, -1),) * grid.n_dim] = False
+    edge.setflags(write=False)
     return edge
 
 

@@ -55,7 +55,8 @@ class Grid:
         return (self.npts,) * self.n_dim
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.npts)
+        """Node coordinates along one axis (read-only, shared by equal grids)."""
+        return _axis(self)
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate arrays broadcastable to self.shape, one per axis."""
@@ -65,11 +66,23 @@ class Grid:
         return [ax[:, None], ax[None, :]]
 
     def radius2(self) -> np.ndarray:
-        """|y|^2 on the grid."""
-        ax2 = self.axis() ** 2
-        if self.n_dim == 1:
-            return ax2
-        return ax2[:, None] + ax2[None, :]
+        """|y|^2 on the grid (read-only, shared by equal grids)."""
+        return _radius2(self)
+
+
+@functools.lru_cache(maxsize=32)
+def _axis(grid: Grid) -> np.ndarray:
+    ax = np.linspace(-grid.half_width, grid.half_width, grid.npts)
+    ax.setflags(write=False)
+    return ax
+
+
+@functools.lru_cache(maxsize=32)
+def _radius2(grid: Grid) -> np.ndarray:
+    ax2 = grid.axis() ** 2
+    r2 = ax2 if grid.n_dim == 1 else ax2[:, None] + ax2[None, :]
+    r2.setflags(write=False)
+    return r2
 
 
 @dataclass

@@ -157,6 +157,15 @@ class TestKernels:
             assert got.flags.c_contiguous
             assert np.array_equal(w, before)
 
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_grid_geometry_is_shared_and_read_only(self, n_dim):
+        a, b = sp.Grid(n_dim, 6.0, 33), sp.Grid(n_dim, 6.0, 33)
+        for get in (lambda g: g.axis(), lambda g: g.radius2(), solver._edge_mask):
+            arr = get(a)
+            assert np.array_equal(arr, get(b))
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
 
 class TestEvolve:
     def test_preconditions(self):
