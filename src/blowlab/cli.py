@@ -161,6 +161,19 @@ def _take(node, key, where, errors, *, default=None, required=False, kind=None):
     return value
 
 
+def _float_array(value):
+    """value as a float array, or None unless every entry is a number (a bool is not)."""
+    def has_bool(v):
+        return isinstance(v, bool) or (isinstance(v, (list, tuple)) and any(map(has_bool, v)))
+
+    if has_bool(value):
+        return None
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def _reject_unknown(node, where, errors):
     for key in node:
         errors.append(f"unknown key {where}.{key}")
@@ -183,10 +196,7 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
                          default=0.0, kind=float)
     lin = node.pop("lin", None)
     if lin is not None:
-        try:
-            arr = np.asarray(lin, dtype=float)
-        except (TypeError, ValueError):
-            arr = None
+        arr = _float_array(lin)
         if arr is None or arr.shape != (n,) or not np.all(np.isfinite(arr)):
             errors.append(
                 f"initial_data.{name}.lin must be a list of {n} numbers, all finite"
@@ -198,10 +208,7 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
         if not allow_quad:
             errors.append(f"initial_data.{name} does not take a quad entry")
         else:
-            try:
-                arr = np.asarray(quad, dtype=float)
-            except (TypeError, ValueError):
-                arr = None
+            arr = _float_array(quad)
             if arr is None or arr.shape != (n, n) or not np.all(np.isfinite(arr)):
                 errors.append(
                     f"initial_data.{name}.quad must be an {n}x{n} matrix of finite numbers"
@@ -305,10 +312,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     raw.pop("physical", None)
     probe_raw = phys.pop("probe_log_radii", [10.0, 12.0, 14.0])
     _reject_unknown(phys, "physical", errors)
-    probe_log_radii = []
-    try:
-        probe_log_radii = [float(v) for v in np.asarray(probe_raw, dtype=float).ravel()]
-    except (TypeError, ValueError):
+    probe_arr = _float_array(probe_raw)
+    probe_log_radii = [] if probe_arr is None else [float(v) for v in probe_arr.ravel()]
+    if probe_arr is None:
         errors.append("physical.probe_log_radii must be a list of numbers")
     if not all(math.isfinite(v) for v in probe_log_radii):
         errors.append("physical.probe_log_radii entries must be finite numbers")
