@@ -155,9 +155,9 @@ class SolverConfig:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
-# a physical run moves to a smaller dt each time max|u| doubles and never
-# returns to an old one, so only the latest few factors are worth keeping
-@functools.lru_cache(maxsize=4)
+# a run solves with one dt at a time (a physical run moves to a smaller dt
+# each time max|u| doubles and never returns), so only the latest is kept
+@functools.lru_cache(maxsize=1)
 def _diffusion_factor(npts: int, r: float) -> tuple:
     """LU factor of I - r D2 (identity boundary rows) as zgttrs takes it.
 
@@ -171,7 +171,10 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
     upper[0] = lower[-1] = 0.0
     # strictly diagonally dominant for r > 0, so the factor always exists
     dl, d, du, du2, ipiv, _ = lapack.dgttrf(lower, diag, upper)
-    return tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
+    factor = tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
+    for a in factor:
+        a.setflags(write=False)
+    return factor
 
 
 def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:

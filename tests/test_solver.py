@@ -129,7 +129,7 @@ class TestKernels:
 
     def test_implicit_diffusion_matches_banded_reference(self):
         # bit for bit the same as one banded solve per axis on the real view,
-        # also when the factor for (npts, r) is reused after another r
+        # also for a repeated (npts, r) and for one repeated after another r
         def banded_reference(w, h, dt):
             r = dt / (h * h)
             npts = w.shape[0]
@@ -146,7 +146,8 @@ class TestKernels:
             return np.ascontiguousarray(out).view(np.complex128)[..., 0]
 
         rng = np.random.default_rng(7)
-        cases = [(1, 7201, 0.05), (1, 7201, 3.7), (1, 7201, 0.05), (2, 257, 0.4)]
+        cases = [(1, 7201, 0.05), (1, 7201, 0.05), (1, 7201, 3.7), (1, 7201, 0.05),
+                 (2, 257, 0.4)]
         for n_dim, npts, r in cases:
             grid = sp.Grid(n_dim, 3.0, npts)
             w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
