@@ -12,9 +12,11 @@ physical blow-up time is ~1e-11).  The one exception is a mode residual
 constant below 1e-9: those sit at roundoff (1e-12 to 1e-15), move with any
 reordering of floating-point work, and must match to abs 1e-10.  Every other
 entry (counts, flags, status, messages) must match exactly.
-The physical run's trajectory.csv is pinned byte for byte by its sha256.
-A refactor that only reorders floating-point work passes; one that moves an
-answer does not.
+The trajectory.csv of the physical run and of the three short similarity
+runs is pinned byte for byte by its sha256, which the 1e-9 band cannot
+replace: a change in the last bit of any recorded value shows there.
+A refactor that only reorders floating-point work passes the fits.json
+check; one that moves an answer does not.
 """
 
 import copy
@@ -283,9 +285,12 @@ GOLDEN = {
 }
 
 
-# sha256 of the physical run's trajectory.csv (per-step t, dt, max|u|,
-# argmax and probe values, 17 significant digits)
+# sha256 of trajectory.csv (17 significant digits): per-step t, dt, max|u|,
+# argmax and probe values of the physical run, the records of the similarity runs
 GOLDEN_CSV_SHA256 = {
+    "sim_p2_n1": "de0e3060723b3985c52d585c4a0227501f678d6e43239330f45a4941dde9dad7",
+    "sim_p2_n1_rk4": "640fa4012a7ea33044bbfc577a4a1f7ec4338d46409ba6a703ef5849bcae9237",
+    "sim_p3_n2": "7c9c387430bb6c5a7f61d53ba94103e2b3755e33fde219b8c666524027ea030e",
     "phys_p2": "a92ff416994f47877d606e046d46f70189549e1c9594466fd45f736ba4e79631",
 }
 
