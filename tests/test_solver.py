@@ -158,6 +158,62 @@ class TestKernels:
             assert got.flags.c_contiguous
             assert np.array_equal(w, before)
 
+    @pytest.mark.parametrize("boundary", solver.BOUNDARIES)
+    @pytest.mark.parametrize(
+        "scheme,n_dim,p,half_width,npts",
+        [("semi-implicit", 1, 2, 87.4, 4097), ("semi-implicit", 1, 3, 87.4, 4097),
+         ("semi-implicit", 2, 2, 24.0, 65), ("semi-implicit", 2, 3, 24.0, 65),
+         ("explicit-rk4", 1, 2, 8.0, 129)],
+    )
+    def test_step_similarity_matches_reference_substep(
+        self, scheme, n_dim, p, half_width, npts, boundary
+    ):
+        # bit for bit the substep sequence written out: diffusion solve, drift on
+        # the real view, reaction (or one RK4 stage set), then the boundary
+        # values of that substep's s; the incoming state is left as it was
+        def reference_step(state, cfg, pr, ds):
+            grid = state.grid
+            n_sub = solver._substep_count(cfg, grid, ds)
+            dss = ds / n_sub
+            edge = solver._edge_mask(grid)
+            r2_edge = grid.radius2()[edge]
+            inv = 1.0 / (pr.p - 1)
+            w = state.w
+            for k in range(n_sub):
+                if cfg.scheme == "semi-implicit":
+                    w = solver._implicit_diffusion(w, grid.h, dss)
+                    wr = w.view(np.float64).reshape(w.shape + (2,))
+                    wr -= dss * solver._upwind_gradient_term(wr, grid)
+                    w = w + dss * (w**pr.p - inv * w)
+                else:
+                    k1 = solver._rk4_rhs(w, grid, pr)
+                    k2 = solver._rk4_rhs(w + 0.5 * dss * k1, grid, pr)
+                    k3 = solver._rk4_rhs(w + 0.5 * dss * k2, grid, pr)
+                    k4 = solver._rk4_rhs(w + dss * k3, grid, pr)
+                    w = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                s_next = state.s + (k + 1) * dss
+                if cfg.boundary == "profile-clamp":
+                    w[edge] = bp.phi1(pr, r2_edge, s_next) + 1j * bp.phi2(pr, r2_edge, s_next)
+                else:
+                    solver._extrapolate_boundary(w)
+            return s_next, n_sub, w
+
+        pr = bp.make_params(p, n_dim)
+        grid = sp.Grid(n_dim, half_width, npts)
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        state = profile_state(pr, grid, 25.0)
+        state = solver.SimilarityState(s=25.0, grid=grid, w=state.w + 1e-3 * noise)
+        before = state.w.copy()
+        cfg = solver.SolverConfig(ds=0.005, s_end=30.0, scheme=scheme, boundary=boundary)
+        s_want, n_sub, w_want = reference_step(state, cfg, pr, cfg.ds)
+        if npts == 4097:
+            assert n_sub == 6
+        got = solver.step_similarity(state, cfg, pr)
+        assert got.s == s_want
+        assert np.array_equal(got.w, w_want)
+        assert np.array_equal(state.w, before)
+
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_grid_geometry_is_shared_and_read_only(self, n_dim):
         a, b = sp.Grid(n_dim, 6.0, 33), sp.Grid(n_dim, 6.0, 33)
