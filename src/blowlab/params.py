@@ -84,9 +84,9 @@ def g0(params: Params, z2):
 def phi1(params: Params, y2, s):
     """First-order accurate real-part profile in the similarity frame.
 
-    phi1(y, s) = f0(|y|^2/s) + n kappa/(2 p s).
+    phi1(y, s) = f0(|y|^2/s) + n kappa/(2 p s); s may be an array broadcasting against y2.
     """
-    if s <= 0:
+    if np.any(np.asarray(s) <= 0):
         raise ValueError(f"s must be > 0, got {s}")
     y2 = _check_nonneg(y2, "y2")
     return f0(params, y2 / s) + params.n_dim * params.kappa / (2.0 * params.p * s)
@@ -96,9 +96,9 @@ def phi2(params: Params, y2, s):
     """Imaginary-part profile in the similarity frame.
 
     phi2(y, s) = (|y|^2/s^2)(p-1 + b|y|^2/s)^{-p/(p-1)} - 2 n kappa/((p-1)s^2),
-    i.e. g0(|y|^2/s)/s shifted so its Gaussian mean vanishes to leading order.
+    i.e. g0(|y|^2/s)/s shifted so its Gaussian mean vanishes to leading order; s as in phi1.
     """
-    if s <= 0:
+    if np.any(np.asarray(s) <= 0):
         raise ValueError(f"s must be > 0, got {s}")
     y2 = _check_nonneg(y2, "y2")
     p = params.p

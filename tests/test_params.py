@@ -99,6 +99,27 @@ class TestProfiles:
         with pytest.raises(ValueError):
             bp.phi2(self.p2, 1.0, -2.0)
 
+    @pytest.mark.parametrize("p,n_dim", [(2, 1), (3, 2), (5, 1)])
+    def test_phi_array_s_broadcasts_like_scalar_calls(self, p, n_dim):
+        # a (k, 1) column of s against a (1, m) row of y2 gives, row by row,
+        # exactly the values of one scalar-s call each
+        pr = bp.make_params(p, n_dim)
+        y2 = np.array([0.0, 0.3, 17.0, 4.5e3, 7.6e3])
+        s = 25.0 + np.arange(1, 7) * (0.005 / 6)
+        for phi in (bp.phi1, bp.phi2):
+            got = phi(pr, y2[None, :], s[:, None])
+            want = np.stack([phi(pr, y2, float(si)) for si in s])
+            assert got.shape == (6, 5)
+            assert np.array_equal(got, want)
+
+    def test_phi_reject_one_bad_s_in_array(self):
+        s = np.array([[25.0], [0.0], [26.0]])
+        for phi in (bp.phi1, bp.phi2):
+            with pytest.raises(ValueError, match="s must be > 0"):
+                phi(self.p2, np.ones((1, 3)), s)
+            with pytest.raises(ValueError, match="s must be > 0"):
+                phi(self.p2, 1.0, -s)
+
     def test_phi2_mean_shift_scaling(self):
         # second term is -2 n kappa / ((p-1) s^2) for any p, n
         pr = bp.make_params(3, 2)
