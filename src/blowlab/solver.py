@@ -11,8 +11,8 @@ Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
 default scheme is operator splitting per step: implicit diffusion
 (tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
 drift, explicit reaction.  Splitting is first order in ds and second order
-in h.  The drift CFL y_max ds/(2h) is checked each step and the step
-subdivided automatically when it exceeds the fraction CFL_SAFETY.
+in h.  Substeps, taken when the drift CFL y_max ds/(2h) exceeds CFL_SAFETY,
+run in place in one workspace per step and share one boundary-value call.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
@@ -193,31 +193,46 @@ def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
     return out
 
 
-def _upwind_gradient_term(vals: np.ndarray, grid: _spectral.Grid) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _drift_plan(grid: _spectral.Grid) -> tuple:
+    """(k, vels): interior nodes 1..k lie at y < 0, the rest at y >= 0; vels[axis]
+    is y/2 on the interior, shaped to multiply a real view with that axis first."""
+    ax = grid.axis()
+    # on the last axis y/2 is repeated for both components: one long loop, not pairs
+    vel = np.repeat(0.5 * ax[1:-1], 2)
+    vel.setflags(write=False)
+    lead = (-1,) + (1,) * (grid.n_dim - 1)
+    vels = (vel[::2].reshape(lead + (1,)),) * (grid.n_dim - 1) + (vel.reshape(lead + (2,)),)
+    return int(np.count_nonzero(ax[1:-2] < 0.0)), vels
+
+
+def _upwind_gradient_term(vals, grid, out=None, d=None, e=None) -> np.ndarray:
     """(y/2).grad vals with second-order upwind one-sided differences.
 
-    vals is real with grid.shape leading; trailing axes (the components of
-    a real view) ride along.  The drift velocity y/2 points outward, so the
-    stencil leans toward the origin.  Boundary nodes are left at zero; the
-    boundary condition overwrites them anyway.
+    vals is the real view of a state, grid.shape + (2,).  The result goes to
+    out, with d and e as scratch (all shaped like vals; new arrays when out
+    is not given).  The drift velocity y/2 points outward, so the stencil
+    leans toward the origin.  Boundary nodes of out are left at zero.
     """
-    h = grid.h
-    ax = grid.axis()
-    # interior nodes 1..k lie at y < 0, the rest of the interior at y >= 0
-    k = int(np.count_nonzero(ax[1:-2] < 0.0))
-    vel = (0.5 * ax).reshape((-1,) + (1,) * (vals.ndim - 1))
-    total = np.zeros_like(vals)
-    for axis in range(grid.n_dim):
-        moved = np.moveaxis(vals, axis, 0)
-        d = np.zeros_like(moved)
+    if out is None:
+        out, d, e = np.empty((3,) + vals.shape)
+    k, vels = _drift_plan(grid)
+    out.fill(0.0)
+    for axis, vel in enumerate(vels):
+        m, dm, em, om = (a.swapaxes(0, axis) for a in (vals, d, e, out))
         # outward flow on the left half: stencil uses i, i+1, i+2
-        d[1 : k + 1] = (-3.0 * moved[1 : k + 1] + 4.0 * moved[2 : k + 2]
-                        - moved[3 : k + 3]) / (2.0 * h)
+        dl, el = dm[1 : k + 1], em[1 : k + 1]
+        np.multiply(-3.0, m[1 : k + 1], out=dl)
+        np.add(dl, np.multiply(4.0, m[2 : k + 2], out=el), out=dl)
+        np.divide(np.subtract(dl, m[3 : k + 3], out=dl), 2.0 * grid.h, out=dl)
         # outward flow on the right half: stencil uses i, i-1, i-2
-        d[k + 1 : -1] = (3.0 * moved[k + 1 : -1] - 4.0 * moved[k:-2]
-                         + moved[k - 1 : -3]) / (2.0 * h)
-        total += np.moveaxis(vel * d, 0, axis)
-    return total
+        dr, er = dm[k + 1 : -1], em[k + 1 : -1]
+        np.multiply(3.0, m[k + 1 : -1], out=dr)
+        np.subtract(dr, np.multiply(4.0, m[k:-2], out=er), out=dr)
+        np.divide(np.add(dr, m[k - 1 : -3], out=dr), 2.0 * grid.h, out=dr)
+        np.multiply(vel, dm[1:-1], out=dm[1:-1])
+        np.add(om[1:-1], dm[1:-1], out=om[1:-1])
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,24 +282,41 @@ def _profile(params: _params.Params, r2: np.ndarray, s: float) -> np.ndarray:
 def step_similarity(
     state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None
 ) -> SimilarityState:
-    """Advance the similarity-frame state by one step of length ds (default cfg.ds)."""
+    """Advance the similarity-frame state by one step of length ds (default cfg.ds).
+
+    One workspace per step, dropped on return: the semi-implicit substeps solve,
+    drift and react in place on a copy of state.w; one _profile call clamps them all.
+    """
     if ds is None:
         ds = cfg.ds
     grid = state.grid
     n_sub = _substep_count(cfg, grid, ds)
     dss = ds / n_sub
-    w = state.w
+    s_sub = state.s + np.arange(1, n_sub + 1) * dss
     edge = _edge_mask(grid)
-    r2_edge = grid.radius2()[edge]
-    inv = 1.0 / (params.p - 1)
-    s = state.s
+    if cfg.boundary == "profile-clamp":
+        clamp = _profile(params, grid.radius2()[edge][None, :], s_sub[:, None])
+    w = state.w.copy()
+    if cfg.scheme == "semi-implicit":
+        factor = _diffusion_factor(grid.shape[0], dss / (grid.h * grid.h))
+        a, b, c = np.empty((3,) + grid.shape, np.complex128)
+        wr, drift, inv = _real(w), _real(b), 1.0 / (params.p - 1)
     for k in range(n_sub):
-        s_next = state.s + (k + 1) * dss
         if cfg.scheme == "semi-implicit":
-            w = _implicit_diffusion(w, grid.h, dss)
-            wr = _real(w)
-            wr -= dss * _upwind_gradient_term(wr, grid)
-            w = w + dss * (w**params.p - inv * w)
+            # ADI: axis 0 on the Fortran-order a.T (2-D), then the last axis as w.T
+            if grid.n_dim == 2:
+                a.T[...] = w
+                lapack.zgttrs(*factor, a.T, overwrite_b=1)
+                w[...] = a.T
+            lapack.zgttrs(*factor, w.T, overwrite_b=1)
+            _upwind_gradient_term(wr, grid, drift, _real(c), _real(a))
+            np.subtract(wr, np.multiply(dss, drift, out=drift), out=wr)
+            if params.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
+                np.square(w, out=a)
+            else:
+                np.power(w, params.p, out=a)
+            np.subtract(a, np.multiply(inv, w, out=b), out=a)
+            np.add(w, np.multiply(dss, a, out=a), out=w)
         else:
             k1 = _rk4_rhs(w, grid, params)
             k2 = _rk4_rhs(w + 0.5 * dss * k1, grid, params)
@@ -292,10 +324,10 @@ def step_similarity(
             k4 = _rk4_rhs(w + dss * k3, grid, params)
             w = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if cfg.boundary == "profile-clamp":
-            w[edge] = _profile(params, r2_edge, s_next)
+            w[edge] = clamp[k]
         else:
             _extrapolate_boundary(w)
-        s = s_next
+    s = float(s_sub[-1])
     # the larger of max|w1| and max|w2|, as recorded in max_w
     max_w = float(np.max(np.abs(_real(w))))
     if not math.isfinite(max_w) or max_w > 10.0 * params.kappa:
