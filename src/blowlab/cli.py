@@ -162,11 +162,9 @@ def _take(node, key, where, errors, *, default=None, required=False, kind=None):
 
 
 def _float_array(value):
-    """value as a float array, or None unless every entry is a number (a bool is not)."""
-    def has_bool(v):
-        return isinstance(v, bool) or (isinstance(v, (list, tuple)) and any(map(has_bool, v)))
-
-    if has_bool(value):
+    """value as a float array, or None unless every entry is a number (no bool or str)."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, (list, tuple)) and any(_float_array(v) is None for v in value)):
         return None
     try:
         return np.asarray(value, dtype=float)

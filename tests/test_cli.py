@@ -666,6 +666,26 @@ class TestValidationBeforeRun:
         assert any(fragment in m for m in json.loads(err)["messages"])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "base, dotted, value, fragment",
+        [
+            ("sim", "initial_data.d1", {"lin": ["0.1"]}, "d1.lin must be a list of 1 numbers"),
+            ("sim", "initial_data.d2", {"quad": [["0"]]}, "d2.quad must be an 1x1 matrix"),
+            ("phys", "physical.probe_log_radii", ["10.5"], "must be a list of numbers"),
+            ("phys", "physical.probe_log_radii", [10.5, "11"], "must be a list of numbers"),
+            ("phys", "physical.probe_log_radii", "10.5", "must be a list of numbers"),
+        ],
+    )
+    def test_numeric_string_in_number_list_exits_2(self, tmp_path, base, dotted, value,
+                                                   fragment):
+        # a quoted number is a string, inside a list as for a scalar field
+        raw = _set_in(copy.deepcopy(_BASES[base]), dotted, value)
+        raw["output_dir"] = str(tmp_path / "out")
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code == 2
+        assert any(fragment in m for m in json.loads(err)["messages"])
+        assert not (tmp_path / "out").exists()
+
 
 def test_module_entry_point_help():
     proc = subprocess.run(
