@@ -327,11 +327,11 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     sweep_n2d = _take(swp, "N_2d", "sweep", errors, default=257, kind=int)
     _reject_unknown(swp, "sweep", errors)
     if not (isinstance(sweep_ps, list) and
-            all(isinstance(v, int) and 2 <= v <= _params.MAX_P for v in sweep_ps)):
+            all(type(v) is int and 2 <= v <= _params.MAX_P for v in sweep_ps)):
         errors.append(f"sweep.ps must be a list of integers in [2, {_params.MAX_P}]")
         sweep_ps = []
     if not (isinstance(sweep_ns, list) and
-            all(isinstance(v, int) and v in _spectral.N_DIMS for v in sweep_ns)):
+            all(type(v) is int and v in _spectral.N_DIMS for v in sweep_ns)):
         errors.append(f"sweep.ns must be a list of integers in {_spectral.N_DIMS}")
         sweep_ns = []
     if sweep_n2d is not None and (sweep_n2d < 17 or sweep_n2d % 2 == 0):

@@ -686,6 +686,15 @@ class TestValidationBeforeRun:
         assert any(fragment in m for m in json.loads(err)["messages"])
         assert not (tmp_path / "out").exists()
 
+    def test_boolean_in_sweep_dimensions_exits_2(self, tmp_path):
+        # YAML true equals 1 in Python but is not the integer dimension 1
+        raw = tiny_raw(mode="sweep", output_dir=str(tmp_path / "out"))
+        raw["sweep"] = {"ps": [2], "ns": [True], "N_2d": 65}
+        code, err = _main_on(raw, tmp_path, "sweep")
+        assert code == 2
+        assert "sweep.ns must be a list of integers in (1, 2)" in json.loads(err)["messages"]
+        assert not (tmp_path / "out").exists()
+
 
 def test_module_entry_point_help():
     proc = subprocess.run(
