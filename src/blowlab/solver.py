@@ -177,19 +177,24 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
     return factor
 
 
-def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """Solve (I - dt D2) out = w axis by axis (ADI beyond 1D).
+def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
+    """Solve (I - dt D2) x = w into the C-order complex w itself, ADI beyond 1D.
 
-    One cached LU factor per (npts, dt/h^2), applied to the complex state
-    by zgttrs in place on a copy: the columns of a Fortran-order copy for
-    axis 0, then those of out.T for axis 1.  w itself is not modified.
-    Boundary rows are identity; the caller re-applies its boundary
-    condition afterwards.
+    2-D: axis 0 on the Fortran-order fbuf (shaped like w; unused in 1-D), then
+    axis 1 on w.T; that order fixes the last bits.  Boundary rows are identity.
     """
-    factor = _diffusion_factor(w.shape[0], dt / (h * h))
-    out = lapack.zgttrs(*factor, np.array(w, order="F"), overwrite_b=1)[0]
     if w.ndim == 2:
-        out = lapack.zgttrs(*factor, np.ascontiguousarray(out).T, overwrite_b=1)[0].T
+        fbuf[...] = w
+        lapack.zgttrs(*factor, fbuf, overwrite_b=1)
+        w[...] = fbuf
+    lapack.zgttrs(*factor, w.T, overwrite_b=1)
+
+
+def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """Solve (I - dt D2) out = w by _diffuse_in_place on a copy; w is not modified."""
+    out = np.array(w, dtype=np.complex128)
+    fbuf = np.empty_like(out, order="F") if out.ndim == 2 else None
+    _diffuse_in_place(out, _diffusion_factor(w.shape[0], dt / (h * h)), fbuf)
     return out
 
 
@@ -206,16 +211,15 @@ def _drift_plan(grid: _spectral.Grid) -> tuple:
     return int(np.count_nonzero(ax[1:-2] < 0.0)), vels
 
 
-def _upwind_gradient_term(vals, grid, out=None, d=None, e=None) -> np.ndarray:
+def _upwind_gradient_term(vals, grid, work=None) -> np.ndarray:
     """(y/2).grad vals with second-order upwind one-sided differences.
 
-    vals is the real view of a state, grid.shape + (2,).  The result goes to
-    out, with d and e as scratch (all shaped like vals; new arrays when out
-    is not given).  The drift velocity y/2 points outward, so the stencil
-    leans toward the origin.  Boundary nodes of out are left at zero.
+    vals is the real view of a state, grid.shape + (2,); work holds three arrays
+    shaped like it: the result, then two scratch (a new block when not given).
+    The drift velocity y/2 points outward, so the stencil leans toward the
+    origin.  Boundary nodes of the result are left at zero.
     """
-    if out is None:
-        out, d, e = np.empty((3,) + vals.shape)
+    out, d, e = np.empty((3,) + vals.shape) if work is None else work
     k, vels = _drift_plan(grid)
     out.fill(0.0)
     for axis, vel in enumerate(vels):
@@ -296,20 +300,16 @@ def step_similarity(
     edge = _edge_mask(grid)
     if cfg.boundary == "profile-clamp":
         clamp = _profile(params, grid.radius2()[edge][None, :], s_sub[:, None])
-    w = state.w.copy()
+    w = state.w
     if cfg.scheme == "semi-implicit":
         factor = _diffusion_factor(grid.shape[0], dss / (grid.h * grid.h))
-        a, b, c = np.empty((3,) + grid.shape, np.complex128)
-        wr, drift, inv = _real(w), _real(b), 1.0 / (params.p - 1)
+        w = w.copy()
+        a, b, _ = block = np.empty((3,) + grid.shape, np.complex128)
+        wr, work, inv = _real(w), _real(block), 1.0 / (params.p - 1)
     for k in range(n_sub):
         if cfg.scheme == "semi-implicit":
-            # ADI: axis 0 on the Fortran-order a.T (2-D), then the last axis as w.T
-            if grid.n_dim == 2:
-                a.T[...] = w
-                lapack.zgttrs(*factor, a.T, overwrite_b=1)
-                w[...] = a.T
-            lapack.zgttrs(*factor, w.T, overwrite_b=1)
-            _upwind_gradient_term(wr, grid, drift, _real(c), _real(a))
+            _diffuse_in_place(w, factor, a.T)
+            drift = _upwind_gradient_term(wr, grid, work)
             np.subtract(wr, np.multiply(dss, drift, out=drift), out=wr)
             if params.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
                 np.square(w, out=a)

@@ -103,11 +103,17 @@ class TestFixedPoints:
 
 
 class TestKernels:
-    @pytest.mark.parametrize("n_dim,npts", [(1, 33), (2, 17)])
-    def test_upwind_matches_pointwise_stencil(self, n_dim, npts):
+    @pytest.mark.parametrize(
+        "n_dim,half_width,npts",
+        [(1, 4.0, 33), (2, 4.0, 17), (1, 87.4, 4097), (2, 24.0, 65)],
+        ids=["1-33", "2-17", "1-87.4-4097", "2-24.0-65"],
+    )
+    def test_upwind_matches_pointwise_stencil(self, n_dim, half_width, npts):
         # the slice-wise drift equals the node-by-node upwind stencil exactly,
-        # for a real view whose trailing axis holds the two components
-        grid = sp.Grid(n_dim, 4.0, npts)
+        # for a real view whose trailing axis holds the two components; on the
+        # last two grids 2h is not a power of two, so dividing by 2h and
+        # multiplying by its reciprocal round differently
+        grid = sp.Grid(n_dim, half_width, npts)
         vals = np.random.default_rng(1).standard_normal(grid.shape + (2,))
         ax, h = grid.axis(), grid.h
         want = np.zeros_like(vals)
