@@ -457,6 +457,40 @@ class TestPhysical:
         assert st2.t == st.t
         assert np.all(np.isfinite(st2.u.real))
 
+    def test_overflow_at_one_node_keeps_the_incoming_state(self):
+        # one node's square has real part inf - inf: NaN there and nowhere
+        # else after a tiny step, which is enough to flag the step
+        pr = bp.make_params(2, 1)
+        grid = sp.Grid(1, 8.0, 33)
+        u = np.ones(grid.shape, dtype=complex)
+        u[16] = 1e200 * (1.0 + 1.0j)
+        st = solver.PhysicalState(t=0.5, grid=grid, u=u)
+        before = u.copy()
+        st2 = solver.step_physical(st, 1e-300, pr)
+        assert st2.status == "overflow"
+        assert st2.t == st.t
+        assert np.array_equal(st2.u, before)
+        assert np.array_equal(st.u, before)
+
+    def test_run_overflowing_mid_run_ends_blown_up_without_its_step(self):
+        # from 1e150, u = (T - t)^{-1} with T = 1e-150 overflows its square near
+        # 1.3e154, below the default stop_max of 1e156; the run ends "blown-up"
+        # and its last record is the state before the overflowing step
+        pr = bp.make_params(2, 1)
+        grid = sp.Grid(1, 8.0, 33)
+        st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, 1e150, dtype=complex))
+        traj, T_est = solver.run_physical_blowup(st, pr, eta=5e-3)
+        assert traj.status == "blown-up"
+        assert T_est == pytest.approx(1e-150, rel=0.01)
+        recs = traj.records
+        assert np.all(np.isfinite(recs["max_u"])) and recs["max_u"][-1] > 1e150
+        states, want = self.replay(st, pr, traj)
+        assert np.array_equal(recs["max_u"], want["max_u"])
+        # the square of the last state overflows whatever the step length
+        last = states[-1]
+        assert solver.step_physical(last, float(recs["dt"][-1]), pr).status == "overflow"
+        assert solver.step_physical(last, 1e-300, pr).status == "overflow"
+
     def test_blowup_time_oracle(self):
         # u = (T-t)^{-1} with T = 1 for p=2 constant data u0 = 1
         pr = bp.make_params(2, 1)
@@ -521,6 +555,77 @@ class TestPhysical:
         assert traj.status == "receded"
         assert T_est == pytest.approx(math.exp(-25.0), rel=0.01)
         assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
+
+    @staticmethod
+    def replay(u0, pr, traj):
+        """The run's states rebuilt one step_physical call per recorded dt.
+
+        Each state is recorded as the step-by-step loop records it: np.abs, then
+        np.max and np.argmax of the modulus, np.interp at the probes.  Returns the
+        states, the records as rebuilt and the final state.
+        """
+        grid, ax, probes = u0.grid, u0.grid.axis(), traj.probes
+        state, states = u0, [u0]
+        for dt in traj.records["dt"][1:]:
+            state = solver.step_physical(state, float(dt), pr)
+            assert state.status == "ok"
+            states.append(state)
+        want = np.empty(len(states), dtype=traj.records.dtype)
+        for k, st in enumerate(states):
+            mod = np.abs(st.u)
+            idx = np.unravel_index(int(np.argmax(mod)), grid.shape)
+            at = np.interp(probes, ax, st.u) if probes.size else ()
+            want[k] = (st.t, traj.records["dt"][k], float(np.max(mod)), ax[list(idx)], at)
+        return states, want
+
+    @pytest.mark.parametrize("case", ["constructed-1d", "receded-1d", "constant-2d"])
+    def test_run_matches_step_physical_replay(self, case):
+        # the run loop is bit for bit a sequence of step_physical calls at the
+        # recorded dt: every records field, every snapshot, the status and T
+        if case == "constant-2d":
+            pr = bp.make_params(2, 2)
+            grid = sp.Grid(2, 8.0, 17)
+            st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
+            kwargs = {"eta": 5e-3, "stop_max": 1e3}
+            status, T_want = "blown-up", 1.006914726527799
+        else:
+            pr = bp.make_params(2, 1)
+            cut = rhs.CutoffSpec(K=5.0)
+            s0 = 20.0 if case == "constructed-1d" else 25.0
+            idp = rhs.InitialDataParams(A=10.0, s0=s0, p1=0.5)
+            T = math.exp(-s0)
+            if case == "constructed-1d":
+                grid = sp.Grid(1, 20.0 * math.sqrt(T), 801)
+                st = solver.physical_initial_from_similarity(pr, idp, cut, grid)
+                m0 = np.max(np.abs(st.u.real))
+                probes = np.array([-0.3, 0.0, 0.6]) * grid.half_width
+                kwargs = {"stop_max": 300.0 * m0, "probes": probes}
+                status, T_want = "blown-up", 2.0606350626133203e-09
+            else:
+                grid = sp.Grid(1, 9e-5, 1201)
+                st = solver.physical_initial_from_similarity(pr, idp, cut, grid)
+                kwargs = {"eta": 5e-4}
+                status, T_want = "receded", 1.390884098915639e-11
+        before = st.u.copy()
+        traj, T_est = solver.run_physical_blowup(st, pr, **kwargs)
+        assert np.array_equal(st.u, before)
+        assert traj.status == status
+        assert T_est == traj.T_estimate == T_want
+        states, want = self.replay(st, pr, traj)
+        recs = traj.records
+        for name in recs.dtype.names:
+            assert np.array_equal(recs[name], want[name]), name
+        # a snapshot at the start, at each 5 % growth of max|u| and at the end
+        keep, m_snap = [0], want["max_u"][0]
+        for k, m in enumerate(want["max_u"][1:], start=1):
+            if m >= m_snap * solver.SNAPSHOT_FACTOR:
+                keep.append(k)
+                m_snap = m
+        keep.append(len(states) - 1)
+        assert len(traj.snapshots) == len(keep)
+        for (t, u), k in zip(traj.snapshots, keep):
+            assert t == states[k].t
+            assert np.array_equal(u, states[k].u)
 
     def test_similarity_physical_equivalence(self):
         # the two pictures agree through the similarity change of variables
