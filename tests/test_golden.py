@@ -14,7 +14,9 @@ reordering of floating-point work, and must match to abs 1e-10.  Every other
 entry (counts, flags, status, messages) must match exactly.
 The trajectory.csv of the physical run and of the three short similarity
 runs is pinned byte for byte by its sha256, which the 1e-9 band cannot
-replace: a change in the last bit of any recorded value shows there.
+replace: a change in the last bit of any recorded value shows there.  So is
+the physical run's fits.json, whose final-profile values u1*, u2* are read
+from the snapshots by splines and would otherwise be seen only to 1e-9.
 A refactor that only reorders floating-point work passes the fits.json
 check; one that moves an answer does not.
 """
@@ -295,6 +297,13 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+# sha256 of fits.json where the 1e-9 band is too coarse: the final-profile
+# values u1*, u2* of the physical run in their last bit
+GOLDEN_FITS_SHA256 = {
+    "phys_p2": "e7acd66cd3a3fa85be8da852a29c8abd842e133e3c866beffcf1f9bb30d16470",
+}
+
+
 def _mismatches(got, want, where):
     if isinstance(want, float):
         if isinstance(got, bool) or not isinstance(got, (int, float)):
@@ -335,6 +344,15 @@ def test_trajectory_csv_matches_golden(name, tmp_path):
     assert cli.run(cli.config_from_dict(raw)) == 0
     data = (tmp_path / name / "trajectory.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FITS_SHA256))
+def test_fits_json_matches_golden_bytes(name, tmp_path):
+    raw = _configs()[name]
+    raw["output_dir"] = str(tmp_path / name)
+    assert cli.run(cli.config_from_dict(raw)) == 0
+    data = (tmp_path / name / "fits.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_FITS_SHA256[name]
 
 
 def test_comparison_catches_a_moved_value():
