@@ -540,11 +540,14 @@ def _run_physical(config: RunConfig) -> int:
     probes = np.exp(-np.asarray(config.probe_log_radii, dtype=float))
     ptraj, t_est = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
     probe_rows = []
-    for lr, x in zip(config.probe_log_radii, probes):
+    finals = _diag.extract_final_profiles(ptraj, probes.tolist())
+    for lr, x, final in zip(config.probe_log_radii, probes, finals):
         entry = {"log_radius": float(lr), "x": float(x),
                  "u_star_prediction": float(_params.final_profile_prediction(pr, x)[0])}
-        try:
-            u1s, u2s = _diag.extract_final_profile(ptraj, float(x))
+        if isinstance(final, _diag.NonConvergenceError):
+            entry.update({"converged": False, "reason": str(final)})
+        else:
+            u1s, u2s = final
             entry.update({
                 "converged": True,
                 "u1_star": u1s,
@@ -552,8 +555,6 @@ def _run_physical(config: RunConfig) -> int:
                 "ratio_u1_over_prediction": u1s / entry["u_star_prediction"],
                 "ratio_u2_lnx_over_u1": u2s * lr / u1s if u1s != 0.0 else float("nan"),
             })
-        except _diag.NonConvergenceError as exc:
-            entry.update({"converged": False, "reason": str(exc)})
         probe_rows.append(entry)
     fits = {
         "T_estimate": float(t_est),

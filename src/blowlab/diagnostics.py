@@ -615,20 +615,31 @@ def intermediate_profile_check(
 
 
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 0.01) -> tuple:
-    """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up.
+    """extract_final_profiles at the one position x, raising its NonConvergenceError."""
+    (result,) = extract_final_profiles(ptraj, [x], rel_tol)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
+
+
+def extract_final_profiles(ptraj: PhysicalTrajectory, xs, rel_tol: float = 0.01) -> list:
+    """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
 
     Snapshots are (t, u) pairs with u = u1 + i u2.  Samples them along a
-    dyadic sequence in T - t and requires the last two samples of each
-    component to differ by less than rel_tol relative to the final magnitude.
+    dyadic sequence in T - t, one spline per sampled snapshot for all of xs, and
+    requires the last two samples of each component to differ by less than
+    rel_tol relative to the final magnitude.  Returns one entry per x: its
+    (u1, u2) pair, or the NonConvergenceError it fails with.
     """
     T = ptraj.T_estimate
     if T is None:
         raise ValueError("trajectory has no T_estimate")
     snaps = [snap for snap in ptraj.snapshots if T - snap[0] > 0]
     if len(snaps) < 2:
-        raise NonConvergenceError("fewer than two snapshots precede the blow-up time")
+        return [NonConvergenceError("fewer than two snapshots precede the blow-up time")
+                for _ in xs]
     left = np.array([T - snap[0] for snap in snaps])
-    x_arr = np.array([float(x)])
+    x_arr = np.array([float(x) for x in xs])
     # dyadic subsequence of snapshot times: T - t ~ delta, delta/2, delta/4, ...
     targets = []
     delta = left[0]
@@ -636,23 +647,24 @@ def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 
         targets.append(delta)
         delta /= 2.0
     targets.append(left[-1])
-    samples1, samples2 = [], []
-    for tgt in targets:
-        idx = int(np.argmin(np.abs(left - tgt)))
-        u = _interp_snapshot_x(ptraj.grid, snaps[idx][1], x_arr)[0]
-        samples1.append(float(u.real))
-        samples2.append(float(u.imag))
-    if len(samples1) < 2:
-        raise NonConvergenceError(f"not enough snapshots to test convergence at x={x}")
-    for name, ser in (("u1", samples1), ("u2", samples2)):
-        a, b = ser[-2], ser[-1]
+    picks = [int(np.argmin(np.abs(left - tgt))) for tgt in targets]
+    samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks])
+    return [_cauchy_limit(samples[:, j], x, rel_tol) for j, x in enumerate(xs)]
+
+
+def _cauchy_limit(samples: np.ndarray, x, rel_tol: float):
+    """(u1, u2) of the last complex sample at x, or the NonConvergenceError to raise."""
+    if len(samples) < 2:
+        return NonConvergenceError(f"not enough snapshots to test convergence at x={x}")
+    for name, part in (("u1", np.real), ("u2", np.imag)):
+        a, b = float(part(samples[-2])), float(part(samples[-1]))
         scale = max(abs(b), 1e-300)
         if abs(b - a) / scale >= rel_tol:
-            raise NonConvergenceError(
+            return NonConvergenceError(
                 f"{name}({x}) not Cauchy-converged: last dyadic samples "
                 f"{a:.6g} and {b:.6g} differ by more than {rel_tol:.0%}"
             )
-    return samples1[-1], samples2[-1]
+    return float(samples[-1].real), float(samples[-1].imag)
 
 
 def _fmt(x) -> str:

@@ -16,11 +16,12 @@ run in place in one workspace per step and share one boundary-value call.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
-timescale (kappa/max|u|)^{p-1}.  run_physical_blowup records every step as
-one row of diagnostics.PhysicalTrajectory's columns, keeps full-field
-snapshots as max|u| grows, ends with a named status (blown-up, stalled or
-receded; see its docstring) and fits the blow-up time.  Its step-size,
-snapshot, stall and budget settings are the module constants below.
+timescale (kappa/max|u|)^{p-1}.  One in-place step kernel, which also takes
+max|u| (a step overflows when that is not finite), serves step_physical and
+run_physical_blowup.  The run steps one workspace per run, records every step
+as one row of diagnostics.PhysicalTrajectory's columns, keeps snapshots as
+max|u| grows, ends with a named status (see its docstring) and fits the
+blow-up time.  Its settings are the module constants below.
 
 One trajectory is strictly sequential and single-owner; independent
 trajectories share no mutable state.
@@ -190,14 +191,6 @@ def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
     lapack.zgttrs(*factor, w.T, overwrite_b=1)
 
 
-def _implicit_diffusion(w: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """Solve (I - dt D2) out = w by _diffuse_in_place on a copy; w is not modified."""
-    out = np.array(w, dtype=np.complex128)
-    fbuf = np.empty_like(out, order="F") if out.ndim == 2 else None
-    _diffuse_in_place(out, _diffusion_factor(w.shape[0], dt / (h * h)), fbuf)
-    return out
-
-
 @functools.lru_cache(maxsize=32)
 def _drift_plan(grid: _spectral.Grid) -> tuple:
     """(k, vels): interior nodes 1..k lie at y < 0, the rest at y >= 0; vels[axis]
@@ -211,15 +204,15 @@ def _drift_plan(grid: _spectral.Grid) -> tuple:
     return int(np.count_nonzero(ax[1:-2] < 0.0)), vels
 
 
-def _upwind_gradient_term(vals, grid, work=None) -> np.ndarray:
+def _upwind_gradient_term(vals, grid, work) -> np.ndarray:
     """(y/2).grad vals with second-order upwind one-sided differences.
 
     vals is the real view of a state, grid.shape + (2,); work holds three arrays
-    shaped like it: the result, then two scratch (a new block when not given).
-    The drift velocity y/2 points outward, so the stencil leans toward the
-    origin.  Boundary nodes of the result are left at zero.
+    shaped like it: the result, then two scratch.  The drift velocity y/2
+    points outward, so the stencil leans toward the origin.  Boundary nodes of
+    the result are left at zero.
     """
-    out, d, e = np.empty((3,) + vals.shape) if work is None else work
+    out, d, e = work
     k, vels = _drift_plan(grid)
     out.fill(0.0)
     for axis, vel in enumerate(vels):
@@ -455,22 +448,42 @@ def similarity_initial_state(
     return SimilarityState(s=idp.s0, grid=grid, w=w)
 
 
+def _physical_step_in_place(u, factor, edge_vals, dt, p, buf, mod) -> tuple:
+    """One semi-implicit step of d_t u = Lap u + u^p on u; returns (i, mod.flat[i]).
+
+    Diffusion (buf.T is the 2-D ADI buffer), reaction u + dt u^p with u^p in buf,
+    faces reset to edge_vals's, then mod = |u| and i = argmax; mod.flat[i] is
+    NaN or inf when a part of u is, and inf when |u| exceeds the largest double.
+    """
+    _diffuse_in_place(u, factor, buf.T if u.ndim == 2 else None)
+    if p == 2:  # what u**2 calls; np.power(u, 2) moves the last bit
+        np.square(u, out=buf)
+    else:
+        np.power(u, p, out=buf)
+    np.add(u, np.multiply(dt, buf, out=buf), out=u)
+    for axis in range(u.ndim):
+        face, vals = u.swapaxes(0, axis), edge_vals.swapaxes(0, axis)
+        face[0], face[-1] = vals[0], vals[-1]
+    np.abs(u, out=mod)
+    i = int(np.argmax(mod))
+    return i, float(mod.flat[i])
+
+
 def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> PhysicalState:
     """One semi-implicit step of d_t u = Lap u + u^p.
 
     Implicit diffusion, explicit reaction, Dirichlet boundary frozen at the
-    incoming boundary values.  On overflow the incoming state is returned
-    with status "overflow".
+    incoming boundary values.  On overflow (max|u| not finite) the incoming
+    state is returned with status "overflow".
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    u = _implicit_diffusion(state.u, grid.h, dt)
+    u, buf = state.u.copy(), np.empty_like(state.u)
+    factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
     with np.errstate(over="ignore", invalid="ignore"):
-        u = u + dt * u**params.p
-    edge = _edge_mask(grid)
-    u[edge] = state.u[edge]
-    if not np.all(np.isfinite(u)):
+        _, m = _physical_step_in_place(u, factor, state.u, dt, params.p, buf, np.empty(grid.shape))
+    if not math.isfinite(m):
         return dataclasses.replace(state, status="overflow")
     return PhysicalState(t=state.t + dt, grid=grid, u=u)
 
@@ -507,11 +520,13 @@ def run_physical_blowup(
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
     Every step is recorded, with u at the probes (x positions, 1-D grids
     only); a snapshot is kept whenever max|u| has grown by SNAPSHOT_FACTOR.
-    Returns (PhysicalTrajectory, T_estimate), and the trajectory's status
-    names what ended the run:
+    The steps run in place on one workspace allocated per run.  Returns
+    (PhysicalTrajectory, T_estimate), and the trajectory's status names what
+    ended the run:
 
     - "blown-up": max|u| reached stop_max (default 10^6 scaled by the
-      initial amplitude when that exceeds 1), or the next step overflowed;
+      initial amplitude when that exceeds 1), or max|u| became non-finite
+      (NaN or inf in u, or |u| past the largest double) in a step, then dropped;
     - "stalled": max|u| set no new peak for STALL_PATIENCE steps, or the
       MAX_STEPS budget ran out;
     - "receded": max|u| fell below half its peak after at least doubling.
@@ -526,8 +541,10 @@ def run_physical_blowup(
     if probes.size and grid.n_dim != 1:
         raise ValueError("probes are x positions and need a 1-D grid")
     _require_finite(u0.u)
-    mod0 = np.abs(u0.u)
-    m0 = float(np.max(mod0))
+    # the run's workspace: the state, u^p and |u|; each step resets u's faces to u0's
+    u, buf, mod = u0.u.copy(), np.empty_like(u0.u), np.abs(u0.u)
+    i = int(np.argmax(mod))
+    m0 = float(mod.flat[i])
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
     if stop_max is None:
@@ -537,70 +554,65 @@ def run_physical_blowup(
         meta={"eta": eta, "stop_max": stop_max, "p": params.p, "n_dim": params.n_dim},
     )
 
-    def snap(state):
-        traj.snapshots.append((state.t, state.u.copy()))
+    def snap():
+        traj.snapshots.append((t, u.copy()))
 
-    def record(state, dt, m, mod):
-        idx = np.unravel_index(int(np.argmax(mod)), grid.shape)
-        at_probes = np.interp(probes, ax, state.u) if probes.size else ()
-        traj.add(state.t, dt, m, ax[list(idx)], at_probes)
+    def record(m, i):
+        pos = ax[list(np.unravel_index(i, grid.shape))] if grid.n_dim > 1 else ax[i : i + 1]
+        traj.add(t, dt, m, pos, np.interp(probes, ax, u) if probes.size else ())
 
-    state = u0
-    m = m0
-    m_ref = m0
+    t, m_ref = u0.t, m0
     kp = params.kappa ** (params.p - 1)
     dt = eta * kp * m_ref ** (1 - params.p)
-    record(state, dt, m0, mod0)
-    snap(state)
-    m_snap = m0
-    peak = m0
-    steps_since_peak = 0
-    i_growth_end = 0
+    factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
+    record(m0, i)
+    snap()
+    m_snap = peak = m0
+    steps_since_peak = i_growth_end = 0
     status = "blown-up"
-    for _ in range(MAX_STEPS):
-        new_state = step_physical(state, dt, params)
-        if new_state.status == "overflow":
-            status = "blown-up"
-            break
-        state = new_state
-        mod = np.abs(state.u)
-        m = float(np.max(mod))
-        record(state, dt, m, mod)
-        if m > peak * (1.0 + 1e-9):
-            peak = m
-            steps_since_peak = 0
-            i_growth_end = len(traj.records) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            i, m = _physical_step_in_place(u, factor, u0.u, dt, params.p, buf, mod)
+            if not math.isfinite(m):
+                break  # overflow: the step is dropped and the run ends "blown-up"
+            t += dt
+            record(m, i)
+            if m > peak * (1.0 + 1e-9):
+                peak = m
+                steps_since_peak = 0
+                i_growth_end = len(traj.records) - 1
+            else:
+                steps_since_peak += 1
+            if m >= m_snap * SNAPSHOT_FACTOR:
+                snap()
+                m_snap = m
+            if m >= stop_max:
+                snap()
+                break
+            if m < 0.5 * peak:
+                if peak < 2.0 * m0:
+                    raise NoBlowupError(
+                        f"no blow-up detected: max|u| fell to {m:.4g} "
+                        f"from peak {peak:.4g}"
+                    )
+                # the collapse happened and then receded, which a genuinely
+                # decaying solution cannot do; the clean growth records still
+                # yield a blow-up time
+                status = "receded"
+                snap()
+                break
+            if steps_since_peak >= STALL_PATIENCE:
+                status = "stalled"
+                snap()
+                break
+            if m >= SHRINK_FACTOR * m_ref:
+                m_ref = m
+                dt = eta * kp * m_ref ** (1 - params.p)
+                factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
         else:
-            steps_since_peak += 1
-        if m >= m_snap * SNAPSHOT_FACTOR:
-            snap(state)
-            m_snap = m
-        if m >= stop_max:
-            snap(state)
-            break
-        if m < 0.5 * peak:
             if peak < 2.0 * m0:
-                raise NoBlowupError(
-                    f"no blow-up detected: max|u| fell to {m:.4g} "
-                    f"from peak {peak:.4g}"
-                )
-            # the collapse happened and then receded, which a genuinely
-            # decaying solution cannot do; the clean growth records still
-            # yield a blow-up time
-            status = "receded"
-            snap(state)
-            break
-        if steps_since_peak >= STALL_PATIENCE:
+                raise NoBlowupError("no blow-up detected: growth never took off")
             status = "stalled"
-            snap(state)
-            break
-        if m >= SHRINK_FACTOR * m_ref:
-            m_ref = m
-            dt = eta * kp * m_ref ** (1 - params.p)
-    else:
-        if peak < 2.0 * m0:
-            raise NoBlowupError("no blow-up detected: growth never took off")
-        status = "stalled"
     traj.status = status
 
     ts = traj.records["t"]

@@ -631,6 +631,27 @@ class TestExtractFinalProfile:
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
             dg.extract_final_profile(ptraj, 0.8)
 
+    def test_many_positions_match_one_at_a_time(self):
+        # one call over several x returns, bit for bit, each x's values or the
+        # error extract_final_profile raises there; here x > 1 does not converge
+        ptraj = self.make_converging()
+        ax = ptraj.grid.axis()
+        for k, (t, u) in enumerate(ptraj.snapshots):
+            u += np.where(ax > 1.0, (0.1 / 2**k) ** -0.3, 0.0)
+        xs = [-2.0, 3.0, -2.5, 1.7]
+        finals = dg.extract_final_profiles(ptraj, xs)
+        assert len(finals) == len(xs)
+        for x, final in zip(xs, finals):
+            try:
+                assert final == dg.extract_final_profile(ptraj, x)
+            except dg.NonConvergenceError as exc:
+                assert isinstance(final, dg.NonConvergenceError)
+                assert str(final) == str(exc)
+        assert [isinstance(f, tuple) for f in finals] == [True, False, True, False]
+        ptraj.snapshots = ptraj.snapshots[-1:]
+        finals = dg.extract_final_profiles(ptraj, xs)
+        assert all(isinstance(f, dg.NonConvergenceError) for f in finals)
+
     def test_needs_snapshots_before_blowup(self):
         grid = sp.Grid(1, 4.0, 65)
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
