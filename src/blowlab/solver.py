@@ -451,9 +451,9 @@ def similarity_initial_state(
 def _physical_step_in_place(u, factor, edge_vals, dt, p, buf, mod) -> tuple:
     """One semi-implicit step of d_t u = Lap u + u^p on u; returns (i, mod.flat[i]).
 
-    Diffusion (buf.T is the 2-D ADI buffer), reaction u + dt u^p with u^p in buf,
-    faces reset to edge_vals's, then mod = |u| and i = argmax; mod.flat[i] is
-    NaN or inf when a part of u is, and inf when |u| exceeds the largest double.
+    Diffusion (buf.T is the 2-D ADI buffer), reaction with u^p in buf, faces
+    copied from edge_vals, then mod = |u| and i = argmax; mod.flat[i] is NaN or
+    inf when a part of u is, and inf when |u| exceeds the largest double.
     """
     _diffuse_in_place(u, factor, buf.T if u.ndim == 2 else None)
     if p == 2:  # what u**2 calls; np.power(u, 2) moves the last bit
