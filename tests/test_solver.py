@@ -1,5 +1,6 @@
 """Tests for blowlab.solver: similarity and physical integrators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from blowlab import diagnostics as dg
 from blowlab import params as bp
 from blowlab import rhs
 from blowlab import solver
@@ -353,6 +355,114 @@ class TestEvolve:
         a, b = run("semi-implicit"), run("explicit-rk4")
         assert np.max(np.abs(a.w.real - b.w.real)) < 1e-3
         assert np.max(np.abs(a.w.imag - b.w.imag)) < 1e-3
+
+    @staticmethod
+    def replay(initial, cfg, pr, ssp):
+        """evolve's records and snapshots rebuilt from one step_similarity call per step.
+
+        Step k ends at s = initial.s + k ds (the remainder step at s_end), where the
+        pin removes the expanding content with the profile at that s; every
+        record_every steps and at the end the state is recorded with the removal
+        rate averaged since the previous record, and a snapshot is kept at the
+        first record at or past each snapshot_at value.
+        """
+        grid = initial.grid
+        r2 = grid.radius2()
+        rho, meshes = sp.weight_rho(r2, grid.n_dim), grid.meshes()
+        n_full = int(math.floor((cfg.s_end - initial.s) / cfg.ds + 1e-9))
+        remainder = cfg.s_end - initial.s - n_full * cfg.ds
+        steps = [cfg.ds] * n_full + ([remainder] if remainder >= 1e-12 * cfg.s_end else [])
+        pending = sorted(cfg.snapshot_at)
+        records, snapshots = [], []
+        removed, s_rec = np.zeros(1 + grid.n_dim, dtype=complex), initial.s
+
+        def record(state, phi):
+            nonlocal removed, s_rec
+            span = state.s - s_rec
+            rate = removed / span if span > 0 else np.zeros_like(removed)
+            records.append(solver._record_state(state, phi, pr, ssp, rate))
+            removed, s_rec = np.zeros_like(removed), state.s
+            while pending and state.s >= pending[0] - 1e-9:
+                pending.pop(0)
+                snapshots.append((state.s, state.w.copy()))
+
+        state = initial
+        record(state, bp.phi1(pr, r2, state.s) + 1j * bp.phi2(pr, r2, state.s))
+        for k, ds in enumerate(steps, start=1):
+            state = solver.step_similarity(state, cfg, pr, ds=ds)
+            s = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
+            phi = bp.phi1(pr, r2, s) + 1j * bp.phi2(pr, r2, s)
+            w = state.w
+            if cfg.pin_unstable_modes:
+                chi = rhs.cutoff_chi(cfg.cutoff, r2, s)
+                q, m = solver._remove_expanding_content(w - phi, grid, chi, rho, meshes)
+                removed = removed + m
+                w = phi + q
+            state = solver.SimilarityState(s=s, grid=grid, w=w)
+            if k % cfg.record_every == 0 or k == len(steps):
+                record(state, phi)
+        return records, snapshots
+
+    @staticmethod
+    def assert_same_values(got, want, where):
+        """Equal dataclass trees: arrays by np.array_equal, everything else by ==."""
+        if dataclasses.is_dataclass(got):
+            assert type(got) is type(want), where
+            for f in dataclasses.fields(got):
+                TestEvolve.assert_same_values(
+                    getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}"
+                )
+        elif isinstance(got, np.ndarray):
+            assert np.array_equal(got, want), where
+        else:
+            assert got == want or (got != got and want != want), where
+
+    @pytest.mark.parametrize(
+        "case", ["p2-1d-substeps-remainder", "p3-2d", "extrapolate", "rk4", "snapshots"]
+    )
+    def test_evolve_matches_step_similarity_replay(self, case):
+        # the run loop is bit for bit a sequence of step_similarity calls, each
+        # followed by the pin at the step's exact s: every record and snapshot
+        p, n_dim, half_width, npts = 2, 1, 24.0, 2049
+        kw = {"ds": 0.01, "s_end": 25.255, "pin_unstable_modes": True, "record_every": 10}
+        if case == "p3-2d":
+            p, n_dim, npts = 3, 2, 65
+            kw.update(ds=0.005, s_end=25.1, record_every=5)
+        elif case == "extrapolate":
+            p, npts = 3, 257
+            kw.update(boundary="extrapolate", s_end=25.3, pin_unstable_modes=False)
+        elif case == "rk4":
+            half_width, npts = 8.0, 129
+            kw.update(scheme="explicit-rk4", s_end=25.13, record_every=4)
+        elif case == "snapshots":
+            npts = 257
+            kw.update(s_end=25.5, record_every=7, snapshot_at=(25.0, 25.2, 25.31, 25.5, 26.0))
+        pr = bp.make_params(p, n_dim)
+        grid = sp.Grid(n_dim, half_width, npts)
+        cfg = solver.SolverConfig(**kw)
+        cut = rhs.CutoffSpec(K=5.0)
+        idp = rhs.InitialDataParams(
+            A=10.0, s0=25.0, p1=0.5, d1_const=0.3, d1_lin=[0.2] * n_dim,
+            d2_const=-0.4, d2_lin=[0.1] * n_dim, n_dim=n_dim,
+        )
+        initial = solver.similarity_initial_state(pr, idp, cut, grid)
+        if case == "p2-1d-substeps-remainder":
+            assert solver._substep_count(cfg, grid, cfg.ds) == 6
+        before = initial.w.copy()
+        ssp = dg.ShrinkingSetParams(K=cut.K)
+        traj = solver.evolve(initial, cfg, pr, ssp=ssp)
+        assert np.array_equal(initial.w, before)
+        records, snapshots = self.replay(initial, cfg, pr, ssp)
+        assert len(traj.records) == len(records)
+        assert traj.records[-1].s == cfg.s_end
+        for k, (got, want) in enumerate(zip(traj.records, records)):
+            self.assert_same_values(got, want, f"record {k}")
+        assert len(traj.snapshots) == len(snapshots)
+        if case == "snapshots":
+            assert len(snapshots) == 4
+        for (s_got, w_got), (s_want, w_want) in zip(traj.snapshots, snapshots):
+            assert s_got == s_want
+            assert np.array_equal(w_got, w_want)
 
 
 class TestInstability:

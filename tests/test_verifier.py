@@ -5,6 +5,7 @@ cross-checked against two independent numeric routes (stencil residuals
 and a high-order integrator) before being frozen.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -267,3 +268,20 @@ def test_run_all_seed_recorded_in_sampled_checks():
     sampled = [r for r in payload["reports"] if r["seed"] is not None]
     assert sampled
     assert all(r["seed"] == 11 for r in sampled)
+
+
+# sha256 of json.dumps(run_all(ps=2..9, ns=(1, 2), seed), sort_keys=True), recorded
+# before the battery's sweeps were restructured to evaluate each quantity once per s
+RUN_ALL_SHA256 = {
+    0: "a77a537fa7fa292fc743a2bc420aa4be6f48189e37ce212d7cec6b3c4f38a1c9",
+    5: "7969468d8d0b30f7303d708d7fc880f3a86dbd0bce6694b1bfa11d74a9a0ea5b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RUN_ALL_SHA256))
+def test_run_all_matches_recorded_bytes(seed):
+    # every report of the full battery, bit for bit: a reordering of the
+    # floating-point work in any check, or a moved sample, shows here
+    payload = bv.run_all(ps=range(2, 10), ns=(1, 2), seed=seed)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_ALL_SHA256[seed]
