@@ -142,6 +142,10 @@ class SolverConfig:
     snapshot_at: tuple = ()
 
     def __post_init__(self):
+        # a bool is an int, so True would pass as 1 without these checks
+        for name in ("ds", "s_end"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.ds > 0:
             raise ValueError(f"ds must be positive, got {self.ds}")
         if self.scheme not in SCHEMES:
@@ -152,7 +156,8 @@ class SolverConfig:
             raise ValueError(
                 f"semi-implicit scheme requires ds <= 0.01, got {self.ds}"
             )
-        if not isinstance(self.record_every, int) or self.record_every < 1:
+        if (isinstance(self.record_every, bool) or not isinstance(self.record_every, int)
+                or self.record_every < 1):
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 

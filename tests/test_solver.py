@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             solver.SolverConfig(ds=0.01, s_end=30.0, record_every=0)
 
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    @pytest.mark.parametrize("field", ["ds", "s_end", "record_every"])
+    def test_booleans_refused(self, field, scheme):
+        # a bool is an int: record_every=True would record every step and
+        # ds=True would run as ds = 1 under explicit-rk4
+        kw = {"ds": 5e-3, "s_end": 26.0, "scheme": scheme, field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be .*got True"):
+            solver.SolverConfig(**kw)
+
     def test_substep_count_frozen(self):
         cfg = solver.SolverConfig(ds=0.01, s_end=30.0)
         grid = sp.Grid(1, 80.0, 801)  # h = 0.2, drift CFL = 2.0
