@@ -67,18 +67,46 @@ def _check_nonneg(z2, name: str):
     return z2
 
 
+def _base(params: Params, z2):
+    """p-1 + b z^2, the base of the profile powers."""
+    return params.p - 1 + params.b * z2
+
+
+def _f0(params: Params, a):
+    return a ** (-1.0 / (params.p - 1))
+
+
+def _g0(params: Params, z2, a):
+    return z2 * a ** (-params.p / (params.p - 1.0))
+
+
 def f0(params: Params, z2):
     """Modulus-part profile f0(z^2) = (p-1 + b z^2)^{-1/(p-1)}."""
     z2 = _check_nonneg(z2, "z2")
-    p = params.p
-    return (p - 1 + params.b * z2) ** (-1.0 / (p - 1))
+    return _f0(params, _base(params, z2))
 
 
 def g0(params: Params, z2):
     """Imaginary-part profile g0(z^2) = z^2 (p-1 + b z^2)^{-p/(p-1)}."""
     z2 = _check_nonneg(z2, "z2")
-    p = params.p
-    return z2 * (p - 1 + params.b * z2) ** (-p / (p - 1.0))
+    return _g0(params, z2, _base(params, z2))
+
+
+def _similarity_base(params: Params, y2, s):
+    """(z2, a): z2 = |y|^2/s and its base a, for validated y2 and s > 0."""
+    if np.any(np.asarray(s) <= 0):
+        raise ValueError(f"s must be > 0, got {s}")
+    z2 = _check_nonneg(y2, "y2") / s
+    return z2, _base(params, z2)
+
+
+def _phi1(params: Params, a, s):
+    return _f0(params, a) + params.n_dim * params.kappa / (2.0 * params.p * s)
+
+
+def _phi2(params: Params, z2, a, s):
+    shift = 2.0 * params.n_dim * params.kappa / ((params.p - 1) * s * s)
+    return _g0(params, z2, a) / s - shift
 
 
 def phi1(params: Params, y2, s):
@@ -86,10 +114,8 @@ def phi1(params: Params, y2, s):
 
     phi1(y, s) = f0(|y|^2/s) + n kappa/(2 p s); s may be an array broadcasting against y2.
     """
-    if np.any(np.asarray(s) <= 0):
-        raise ValueError(f"s must be > 0, got {s}")
-    y2 = _check_nonneg(y2, "y2")
-    return f0(params, y2 / s) + params.n_dim * params.kappa / (2.0 * params.p * s)
+    _, a = _similarity_base(params, y2, s)
+    return _phi1(params, a, s)
 
 
 def phi2(params: Params, y2, s):
@@ -98,11 +124,20 @@ def phi2(params: Params, y2, s):
     phi2(y, s) = (|y|^2/s^2)(p-1 + b|y|^2/s)^{-p/(p-1)} - 2 n kappa/((p-1)s^2),
     i.e. g0(|y|^2/s)/s shifted so its Gaussian mean vanishes to leading order; s as in phi1.
     """
-    if np.any(np.asarray(s) <= 0):
-        raise ValueError(f"s must be > 0, got {s}")
-    y2 = _check_nonneg(y2, "y2")
-    p = params.p
-    return g0(params, y2 / s) / s - 2.0 * params.n_dim * params.kappa / ((p - 1) * s * s)
+    return _phi2(params, *_similarity_base(params, y2, s), s)
+
+
+def phi(params: Params, y2, s) -> np.ndarray:
+    """The profile pair as one complex array, phi1 + i phi2, bit for bit.
+
+    Validates once and forms the base p-1 + b|y|^2/s once for both parts;
+    s as in phi1.
+    """
+    z2, a = _similarity_base(params, y2, s)
+    out = np.empty(np.shape(a), dtype=np.complex128)
+    out.real = _phi1(params, a, s)
+    out.imag = _phi2(params, z2, a, s)
+    return out
 
 
 class ConstantsUnresolvedError(ValueError):

@@ -11,8 +11,11 @@ Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
 default scheme is operator splitting per step: implicit diffusion
 (tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
 drift, explicit reaction.  Splitting is first order in ds and second order
-in h.  Substeps, taken when the drift CFL y_max ds/(2h) exceeds CFL_SAFETY,
-run in place in one workspace per step and share one boundary-value call.
+in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
+CFL_SAFETY.  evolve steps one workspace per run (the state, three scratch
+arrays and the drift stencil's views on them) through step_similarity, once
+per step, and takes the clamped boundary values of every substep up to the
+next record from one profile call.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
@@ -209,32 +212,48 @@ def _drift_plan(grid: _spectral.Grid) -> tuple:
     return int(np.count_nonzero(ax[1:-2] < 0.0)), vels
 
 
-def _upwind_gradient_term(vals, grid, work) -> np.ndarray:
-    """(y/2).grad vals with second-order upwind one-sided differences.
+def _drift_views(grid: _spectral.Grid, vals, work) -> tuple:
+    """The drift stencil's operands as views: (out, per-axis tuples) for _drift.
 
     vals is the real view of a state, grid.shape + (2,); work holds three arrays
-    shaped like it: the result, then two scratch.  The drift velocity y/2
-    points outward, so the stencil leans toward the origin.  Boundary nodes of
-    the result are left at zero.
+    shaped like it: the result out, then two scratch.  Views follow the contents
+    of the arrays they are taken from, so a run builds them once.
     """
     out, d, e = work
     k, vels = _drift_plan(grid)
-    out.fill(0.0)
+    views = []
     for axis, vel in enumerate(vels):
         m, dm, em, om = (a.swapaxes(0, axis) for a in (vals, d, e, out))
-        # outward flow on the left half: stencil uses i, i+1, i+2
-        dl, el = dm[1 : k + 1], em[1 : k + 1]
-        np.multiply(-3.0, m[1 : k + 1], out=dl)
-        np.add(dl, np.multiply(4.0, m[2 : k + 2], out=el), out=dl)
-        np.divide(np.subtract(dl, m[3 : k + 3], out=dl), 2.0 * grid.h, out=dl)
-        # outward flow on the right half: stencil uses i, i-1, i-2
-        dr, er = dm[k + 1 : -1], em[k + 1 : -1]
-        np.multiply(3.0, m[k + 1 : -1], out=dr)
-        np.subtract(dr, np.multiply(4.0, m[k:-2], out=er), out=dr)
-        np.divide(np.add(dr, m[k - 1 : -3], out=dr), 2.0 * grid.h, out=dr)
-        np.multiply(vel, dm[1:-1], out=dm[1:-1])
-        np.add(om[1:-1], dm[1:-1], out=om[1:-1])
+        # outward flow on the left half: stencil uses i, i+1, i+2; on the right
+        # half i, i-1, i-2
+        left = (dm[1 : k + 1], em[1 : k + 1], m[1 : k + 1], m[2 : k + 2], m[3 : k + 3])
+        right = (dm[k + 1 : -1], em[k + 1 : -1], m[k + 1 : -1], m[k:-2], m[k - 1 : -3])
+        views.append((left, right, vel, dm[1:-1], om[1:-1]))
+    return out, tuple(views), 2.0 * grid.h
+
+
+def _drift(out, views, two_h) -> np.ndarray:
+    """(y/2).grad vals into out with second-order upwind one-sided differences.
+
+    The drift velocity y/2 points outward, so the stencil leans toward the
+    origin.  Boundary nodes of the result are left at zero.
+    """
+    out.fill(0.0)
+    for (dl, el, l0, l1, l2), (dr, er, r0, r1, r2), vel, dc, oc in views:
+        np.multiply(-3.0, l0, out=dl)
+        np.add(dl, np.multiply(4.0, l1, out=el), out=dl)
+        np.divide(np.subtract(dl, l2, out=dl), two_h, out=dl)
+        np.multiply(3.0, r0, out=dr)
+        np.subtract(dr, np.multiply(4.0, r1, out=er), out=dr)
+        np.divide(np.add(dr, r2, out=dr), two_h, out=dr)
+        np.multiply(vel, dc, out=dc)
+        np.add(oc, dc, out=oc)
     return out
+
+
+def _upwind_gradient_term(vals, grid, work) -> np.ndarray:
+    """(y/2).grad vals by _drift on views built for this one call (see _drift_views)."""
+    return _drift(*_drift_views(grid, vals, work))
 
 
 @functools.lru_cache(maxsize=32)
@@ -276,38 +295,34 @@ def _rk4_rhs(w, grid, params):
     return _complex(lap - g) - inv * w + w**params.p
 
 
-def _profile(params: _params.Params, r2: np.ndarray, s: float) -> np.ndarray:
-    """The profile pair as one complex array, Phi1 + i Phi2."""
-    return _params.phi1(params, r2, s) + 1j * _params.phi2(params, r2, s)
+class _Workspace:
+    """In-place buffers of similarity steps: the state w, a block of three arrays
+    shaped like it, the drift stencil's views on their real views, and the
+    boundary nodes as indices (in _edge_mask's order; a mask is slower to apply)."""
+
+    def __init__(self, grid: _spectral.Grid, w: np.ndarray):
+        self.w = w
+        self.block = np.empty((3,) + grid.shape, np.complex128)
+        self.drift = _drift_views(grid, _real(w), _real(self.block))
+        self.edge = np.nonzero(_edge_mask(grid))
 
 
-def step_similarity(
-    state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None
-) -> SimilarityState:
-    """Advance the similarity-frame state by one step of length ds (default cfg.ds).
+def _clamp_values(params: _params.Params, grid: _spectral.Grid, s) -> np.ndarray:
+    """Phi1 + i Phi2 on the boundary nodes, one row per entry of the 1-D array s."""
+    return _params.phi(params, grid.radius2()[_edge_mask(grid)][None, :], s[:, None])
 
-    One workspace per step, dropped on return: the semi-implicit substeps solve,
-    drift and react in place on a copy of state.w; one _profile call clamps them all.
-    """
-    if ds is None:
-        ds = cfg.ds
-    grid = state.grid
-    n_sub = _substep_count(cfg, grid, ds)
-    dss = ds / n_sub
-    s_sub = state.s + np.arange(1, n_sub + 1) * dss
-    edge = _edge_mask(grid)
-    if cfg.boundary == "profile-clamp":
-        clamp = _profile(params, grid.radius2()[edge][None, :], s_sub[:, None])
-    w = state.w
+
+def _similarity_step_in_place(work, grid, cfg, params, n_sub, dss, clamp) -> None:
+    """n_sub substeps of length dss on work.w; clamp[k] holds substep k's boundary values."""
+    w = work.w
     if cfg.scheme == "semi-implicit":
         factor = _diffusion_factor(grid.shape[0], dss / (grid.h * grid.h))
-        w = w.copy()
-        a, b, _ = block = np.empty((3,) + grid.shape, np.complex128)
-        wr, work, inv = _real(w), _real(block), 1.0 / (params.p - 1)
+        a, b, _ = work.block
+        wr, inv = _real(w), 1.0 / (params.p - 1)
     for k in range(n_sub):
         if cfg.scheme == "semi-implicit":
             _diffuse_in_place(w, factor, a.T)
-            drift = _upwind_gradient_term(wr, grid, work)
+            drift = _drift(*work.drift)
             np.subtract(wr, np.multiply(dss, drift, out=drift), out=wr)
             if params.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
                 np.square(w, out=a)
@@ -320,17 +335,41 @@ def step_similarity(
             k2 = _rk4_rhs(w + 0.5 * dss * k1, grid, params)
             k3 = _rk4_rhs(w + 0.5 * dss * k2, grid, params)
             k4 = _rk4_rhs(w + dss * k3, grid, params)
-            w = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            w[...] = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if cfg.boundary == "profile-clamp":
-            w[edge] = clamp[k]
+            w[work.edge] = clamp[k]
         else:
             _extrapolate_boundary(w)
-    s = float(s_sub[-1])
+
+
+def step_similarity(
+    state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None,
+    *, work: _Workspace = None, clamp: np.ndarray = None,
+) -> SimilarityState:
+    """Advance the similarity-frame state by one step of length ds (default cfg.ds).
+
+    The substeps solve, drift and react in place on a workspace: by default a
+    new one holding a copy of state.w, with the clamped boundary values of all
+    substeps from one profile call, so state is left as it was.  evolve passes
+    its run's workspace, whose w is state.w, and the boundary values of the
+    step's substeps (clamp, n_sub rows); the step then overwrites state.w.
+    """
+    if ds is None:
+        ds = cfg.ds
+    grid = state.grid
+    n_sub = _substep_count(cfg, grid, ds)
+    dss = ds / n_sub
+    if work is None:
+        work = _Workspace(grid, state.w.copy())
+    if clamp is None and cfg.boundary == "profile-clamp":
+        clamp = _clamp_values(params, grid, state.s + np.arange(1, n_sub + 1) * dss)
+    _similarity_step_in_place(work, grid, cfg, params, n_sub, dss, clamp)
+    s = float(state.s + n_sub * dss)
     # the larger of max|w1| and max|w2|, as recorded in max_w
-    max_w = float(np.max(np.abs(_real(w))))
+    max_w = float(np.max(np.abs(_real(work.w))))
     if not math.isfinite(max_w) or max_w > 10.0 * params.kappa:
         raise BlowupInSimilarityError(s, max_w)
-    return SimilarityState(s=s, grid=grid, w=w)
+    return SimilarityState(s=s, grid=grid, w=work.w)
 
 
 def _remove_expanding_content(q, grid, chi, rho, meshes):
@@ -374,7 +413,9 @@ def evolve(
     The observer, when given, is called with each appended record.  Step
     errors propagate with the failing s attached.  When pinning is enabled
     the removal rates (amount removed per unit s, averaged since the
-    previous record) ride along on each record.
+    previous record) ride along on each record.  The steps run in place on
+    one workspace per run and give the same values as step_similarity calls
+    on fresh copies; initial is left as it was.
     """
     if not initial.s >= 1.0:
         raise ValueError(f"initial s must be >= 1, got {initial.s}")
@@ -419,23 +460,38 @@ def evolve(
             pending_snaps.pop(0)
             traj.snapshots.append((state.s, state.w.copy()))
 
-    state = initial
-    push(state, _profile(params, r2, state.s))
+    # the run's workspace; every state of the loop holds its w
+    state = SimilarityState(s=initial.s, grid=grid, w=initial.w.copy())
+    work = _Workspace(grid, state.w)
+    push(state, _params.phi(params, r2, state.s))
     total_steps = n_full + (1 if remainder > 0 else 0)
+    n_sub = _substep_count(cfg, grid, cfg.ds)
+    substeps = np.arange(1, n_sub + 1) * (cfg.ds / n_sub)
     for k in range(1, total_steps + 1):
         ds_k = cfg.ds if k <= n_full else remainder
-        state = step_similarity(state, cfg, params, ds=ds_k)
+        clamp = None  # the remainder step makes its own
+        if cfg.boundary == "profile-clamp" and k <= n_full:
+            j = (k - 1) % cfg.record_every
+            if j == 0:
+                # boundary values of every substep up to the next record, at the s
+                # step_similarity gives them: step i starts at initial.s + i ds
+                steps = np.arange(k - 1, min(k - 1 + cfg.record_every, n_full))
+                starts = initial.s + steps * cfg.ds
+                block = _clamp_values(params, grid, (starts[:, None] + substeps).ravel())
+                block = block.reshape(len(starts), n_sub, -1)
+            clamp = block[j]
+        state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
         # keep s exact against accumulation drift
         s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
         state = dataclasses.replace(state, s=s_exact)
         record = k % cfg.record_every == 0 or k == total_steps
         if cfg.pin_unstable_modes or record:
-            phi = _profile(params, r2, state.s)
+            phi = _params.phi(params, r2, state.s)
         if cfg.pin_unstable_modes:
             chi = _rhs.cutoff_chi(cfg.cutoff, r2, state.s)
             q_new, removed = _remove_expanding_content(state.w - phi, grid, chi, rho, meshes)
             removed_sum += removed
-            state = SimilarityState(s=state.s, grid=grid, w=phi + q_new)
+            np.add(phi, q_new, out=state.w)
         if record:
             push(state, phi)
     return traj
@@ -449,7 +505,7 @@ def similarity_initial_state(
 ) -> SimilarityState:
     """Profile plus localized deviation data at s = idp.s0 on the given grid."""
     q1, q2 = _rhs.initial_data(params, idp, cut, grid)
-    w = _profile(params, grid.radius2(), idp.s0) + (q1 + 1j * q2)
+    w = _params.phi(params, grid.radius2(), idp.s0) + (q1 + 1j * q2)
     return SimilarityState(s=idp.s0, grid=grid, w=w)
 
 

@@ -120,6 +120,36 @@ class TestProfiles:
             with pytest.raises(ValueError, match="s must be > 0"):
                 phi(self.p2, 1.0, -s)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(2, bp.MAX_P),
+        n_dim=st.integers(1, 2),
+        y2=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=9),
+        s=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=7),
+    )
+    def test_phi_is_phi1_plus_i_phi2_bit_for_bit(self, p, n_dim, y2, s):
+        # the one-call complex profile against the two real calls it replaces,
+        # for a scalar s and for an (m, 1) column of s against a row of y2
+        pr = bp.make_params(p, n_dim)
+        y2 = np.array(y2)
+        for y2_arg, s_arg in ((y2, s[0]), (y2[None, :], np.array(s)[:, None])):
+            got = bp.phi(pr, y2_arg, s_arg)
+            want = bp.phi1(pr, y2_arg, s_arg) + 1j * bp.phi2(pr, y2_arg, s_arg)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "y2,s,match",
+        [(1.0, 0.0, "s must be > 0"),
+         (np.ones((1, 3)), np.array([[25.0], [-1.0]]), "s must be > 0"),
+         (np.array([1.0, -1e-3]), 25.0, "y2 is a squared radius"),
+         (-1.0, -1.0, "s must be > 0")],
+    )
+    def test_phi_raises_as_phi1_and_phi2(self, y2, s, match):
+        for fn in (bp.phi, bp.phi1, bp.phi2):
+            with pytest.raises(ValueError, match=match):
+                fn(self.p2, y2, s)
+
     def test_phi2_mean_shift_scaling(self):
         # second term is -2 n kappa / ((p-1) s^2) for any p, n
         pr = bp.make_params(3, 2)
