@@ -83,9 +83,11 @@ def potentials_vjk(params: Params, y2, s):
       V21 = dF2/du1                    V22 = dF2/du2 - p Phi1^{p-1}
     For p=2 they reduce to V11 = V22 = 0, V12 = -2 Phi2, V21 = 2 Phi2.
     """
-    p = params.p
-    p1v = phi1(params, y2, s)
-    p2v = phi2(params, y2, s)
+    return _vjk(params.p, phi1(params, y2, s), phi2(params, y2, s))
+
+
+def _vjk(p: int, p1v, p2v):
+    """potentials_vjk at the profile values p1v = Phi1, p2v = Phi2."""
     p2sq = p2v * p2v
     shape = np.broadcast(p1v, p2v).shape
     v11 = np.zeros(shape)
@@ -110,7 +112,8 @@ def quadratic_b(params: Params, q1, q2, y2, s):
     """Pure second-order Taylor remainder of (F1, F2) at the profile pair.
 
     B_i(q) = F_i(Phi + q) - F_i(Phi) - [Jacobian at Phi] q.  For p = 2 this
-    is exactly (q1^2 - q2^2, 2 q1 q2).
+    is exactly (q1^2 - q2^2, 2 q1 q2).  q1 and q2 broadcast against y2, so
+    a stack of deviations shares one evaluation of the profile terms.
     """
     p = params.p
     q1 = np.asarray(q1, dtype=float)
@@ -119,7 +122,7 @@ def quadratic_b(params: Params, q1, q2, y2, s):
     p2v = phi2(params, y2, s)
     f1_pert, f2_pert = f1f2(p1v + q1, p2v + q2, p)
     f1_base, f2_base = f1f2(p1v, p2v, p)
-    v11, v12, v21, v22 = potentials_vjk(params, y2, s)
+    v11, v12, v21, v22 = _vjk(p, p1v, p2v)
     diag = p * p1v ** (p - 1)
     b1 = f1_pert - f1_base - (diag + v11) * q1 - v12 * q2
     b2 = f2_pert - f2_base - v21 * q1 - (diag + v22) * q2

@@ -444,10 +444,6 @@ def _bounded_verdict(s_grid, sups) -> dict:
     return verdict
 
 
-def _sweep_bound(s_grid, sup_fn) -> dict:
-    return _bounded_verdict(s_grid, [sup_fn(s) for s in s_grid])
-
-
 def check_potential_bounds(
     params: _params.Params, s_grid=None, K: float = 5.0
 ) -> CheckReport:
@@ -459,43 +455,31 @@ def check_potential_bounds(
         raise ValueError("s_grid must lie in [10, 1e4]")
     n = params.n_dim
 
-    def radial(s, factor=20.0):
-        r = np.linspace(0.0, factor * math.sqrt(s), 2001)
-        return r, r * r
-
-    bounds = {}
-
-    def v_global(s):
-        _, r2 = radial(s)
-        return np.max(np.abs(_rhs.potential_v(params, r2, s)))
-
-    def v_quad(s):
-        r, r2 = radial(s)
-        return np.max(np.abs(_rhs.potential_v(params, r2, s)) * s / (1.0 + r2))
-
-    def v_tilde(s):
-        r = np.linspace(0.0, 2.0 * K * math.sqrt(s), 2001)
+    def sups(s):
+        # every sup at one s, from one evaluation of each potential per grid
+        r = np.linspace(0.0, 20.0 * math.sqrt(s), 2001)
         r2 = r * r
-        tilde = _rhs.potential_v(params, r2, s) + (r2 - 2.0 * n) / (4.0 * s)
-        return np.max(np.abs(tilde) * s**2 / (1.0 + r2**2))
-
-    def vjk(s, pick, weight_pow, s_pow):
-        r, r2 = radial(s)
+        v = np.abs(_rhs.potential_v(params, r2, s))
         v11, v12, v21, v22 = _rhs.potentials_vjk(params, r2, s)
-        tot = np.abs(pick((v11, v12, v21, v22), 0)) + np.abs(pick((v11, v12, v21, v22), 1))
-        w = 1.0 if weight_pow == 0 else (1.0 + r2 ** (weight_pow // 2))
-        return np.max(tot * s**s_pow / w)
+        vdiag = np.abs(v11) + np.abs(v22)
+        voff = np.abs(v12) + np.abs(v21)
+        r_in = np.linspace(0.0, 2.0 * K * math.sqrt(s), 2001)
+        r2_in = r_in * r_in
+        tilde = _rhs.potential_v(params, r2_in, s) + (r2_in - 2.0 * n) / (4.0 * s)
+        return (
+            np.max(v),
+            np.max(v * s / (1.0 + r2)),
+            np.max(np.abs(tilde) * s**2 / (1.0 + r2_in**2)),
+            np.max(vdiag * s**2.0),
+            np.max(voff * s),
+            np.max(vdiag * s**4.0 / (1.0 + r2**2)),
+            np.max(voff * s**2.0 / (1.0 + r2)),
+        )
 
-    diag = lambda vs, i: vs[0] if i == 0 else vs[3]
-    off = lambda vs, i: vs[1] if i == 0 else vs[2]
-
-    bounds["V_global"] = _sweep_bound(s_grid, v_global)
-    bounds["V_quadratic_over_s"] = _sweep_bound(s_grid, v_quad)
-    bounds["V_tilde"] = _sweep_bound(s_grid, v_tilde)
-    bounds["Vdiag_sup_s2"] = _sweep_bound(s_grid, lambda s: vjk(s, diag, 0, 2.0))
-    bounds["Voff_sup_s"] = _sweep_bound(s_grid, lambda s: vjk(s, off, 0, 1.0))
-    bounds["Vdiag_weighted_s4"] = _sweep_bound(s_grid, lambda s: vjk(s, diag, 4, 4.0))
-    bounds["Voff_weighted_s2"] = _sweep_bound(s_grid, lambda s: vjk(s, off, 2, 2.0))
+    names = ("V_global", "V_quadratic_over_s", "V_tilde", "Vdiag_sup_s2", "Voff_sup_s",
+             "Vdiag_weighted_s4", "Voff_weighted_s2")
+    per_s = np.array([sups(s) for s in s_grid])
+    bounds = {name: _bounded_verdict(s_grid, per_s[:, i]) for i, name in enumerate(names)}
 
     s_top = float(s_grid[-1])
     origin = float(_rhs.potential_v(params, np.array([0.0]), s_top)[0] * s_top)
@@ -529,10 +513,13 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
         r2 = r * r
         # floor the small-deviation scale: the remainder is a difference of
         # order-one quantities, so probing below ~1e-5 measures roundoff
-        for scale in (1.0, max(math.log(s) / s**2, 1e-5)):
-            q1 = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
-            q2 = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
-            b1, b2 = _rhs.quadratic_b(params, q1, q2, r2, s)
+        scales = (1.0, max(math.log(s) / s**2, 1e-5))
+        q1s, q2s = np.empty((2, len(scales)) + r2.shape)
+        for i, scale in enumerate(scales):
+            q1s[i] = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
+            q2s[i] = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
+        b1s, b2s = _rhs.quadratic_b(params, q1s, q2s, r2, s)
+        for scale, q1, q2, b1, b2 in zip(scales, q1s, q2s, b1s, b2s):
             den1 = q1**2 + q2**2
             den2 = q1**2 / s + np.abs(q1 * q2) + q2**2
             keep = den1 > 1e-300
@@ -580,23 +567,23 @@ def check_rest_bounds(
     c2 = -n * (n + 4) * kappa / (p - 1.0)
 
     # fitted origin constants from the scaling of R(0, s)
-    r1_origin = np.array([_rhs.rest_r(params, np.array([0.0]), s)[0][0] for s in s_grid])
-    r2_origin = np.array([_rhs.rest_r(params, np.array([0.0]), s)[1][0] for s in s_grid])
-    c1_fit = _diag.line_fit(1.0 / s_grid, r1_origin * s_grid**2)[0]
-    c2_fit = _diag.line_fit(1.0 / s_grid, r2_origin * s_grid**3)[0]
+    origin = np.array([_rhs.rest_r(params, np.array([0.0]), s) for s in s_grid])[:, :, 0]
+    c1_fit = _diag.line_fit(1.0 / s_grid, origin[:, 0] * s_grid**2)[0]
+    c2_fit = _diag.line_fit(1.0 / s_grid, origin[:, 1] * s_grid**3)[0]
     c2_err = abs(c2_fit - c2) / abs(c2)
 
-    def tilde_sup(s, which, weight_pow, s_pow, c_lead, lead_pow):
+    def tilde_sups(s):
+        # both components less their leading origin terms, weighted
         r = np.linspace(0.0, 2.0 * K * math.sqrt(s), 2001)
         r2 = r * r
-        rest = _rhs.rest_r(params, r2, s)[which]
-        tilde = rest - c_lead / s**lead_pow
-        return np.max(np.abs(tilde) * s**s_pow / (1.0 + r2 ** (weight_pow // 2)))
+        rest1, rest2 = _rhs.rest_r(params, r2, s)
+        return (np.max(np.abs(rest1 - c1 / s**2.0) * s**3.0 / (1.0 + r2**2)),
+                np.max(np.abs(rest2 - c2 / s**3.0) * s**4.0 / (1.0 + r2**3)))
 
-    def sup_norm(s, which, s_pow):
+    def sup_norms(s):
         r = np.linspace(0.0, 20.0 * math.sqrt(s), 2001)
-        rest = _rhs.rest_r(params, r * r, s)[which]
-        return np.max(np.abs(rest)) * s**s_pow
+        rest1, rest2 = _rhs.rest_r(params, r * r, s)
+        return np.max(np.abs(rest1)) * s, np.max(np.abs(rest2)) * s**2.0
 
     # the subtracted remainder comes out of cancelling order-one terms, so
     # past s ~ 3e3 the s^3-amplified roundoff floor overtakes it; its sweep
@@ -604,11 +591,13 @@ def check_rest_bounds(
     s_tilde = s_grid[s_grid <= 3e3]
     if len(s_tilde) < 4:
         s_tilde = np.geomspace(s_grid[0], min(3e3, s_grid[-1]), 9)
+    tilde = np.array([tilde_sups(s) for s in s_tilde])
+    sup = np.array([sup_norms(s) for s in s_grid])
     bounds = {
-        "R1_tilde": _sweep_bound(s_tilde, lambda s: tilde_sup(s, 0, 4, 3.0, c1, 2.0)),
-        "R2_tilde": _sweep_bound(s_tilde, lambda s: tilde_sup(s, 1, 6, 4.0, c2, 3.0)),
-        "R1_sup": _sweep_bound(s_grid, lambda s: sup_norm(s, 0, 1.0)),
-        "R2_sup": _sweep_bound(s_grid, lambda s: sup_norm(s, 1, 2.0)),
+        "R1_tilde": _bounded_verdict(s_tilde, tilde[:, 0]),
+        "R2_tilde": _bounded_verdict(s_tilde, tilde[:, 1]),
+        "R1_sup": _bounded_verdict(s_grid, sup[:, 0]),
+        "R2_sup": _bounded_verdict(s_grid, sup[:, 1]),
     }
     worst_slope = max(v["slope"] for v in bounds.values())
     passed = all(v["bounded"] for v in bounds.values()) and c2_err < 0.01
