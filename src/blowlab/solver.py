@@ -145,8 +145,8 @@ class SolverConfig:
     snapshot_at: tuple = ()
 
     def __post_init__(self):
-        # a bool is an int, so True would pass as 1 without these checks
-        for name in ("ds", "s_end"):
+        # a bool is an int, so True would pass as 1 without this check
+        for name in ("ds", "s_end", "record_every"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.ds > 0:
@@ -159,8 +159,7 @@ class SolverConfig:
             raise ValueError(
                 f"semi-implicit scheme requires ds <= 0.01, got {self.ds}"
             )
-        if (isinstance(self.record_every, bool) or not isinstance(self.record_every, int)
-                or self.record_every < 1):
+        if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
@@ -199,37 +198,30 @@ def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
     lapack.zgttrs(*factor, w.T, overwrite_b=1)
 
 
-@functools.lru_cache(maxsize=32)
-def _drift_plan(grid: _spectral.Grid) -> tuple:
-    """(k, vels): interior nodes 1..k lie at y < 0, the rest at y >= 0; vels[axis]
-    is y/2 on the interior, shaped to multiply a real view with that axis first."""
-    ax = grid.axis()
-    # on the last axis y/2 is repeated for both components: one long loop, not pairs
-    vel = np.repeat(0.5 * ax[1:-1], 2)
-    vel.setflags(write=False)
-    lead = (-1,) + (1,) * (grid.n_dim - 1)
-    vels = (vel[::2].reshape(lead + (1,)),) * (grid.n_dim - 1) + (vel.reshape(lead + (2,)),)
-    return int(np.count_nonzero(ax[1:-2] < 0.0)), vels
-
-
 def _drift_views(grid: _spectral.Grid, vals, work) -> tuple:
-    """The drift stencil's operands as views: (out, per-axis tuples) for _drift.
+    """(out, per-axis views, 2h): the drift stencil's operands, for _drift.
 
     vals is the real view of a state, grid.shape + (2,); work holds three arrays
     shaped like it: the result out, then two scratch.  Views follow the contents
     of the arrays they are taken from, so a run builds them once.
     """
+    ax = grid.axis()
+    k = int(np.count_nonzero(ax[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
+    # y/2 on the interior, first on its axis; on the last axis it is repeated for
+    # both components: one long loop, not pairs
+    vel = np.repeat(0.5 * ax[1:-1], 2)
+    lead = (-1,) + (1,) * (grid.n_dim - 1)
+    vels = (vel[::2].reshape(lead + (1,)),) * (grid.n_dim - 1) + (vel.reshape(lead + (2,)),)
     out, d, e = work
-    k, vels = _drift_plan(grid)
     views = []
-    for axis, vel in enumerate(vels):
+    for axis, v in enumerate(vels):
         m, dm, em, om = (a.swapaxes(0, axis) for a in (vals, d, e, out))
         # outward flow on the left half: stencil uses i, i+1, i+2; on the right
         # half i, i-1, i-2
         left = (dm[1 : k + 1], em[1 : k + 1], m[1 : k + 1], m[2 : k + 2], m[3 : k + 3])
         right = (dm[k + 1 : -1], em[k + 1 : -1], m[k + 1 : -1], m[k:-2], m[k - 1 : -3])
-        views.append((left, right, vel, dm[1:-1], om[1:-1]))
-    return out, tuple(views), 2.0 * grid.h
+        views.append((left, right, v, dm[1:-1], om[1:-1]))
+    return out, views, 2.0 * grid.h
 
 
 def _drift(out, views, two_h) -> np.ndarray:
@@ -308,12 +300,31 @@ class _Workspace:
 
 
 def _clamp_values(params: _params.Params, grid: _spectral.Grid, s) -> np.ndarray:
-    """Phi1 + i Phi2 on the boundary nodes, one row per entry of the 1-D array s."""
-    return _params.phi(params, grid.radius2()[_edge_mask(grid)][None, :], s[:, None])
+    """Phi1 + i Phi2 on the boundary nodes at each entry of the array s: s.shape + (edges,)."""
+    return _params.phi(params, grid.radius2()[_edge_mask(grid)], s[..., None])
 
 
-def _similarity_step_in_place(work, grid, cfg, params, n_sub, dss, clamp) -> None:
-    """n_sub substeps of length dss on work.w; clamp[k] holds substep k's boundary values."""
+def step_similarity(
+    state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None,
+    *, work: _Workspace = None, clamp: np.ndarray = None,
+) -> SimilarityState:
+    """Advance the similarity-frame state by one step of length ds (default cfg.ds).
+
+    The substeps solve, drift and react in place on a workspace: by default a
+    new one holding a copy of state.w, with the clamped boundary values of all
+    substeps from one profile call, so state is left as it was.  evolve passes
+    its run's workspace, whose w is state.w, and the boundary values of the
+    step's substeps (clamp, n_sub rows); the step then overwrites state.w.
+    """
+    if ds is None:
+        ds = cfg.ds
+    grid = state.grid
+    n_sub = _substep_count(cfg, grid, ds)
+    dss = ds / n_sub
+    if work is None:
+        work = _Workspace(grid, state.w.copy())
+    if clamp is None and cfg.boundary == "profile-clamp":
+        clamp = _clamp_values(params, grid, state.s + np.arange(1, n_sub + 1) * dss)
     w = work.w
     if cfg.scheme == "semi-implicit":
         factor = _diffusion_factor(grid.shape[0], dss / (grid.h * grid.h))
@@ -340,36 +351,12 @@ def _similarity_step_in_place(work, grid, cfg, params, n_sub, dss, clamp) -> Non
             w[work.edge] = clamp[k]
         else:
             _extrapolate_boundary(w)
-
-
-def step_similarity(
-    state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None,
-    *, work: _Workspace = None, clamp: np.ndarray = None,
-) -> SimilarityState:
-    """Advance the similarity-frame state by one step of length ds (default cfg.ds).
-
-    The substeps solve, drift and react in place on a workspace: by default a
-    new one holding a copy of state.w, with the clamped boundary values of all
-    substeps from one profile call, so state is left as it was.  evolve passes
-    its run's workspace, whose w is state.w, and the boundary values of the
-    step's substeps (clamp, n_sub rows); the step then overwrites state.w.
-    """
-    if ds is None:
-        ds = cfg.ds
-    grid = state.grid
-    n_sub = _substep_count(cfg, grid, ds)
-    dss = ds / n_sub
-    if work is None:
-        work = _Workspace(grid, state.w.copy())
-    if clamp is None and cfg.boundary == "profile-clamp":
-        clamp = _clamp_values(params, grid, state.s + np.arange(1, n_sub + 1) * dss)
-    _similarity_step_in_place(work, grid, cfg, params, n_sub, dss, clamp)
     s = float(state.s + n_sub * dss)
     # the larger of max|w1| and max|w2|, as recorded in max_w
-    max_w = float(np.max(np.abs(_real(work.w))))
+    max_w = float(np.max(np.abs(_real(w))))
     if not math.isfinite(max_w) or max_w > 10.0 * params.kappa:
         raise BlowupInSimilarityError(s, max_w)
-    return SimilarityState(s=s, grid=grid, w=work.w)
+    return SimilarityState(s=s, grid=grid, w=w)
 
 
 def _remove_expanding_content(q, grid, chi, rho, meshes):
@@ -477,8 +464,7 @@ def evolve(
                 # step_similarity gives them: step i starts at initial.s + i ds
                 steps = np.arange(k - 1, min(k - 1 + cfg.record_every, n_full))
                 starts = initial.s + steps * cfg.ds
-                block = _clamp_values(params, grid, (starts[:, None] + substeps).ravel())
-                block = block.reshape(len(starts), n_sub, -1)
+                block = _clamp_values(params, grid, starts[:, None] + substeps)
             clamp = block[j]
         state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
         # keep s exact against accumulation drift
