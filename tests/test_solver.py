@@ -404,8 +404,8 @@ class TestEvolve:
             w = state.w
             if cfg.pin_unstable_modes:
                 chi = rhs.cutoff_chi(cfg.cutoff, r2, s)
-                q, m = solver._remove_expanding_content(w - phi, grid, chi, rho, meshes)
-                removed = removed + m
+                q = w - phi
+                removed = removed + solver._remove_expanding_content(q, grid, chi, rho, meshes)
                 w = phi + q
             state = solver.SimilarityState(s=s, grid=grid, w=w)
             if k % cfg.record_every == 0 or k == len(steps):
