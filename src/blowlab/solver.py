@@ -225,7 +225,7 @@ def _drift_views(grid: _spectral.Grid, vals, work) -> tuple:
 
 
 def _drift(out, views, two_h) -> np.ndarray:
-    """(y/2).grad vals into out with second-order upwind one-sided differences.
+    """(y/2).grad of the viewed state into out, by second-order upwind one-sided differences.
 
     The drift velocity y/2 points outward, so the stencil leans toward the
     origin.  Boundary nodes of the result are left at zero.
