@@ -6,7 +6,8 @@ package works in the similarity frame w(y, s) = (T-t)^{1/(p-1)} u,
 y = x/sqrt(T-t), s = -ln(T-t), and provides:
 
 - closed-form blow-up profiles and constants (`params`),
-- Hermite spectral tools for the Gaussian-weighted linearization (`spectral`),
+- Gaussian-weighted Hermite moments and the finite-difference linear
+  operator (`spectral`),
 - the nonlinear right-hand-side pieces of the perturbation system (`rhs`),
 - semi-implicit similarity/physical integrators (`solver`),
 - trajectory diagnostics: mode decomposition, trapping-set margins,

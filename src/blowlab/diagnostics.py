@@ -674,12 +674,12 @@ def _fmt(x) -> str:
 def write_trajectory_csv(
     traj: Trajectory,
     path: str,
-    ssp: ShrinkingSetParams = None,
-    params: _params.Params = None,
+    ssp: ShrinkingSetParams,
+    params: _params.Params,
     c0_tilde: float = None,
 ) -> None:
-    """Write per-record rows: s, modes, norms, margins, errors, plus envelope
-    and reference columns when the shrinking-set and model parameters are given.
+    """Write per-record rows: s, modes, norms, errors, the shrinking-set margin
+    and envelopes, and the reference columns (ref_w2_h2 only given c0_tilde).
     All floats carry 17 significant digits; output is byte-deterministic.
     """
     if not traj.records:
@@ -696,12 +696,9 @@ def write_trajectory_csv(
     cols += ["e1", "e2", "max_w", "w1bar_h2", "w2_h0", "w2_h2"]
     cols.extend(f"removal1_{j}" for j in range(1 + n))
     cols.extend(f"removal2_{j}" for j in range(1 + n))
-    if ssp is not None:
-        cols += ["min_margin", "env_q1_0", "env_q1_jk", "env_q2_0"]
-    if params is not None:
-        cols += ["ref_w1bar_h2"]
-        if c0_tilde is not None:
-            cols += ["ref_w2_h2"]
+    cols += ["min_margin", "env_q1_0", "env_q1_jk", "env_q2_0", "ref_w1bar_h2"]
+    if c0_tilde is not None:
+        cols += ["ref_w2_h2"]
     lines = [",".join(cols)]
     for rec in traj.records:
         row = [_fmt(rec.s)]
@@ -715,15 +712,13 @@ def write_trajectory_csv(
                 _fmt(rec.w1bar_h2), _fmt(rec.w2_h0), _fmt(rec.w2_h2)]
         row.extend(_fmt(v) for v in rec.removal_rate1)
         row.extend(_fmt(v) for v in rec.removal_rate2)
-        if ssp is not None:
-            report = in_shrinking_set(rec.d1, rec.d2, ssp, rec.s)
-            row.append(_fmt(min(report.margins.values())))
-            bounds = shrinking_set_bounds(ssp, rec.s)
-            row += [_fmt(bounds["q1_0"]), _fmt(bounds["q1_jk"]), _fmt(bounds["q2_0"])]
-        if params is not None:
-            row.append(_fmt(-params.kappa / (4.0 * params.p * rec.s)))
-            if c0_tilde is not None:
-                row.append(_fmt(c0_tilde / rec.s**2))
+        report = in_shrinking_set(rec.d1, rec.d2, ssp, rec.s)
+        row.append(_fmt(min(report.margins.values())))
+        bounds = shrinking_set_bounds(ssp, rec.s)
+        row += [_fmt(bounds["q1_0"]), _fmt(bounds["q1_jk"]), _fmt(bounds["q2_0"])]
+        row.append(_fmt(-params.kappa / (4.0 * params.p * rec.s)))
+        if c0_tilde is not None:
+            row.append(_fmt(c0_tilde / rec.s**2))
         lines.append(",".join(row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -210,19 +210,6 @@ def exact_constant_solution(params: Params, k: int, t: float, T: float) -> tuple
     return (r * math.cos(theta), r * math.sin(theta))
 
 
-def stationary_states(params: Params) -> np.ndarray:
-    """All fixed points of the similarity flow: 0 and the (p-1) roots kappa e^{i 2k pi/(p-1)}.
-
-    Returns an array of shape (p, 2) of (w1, w2) pairs.
-    """
-    p = params.p
-    states = [(0.0, 0.0)]
-    for k in range(p - 1):
-        theta = 2.0 * math.pi * k / (p - 1)
-        states.append((params.kappa * math.cos(theta), params.kappa * math.sin(theta)))
-    return np.array(states)
-
-
 def hat_uv(params: Params, tau, k0sq) -> tuple[np.ndarray, np.ndarray]:
     """Intermediate-region limit profiles on the curve |x0| = K0 sqrt((T-t0)|ln(T-t0)|).
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import MAX_P, Params, f0, g0, phi1, phi2
+from .params import MAX_P, Params, phi1, phi2
 from .spectral import Grid
 
 

@@ -277,14 +277,8 @@ def _substep_count(cfg: SolverConfig, grid: _spectral.Grid, ds: float) -> int:
 
 
 def _rk4_rhs(w, grid, params):
-    wr = _real(w)
-    lap = np.zeros_like(wr)
-    g = np.zeros_like(wr)
-    for axis, y in enumerate(grid.meshes()):
-        lap += _spectral.second_derivative(wr, grid.h, axis=axis)
-        g += 0.5 * y[..., None] * _spectral.first_derivative(wr, grid.h, axis=axis)
     inv = 1.0 / (params.p - 1)
-    return _complex(lap - g) - inv * w + w**params.p
+    return _complex(_spectral.diffusion_drift(grid, _real(w))) - inv * w + w**params.p
 
 
 class _Workspace:

@@ -7,23 +7,23 @@ Its eigenfunctions are products of the rescaled Hermite polynomials
     h_0 = 1,  h_1 = y,  h_{m+1}(y) = y h_m(y) - 2 m h_{m-1}(y),
 
 with ∫ h_i h_j ρ dy = i! 2^i δ_{ij} and L h_m = (1 - m/2) h_m per axis.
-Grids are uniform, symmetric about the origin, with an odd point count so
-y = 0 is a gridline.
+Runs need only the projections onto h_0, h_1 and h_2, which
+`gaussian_moments` computes, and the finite-difference Δ - y/2·∇ of the
+explicit RK4 scheme, `diffusion_drift`.  Grids are uniform, symmetric about
+the origin, with an odd point count so y = 0 is a gridline.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_HERMITE_DEGREE = 30
 # spatial dimensions a Grid supports
 N_DIMS = (1, 2)
-TAIL_WARN_FRACTION = 1e-12
 
 MultiIndex = tuple[int, ...]
 
@@ -85,21 +85,6 @@ def _radius2(grid: Grid) -> np.ndarray:
     return r2
 
 
-@dataclass
-class Field:
-    """Real scalar field sampled on a Grid."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-
 def hermite(m: int, y) -> np.ndarray:
     """Rescaled Hermite polynomial h_m by the three-term recurrence."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
@@ -114,21 +99,6 @@ def hermite(m: int, y) -> np.ndarray:
     for k in range(1, m):
         prev, cur = cur, y * cur - 2.0 * k * prev
     return cur
-
-
-def hermite_multi(beta: MultiIndex, ys) -> np.ndarray:
-    """Product of per-axis Hermite polynomials: prod_i h_{beta_i}(y_i).
-
-    ys is a sequence of coordinate arrays (broadcastable against each
-    other), one per axis, as returned by Grid.meshes().
-    """
-    beta = tuple(int(m) for m in beta)
-    if len(beta) != len(ys):
-        raise ValueError(f"beta length {len(beta)} does not match {len(ys)} axes")
-    out = hermite(beta[0], ys[0])
-    for m, y in zip(beta[1:], ys[1:]):
-        out = out * hermite(m, y)
-    return out
 
 
 def weight_rho(y2, n_dim: int) -> np.ndarray:
@@ -197,76 +167,6 @@ def gaussian_moments(grid: Grid, f: np.ndarray, weight: np.ndarray) -> tuple:
     return raw[(0,) * grid.n_dim], raw[tuple(eye)], raw[tuple(e[:, None] + e for e in eye)]
 
 
-@functools.lru_cache(maxsize=256)
-def _axis_tail_integral(m: int, half_width: float) -> float:
-    """∫_{L}^{∞} |h_m(y)| e^{-y²/4} dy, approximated on a fine extension grid."""
-    # integrand decays super-fast; 40 units of extension is plenty past any
-    # polynomial turnaround for m <= 30
-    y = np.linspace(half_width, half_width + 40.0, 4001)
-    vals = np.abs(hermite(m, y)) * np.exp(-y * y / 4.0)
-    return float(_trapz_uniform(vals, y[1] - y[0]))
-
-
-def _tail_fraction(f: Field, beta: MultiIndex) -> float:
-    """Estimated fraction of ∫|f h_beta ρ| mass lost beyond the grid edge.
-
-    Bounds the exterior part by max|f| times the per-axis Gaussian tail of
-    |h_m|; used only to warn when the grid is too narrow for the requested
-    projection.
-    """
-    grid = f.grid
-    fmax = float(np.max(np.abs(f.values)))
-    if fmax == 0.0:
-        return 0.0
-    # on-grid mass of the integrand
-    integrand = np.abs(f.values * hermite_multi(beta, grid.meshes()))
-    integrand = integrand * weight_rho(grid.radius2(), grid.n_dim)
-    mass = integrate(grid, integrand)
-    # per-axis interior and tail factors of the separable bound
-    norm = (4.0 * math.pi) ** (grid.n_dim / 2.0)
-    ax = grid.axis()
-    tail_bound = 0.0
-    interior = []
-    tails = []
-    for m in beta:
-        vals = np.abs(hermite(int(m), ax)) * np.exp(-ax * ax / 4.0)
-        interior.append(float(_trapz_uniform(vals, grid.h)))
-        tails.append(2.0 * _axis_tail_integral(int(m), grid.half_width))
-    # tail of a product region: sum over axes of (tail_i * prod of full_j)
-    for i in range(len(beta)):
-        term = tails[i]
-        for j in range(len(beta)):
-            if j != i:
-                term *= interior[j] + tails[j]
-        tail_bound += term
-    tail_bound *= fmax / norm
-    denom = mass + tail_bound
-    return tail_bound / denom if denom > 0 else 0.0
-
-
-def project(f: Field, beta: MultiIndex) -> float:
-    """Normalized ρ-weighted projection coefficient of f onto h_beta.
-
-    Returns ∫ f h_beta ρ / ‖h_beta‖²_ρ by the trapezoid rule, so that
-    project(h_beta, beta) = 1.  Warns if the Gaussian tail beyond the grid
-    half-width could contribute more than 1e-12 of the integrand mass.
-    """
-    beta = tuple(int(m) for m in beta)
-    if len(beta) != f.grid.n_dim:
-        raise ValueError(f"beta {beta} does not match grid dimension {f.grid.n_dim}")
-    frac = _tail_fraction(f, beta)
-    if frac > TAIL_WARN_FRACTION:
-        warnings.warn(
-            f"grid half-width {f.grid.half_width} too narrow for beta={beta}: "
-            f"estimated tail fraction {frac:.2e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    integrand = f.values * hermite_multi(beta, f.grid.meshes())
-    integrand = integrand * weight_rho(f.grid.radius2(), f.grid.n_dim)
-    return integrate(f.grid, integrand) / norm_h_beta_sq(beta)
-
-
 def second_derivative(vals: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second derivative, centered interior, one-sided second order at the edges."""
     v = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
@@ -287,14 +187,17 @@ def first_derivative(vals: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def apply_L(f: Field) -> Field:
-    """Apply L = Δ - y/2·∇ + Id by finite differences on the grid."""
-    grid = f.grid
-    h = grid.h
-    ax = grid.axis()
-    out = f.values.copy()
-    for axis_idx in range(grid.n_dim):
-        y = ax if grid.n_dim == 1 else np.expand_dims(ax, tuple(i for i in range(grid.n_dim) if i != axis_idx))
-        out = out + second_derivative(f.values, h, axis=axis_idx)
-        out = out - 0.5 * y * first_derivative(f.values, h, axis=axis_idx)
-    return Field(grid, out)
+def diffusion_drift(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """(Δ - y/2·∇) vals by finite differences over the leading grid.n_dim axes.
+
+    Trailing axes, such as the two components of a complex array's real
+    view, are carried along.  L = Δ - y/2·∇ + Id is vals + diffusion_drift(grid, vals).
+    """
+    vals = np.asarray(vals, dtype=float)
+    trailing = (1,) * (vals.ndim - grid.n_dim)
+    lap = np.zeros_like(vals)
+    g = np.zeros_like(vals)
+    for axis, y in enumerate(grid.meshes()):
+        lap += second_derivative(vals, grid.h, axis=axis)
+        g += 0.5 * y.reshape(y.shape + trailing) * first_derivative(vals, grid.h, axis=axis)
+    return lap - g

@@ -35,6 +35,16 @@ _D2_COEF = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 DIFF_STEP = float(np.finfo(float).eps ** (1.0 / 7.0))
 
 SLOPE_TOL = 0.05
+# slow-variable samples z of the outer-profile equations
+Z_SAMPLES = np.linspace(0.1, 10.0, 397)
+# geometric sweep in s of the bound checks
+S_GRID = np.geomspace(10.0, 1e4, 13)
+# the weighted sups run over |y| <= 2 K sqrt(s), the cutoff's support
+K = 5.0
+# random points of the complex-identity check
+COMPLEX_SAMPLES = 10_000
+Z_SAMPLES.setflags(write=False)
+S_GRID.setflags(write=False)
 
 
 def stencil_d1(fn, z, h: float = DIFF_STEP):
@@ -84,10 +94,6 @@ class CheckReport:
             "notes": self.notes,
             "details": dict(self.details),
         }
-
-
-def _default_z_samples():
-    return np.linspace(0.1, 10.0, 397)
 
 
 def _linear_operator(params: _params.Params, fn, z):
@@ -248,9 +254,7 @@ def _log_term_coefficient(params: _params.Params, z) -> tuple[float, float]:
     return float(coef[1]), resid
 
 
-def check_outer_ode_residuals(
-    params: _params.Params, z_samples=None
-) -> list[CheckReport]:
+def check_outer_ode_residuals(params: _params.Params) -> list[CheckReport]:
     """Certify the four order-by-order profile equations.
 
     The first three closed forms are exact solutions, so their residuals
@@ -258,11 +262,7 @@ def check_outer_ode_residuals(
     certified with fitted constants (< 1e-6).  A final report perturbs the
     curvature constant and verifies the log-term obstruction appears.
     """
-    if z_samples is None:
-        z_samples = _default_z_samples()
-    z = np.asarray(z_samples, dtype=float)
-    if np.any(z <= 0.0) or np.any(z > 10.0):
-        raise ValueError("z_samples must lie in (0, 10]")
+    z = Z_SAMPLES
     pr = params
     p = pr.p
     reports = []
@@ -308,7 +308,7 @@ def check_outer_ode_residuals(
 
     # with the selected curvature constant the 1/z source component cancels;
     # at 1.1 b it reappears and would integrate to a non-analytic ln z term
-    z_fit = z[z <= 5.0] if np.any(z <= 5.0) else z
+    z_fit = z[z <= 5.0]
     coeff_at_b, resid_b = _log_term_coefficient(pr, z_fit)
     perturbed = _params.Params(p=pr.p, n_dim=pr.n_dim, kappa=pr.kappa, b=1.1 * pr.b)
     coeff_pert, resid_pert = _log_term_coefficient(perturbed, z_fit)
@@ -411,10 +411,6 @@ def check_barB_expansion(params: _params.Params) -> CheckReport:
     )
 
 
-def _default_s_grid():
-    return np.geomspace(10.0, 1e4, 13)
-
-
 def _bounded_verdict(s_grid, sups) -> dict:
     """Boundedness verdict for a per-s normalized sup on a geometric s grid.
 
@@ -444,15 +440,9 @@ def _bounded_verdict(s_grid, sups) -> dict:
     return verdict
 
 
-def check_potential_bounds(
-    params: _params.Params, s_grid=None, K: float = 5.0
-) -> CheckReport:
+def check_potential_bounds(params: _params.Params) -> CheckReport:
     """Slope-stability of the stated envelope bounds for the linearization potentials."""
-    if s_grid is None:
-        s_grid = _default_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 10.0) or np.any(s_grid > 1e4):
-        raise ValueError("s_grid must lie in [10, 1e4]")
+    s_grid = S_GRID
     n = params.n_dim
 
     def sups(s):
@@ -504,7 +494,7 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
     """Ratio-boundedness of the nonlinear remainder against its stated envelope."""
     p = params.p
     rng = np.random.default_rng([seed, params.p, params.n_dim, 3])
-    s_grid = _default_s_grid()
+    s_grid = S_GRID
     ratio1 = []
     ratio2 = []
     c_q1q2 = 0.0
@@ -551,15 +541,9 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
     )
 
 
-def check_rest_bounds(
-    params: _params.Params, s_grid=None, K: float = 5.0
-) -> CheckReport:
+def check_rest_bounds(params: _params.Params) -> CheckReport:
     """Origin constants and envelope slope-stability of the profile residual."""
-    if s_grid is None:
-        s_grid = _default_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 10.0) or np.any(s_grid > 1e4):
-        raise ValueError("s_grid must lie in [10, 1e4]")
+    s_grid = S_GRID
     p = params.p
     n = params.n_dim
     kappa = params.kappa
@@ -589,8 +573,6 @@ def check_rest_bounds(
     # past s ~ 3e3 the s^3-amplified roundoff floor overtakes it; its sweep
     # stops there while the leading-order fits use the full range
     s_tilde = s_grid[s_grid <= 3e3]
-    if len(s_tilde) < 4:
-        s_tilde = np.geomspace(s_grid[0], min(3e3, s_grid[-1]), 9)
     tilde = np.array([tilde_sups(s) for s in s_tilde])
     sup = np.array([sup_norms(s) for s in s_grid])
     bounds = {
@@ -614,20 +596,18 @@ def check_rest_bounds(
     )
 
 
-def check_complex_identity(p: int, sample_count: int = 10_000, seed: int = 0) -> CheckReport:
+def check_complex_identity(p: int, seed: int = 0) -> CheckReport:
     """The split nonlinearity agrees with iterated complex multiplication."""
-    if p > _params.MAX_P:
-        raise ValueError(f"p must be <= {_params.MAX_P}, got {p}")
     rng = np.random.default_rng([seed, p, 7])
-    u1 = rng.uniform(-2.0, 2.0, size=sample_count)
-    u2 = rng.uniform(-2.0, 2.0, size=sample_count)
+    u1 = rng.uniform(-2.0, 2.0, size=COMPLEX_SAMPLES)
+    u2 = rng.uniform(-2.0, 2.0, size=COMPLEX_SAMPLES)
     f1, f2 = _rhs.f1f2(u1, u2, p)
     ref = (u1 + 1j * u2) ** p
     scale = np.maximum(np.abs(ref), 1e-300)
     err = np.maximum(np.abs(f1 - ref.real), np.abs(f2 - ref.imag)) / scale
     worst = float(np.max(err))
     return CheckReport(
-        check_name=f"complex_identity_p{p}", samples=sample_count,
+        check_name=f"complex_identity_p{p}", samples=COMPLEX_SAMPLES,
         worst_residual=worst, passed=worst < 1e-12, seed=seed,
     )
 

@@ -690,7 +690,7 @@ class TestWriters:
     def test_csv_floats_round_trip(self, tmp_path):
         traj = self.make_traj()
         path = tmp_path / "t.csv"
-        dg.write_trajectory_csv(traj, path)
+        dg.write_trajectory_csv(traj, path, dg.ShrinkingSetParams(), bp.make_params(2, 1))
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         row = lines[1].split(",")
@@ -700,7 +700,9 @@ class TestWriters:
     def test_csv_requires_records(self, tmp_path):
         traj = dg.Trajectory(grid=plateau_grid_1d())
         with pytest.raises(ValueError, match="no records"):
-            dg.write_trajectory_csv(traj, tmp_path / "x.csv")
+            dg.write_trajectory_csv(
+                traj, tmp_path / "x.csv", dg.ShrinkingSetParams(), bp.make_params(2, 1)
+            )
 
     def test_json_deterministic_sorted_and_typed(self, tmp_path):
         payload = {

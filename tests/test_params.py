@@ -227,14 +227,6 @@ class TestExactSolution:
         rhs = u_of(t) ** p
         assert abs(du - rhs) / abs(rhs) < 1e-8
 
-    def test_stationary_states_count(self):
-        for p in (2, 3, 5):
-            states = bp.stationary_states(bp.make_params(p, 1))
-            assert states.shape == (p, 2)
-            mags = np.hypot(states[:, 0], states[:, 1])
-            assert mags[0] == 0.0
-            np.testing.assert_allclose(mags[1:], bp.make_params(p, 1).kappa, rtol=1e-14)
-
 
 class TestHatUV:
     def test_tau0_matches_profiles(self):

@@ -1,5 +1,6 @@
-"""Tests for blowlab.spectral: Hermite polynomials, projections, the operator L."""
+"""Tests for blowlab.spectral: Hermite polynomials, Gaussian moments, the operator L."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowlab import spectral as sp
+from blowlab.solver import _real
 
 
 def hermite_explicit_sum(m, y):
@@ -18,6 +20,11 @@ def hermite_explicit_sum(m, y):
         coeff = (-1) ** j * math.factorial(m) // (math.factorial(j) * math.factorial(m - 2 * j))
         out = out + coeff * y ** (m - 2 * j)
     return out
+
+
+def hermite_product(beta, ys):
+    """h_beta = prod_j h_{beta_j}(y_j) on the meshes ys of a grid."""
+    return math.prod(sp.hermite(m, y) for m, y in zip(beta, ys))
 
 
 class TestGrid:
@@ -47,12 +54,6 @@ class TestGrid:
         assert r2[8, 8] == 0.0
         assert r2[0, 0] == pytest.approx(32.0)
 
-    def test_field_shape_check(self):
-        g = sp.Grid(1, 16.0, 65)
-        with pytest.raises(ValueError):
-            sp.Field(g, np.zeros(64))
-
-
 class TestHermite:
     def test_frozen_values(self):
         assert sp.hermite(0, 5.0) == 1.0
@@ -72,16 +73,6 @@ class TestHermite:
             sp.hermite(31, 1.0)
         with pytest.raises(ValueError):
             sp.hermite(-1, 1.0)
-
-    def test_multi(self):
-        assert sp.hermite_multi((0, 0), (np.float64(1.0), np.float64(2.0))) == 1.0
-        assert sp.hermite_multi((2, 0), (np.float64(1.0), np.float64(5.0))) == -1.0
-        assert sp.hermite_multi((1, 1), (np.float64(2.0), np.float64(3.0))) == 6.0
-
-    def test_multi_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sp.hermite_multi((1, 1), (np.array(1.0),))
-
 
 class TestWeightAndNorms:
     def test_rho_values(self):
@@ -115,88 +106,48 @@ def grid_1d():
     return sp.Grid(1, 16.0, 1025)
 
 
-class TestProject:
-    def test_h2_normalization(self, grid_1d):
-        f = sp.Field(grid_1d, sp.hermite(2, grid_1d.axis()))
-        assert sp.project(f, (2,)) == pytest.approx(1.0, abs=1e-8)
-        assert sp.project(f, (0,)) == pytest.approx(0.0, abs=1e-8)
-
-    def test_y_squared_decomposition(self, grid_1d):
-        ax = grid_1d.axis()
-        f = sp.Field(grid_1d, ax * ax)
-        assert sp.project(f, (2,)) == pytest.approx(1.0, abs=1e-8)
-        assert sp.project(f, (0,)) == pytest.approx(2.0, abs=1e-8)
-
-    def test_orthogonality_matrix(self, grid_1d):
-        # |project(h_i, (j,)) - delta_ij| < 1e-7 for i, j <= 10
-        ax = grid_1d.axis()
-        worst = 0.0
-        for i in range(11):
-            f = sp.Field(grid_1d, sp.hermite(i, ax))
-            for j in range(11):
-                val = sp.project(f, (j,))
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-        assert worst < 1e-7
-
-    def test_orthogonality_2d(self):
-        g = sp.Grid(2, 16.0, 257)
-        ys = g.meshes()
-        for beta in [(0, 0), (1, 0), (2, 1), (0, 3)]:
-            f = sp.Field(g, sp.hermite_multi(beta, ys))
-            for gamma in [(0, 0), (1, 0), (2, 1), (0, 3), (1, 1)]:
-                want = 1.0 if beta == gamma else 0.0
-                assert sp.project(f, gamma) == pytest.approx(want, abs=1e-7)
-
-    def test_linearity(self, grid_1d):
-        ax = grid_1d.axis()
-        rng = np.random.default_rng(7)
-        f = np.cos(ax) * np.exp(-(ax**2) / 8) + 0.1 * rng.standard_normal(ax.size)
-        g = np.sin(0.5 * ax) + ax**2 / 50.0
-        a, b = 1.7, -2.9
-        lhs = sp.project(sp.Field(grid_1d, a * f + b * g), (2,))
-        rhs = a * sp.project(sp.Field(grid_1d, f), (2,)) + b * sp.project(
-            sp.Field(grid_1d, g), (2,)
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_narrow_grid_warns(self):
-        g = sp.Grid(1, 6.0, 129)
-        f = sp.Field(g, sp.hermite(8, g.axis()))
-        with pytest.warns(RuntimeWarning, match="too narrow"):
-            sp.project(f, (8,))
-
-    def test_beta_mismatch(self, grid_1d):
-        f = sp.Field(grid_1d, np.ones(grid_1d.npts))
-        with pytest.raises(ValueError):
-            sp.project(f, (1, 1))
-
-
 class TestGaussianMoments:
     @pytest.mark.parametrize("n,npts", [(1, 201), (2, 61)])
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_matches_direct_integrals(self, n, npts, is_complex):
-        # each moment against a direct trapezoid integral of its basis function
+    @pytest.mark.parametrize("source", ["random", "hermite"])
+    def test_matches_direct_integrals(self, n, npts, is_complex, source):
+        # random f: each moment against a direct trapezoid integral of its basis
+        # function.  f = c h_beta: the basis functions are 1 = h_0, y_j/2 = h_{e_j}/2
+        # and y_j y_k/4 - δ_jk/2 = h_{e_j+e_k}/4, so orthogonality leaves
+        # c ‖h_beta‖² times that factor in the one matching entry and 0 elsewhere
         grid = sp.Grid(n, 12.0, npts)
         rng = np.random.default_rng(7)
-        f = rng.standard_normal(grid.shape)
-        if is_complex:
-            f = f + 1j * rng.standard_normal(grid.shape)
         rho = sp.weight_rho(grid.radius2(), n)
-        m0, m1, m2 = sp.gaussian_moments(grid, f, rho)
-        assert np.iscomplexobj(m1) == is_complex
-        assert m1.shape == (n,) and m2.shape == (n, n)
         ys = grid.meshes()
+        c = 1.0 - 0.5j if is_complex else 1.0
+        betas = itertools.product(range(4), repeat=n) if source == "hermite" else [None]
+        for beta in betas:
+            if beta is None:
+                f = rng.standard_normal(grid.shape)
+                if is_complex:
+                    f = f + 1j * rng.standard_normal(grid.shape)
+            else:
+                f = c * hermite_product(beta, ys)
+            m0, m1, m2 = sp.gaussian_moments(grid, f, rho)
+            assert np.iscomplexobj(m1) == is_complex
+            assert m1.shape == (n,) and m2.shape == (n, n)
 
-        def direct(kernel):
-            return sp.integrate(grid, f * kernel * rho)
+            def expect(got, kernel, factor, gamma):
+                if beta is None:
+                    assert got == pytest.approx(sp.integrate(grid, f * kernel * rho), rel=1e-12)
+                else:
+                    want = factor * c * sp.norm_h_beta_sq(beta) if gamma == beta else 0.0
+                    assert abs(got - want) < 1e-7
 
-        assert m0 == pytest.approx(direct(1.0), rel=1e-12)
-        for j in range(n):
-            assert m1[j] == pytest.approx(direct(0.5 * ys[j]), rel=1e-12)
-            for k in range(n):
-                kern = 0.25 * ys[j] * ys[k] - (0.5 if j == k else 0.0)
-                assert m2[j, k] == pytest.approx(direct(kern), rel=1e-12)
-        assert np.array_equal(m2, m2.T)
+            expect(m0, 1.0, 1.0, (0,) * n)
+            for j in range(n):
+                e_j = tuple(int(i == j) for i in range(n))
+                expect(m1[j], 0.5 * ys[j], 0.5, e_j)
+                for k in range(n):
+                    e_jk = tuple(int(i == j) + int(i == k) for i in range(n))
+                    kern = 0.25 * ys[j] * ys[k] - (0.5 if j == k else 0.0)
+                    expect(m2[j, k], kern, 0.25, e_jk)
+            assert np.array_equal(m2, m2.T)
 
 
 class TestApplyL:
@@ -205,7 +156,7 @@ class TestApplyL:
     def test_eigenfunctions_1d(self, grid_1d, m, lam):
         ax = grid_1d.axis()
         vals = sp.hermite(m, ax)
-        out = sp.apply_L(sp.Field(grid_1d, vals)).values
+        out = vals + sp.diffusion_drift(grid_1d, vals)
         interior = np.abs(ax) <= grid_1d.half_width / 2
         err = np.max(np.abs(out[interior] - lam * vals[interior]))
         scale = np.max(np.abs(vals[interior]))
@@ -215,8 +166,8 @@ class TestApplyL:
         g = sp.Grid(2, 16.0, 257)
         ys = g.meshes()
         for beta, lam in [((0, 0), 1.0), ((1, 1), 0.0), ((2, 1), -0.5), ((2, 2), -1.0)]:
-            vals = sp.hermite_multi(beta, ys)
-            out = sp.apply_L(sp.Field(g, vals)).values
+            vals = hermite_product(beta, ys)
+            out = vals + sp.diffusion_drift(g, vals)
             r_ok = (np.abs(ys[0]) <= g.half_width / 2) & (np.abs(ys[1]) <= g.half_width / 2)
             err = np.max(np.abs(out[r_ok] - lam * vals[r_ok]))
             scale = np.max(np.abs(vals[r_ok]))
@@ -232,15 +183,12 @@ class TestApplyL:
             errs.append(np.max(np.abs(d2 + np.sin(ax))[2:-2]))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
-
-class TestProjectProperties:
-    @given(st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity_property(self, a, b):
-        g = sp.Grid(1, 12.0, 129)
-        ax = g.axis()
-        f = np.exp(-(ax**2) / 6.0)
-        h = np.tanh(ax)
-        lhs = sp.project(sp.Field(g, a * f + b * h), (1,))
-        rhs = a * sp.project(sp.Field(g, f), (1,)) + b * sp.project(sp.Field(g, h), (1,))
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(a) + abs(b))
+    @pytest.mark.parametrize("n,npts", [(1, 65), (2, 33)])
+    def test_trailing_axes_carried(self, n, npts):
+        # the two components of a complex array's real view go through one by one
+        g = sp.Grid(n, 6.0, npts)
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        out = sp.diffusion_drift(g, _real(w))
+        assert np.array_equal(out[..., 0], sp.diffusion_drift(g, w.real))
+        assert np.array_equal(out[..., 1], sp.diffusion_drift(g, w.imag))
