@@ -207,10 +207,12 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
         )
     n = grid.n_dim
     r2 = grid.radius2()
-    chi = _rhs.cutoff_chi(_rhs.CutoffSpec(K=ssp.K), r2, s)
+    box = (grid.rows_within(2.0 * edge),) * n
+    chi = np.zeros(grid.shape)
+    chi[box] = _rhs.cutoff_chi(_rhs.CutoffSpec(K=ssp.K), r2[box], s)
     q_b = chi * q
     q_e = (1.0 - chi) * q
-    q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, _spectral.weight_rho(r2, n))
+    q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, grid.rho())
 
     meshes = grid.meshes()
     poly = np.full(grid.shape, q0 - np.trace(q2))
@@ -425,9 +427,9 @@ def profile_error(state, params: _params.Params) -> tuple:
     for sups over all of space since both the deviation and the profiles
     decay or are clamped beyond the boundary.
     """
-    z2 = state.grid.radius2() / state.s
-    e1 = float(np.max(np.abs(state.w.real - _params.f0(params, z2))))
-    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.g0(params, z2))))
+    f0, g0 = _params.f0_g0(params, state.grid.radius2() / state.s)
+    e1 = float(np.max(np.abs(state.w.real - f0)))
+    e2 = float(np.max(np.abs(state.s * state.w.imag - g0)))
     return e1, e2
 
 
@@ -438,9 +440,8 @@ def radial_mode_coefficients(grid: _spectral.Grid, vals: np.ndarray) -> tuple:
     c2 = tr(m2) / (2n).  Complex vals give complex coefficients, one
     component in each part.
     """
-    n = grid.n_dim
-    c0, _, m2 = _spectral.gaussian_moments(grid, vals, _spectral.weight_rho(grid.radius2(), n))
-    return c0, np.trace(m2) / (2.0 * n)
+    c0, _, m2 = _spectral.gaussian_moments(grid, vals, grid.rho())
+    return c0, np.trace(m2) / (2.0 * grid.n_dim)
 
 
 @dataclass

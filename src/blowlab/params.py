@@ -92,6 +92,13 @@ def g0(params: Params, z2):
     return _g0(params, z2, _base(params, z2))
 
 
+def f0_g0(params: Params, z2) -> tuple:
+    """(f0(z^2), g0(z^2)) bit for bit, validating z2 and forming the base once."""
+    z2 = _check_nonneg(z2, "z2")
+    a = _base(params, z2)
+    return _f0(params, a), _g0(params, z2, a)
+
+
 def _similarity_base(params: Params, y2, s):
     """(z2, a): z2 = |y|^2/s and its base a, for validated y2 and s > 0."""
     if np.any(np.asarray(s) <= 0):

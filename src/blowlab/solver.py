@@ -15,7 +15,8 @@ in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
 CFL_SAFETY.  evolve steps one workspace per run (the state, three scratch
 arrays and the drift stencil's views on them) through step_similarity, once
 per step, and takes the clamped boundary values of every substep up to the
-next record from one profile call.
+next record from one profile call.  It pins on the cutoff's support box and
+forms the full-grid profile only for a record.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
@@ -243,11 +244,6 @@ def _drift(out, views, two_h) -> np.ndarray:
     return out
 
 
-def _upwind_gradient_term(vals, grid, work) -> np.ndarray:
-    """(y/2).grad vals by _drift on views built for this one call (see _drift_views)."""
-    return _drift(*_drift_views(grid, vals, work))
-
-
 @functools.lru_cache(maxsize=32)
 def _edge_mask(grid: _spectral.Grid) -> np.ndarray:
     """True on the boundary nodes: every face of the grid box (read-only)."""
@@ -353,25 +349,32 @@ def step_similarity(
     return SimilarityState(s=s, grid=grid, w=w)
 
 
-def _remove_expanding_content(q, grid, chi, rho, meshes):
-    """Project chi q onto {1, y_j/2} and subtract (m0 + sum m_j y_j) chi from q in place.
+def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
+    """Project chi q, q = w - Phi(s), onto {1, y_j/2} and remove (m0 + sum m_j y_j) chi from w.
 
-    q is the complex deviation from the reference profile; its constant and
-    linear modes are the ones the linearized flow amplifies.  Returns the
-    removed complex coefficients (m0, m_1..m_n), whose real and imaginary
-    parts belong to the two components.
+    The linearized flow amplifies these modes.  chi is zero for |y| >= 2K sqrt(s),
+    so Phi, chi and q (in the flat complex buf) are formed, and w is changed, on
+    the box of those rows only.  Returns (m0, m_1..m_n), one component per part.
     """
-    m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * rho)
+    rows = grid.rows_within(2.0 * cut.K * math.sqrt(s))
+    box = (rows,) * grid.n_dim
+    r2 = grid.radius2()[box]
+    phi = _params.phi(params, r2, s)
+    chi = _rhs.cutoff_chi(cut, r2, s)
+    q = np.subtract(w[box], phi, out=buf[: phi.size].reshape(phi.shape))
+    m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
     correction = m0
-    for m, y in zip(m1, meshes):
+    for m, y in zip(m1, grid.meshes(rows)):
         correction = correction + m * y
     q -= correction * chi
+    np.add(phi, q, out=w[box])
     return np.concatenate(([m0], m1))
 
 
-def _record_state(state, phi, params, ssp, removal_rate):
-    """One record of state, whose reference profile phi = Phi1 + i Phi2 is given."""
+def _record_state(state, params, ssp, removal_rate):
+    """One record of state; its profile Phi1 + i Phi2 is the only full-grid one a run forms."""
     grid = state.grid
+    phi = _params.phi(params, grid.radius2(), state.s)
     d1, d2 = _diag.decompose(grid, state.w - phi, state.s, ssp)
     e1, e2 = _diag.profile_error(state, params)
     c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
@@ -395,9 +398,10 @@ def evolve(
     The observer, when given, is called with each appended record.  Step
     errors propagate with the failing s attached.  When pinning is enabled
     the removal rates (amount removed per unit s, averaged since the
-    previous record) ride along on each record.  The steps run in place on
-    one workspace per run and give the same values as step_similarity calls
-    on fresh copies; initial is left as it was.
+    previous record) ride along on each record; the pin (_pin) leaves w as it
+    is beyond the cutoff's support box.  The steps run in place on one
+    workspace per run and give the same values as step_similarity calls on
+    fresh copies; initial is left as it was.
     """
     if not initial.s >= 1.0:
         raise ValueError(f"initial s must be >= 1, got {initial.s}")
@@ -421,18 +425,14 @@ def evolve(
         remainder = 0.0
     pending_snaps = sorted(cfg.snapshot_at)
 
-    r2 = grid.radius2()
-    rho = _spectral.weight_rho(r2, grid.n_dim)
-    meshes = grid.meshes()
-
     removed_sum = np.zeros(1 + grid.n_dim, dtype=np.complex128)
     s_last_record = initial.s
 
-    def push(state, phi):
+    def push(state):
         nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
         rate = np.zeros_like(removed_sum) if span <= 0 else removed_sum / span
-        rec = _record_state(state, phi, params, ssp, rate)
+        rec = _record_state(state, params, ssp, rate)
         traj.add(rec)
         if observer is not None:
             observer(rec)
@@ -447,13 +447,13 @@ def evolve(
     work = _Workspace(grid, state.w)
     # A run on one workspace frees no block-sized array, and glibc raises its
     # mmap and trim thresholds only when it frees a mapped array larger than
-    # them; below that it trims the heap top after each step's full-grid pin
-    # temporaries and faults the pages in again on the next step (257^2 cell:
-    # 61k minor faults per run; 10k with per-step workspaces, 6k with this).
-    # Freeing one untouched block-sized array raises them once.
+    # them; below that it trims the heap top after the full-grid temporaries of
+    # a step or a record and faults the pages in again on the next one (257^2
+    # cell: 12k minor faults per run, 4k with this).  Freeing one untouched
+    # block-sized array raises them once.
     spare = np.empty_like(work.block)
     del spare
-    push(state, _params.phi(params, r2, state.s))
+    push(state)
     total_steps = n_full + (1 if remainder > 0 else 0)
     n_sub = _substep_count(cfg, grid, cfg.ds)
     substeps = np.arange(1, n_sub + 1) * (cfg.ds / n_sub)
@@ -473,17 +473,12 @@ def evolve(
         # keep s exact against accumulation drift
         s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
         state = dataclasses.replace(state, s=s_exact)
-        record = k % cfg.record_every == 0 or k == total_steps
-        if cfg.pin_unstable_modes or record:
-            phi = _params.phi(params, r2, state.s)
         if cfg.pin_unstable_modes:
-            chi = _rhs.cutoff_chi(cfg.cutoff, r2, state.s)
             # the deviation goes into the step's scratch, free until the next step
-            q = np.subtract(state.w, phi, out=work.block[0])
-            removed_sum += _remove_expanding_content(q, grid, chi, rho, meshes)
-            np.add(phi, q, out=state.w)
-        if record:
-            push(state, phi)
+            scratch = work.block[0].reshape(-1)
+            removed_sum += _pin(state.w, grid, params, cfg.cutoff, state.s, scratch)
+        if k % cfg.record_every == 0 or k == total_steps:
+            push(state)
     return traj
 
 

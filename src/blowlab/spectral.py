@@ -58,9 +58,9 @@ class Grid:
         """Node coordinates along one axis (read-only, shared by equal grids)."""
         return _axis(self)
 
-    def meshes(self) -> list[np.ndarray]:
-        """Coordinate arrays broadcastable to self.shape, one per axis."""
-        ax = self.axis()
+    def meshes(self, rows: slice = slice(None)) -> list[np.ndarray]:
+        """Coordinate arrays, one per axis, broadcastable to the box of rows on every axis."""
+        ax = self.axis()[rows]
         if self.n_dim == 1:
             return [ax]
         return [ax[:, None], ax[None, :]]
@@ -68,6 +68,18 @@ class Grid:
     def radius2(self) -> np.ndarray:
         """|y|^2 on the grid (read-only, shared by equal grids)."""
         return _radius2(self)
+
+    @functools.lru_cache(maxsize=32)
+    def rho(self) -> np.ndarray:
+        """Gaussian weight ρ = e^{-|y|²/4} / (4π)^{n/2} (read-only, shared by equal grids)."""
+        rho = np.exp(-self.radius2() / 4.0) / (4.0 * math.pi) ** (self.n_dim / 2.0)
+        rho.setflags(write=False)
+        return rho
+
+    def rows_within(self, radius: float) -> slice:
+        """The axis nodes with |y| < radius: on every axis, a box holding that ball's nodes."""
+        ax = self.axis()
+        return slice(int(np.searchsorted(ax, -radius, "right")), int(np.searchsorted(ax, radius)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -99,12 +111,6 @@ def hermite(m: int, y) -> np.ndarray:
     for k in range(1, m):
         prev, cur = cur, y * cur - 2.0 * k * prev
     return cur
-
-
-def weight_rho(y2, n_dim: int) -> np.ndarray:
-    """Gaussian weight ρ = e^{-|y|²/4} / (4π)^{n/2}, given the squared radius."""
-    y2 = np.asarray(y2, dtype=float)
-    return np.exp(-y2 / 4.0) / (4.0 * math.pi) ** (n_dim / 2.0)
 
 
 def norm_h_beta_sq(beta: MultiIndex) -> float:
@@ -145,21 +151,24 @@ def _moment_basis(grid: Grid) -> np.ndarray:
     return basis
 
 
-def gaussian_moments(grid: Grid, f: np.ndarray, weight: np.ndarray) -> tuple:
+def gaussian_moments(grid: Grid, f: np.ndarray, weight: np.ndarray,
+                     rows: slice = slice(None)) -> tuple:
     """Trapezoid integrals (m0, m1, m2) of f·weight against 1, y_j/2 and y_j y_k/4 − δ_jk/2.
 
-    m1 has shape (n,) and m2 is symmetric (n, n); all are complex when f
-    is.  A complex integrand is contracted through its real view, so the
-    axis-by-axis contraction with the real basis stays real.
+    f and weight live on the box of rows on every axis (default: the whole grid)
+    and the integrand is zero beyond it.  m1 is (n,) and m2 symmetric (n, n),
+    complex when f is: a complex integrand is contracted through its real view,
+    so the contraction with the real basis stays real.
     """
+    basis_t = _moment_basis(grid)[rows].T
+    npts = basis_t.shape[1]
     vals = np.ascontiguousarray(f * weight)
     is_complex = np.iscomplexobj(vals)
     # components (1 real or 2 complex) on a trailing axis
-    vals = (vals.view(np.float64) if is_complex else vals).reshape(grid.shape + (-1,))
-    basis_t = _moment_basis(grid).T
+    vals = (vals.view(np.float64) if is_complex else vals).reshape((npts,) * grid.n_dim + (-1,))
     for axis in range(grid.n_dim):
         # the axes before `axis` already hold basis indices
-        vals = basis_t @ vals.reshape((3,) * axis + (grid.npts, -1))
+        vals = basis_t @ vals.reshape((3,) * axis + (npts, -1))
     # raw[a_1, ..., a_n]: moment against the product of basis columns a_j, so
     # y_j y_k/4 - δ_jk/2 sits at index e_j + e_k
     raw = vals[..., 0] + 1j * vals[..., 1] if is_complex else vals[..., 0]

@@ -124,7 +124,7 @@ def test_2_spectral_suite():
     t0 = time.perf_counter()
     grid = sp.Grid(1, 16.0, 1025)
     ax = grid.axis()
-    rho = sp.weight_rho(grid.radius2(), 1)
+    rho = grid.rho()
 
     worst_orth = 0.0
     for i in range(11):

@@ -344,7 +344,7 @@ class TestModeResiduals:
         ssp = dg.ShrinkingSetParams()
         grid = sp.Grid(1, 60.0, 1201)
         r2 = grid.radius2()
-        rho = sp.weight_rho(r2, 1)
+        rho = grid.rho()
         cut = rhs.CutoffSpec(K=ssp.K)
 
         def projected_rest(s):

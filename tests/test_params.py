@@ -138,6 +138,16 @@ class TestProfiles:
             assert got.dtype == np.complex128 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(2, bp.MAX_P), z2=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=9))
+    def test_f0_g0_is_f0_and_g0_bit_for_bit(self, p, z2):
+        pr = bp.make_params(p, 1)
+        f0, g0 = bp.f0_g0(pr, np.array(z2))
+        assert f0.tobytes() == bp.f0(pr, np.array(z2)).tobytes()
+        assert g0.tobytes() == bp.g0(pr, np.array(z2)).tobytes()
+        with pytest.raises(ValueError, match="z2 is a squared radius"):
+            bp.f0_g0(pr, np.array(z2) - 1e5)
+
     @pytest.mark.parametrize(
         "y2,s,match",
         [(1.0, 0.0, "s must be > 0"),

@@ -261,6 +261,19 @@ class TestCutoff:
         assert rhs.cutoff_chi(cut, (5.0 * 4.0) ** 2, s) == 1.0
         assert rhs.cutoff_chi(cut, (10.0 * 4.0) ** 2 + 1.0, s) == 0.0
 
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    @pytest.mark.parametrize("K,s", [(5.0, 25.0), (5.0, 30.7), (1.3, 2.0), (0.01, 1.0), (9.0, 25.0)])
+    def test_box_within_2k_sqrt_s_holds_all_of_chi(self, n_dim, K, s):
+        # the rows are the axis nodes with |y| < 2K sqrt(s); chi is zero off their box
+        grid, cut = sp.Grid(n_dim, 87.5, 257), rhs.CutoffSpec(K=K)
+        rows = grid.rows_within(2.0 * K * math.sqrt(s))
+        inside = np.abs(grid.axis()) < 2.0 * K * math.sqrt(s)
+        assert np.array_equal(np.arange(grid.npts)[rows], np.nonzero(inside)[0])
+        box = np.zeros(grid.shape, dtype=bool)
+        box[(rows,) * n_dim] = True
+        chi = rhs.cutoff_chi(cut, grid.radius2(), s)
+        assert np.all(chi[~box] == 0.0) and chi[(grid.npts // 2,) * n_dim] == 1.0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             rhs.CutoffSpec(K=0.0)

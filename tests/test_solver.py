@@ -151,7 +151,7 @@ class TestKernels:
                     d = (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * h)
                 want[idx] += 0.5 * ax[i] * d
         work = np.empty((3,) + vals.shape)
-        assert np.array_equal(solver._upwind_gradient_term(vals, grid, work), want)
+        assert np.array_equal(solver._drift(*solver._drift_views(grid, vals, work)), want)
 
     def test_implicit_diffusion_matches_banded_reference(self):
         # bit for bit the same as one banded solve per axis on the real view,
@@ -210,7 +210,7 @@ class TestKernels:
                     w = implicit_diffusion(w, grid.h, dss)
                     wr = w.view(np.float64).reshape(w.shape + (2,))
                     work = np.empty((3,) + wr.shape)
-                    wr -= dss * solver._upwind_gradient_term(wr, grid, work)
+                    wr -= dss * solver._drift(*solver._drift_views(grid, wr, work))
                     w = w + dss * (w**pr.p - inv * w)
                 else:
                     k1 = solver._rk4_rhs(w, grid, pr)
@@ -244,7 +244,8 @@ class TestKernels:
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_grid_geometry_is_shared_and_read_only(self, n_dim):
         a, b = sp.Grid(n_dim, 6.0, 33), sp.Grid(n_dim, 6.0, 33)
-        for get in (lambda g: g.axis(), lambda g: g.radius2(), solver._edge_mask):
+        for get in (lambda g: g.axis(), lambda g: g.radius2(), lambda g: g.rho(),
+                    solver._edge_mask):
             arr = get(a)
             assert np.array_equal(arr, get(b))
             with pytest.raises(ValueError):
@@ -377,7 +378,7 @@ class TestEvolve:
         """
         grid = initial.grid
         r2 = grid.radius2()
-        rho, meshes = sp.weight_rho(r2, grid.n_dim), grid.meshes()
+        rho = np.exp(-r2 / 4.0) / (4.0 * math.pi) ** (grid.n_dim / 2.0)
         n_full = int(math.floor((cfg.s_end - initial.s) / cfg.ds + 1e-9))
         remainder = cfg.s_end - initial.s - n_full * cfg.ds
         steps = [cfg.ds] * n_full + ([remainder] if remainder >= 1e-12 * cfg.s_end else [])
@@ -385,31 +386,40 @@ class TestEvolve:
         records, snapshots = [], []
         removed, s_rec = np.zeros(1 + grid.n_dim, dtype=complex), initial.s
 
-        def record(state, phi):
+        def record(state):
             nonlocal removed, s_rec
             span = state.s - s_rec
             rate = removed / span if span > 0 else np.zeros_like(removed)
-            records.append(solver._record_state(state, phi, pr, ssp, rate))
+            records.append(solver._record_state(state, pr, ssp, rate))
             removed, s_rec = np.zeros_like(removed), state.s
             while pending and state.s >= pending[0] - 1e-9:
                 pending.pop(0)
                 snapshots.append((state.s, state.w.copy()))
 
         state = initial
-        record(state, bp.phi1(pr, r2, state.s) + 1j * bp.phi2(pr, r2, state.s))
+        record(state)
         for k, ds in enumerate(steps, start=1):
             state = solver.step_similarity(state, cfg, pr, ds=ds)
             s = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
-            phi = bp.phi1(pr, r2, s) + 1j * bp.phi2(pr, r2, s)
-            w = state.w
+            w = state.w.copy()
             if cfg.pin_unstable_modes:
-                chi = rhs.cutoff_chi(cfg.cutoff, r2, s)
-                q = w - phi
-                removed = removed + solver._remove_expanding_content(q, grid, chi, rho, meshes)
-                w = phi + q
+                # chi is zero for |y| >= 2K sqrt(s): the pin works on the box of axis
+                # nodes inside that radius on every axis and leaves w as it is beyond
+                inside = np.nonzero(np.abs(grid.axis()) < 2.0 * cfg.cutoff.K * math.sqrt(s))[0]
+                rows = slice(inside[0], inside[-1] + 1)
+                box = (rows,) * grid.n_dim
+                phi = bp.phi1(pr, r2[box], s) + 1j * bp.phi2(pr, r2[box], s)
+                chi = rhs.cutoff_chi(cfg.cutoff, r2[box], s)
+                q = w[box] - phi
+                m0, m1, _ = sp.gaussian_moments(grid, q, chi * rho[box], rows)
+                correction = m0
+                for m, y in zip(m1, grid.meshes(rows)):
+                    correction = correction + m * y
+                w[box] = phi + (q - correction * chi)
+                removed = removed + np.concatenate(([m0], m1))
             state = solver.SimilarityState(s=s, grid=grid, w=w)
             if k % cfg.record_every == 0 or k == len(steps):
-                record(state, phi)
+                record(state)
         return records, snapshots
 
     @staticmethod
@@ -427,16 +437,25 @@ class TestEvolve:
             assert got == want or (got != got and want != want), where
 
     @pytest.mark.parametrize(
-        "case", ["p2-1d-substeps-remainder", "p3-2d", "extrapolate", "rk4", "snapshots"]
+        "case", ["p2-1d-substeps-remainder", "p3-2d", "extrapolate", "rk4", "snapshots",
+                 "box-1d", "box-2d"]
     )
     def test_evolve_matches_step_similarity_replay(self, case):
         # the run loop is bit for bit a sequence of step_similarity calls, each
-        # followed by the pin at the step's exact s: every record and snapshot
+        # followed by the pin at the step's exact s: every record and snapshot.
+        # With L < 2K sqrt(s) the pin's box is the whole grid; the box cases
+        # reach past it
         p, n_dim, half_width, npts = 2, 1, 24.0, 2049
         kw = {"ds": 0.01, "s_end": 25.255, "pin_unstable_modes": True, "record_every": 10}
-        if case == "p3-2d":
+        if case in ("p3-2d", "box-2d"):
             p, n_dim, npts = 3, 2, 65
             kw.update(ds=0.005, s_end=25.1, record_every=5)
+            if case == "box-2d":
+                half_width = 60.0
+                kw.update(snapshot_at=(25.05, 25.1))
+        elif case == "box-1d":
+            half_width, npts = 87.5, 513
+            kw.update(snapshot_at=(25.1, 25.255))
         elif case == "extrapolate":
             p, npts = 3, 257
             kw.update(boundary="extrapolate", s_end=25.3, pin_unstable_modes=False)
@@ -457,6 +476,7 @@ class TestEvolve:
         initial = solver.similarity_initial_state(pr, idp, cut, grid)
         if case == "p2-1d-substeps-remainder":
             assert solver._substep_count(cfg, grid, cfg.ds) == 6
+        assert (half_width > 2.0 * cut.K * math.sqrt(cfg.s_end)) == case.startswith("box")
         before = initial.w.copy()
         ssp = dg.ShrinkingSetParams(K=cut.K)
         traj = solver.evolve(initial, cfg, pr, ssp=ssp)
@@ -467,11 +487,80 @@ class TestEvolve:
         for k, (got, want) in enumerate(zip(traj.records, records)):
             self.assert_same_values(got, want, f"record {k}")
         assert len(traj.snapshots) == len(snapshots)
-        if case == "snapshots":
-            assert len(snapshots) == 4
+        assert len(snapshots) == {"snapshots": 4, "box-1d": 2, "box-2d": 2}.get(case, 0)
         for (s_got, w_got), (s_want, w_want) in zip(traj.snapshots, snapshots):
             assert s_got == s_want
             assert np.array_equal(w_got, w_want)
+
+
+class TestPin:
+    @staticmethod
+    def full_grid_pin(w, grid, pr, cut, s):
+        """(Phi, chi, q, moments) of the pin written on the whole grid, q = w - Phi."""
+        r2 = grid.radius2()
+        phi, chi = bp.phi(pr, r2, s), rhs.cutoff_chi(cut, r2, s)
+        q = w - phi
+        rho = np.exp(-r2 / 4.0) / (4.0 * math.pi) ** (grid.n_dim / 2.0)
+        m0, m1, _ = sp.gaussian_moments(grid, q, chi * rho)
+        return phi, chi, q, np.concatenate(([m0], m1))
+
+    @pytest.mark.parametrize("n_dim,npts", [(1, 513), (2, 129)])
+    @pytest.mark.parametrize("half_width", [24.0, 87.5])
+    @pytest.mark.parametrize("s,seed", [(25.0, 1), (30.7, 2)])
+    def test_box_pin_matches_full_grid_pin(self, n_dim, npts, half_width, s, seed):
+        # inside the box w <- Phi + (q - c chi) as on the whole grid, with moments
+        # that agree to roundoff; beyond it, where chi = 0, w is left as it was.  A
+        # grid inside 2K sqrt(s) is all box, and the pin is the full-grid one
+        pr, cut = bp.make_params(3, n_dim), rhs.CutoffSpec(K=5.0)
+        grid = sp.Grid(n_dim, half_width, npts)
+        rng = np.random.default_rng(seed)
+        w = 0.3 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        w += bp.phi(pr, grid.radius2(), s)
+        got = w.copy()
+        removed = solver._pin(got, grid, pr, cut, s, np.empty(w.size, dtype=complex))
+        phi, chi, q, want = self.full_grid_pin(w, grid, pr, cut, s)
+        assert np.max(np.abs(removed - want)) <= 1e-13 * np.max(np.abs(want))
+        correction = removed[0]
+        for m, y in zip(removed[1:], grid.meshes()):
+            correction = correction + m * y
+        ref = phi + (q - correction * chi)
+        inside = np.abs(grid.axis()) < 2.0 * cut.K * math.sqrt(s)
+        box = inside if n_dim == 1 else inside[:, None] & inside[None, :]
+        assert np.array_equal(got[box], ref[box])
+        assert np.array_equal(got[~box], w[~box])
+        assert np.all(chi[~box] == 0.0)
+        if half_width <= 2.0 * cut.K * math.sqrt(s):
+            assert np.all(box)
+            correction = want[0]
+            for m, y in zip(want[1:], grid.meshes()):
+                correction = correction + m * y
+            assert np.array_equal(removed, want)
+            assert np.array_equal(got, phi + (q - correction * chi))
+        else:
+            assert not np.all(box)
+
+    @pytest.mark.parametrize("n_dim,npts", [(1, 513), (2, 65)])
+    def test_full_grid_profiles_only_on_records(self, monkeypatch, n_dim, npts):
+        # the pin forms Phi and chi on chi's support box: a full-grid Phi is formed
+        # once per record (the initial one included) and a full-grid chi never
+        pr, cut = bp.make_params(2, n_dim), rhs.CutoffSpec(K=5.0)
+        grid = sp.Grid(n_dim, 87.5, npts)
+        idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5, d1_const=0.3, n_dim=n_dim)
+        initial = solver.similarity_initial_state(pr, idp, cut, grid)
+        cfg = solver.SolverConfig(ds=0.01, s_end=25.1, pin_unstable_modes=True, record_every=3)
+        full = {"phi": 0, "chi": 0}
+
+        def counting(fn, name):
+            def wrapped(first, y2, s):
+                full[name] += np.shape(y2) == grid.shape
+                return fn(first, y2, s)
+            return wrapped
+
+        monkeypatch.setattr(bp, "phi", counting(bp.phi, "phi"))
+        monkeypatch.setattr(rhs, "cutoff_chi", counting(rhs.cutoff_chi, "chi"))
+        traj = solver.evolve(initial, cfg, pr)
+        assert len(traj.records) == 5
+        assert full == {"phi": 5, "chi": 0}
 
 
 class TestInstability:

@@ -76,24 +76,34 @@ class TestHermite:
 
 class TestWeightAndNorms:
     def test_rho_values(self):
-        assert sp.weight_rho(0.0, 1) == pytest.approx(0.2820948, abs=1e-7)
-        assert sp.weight_rho(0.0, 2) == pytest.approx(0.0795775, abs=1e-7)
+        assert sp.Grid(1, 8.0, 17).rho()[8] == pytest.approx(0.2820948, abs=1e-7)
+        assert sp.Grid(2, 8.0, 17).rho()[8, 8] == pytest.approx(0.0795775, abs=1e-7)
 
     def test_rho_normalized(self):
         g = sp.Grid(1, 16.0, 1025)
-        total = sp.integrate(g, sp.weight_rho(g.radius2(), 1))
+        total = sp.integrate(g, g.rho())
         assert total == pytest.approx(1.0, abs=1e-13)
         g2 = sp.Grid(2, 16.0, 257)
-        total2 = sp.integrate(g2, sp.weight_rho(g2.radius2(), 2))
+        total2 = sp.integrate(g2, g2.rho())
         assert total2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rho_factorizes(self):
         g = sp.Grid(2, 8.0, 65)
-        ax = g.axis()
-        rho1 = sp.weight_rho(ax * ax, 1)
+        rho1 = sp.Grid(1, 8.0, 65).rho()
         product = rho1[:, None] * rho1[None, :]
-        full = sp.weight_rho(g.radius2(), 2)
+        full = g.rho()
         np.testing.assert_allclose(full, product, rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rho_is_its_formula(self, n):
+        g = sp.Grid(n, 8.0, 65)
+        assert np.array_equal(g.rho(), np.exp(-g.radius2() / 4.0) / (4.0 * math.pi) ** (n / 2.0))
+
+    @pytest.mark.parametrize("radius", [0.1, 3.0, 3.25, 7.999, 8.0, 100.0])
+    def test_rows_within(self, radius):
+        ax = sp.Grid(1, 8.0, 65).axis()
+        rows = sp.Grid(2, 8.0, 65).rows_within(radius)
+        assert np.array_equal(np.arange(65)[rows], np.nonzero(np.abs(ax) < radius)[0])
 
     def test_norms(self):
         assert sp.norm_h_beta_sq((0,)) == 1.0
@@ -108,6 +118,25 @@ def grid_1d():
 
 class TestGaussianMoments:
     @pytest.mark.parametrize("n,npts", [(1, 201), (2, 61)])
+    def test_rows_box_matches_zero_padded_grid(self, n, npts):
+        # moments of an integrand on the box of rows on every axis equal those of
+        # the same integrand padded with zeros to the whole grid
+        grid = sp.Grid(n, 12.0, npts)
+        rows = slice(npts // 4, npts - npts // 3)
+        box = (rows,) * n
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        padded = np.zeros(grid.shape, dtype=complex)
+        padded[box] = f[box]
+        got = sp.gaussian_moments(grid, f[box], grid.rho()[box], rows)
+        want = sp.gaussian_moments(grid, padded, grid.rho())
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+        whole = sp.gaussian_moments(grid, f, grid.rho(), slice(None))
+        for a, b in zip(whole, sp.gaussian_moments(grid, f, grid.rho())):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n,npts", [(1, 201), (2, 61)])
     @pytest.mark.parametrize("is_complex", [False, True])
     @pytest.mark.parametrize("source", ["random", "hermite"])
     def test_matches_direct_integrals(self, n, npts, is_complex, source):
@@ -117,7 +146,7 @@ class TestGaussianMoments:
         # c ‖h_beta‖² times that factor in the one matching entry and 0 elsewhere
         grid = sp.Grid(n, 12.0, npts)
         rng = np.random.default_rng(7)
-        rho = sp.weight_rho(grid.radius2(), n)
+        rho = grid.rho()
         ys = grid.meshes()
         c = 1.0 - 0.5j if is_complex else 1.0
         betas = itertools.product(range(4), repeat=n) if source == "hermite" else [None]
