@@ -46,7 +46,8 @@ from . import verifier as _verifier
 
 ARTIFACT_VERSION = "1"
 MODES = ("simulate-similarity", "simulate-physical", "verify", "sweep")
-MAX_DRIFT_SUBSTEPS = 200
+# most substeps one ds step of a similarity run may need, checked at load
+MAX_SUBSTEPS_PER_STEP = 200
 # a physical trajectory.csv is thinned to about this many rows
 MAX_PHYSICAL_CSV_ROWS = 5000
 
@@ -375,15 +376,15 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
                     "grid does not cover the localized region at the end "
                     f"time: require L >= 2*K*sqrt(s_end) = {need:.3f}, got L = {L}"
                 )
-        if (L is not None and L > 0 and N is not None and N >= 17
-                and ds is not None and ds > 0):
-            h = 2.0 * L / (N - 1)
-            substeps = math.ceil(L * ds / (2.0 * h * _solver.CFL_SAFETY))
-            if substeps > MAX_DRIFT_SUBSTEPS:
+        if (L is not None and L > 0 and N is not None and N >= 17 and N % 2
+                and ds is not None and ds > 0 and scheme in _solver.SCHEMES
+                and n_dim in _spectral.N_DIMS):
+            substeps = _solver._substep_count(scheme, _spectral.Grid(n_dim, L, N), ds)
+            if substeps > MAX_SUBSTEPS_PER_STEP:
                 errors.append(
-                    f"ds CFL pre-check failed: ds = {ds} needs ~{substeps} "
-                    f"drift substeps per step on this grid "
-                    f"(limit {MAX_DRIFT_SUBSTEPS}); reduce ds or N"
+                    f"ds CFL pre-check failed: ds = {ds} needs {substeps} "
+                    f"{scheme} substeps per step on this grid "
+                    f"(limit {MAX_SUBSTEPS_PER_STEP}); reduce ds or N"
                 )
         if scheme == "semi-implicit" and ds is not None and ds > 0.01:
             errors.append(
@@ -460,13 +461,9 @@ def _run_similarity(config: RunConfig) -> int:
     )
     traj = _solver.evolve(state, cfg, pr, ssp=ssp)
 
-    memberships = [
-        _diag.in_shrinking_set(r.d1, r.d2, ssp, r.s) for r in traj.records
-    ]
-    min_margin = min(min(m.margins.values()) for m in memberships)
-    s_vals = traj.s_values
-    e1 = np.array([r.e1 for r in traj.records])
-    e2 = np.array([r.e2 for r in traj.records])
+    recs = traj.records
+    margins = [_diag.in_shrinking_set(r, ssp) for r in recs]
+    s_vals, e1, e2 = recs["s"], recs["e1"], recs["e2"]
     fits: dict = {
         "profile_errors": {
             "e1_final": float(e1[-1]),
@@ -477,9 +474,9 @@ def _run_similarity(config: RunConfig) -> int:
             "e2_slope": _diag.late_loglog_slope(s_vals, e2),
         },
         "membership": {
-            "all_inside": bool(all(m.inside for m in memberships)),
-            "min_margin": float(min_margin),
-            "final_margins": {k: float(v) for k, v in memberships[-1].margins.items()},
+            "all_inside": all(v >= 0.0 for m in margins for v in m.values()),
+            "min_margin": float(min(min(m.values()) for m in margins)),
+            "final_margins": {k: float(v) for k, v in margins[-1].items()},
         },
     }
     c0_tilde = None
@@ -519,18 +516,14 @@ def _write_physical_csv(ptraj, path: str) -> None:
     cols = ["t", "dt", "max_u"] + [f"argmax_{i}" for i in range(n)]
     for i in range(len(ptraj.probes)):
         cols += [f"probe{i}_u1", f"probe{i}_u2"]
-    lines = [",".join(cols)]
     # thin long runs to every stride-th row plus the last one; the float view
     # of probe_u interleaves u1 and u2 per probe
     recs = ptraj.records
     stride = max(1, -(-len(recs) // MAX_PHYSICAL_CSV_ROWS))
     last = recs[-1:] if (len(recs) - 1) % stride else recs[:0]
     recs = np.concatenate([recs[::stride], last])
-    table = np.column_stack([recs["t"], recs["dt"], recs["max_u"], recs["argmax"],
-                             recs["probe_u"].view(np.float64)])
-    lines += [",".join(_diag._fmt(v) for v in row) for row in table]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _diag.write_csv(path, cols, np.column_stack([
+        recs["t"], recs["dt"], recs["max_u"], recs["argmax"], recs["probe_u"].view(np.float64)]))
 
 
 def _run_physical(config: RunConfig) -> int:

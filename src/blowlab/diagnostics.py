@@ -14,7 +14,9 @@ weight.  q_minus is the pointwise remainder.  The flattened radial modes of
 the full solution w use the radial quadratic |y|^2 - 2n in the same weight.
 All of these moments come from one routine, spectral.gaussian_moments, which
 the solver's mode pinning uses too.  decompose acts on the complex deviation
-q = q1 + i q2 at once and returns one decomposition per component.
+q = q1 + i q2 at once and returns each mode field for both components.
+Similarity and physical records are columns of one numpy structured array
+per trajectory, and both frames write their CSV through write_csv.
 
 All operations are read-only on their inputs; a finished trajectory can be
 analyzed concurrently.
@@ -52,34 +54,6 @@ class NonConvergenceError(RuntimeError):
 MIN_EXPONENT_LOG_SPAN = 0.1
 
 
-@dataclass
-class ModeDecomposition:
-    """Five-component split of a localized deviation field.
-
-    q0, q1_vec, q2_mat are the polynomial coefficients; the two norms are
-    sup |q_minus| / (1 + |y|^3) and sup |q_e| over the grid.
-    """
-
-    q0: float
-    q1_vec: np.ndarray
-    q2_mat: np.ndarray
-    q_minus_weighted_norm: float
-    q_e_norm: float
-
-    def __post_init__(self):
-        self.q1_vec = np.asarray(self.q1_vec, dtype=float)
-        self.q2_mat = np.asarray(self.q2_mat, dtype=float)
-        n = self.q1_vec.shape[0]
-        if self.q1_vec.ndim != 1 or self.q2_mat.shape != (n, n):
-            raise ValueError("q1_vec must be (n,) and q2_mat (n, n)")
-        if not np.all(np.abs(self.q2_mat - self.q2_mat.T) <= 1e-12):
-            raise ValueError("q2_mat must be symmetric to 1e-12")
-
-    @property
-    def n_dim(self) -> int:
-        return self.q1_vec.shape[0]
-
-
 @dataclass(frozen=True)
 class ShrinkingSetParams:
     """Envelope parameters (A, p1, K) of the shrinking neighborhood."""
@@ -97,62 +71,68 @@ class ShrinkingSetParams:
             raise ValueError(f"K must be positive, got {self.K}")
 
 
+class _RowStore:
+    """Rows as one numpy structured array, in a buffer that doubles when full.
+
+    records is the filled part.  add appends one row, its fields in the
+    dtype's order, and refuses a first field that does not strictly increase.
+    """
+
+    def _start_rows(self, dtype) -> None:
+        self._rows, self._count = np.empty(16, dtype=dtype), 0
+
+    @property
+    def records(self) -> np.ndarray:
+        return self._rows[: self._count]
+
+    def add(self, *row) -> None:
+        n, key = self._count, self._rows.dtype.names[0]
+        if n and not row[0] > self._rows[key][n - 1]:
+            raise ValueError(
+                f"records must have strictly increasing {key}; got {row[0]} "
+                f"after {self._rows[key][n - 1]}"
+            )
+        if n == len(self._rows):
+            grown = np.empty(2 * n, dtype=self._rows.dtype)
+            grown[:n] = self._rows
+            self._rows = grown
+        self._rows[n] = row
+        self._count = n + 1
+
+
 @dataclass
-class SimilarityRecord:
-    """One recorded instant of a similarity-frame trajectory."""
+class Trajectory(_RowStore):
+    """Similarity records as columns, and optional raw snapshots (s, w), w complex.
 
-    s: float
-    d1: ModeDecomposition
-    d2: ModeDecomposition
-    e1: float
-    e2: float
-    max_w: float
-    w1bar_h2: float
-    w2_h0: float
-    w2_h2: float
-    removal_rate1: np.ndarray = field(default=None)
-    removal_rate2: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        n = self.d1.n_dim
-        if self.removal_rate1 is None:
-            self.removal_rate1 = np.zeros(1 + n)
-        if self.removal_rate2 is None:
-            self.removal_rate2 = np.zeros(1 + n)
-        self.removal_rate1 = np.asarray(self.removal_rate1, dtype=float)
-        self.removal_rate2 = np.asarray(self.removal_rate2, dtype=float)
-
-
-@dataclass
-class Trajectory:
-    """Ordered similarity records plus optional raw snapshots (s, w), w complex."""
+    records is a numpy structured array with one row per record and the
+    fields s, q0 (2,), q1 (2, n), q2 (2, n, n), q_minus_norm (2,),
+    q_e_norm (2,), e1, e2, max_w, w1bar_h2, w2_h0, w2_h2 and removal_rate
+    (2, 1 + n).  A leading axis of 2 is the component: q1/w1 first, then
+    q2/w2.
+    """
 
     grid: _spectral.Grid
-    records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add(self, record: SimilarityRecord) -> None:
-        if self.records and record.s <= self.records[-1].s:
-            raise ValueError(
-                f"records must have strictly increasing s; got {record.s} "
-                f"after {self.records[-1].s}"
-            )
-        self.records.append(record)
-
-    @property
-    def s_values(self) -> np.ndarray:
-        return np.array([r.s for r in self.records])
+    def __post_init__(self):
+        n = self.grid.n_dim
+        self._start_rows([
+            ("s", float), ("q0", float, (2,)), ("q1", float, (2, n)),
+            ("q2", float, (2, n, n)), ("q_minus_norm", float, (2,)),
+            ("q_e_norm", float, (2,)), ("e1", float), ("e2", float), ("max_w", float),
+            ("w1bar_h2", float), ("w2_h0", float), ("w2_h2", float),
+            ("removal_rate", float, (2, 1 + n)),
+        ])
 
 
 @dataclass
-class PhysicalTrajectory:
+class PhysicalTrajectory(_RowStore):
     """Per-step physical records as columns, snapshots (t, u) with u complex, and blow-up fits.
 
     records is a numpy structured array with one row per recorded step and
     the fields t, dt, max_u, argmax (the position of max|u|, shape (n_dim,))
-    and probe_u (complex u at the probes, shape (n_probes,)).  add appends a
-    row to a buffer that doubles when full.
+    and probe_u (complex u at the probes, shape (n_probes,)).
     """
 
     grid: _spectral.Grid
@@ -162,41 +142,27 @@ class PhysicalTrajectory:
     decay_slope: float = None
     status: str = "ok"
     meta: dict = field(default_factory=dict)
-    _rows: np.ndarray = field(init=False, repr=False)
-    _count: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.probes = np.asarray(self.probes, dtype=float)
-        self._rows = np.empty(16, dtype=[
+        self._start_rows([
             ("t", float), ("dt", float), ("max_u", float),
             ("argmax", float, (self.grid.n_dim,)),
             ("probe_u", complex, (self.probes.size,)),
         ])
-
-    @property
-    def records(self) -> np.ndarray:
-        return self._rows[: self._count]
-
-    def add(self, t: float, dt: float, max_u: float, argmax, probe_u) -> None:
-        n = self._count
-        if n and not t > self._rows["t"][n - 1]:
-            raise ValueError("records must have strictly increasing t")
-        if n == len(self._rows):
-            grown = np.empty(2 * n, dtype=self._rows.dtype)
-            grown[:n] = self._rows
-            self._rows = grown
-        self._rows[n] = (t, dt, max_u, argmax, probe_u)
-        self._count = n + 1
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
               ssp: ShrinkingSetParams) -> tuple:
     """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff at K sqrt(s).
 
-    Returns one ModeDecomposition per component, (d1, d2); for a real q, d2
-    is zero.  The grid must either cover the full cutoff transition
-    (L >= 2K sqrt(s)) or sit entirely inside the plateau (L <= K sqrt(s),
-    chi identically 1); a grid ending mid-transition raises CoverageError.
+    Returns the five mode fields of a Trajectory record, (q0, q1, q2,
+    q_minus_norm, q_e_norm), each with a leading axis of the two components;
+    the norms are sup |q_minus| / (1 + |y|^3) and sup |q_e| over the grid.
+    For a real q the second component is zero.  The grid must either cover
+    the full cutoff transition (L >= 2K sqrt(s)) or sit entirely inside the
+    plateau (L <= K sqrt(s), chi identically 1); a grid ending mid-transition
+    raises CoverageError.
     """
     edge = ssp.K * math.sqrt(s)
     if grid.half_width > edge + 1e-9 and grid.half_width < 2.0 * edge - 1e-9:
@@ -222,31 +188,9 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
             poly = poly + 0.5 * q2[j, k] * meshes[j] * meshes[k]
     q_minus = q_b - poly
     weight = 1.0 + np.sqrt(r2) ** 3
-    return tuple(
-        ModeDecomposition(
-            q0=float(part(q0)),
-            q1_vec=part(q1),
-            q2_mat=part(q2),
-            q_minus_weighted_norm=float(np.max(np.abs(part(q_minus)) / weight)),
-            q_e_norm=float(np.max(np.abs(part(q_e)))),
-        )
-        for part in (np.real, np.imag)
-    )
-
-
-@dataclass
-class MembershipReport:
-    """Per-bound margins of the shrinking set and overall membership."""
-
-    margins: dict
-    inside: bool
-    on_boundary: bool
-
-
-_BOUND_NAMES = (
-    "q1_0", "q1_j", "q1_jk", "q1_minus", "q1_e",
-    "q2_0", "q2_j", "q2_jk", "q2_minus", "q2_e",
-)
+    parts = [(part(q0), part(q1), part(q2), np.max(np.abs(part(q_minus)) / weight),
+              np.max(np.abs(part(q_e)))) for part in (np.real, np.imag)]
+    return tuple(np.array(column) for column in zip(*parts))
 
 
 def shrinking_set_bounds(ssp: ShrinkingSetParams, s: float) -> dict:
@@ -269,33 +213,29 @@ def shrinking_set_bounds(ssp: ShrinkingSetParams, s: float) -> dict:
     }
 
 
-def in_shrinking_set(
-    d1: ModeDecomposition, d2: ModeDecomposition, ssp: ShrinkingSetParams, s: float
-) -> MembershipReport:
-    """Check the ten envelope bounds; margins are (bound - observed)/bound."""
-    bounds = shrinking_set_bounds(ssp, s)
-    observed = {
-        "q1_0": abs(d1.q0),
-        "q1_j": float(np.max(np.abs(d1.q1_vec))),
-        "q1_jk": float(np.max(np.abs(d1.q2_mat))),
-        "q1_minus": d1.q_minus_weighted_norm,
-        "q1_e": d1.q_e_norm,
-        "q2_0": abs(d2.q0),
-        "q2_j": float(np.max(np.abs(d2.q1_vec))),
-        "q2_jk": float(np.max(np.abs(d2.q2_mat))),
-        "q2_minus": d2.q_minus_weighted_norm,
-        "q2_e": d2.q_e_norm,
-    }
+def in_shrinking_set(rec, ssp: ShrinkingSetParams) -> dict:
+    """Margins (bound - observed)/bound of the ten envelope bounds, keyed by bound name.
+
+    rec is one row of Trajectory.records; it lies in the shrinking set when
+    every margin is >= 0.
+    """
+    bounds = shrinking_set_bounds(ssp, float(rec["s"]))
     margins = {}
-    for name in _BOUND_NAMES:
-        b, o = bounds[name], observed[name]
-        if b == 0.0:
-            margins[name] = 1.0 if o == 0.0 else -math.inf
-        else:
-            margins[name] = (b - o) / b
-    inside = all(m >= 0.0 for m in margins.values())
-    on_boundary = inside and any(m == 0.0 for m in margins.values())
-    return MembershipReport(margins=margins, inside=inside, on_boundary=on_boundary)
+    for c, comp in enumerate(("q1", "q2")):
+        observed = {
+            "0": abs(rec["q0"][c]),
+            "j": np.max(np.abs(rec["q1"][c])),
+            "jk": np.max(np.abs(rec["q2"][c])),
+            "minus": rec["q_minus_norm"][c],
+            "e": rec["q_e_norm"][c],
+        }
+        for key, o in observed.items():
+            b = bounds[f"{comp}_{key}"]
+            if b == 0.0:
+                margins[f"{comp}_{key}"] = 1.0 if o == 0.0 else -math.inf
+            else:
+                margins[f"{comp}_{key}"] = (b - o) / b
+    return margins
 
 
 @dataclass
@@ -316,13 +256,6 @@ class ModeResidualSeries:
     achieved_exponent_q2_null: float
 
 
-def _stack_modes(records, which: str):
-    q0 = np.array([getattr(r, which).q0 for r in records])
-    q1 = np.array([getattr(r, which).q1_vec for r in records])
-    q2 = np.array([getattr(r, which).q2_mat for r in records])
-    return q0, q1, q2
-
-
 def mode_ode_residuals(
     traj: Trajectory, ssp: ShrinkingSetParams, params: _params.Params
 ) -> ModeResidualSeries:
@@ -336,17 +269,14 @@ def mode_ode_residuals(
     recs = traj.records
     if len(recs) < 3:
         raise TrajectoryTooSparseError("need at least 3 records")
-    s = np.array([r.s for r in recs])
+    s = recs["s"]
     gaps = np.diff(s)
     if np.any(gaps > 0.1 + 1e-9):
         raise TrajectoryTooSparseError(
             f"record spacing up to {gaps.max():.4f} exceeds 0.1; "
             "centered differences in s would be unreliable"
         )
-    q1_0, q1_j, q1_jk = _stack_modes(recs, "d1")
-    q2_0, q2_j, q2_jk = _stack_modes(recs, "d2")
-    rate1 = np.array([r.removal_rate1 for r in recs])
-    rate2 = np.array([r.removal_rate2 for r in recs])
+    q0, q1, q2, rate = recs["q0"], recs["q1"], recs["q2"], recs["removal_rate"]
 
     mid = slice(1, -1)
     span = s[2:] - s[:-2]
@@ -356,34 +286,30 @@ def mode_ode_residuals(
 
     # removal_rate[k] covers (s[k-1], s[k]]; the centered difference over
     # (s[k-1], s[k+1]) sees the mean of windows k and k+1
-    corr1 = 0.5 * (rate1[1:-1] + rate1[2:])
-    corr2 = 0.5 * (rate2[1:-1] + rate2[2:])
+    corr = 0.5 * (rate[1:-1] + rate[2:])
 
     s_mid = s[mid]
     p1 = ssp.p1
     A = ssp.A
 
-    r1_0 = np.abs(ddt(q1_0) + corr1[:, 0] - q1_0[mid])
-    r2_0 = np.abs(ddt(q2_0) + corr2[:, 0] - q2_0[mid])
-    r1_j = np.max(np.abs(ddt(q1_j) + corr1[:, 1:] - 0.5 * q1_j[mid]), axis=1)
-    r2_j = np.max(np.abs(ddt(q2_j) + corr2[:, 1:] - 0.5 * q2_j[mid]), axis=1)
-    raw1_jk = np.max(
-        np.abs(ddt(q1_jk) + (2.0 / s_mid)[:, None, None] * q1_jk[mid]), axis=(1, 2)
-    )
-    raw2_jk = np.max(
-        np.abs(ddt(q2_jk) + (2.0 / s_mid)[:, None, None] * q2_jk[mid]), axis=(1, 2)
+    # one column per component, q1 then q2
+    r_0 = np.abs(ddt(q0) + corr[:, :, 0] - q0[mid])
+    r_j = np.max(np.abs(ddt(q1) + corr[:, :, 1:] - 0.5 * q1[mid]), axis=2)
+    raw_jk = np.max(
+        np.abs(ddt(q2) + (2.0 / s_mid)[:, None, None, None] * q2[mid]), axis=(2, 3)
     )
 
     residuals = {
-        "q1_0": r1_0 * s_mid**2,
-        "q2_0": r2_0 * s_mid ** (p1 + 2),
-        "q1_j": r1_j * s_mid**2,
-        "q2_j": r2_j * s_mid ** (p1 + 2),
-        "q1_jk": raw1_jk * s_mid**3 / A,
-        "q2_jk": raw2_jk * s_mid ** (p1 + 3) / (A**2 * np.log(s_mid)),
+        "q1_0": r_0[:, 0] * s_mid**2,
+        "q2_0": r_0[:, 1] * s_mid ** (p1 + 2),
+        "q1_j": r_j[:, 0] * s_mid**2,
+        "q2_j": r_j[:, 1] * s_mid ** (p1 + 2),
+        "q1_jk": raw_jk[:, 0] * s_mid**3 / A,
+        "q2_jk": raw_jk[:, 1] * s_mid ** (p1 + 3) / (A**2 * np.log(s_mid)),
     }
     constants = {k: float(np.percentile(v, 95)) for k, v in residuals.items()}
 
+    raw2_jk = raw_jk[:, 1]
     positive = raw2_jk > 0
     achieved = math.nan
     if (np.count_nonzero(positive) >= 3
@@ -469,17 +395,15 @@ class InnerFit:
 
 def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     """Fit the central-mode asymptotics over the trajectory's s-window."""
-    s = traj.s_values
+    recs = traj.records
+    s = recs["s"]
     if len(s) < 8 or s[-1] - s[0] < 10.0:
         raise InsufficientSpanError(
             "need at least ~10 units of s (and 8 records) for limit fits"
         )
-    w1b2 = np.array([r.w1bar_h2 for r in traj.records])
-    w2h0 = np.array([r.w2_h0 for r in traj.records])
-    w2h2 = np.array([r.w2_h2 for r in traj.records])
-    y1 = s * w1b2
-    y2 = s**2 * w2h2
-    y0 = s**3 * w2h0
+    y1 = s * recs["w1bar_h2"]
+    y2 = s**2 * recs["w2_h2"]
+    y0 = s**3 * recs["w2_h0"]
 
     half = s >= 0.5 * (s[0] + s[-1])
     w1bar_limit = line_fit(1.0 / s[half], y1[half])[0]
@@ -626,11 +550,12 @@ def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 
 def extract_final_profiles(ptraj: PhysicalTrajectory, xs, rel_tol: float = 0.01) -> list:
     """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
 
-    Snapshots are (t, u) pairs with u = u1 + i u2.  Samples them along a
-    dyadic sequence in T - t, one spline per sampled snapshot for all of xs, and
-    requires the last two samples of each component to differ by less than
-    rel_tol relative to the final magnitude.  Returns one entry per x: its
-    (u1, u2) pair, or the NonConvergenceError it fails with.
+    Snapshots are (t, u) pairs with u = u1 + i u2.  Samples the distinct
+    snapshots nearest a dyadic sequence in T - t, one spline per sampled
+    snapshot for all of xs, and requires the last two samples of each
+    component to differ by less than rel_tol relative to the final magnitude.
+    Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
+    fails with.
     """
     T = ptraj.T_estimate
     if T is None:
@@ -648,7 +573,9 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs, rel_tol: float = 0.01)
         targets.append(delta)
         delta /= 2.0
     targets.append(left[-1])
-    picks = [int(np.argmin(np.abs(left - tgt))) for tgt in targets]
+    # several targets can pick one snapshot; each is sampled once, so the test
+    # compares the last two distinct snapshots
+    picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
     samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks])
     return [_cauchy_limit(samples[:, j], x, rel_tol) for j, x in enumerate(xs)]
 
@@ -672,6 +599,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path: str, cols, table) -> None:
+    """Write a header line of cols, then one line per row of the 2-D float table.
+
+    All floats carry 17 significant digits; output is byte-deterministic.
+    """
+    lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in table]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(
     traj: Trajectory,
     path: str,
@@ -681,48 +618,34 @@ def write_trajectory_csv(
 ) -> None:
     """Write per-record rows: s, modes, norms, errors, the shrinking-set margin
     and envelopes, and the reference columns (ref_w2_h2 only given c0_tilde).
-    All floats carry 17 significant digits; output is byte-deterministic.
     """
-    if not traj.records:
+    recs = traj.records
+    if not len(recs):
         raise ValueError("trajectory has no records")
-    n = traj.records[0].d1.n_dim
-    jk_pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    cols = ["s"]
-    for comp in ("q1", "q2"):
+    n = traj.grid.n_dim
+    upper = np.triu_indices(n)
+    cols, blocks = ["s"], [recs["s"]]
+    for c, comp in enumerate(("q1", "q2")):
         cols.append(f"{comp}_0")
         cols.extend(f"{comp}_lin{j}" for j in range(n))
-        cols.extend(f"{comp}_quad{j}{k}" for j, k in jk_pairs)
-        cols.append(f"{comp}_minus_norm")
-        cols.append(f"{comp}_outer_norm")
-    cols += ["e1", "e2", "max_w", "w1bar_h2", "w2_h0", "w2_h2"]
-    cols.extend(f"removal1_{j}" for j in range(1 + n))
-    cols.extend(f"removal2_{j}" for j in range(1 + n))
+        cols.extend(f"{comp}_quad{j}{k}" for j, k in zip(*upper))
+        cols += [f"{comp}_minus_norm", f"{comp}_outer_norm"]
+        blocks += [recs["q0"][:, c], recs["q1"][:, c], recs["q2"][:, c][:, upper[0], upper[1]],
+                   recs["q_minus_norm"][:, c], recs["q_e_norm"][:, c]]
+    scalars = ["e1", "e2", "max_w", "w1bar_h2", "w2_h0", "w2_h2"]
+    cols += scalars + [f"removal{c}_{j}" for c in (1, 2) for j in range(1 + n)]
+    blocks += [recs[name] for name in scalars] + [recs["removal_rate"].reshape(len(recs), -1)]
     cols += ["min_margin", "env_q1_0", "env_q1_jk", "env_q2_0", "ref_w1bar_h2"]
     if c0_tilde is not None:
         cols += ["ref_w2_h2"]
-    lines = [",".join(cols)]
-    for rec in traj.records:
-        row = [_fmt(rec.s)]
-        for d in (rec.d1, rec.d2):
-            row.append(_fmt(d.q0))
-            row.extend(_fmt(v) for v in d.q1_vec)
-            row.extend(_fmt(d.q2_mat[j, k]) for j, k in jk_pairs)
-            row.append(_fmt(d.q_minus_weighted_norm))
-            row.append(_fmt(d.q_e_norm))
-        row += [_fmt(rec.e1), _fmt(rec.e2), _fmt(rec.max_w),
-                _fmt(rec.w1bar_h2), _fmt(rec.w2_h0), _fmt(rec.w2_h2)]
-        row.extend(_fmt(v) for v in rec.removal_rate1)
-        row.extend(_fmt(v) for v in rec.removal_rate2)
-        report = in_shrinking_set(rec.d1, rec.d2, ssp, rec.s)
-        row.append(_fmt(min(report.margins.values())))
-        bounds = shrinking_set_bounds(ssp, rec.s)
-        row += [_fmt(bounds["q1_0"]), _fmt(bounds["q1_jk"]), _fmt(bounds["q2_0"])]
-        row.append(_fmt(-params.kappa / (4.0 * params.p * rec.s)))
-        if c0_tilde is not None:
-            row.append(_fmt(c0_tilde / rec.s**2))
-        lines.append(",".join(row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    extra = []
+    for rec in recs:
+        s = float(rec["s"])
+        bounds = shrinking_set_bounds(ssp, s)
+        extra.append([min(in_shrinking_set(rec, ssp).values()), bounds["q1_0"],
+                      bounds["q1_jk"], bounds["q2_0"], -params.kappa / (4.0 * params.p * s)]
+                     + ([c0_tilde / s**2] if c0_tilde is not None else []))
+    write_csv(path, cols, np.column_stack(blocks + [np.array(extra)]))
 
 
 def _jsonable(obj):

@@ -261,11 +261,11 @@ def _extrapolate_boundary(vals: np.ndarray) -> None:
         v[-1] = 2.0 * v[-2] - v[-3]
 
 
-def _substep_count(cfg: SolverConfig, grid: _spectral.Grid, ds: float) -> int:
-    """Number of equal substeps keeping the explicit pieces inside their limits."""
+def _substep_count(scheme: str, grid: _spectral.Grid, ds: float) -> int:
+    """Number of equal substeps of a ds step keeping the explicit pieces in their limits."""
     drift_cfl = grid.half_width * ds / (2.0 * grid.h)
     need = drift_cfl / CFL_SAFETY
-    if cfg.scheme == "explicit-rk4":
+    if scheme == "explicit-rk4":
         # explicit diffusion: |lambda|_max = 4 n / h^2 must stay under ~2.78
         diff = 4.0 * grid.n_dim * ds / (grid.h**2) / 2.78
         need = max(need, diff / CFL_SAFETY)
@@ -309,7 +309,7 @@ def step_similarity(
     if ds is None:
         ds = cfg.ds
     grid = state.grid
-    n_sub = _substep_count(cfg, grid, ds)
+    n_sub = _substep_count(cfg.scheme, grid, ds)
     dss = ds / n_sub
     if work is None:
         work = _Workspace(grid, state.w.copy())
@@ -371,19 +371,15 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     return np.concatenate(([m0], m1))
 
 
-def _record_state(state, params, ssp, removal_rate):
-    """One record of state; its profile Phi1 + i Phi2 is the only full-grid one a run forms."""
+def _record_state(state, params, ssp, removal_rate) -> tuple:
+    """One Trajectory row of state; its Phi1 + i Phi2 is the only full-grid profile a run forms."""
     grid = state.grid
     phi = _params.phi(params, grid.radius2(), state.s)
-    d1, d2 = _diag.decompose(grid, state.w - phi, state.s, ssp)
+    modes = _diag.decompose(grid, state.w - phi, state.s, ssp)
     e1, e2 = _diag.profile_error(state, params)
     c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
-    return _diag.SimilarityRecord(
-        s=state.s, d1=d1, d2=d2, e1=e1, e2=e2,
-        max_w=float(np.max(np.abs(_real(state.w)))),
-        w1bar_h2=c2.real, w2_h0=c0.imag, w2_h2=c2.imag,
-        removal_rate1=removal_rate.real, removal_rate2=removal_rate.imag,
-    )
+    return (state.s, *modes, e1, e2, np.max(np.abs(_real(state.w))),
+            c2.real, c0.imag, c2.imag, _real(removal_rate).T)
 
 
 def evolve(
@@ -395,13 +391,13 @@ def evolve(
 ) -> _diag.Trajectory:
     """Step from initial.s to cfg.s_end, recording every record_every steps.
 
-    The observer, when given, is called with each appended record.  Step
-    errors propagate with the failing s attached.  When pinning is enabled
-    the removal rates (amount removed per unit s, averaged since the
-    previous record) ride along on each record; the pin (_pin) leaves w as it
-    is beyond the cutoff's support box.  The steps run in place on one
-    workspace per run and give the same values as step_similarity calls on
-    fresh copies; initial is left as it was.
+    The observer, when given, is called with each appended row of the
+    trajectory's records.  Step errors propagate with the failing s attached.
+    When pinning is enabled the removal rates (amount removed per unit s,
+    averaged since the previous record) ride along on each record; the pin
+    (_pin) leaves w as it is beyond the cutoff's support box.  The steps run
+    in place on one workspace per run and give the same values as
+    step_similarity calls on fresh copies; initial is left as it was.
     """
     if not initial.s >= 1.0:
         raise ValueError(f"initial s must be >= 1, got {initial.s}")
@@ -432,10 +428,9 @@ def evolve(
         nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
         rate = np.zeros_like(removed_sum) if span <= 0 else removed_sum / span
-        rec = _record_state(state, params, ssp, rate)
-        traj.add(rec)
+        traj.add(*_record_state(state, params, ssp, rate))
         if observer is not None:
-            observer(rec)
+            observer(traj.records[-1])
         removed_sum = np.zeros_like(removed_sum)
         s_last_record = state.s
         while pending_snaps and state.s >= pending_snaps[0] - 1e-9:
@@ -455,7 +450,7 @@ def evolve(
     del spare
     push(state)
     total_steps = n_full + (1 if remainder > 0 else 0)
-    n_sub = _substep_count(cfg, grid, cfg.ds)
+    n_sub = _substep_count(cfg.scheme, grid, cfg.ds)
     substeps = np.arange(1, n_sub + 1) * (cfg.ds / n_sub)
     for k in range(1, total_steps + 1):
         ds_k = cfg.ds if k <= n_full else remainder

@@ -194,9 +194,9 @@ def test_3_solver_oracles():
 
 def test_4_profile_convergence(desk_run):
     _, _, traj, runtime = desk_run
-    s = traj.s_values
-    e1 = np.array([r.e1 for r in traj.records])
-    e2 = np.array([r.e2 for r in traj.records])
+    s = traj.records["s"]
+    e1 = traj.records["e1"]
+    e2 = traj.records["e2"]
     late = s >= 35.0
     band1 = e1[late] * np.sqrt(s[late])
     band2 = e2[late] * s[late] ** 0.25
@@ -271,9 +271,9 @@ def test_7_shrinking_set_containment(desk_run):
     margins = []
     inside = []
     for r in traj.records:
-        rep = diag.in_shrinking_set(r.d1, r.d2, ssp, r.s)
-        margins.append(min(rep.margins.values()))
-        inside.append(rep.inside)
+        rep = diag.in_shrinking_set(r, ssp)
+        margins.append(min(rep.values()))
+        inside.append(all(m >= 0.0 for m in rep.values()))
     min_margin = float(min(margins))
 
     ok = all(inside) and min_margin > 0.0

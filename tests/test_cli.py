@@ -267,7 +267,8 @@ class TestSimilarityArtifacts:
         mem = fits["membership"]
         assert mem["all_inside"] is True
         assert mem["min_margin"] > 0
-        assert set(mem["final_margins"]) == set(diagnostics._BOUND_NAMES)
+        bounds = diagnostics.shrinking_set_bounds(diagnostics.ShrinkingSetParams(), 26.0)
+        assert set(mem["final_margins"]) == set(bounds)
         # a one-unit window is too short for the inner fit, which must be
         # reported as skipped rather than silently absent
         assert fits["inner"] is None
@@ -621,6 +622,20 @@ class TestValidationBeforeRun:
             code = cli.main(argv)
         assert code == 2
         assert json.loads(err.getvalue())["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    def test_rk4_diffusion_limit_exits_2(self, tmp_path, monkeypatch):
+        # the drift CFL alone asks 56 substeps of this step; explicit-rk4's
+        # diffusion limit asks 418, past the 200 a step may take.  A config
+        # that got through validation would not be run here
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        raw = tiny_raw(output_dir=str(tmp_path / "out"))
+        raw["grid"] = {"L": 87.5, "N": 40001}
+        raw["solver"].update(scheme="explicit-rk4", s_end=35.0)
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code == 2
+        messages = json.loads(err)["messages"]
+        assert any("CFL pre-check" in m and "needs 418" in m for m in messages)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
