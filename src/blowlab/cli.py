@@ -15,7 +15,11 @@ A run is described by one YAML file:
     seed: 0
     workers: 2
 
-All cross-field constraints are checked at load and reported exhaustively.
+Each key is declared once, in FIELDS (section, kind, default, the modes that
+require it), and each single-field rule once, in BOUNDS; parsing, unknown-key
+rejection, the rules and RunConfig.as_dict read these two tables.  Cross-field
+constraints follow, among them a substep pre-check on every grid the run (or
+each sweep cell) steps on; all violations are reported at once, with exit 2.
 Outputs (run_header.json always; trajectory.csv, fits.json,
 verify_report.json, sweep_summary.json, sweep_table.csv per mode) are
 byte-deterministic for identical config and seed, carry no timestamps, and
@@ -63,6 +67,78 @@ class ConfigError(ValueError):
         )
 
 
+# modes that read the grid and s0, and those that also read the window
+_GRID_MODES = ("simulate-similarity", "simulate-physical", "sweep")
+_WINDOW_MODES = ("simulate-similarity", "sweep")
+
+# One row per RunConfig field: (field, section ("" is the root), key, kind,
+# default, modes that require the key (True: every config)).  _take reads the
+# kinds float, int, bool and str, and takes a list as it is for its BOUNDS
+# rows to judge; "direction" and "radii" have parsers of their own.
+FIELDS = (
+    ("mode", "", "mode", str, None, True),
+    ("p", "params", "p", int, None, True),
+    ("n_dim", "params", "n_dim", int, 1, ()),
+    ("L", "grid", "L", float, None, _GRID_MODES),
+    ("N", "grid", "N", int, None, _GRID_MODES),
+    ("ds", "solver", "ds", float, 5e-3, _WINDOW_MODES),
+    ("s0", "solver", "s0", float, None, _GRID_MODES),
+    ("s_end", "solver", "s_end", float, None, _WINDOW_MODES),
+    ("scheme", "solver", "scheme", str, "semi-implicit", ()),
+    ("pin", "solver", "pin", bool, True, ()),
+    ("record_every", "solver", "record_every", int, 20, ()),
+    ("eta", "solver", "eta", float, 2.5e-4, ()),
+    ("A", "shrinking_set", "A", float, 10.0, ()),
+    ("p1", "shrinking_set", "p1", float, 0.5, ()),
+    ("K", "shrinking_set", "K", float, 5.0, ()),
+    ("d1", "initial_data", "d1", "direction", None, ()),
+    ("d2", "initial_data", "d2", "direction", None, ()),
+    ("probe_log_radii", "physical", "probe_log_radii", "radii", [10.0, 12.0, 14.0], ()),
+    ("sweep_ps", "sweep", "ps", list, [2, 3, 4], ()),
+    ("sweep_ns", "sweep", "ns", list, [1, 2], ()),
+    ("sweep_n2d", "sweep", "N_2d", int, 257, ()),
+    ("output_dir", "", "output_dir", str, "out", ()),
+    ("seed", "", "seed", int, 0, ()),
+    ("workers", "", "workers", int, 2, ()),
+)
+_FIELD = {row[0]: row for row in FIELDS}
+
+
+def _distinct(values) -> bool:
+    return len(set(values)) == len(values)
+
+
+# One row per single-field rule: (field, test, requirement), read as "{dotted}
+# must {requirement}, got {value!r}" (no value for a list).  A field that fails
+# a rule skips its later rules and the cross-field constraints that read it.
+BOUNDS = (
+    ("mode", lambda v: v in MODES, f"be one of {MODES}"),
+    ("p", lambda v: 2 <= v <= _params.MAX_P, f"be an integer in [2, {_params.MAX_P}]"),
+    ("n_dim", lambda v: v >= 1, "be >= 1"),
+    ("L", lambda v: v > 0, "be positive"),
+    ("N", lambda v: v >= 17 and v % 2, "be an odd integer >= 17 (origin on a gridline)"),
+    ("ds", lambda v: v > 0, "be positive"),
+    ("s0", lambda v: v >= 1.0, "be >= 1"),
+    ("scheme", lambda v: v in _solver.SCHEMES, f"be one of {_solver.SCHEMES}"),
+    ("record_every", lambda v: v >= 1, "be >= 1"),
+    ("eta", lambda v: 0 < v <= 0.1, "lie in (0, 0.1]"),
+    ("A", lambda v: v >= 1.0, "be >= 1"),
+    ("p1", lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    ("K", lambda v: v > 0.0, "be positive"),
+    ("sweep_ps", lambda v: isinstance(v, list) and all(
+        type(x) is int and 2 <= x <= _params.MAX_P for x in v),
+     f"be a list of integers in [2, {_params.MAX_P}]"),
+    ("sweep_ps", _distinct, "not repeat a value"),
+    ("sweep_ns", lambda v: isinstance(v, list) and all(
+        type(x) is int and x in _spectral.N_DIMS for x in v),
+     f"be a list of integers in {_spectral.N_DIMS}"),
+    ("sweep_ns", _distinct, "not repeat a value"),
+    ("sweep_n2d", lambda v: v >= 17 and v % 2, "be an odd integer >= 17"),
+    ("seed", lambda v: v >= 0, "be >= 0"),
+    ("workers", lambda v: v >= 1, "be >= 1"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully expanded, validated settings of one run."""
@@ -93,26 +169,13 @@ class RunConfig:
     workers: int
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "params": {"p": self.p, "n_dim": self.n_dim},
-            "grid": {"L": self.L, "N": self.N},
-            "solver": {
-                "ds": self.ds, "s0": self.s0, "s_end": self.s_end,
-                "scheme": self.scheme, "pin": self.pin,
-                "record_every": self.record_every, "eta": self.eta,
-            },
-            "shrinking_set": {"A": self.A, "p1": self.p1, "K": self.K},
-            "initial_data": {"d1": self.d1, "d2": self.d2},
-            "physical": {"probe_log_radii": list(self.probe_log_radii)},
-            "sweep": {
-                "ps": list(self.sweep_ps), "ns": list(self.sweep_ns),
-                "N_2d": self.sweep_n2d,
-            },
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        """The settings in the layout of a config file, tuples as lists."""
+        out: dict = {}
+        for name, section, key, *_ in FIELDS:
+            value = getattr(self, name)
+            (out.setdefault(section, {}) if section else out)[key] = (
+                list(value) if isinstance(value, tuple) else value)
+        return out
 
 
 def config_hash(config: RunConfig) -> str:
@@ -120,14 +183,13 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _section(raw, name, errors) -> dict:
-    node = raw.get(name, {})
-    if node is None:
-        node = {}
-    if not isinstance(node, dict):
-        errors.append(f"{name} must be a mapping")
-        return {}
-    return dict(node)
+# what a value of each scalar kind must be, and its test (YAML true is no number)
+_KINDS = {
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def _take(node, key, where, errors, *, default=None, required=False, kind=None):
@@ -136,30 +198,16 @@ def _take(node, key, where, errors, *, default=None, required=False, kind=None):
             errors.append(f"missing required key {where}.{key}")
         return default
     value = node.pop(key)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{where}.{key} must be a number, got {value!r}")
-            return default
-        if not math.isfinite(value):
-            errors.append(f"{where}.{key} must be finite, got {value!r}")
-            return default
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{where}.{key} must be an integer, got {value!r}")
-            return default
+    if kind not in _KINDS:
         return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            errors.append(f"{where}.{key} must be true or false, got {value!r}")
-            return default
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            errors.append(f"{where}.{key} must be a string, got {value!r}")
-            return default
-        return value
-    return value
+    text, test = _KINDS[kind]
+    if not test(value):
+        errors.append(f"{where}.{key} must be {text}, got {value!r}")
+        return default
+    if kind is float and not math.isfinite(value):
+        errors.append(f"{where}.{key} must be finite, got {value!r}")
+        return default
+    return float(value) if kind is float else value
 
 
 def _float_array(value):
@@ -171,11 +219,6 @@ def _float_array(value):
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         return None
-
-
-def _reject_unknown(node, where, errors):
-    for key in node:
-        errors.append(f"unknown key {where}.{key}")
 
 
 def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
@@ -193,29 +236,41 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
     node = dict(node)
     out["const"] = _take(node, "const", f"initial_data.{name}", errors,
                          default=0.0, kind=float)
-    lin = node.pop("lin", None)
-    if lin is not None:
-        arr = _float_array(lin)
-        if arr is None or arr.shape != (n,) or not np.all(np.isfinite(arr)):
-            errors.append(
-                f"initial_data.{name}.lin must be a list of {n} numbers, all finite"
-            )
-        else:
-            out["lin"] = [float(v) for v in arr]
-    quad = node.pop("quad", None)
-    if quad is not None:
-        if not allow_quad:
+    shapes = {"lin": ((n,), f"a list of {n} numbers, all finite"),
+              "quad": ((n, n), f"an {n}x{n} matrix of finite numbers")}
+    for entry, (shape, text) in shapes.items():
+        value = node.pop(entry, None)
+        if value is None:
+            continue
+        arr = _float_array(value)
+        if entry not in out:
             errors.append(f"initial_data.{name} does not take a quad entry")
+        elif arr is None or arr.shape != shape or not np.all(np.isfinite(arr)):
+            errors.append(f"initial_data.{name}.{entry} must be {text}")
         else:
-            arr = _float_array(quad)
-            if arr is None or arr.shape != (n, n) or not np.all(np.isfinite(arr)):
-                errors.append(
-                    f"initial_data.{name}.quad must be an {n}x{n} matrix of finite numbers"
-                )
-            else:
-                out["quad"] = [[float(v) for v in row] for row in arr]
-    _reject_unknown(node, f"initial_data.{name}", errors)
+            out[entry] = arr.tolist()
+    errors += [f"unknown key initial_data.{name}.{key}" for key in node]
+    flat = [abs(out["const"])] + [abs(v) for v in out["lin"]]
+    flat += [abs(v) for row in out.get("quad", []) for v in row]
+    if max(flat) > 2.0:
+        errors.append(f"initial_data.{name} entries must lie in [-2, 2]")
+    if allow_quad and not np.allclose(out["quad"], np.transpose(out["quad"]), atol=1e-12):
+        errors.append(f"initial_data.{name}.quad must be symmetric")
     return out
+
+
+def _parse_radii(value, errors) -> list:
+    """physical.probe_log_radii as a list of floats; [] when they are not all finite."""
+    arr = _float_array(value)
+    radii = [] if arr is None else [float(v) for v in arr.ravel()]
+    if arr is None:
+        errors.append("physical.probe_log_radii must be a list of numbers")
+    if not all(math.isfinite(v) for v in radii):
+        errors.append("physical.probe_log_radii entries must be finite numbers")
+        radii = []
+    if any(v <= 0 for v in radii):
+        errors.append("physical.probe_log_radii entries must be positive")
+    return radii
 
 
 def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
@@ -225,165 +280,82 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a mapping"])
-    raw = dict(raw)
     errors: list[str] = []
+    nodes = {"": dict(raw)}
+    for section in dict.fromkeys(row[1] for row in FIELDS if row[1]):
+        node = nodes[""].pop(section, None)
+        if node is not None and not isinstance(node, dict):
+            errors.append(f"{section} must be a mapping")
+            node = None
+        nodes[section] = dict(node or {})
 
-    mode = _take(raw, "mode", "<root>", errors, required=True, kind=str)
-    if mode is not None and mode not in MODES:
-        errors.append(f"mode must be one of {MODES}, got {mode!r}")
-
-    par = _section(raw, "params", errors)
-    raw.pop("params", None)
-    p = _take(par, "p", "params", errors, required=True, kind=int)
-    n_dim = _take(par, "n_dim", "params", errors, default=1, kind=int)
-    _reject_unknown(par, "params", errors)
-    if p is not None and not 2 <= p <= _params.MAX_P:
-        errors.append(f"params.p must be an integer in [2, {_params.MAX_P}], got {p}")
-    if n_dim is not None and n_dim < 1:
-        errors.append(f"params.n_dim must be >= 1, got {n_dim}")
-
-    needs_grid = mode in ("simulate-similarity", "simulate-physical", "sweep")
-    grid = _section(raw, "grid", errors)
-    raw.pop("grid", None)
-    L = _take(grid, "L", "grid", errors, required=needs_grid, kind=float)
-    N = _take(grid, "N", "grid", errors, required=needs_grid, kind=int)
-    _reject_unknown(grid, "grid", errors)
-    if L is not None and L <= 0:
-        errors.append(f"grid.L must be positive, got {L}")
-    if N is not None and (N < 17 or N % 2 == 0):
-        errors.append(f"grid.N must be an odd integer >= 17 (origin on a gridline), got {N}")
-
-    sol = _section(raw, "solver", errors)
-    raw.pop("solver", None)
-    needs_window = mode in ("simulate-similarity", "sweep")
-    ds = _take(sol, "ds", "solver", errors, default=5e-3,
-               required=needs_window, kind=float)
-    s0 = _take(sol, "s0", "solver", errors,
-               required=mode in ("simulate-similarity", "simulate-physical", "sweep"),
-               kind=float)
-    s_end = _take(sol, "s_end", "solver", errors, required=needs_window, kind=float)
-    scheme = _take(sol, "scheme", "solver", errors, default="semi-implicit", kind=str)
-    pin = _take(sol, "pin", "solver", errors, default=True, kind=bool)
-    record_every = _take(sol, "record_every", "solver", errors, default=20, kind=int)
-    eta = _take(sol, "eta", "solver", errors, default=2.5e-4, kind=float)
-    _reject_unknown(sol, "solver", errors)
-    if ds is not None and ds <= 0:
-        errors.append(f"solver.ds must be positive, got {ds}")
-    if s0 is not None and s0 < 1.0:
-        errors.append(f"solver.s0 must be >= 1, got {s0}")
-    if scheme is not None and scheme not in _solver.SCHEMES:
-        errors.append(f"solver.scheme must be one of {_solver.SCHEMES}, got {scheme!r}")
-    if record_every is not None and record_every < 1:
-        errors.append(f"solver.record_every must be >= 1, got {record_every}")
-    if eta is not None and not 0 < eta <= 0.1:
-        errors.append(f"solver.eta must lie in (0, 0.1], got {eta}")
-
-    shr = _section(raw, "shrinking_set", errors)
-    raw.pop("shrinking_set", None)
-    A = _take(shr, "A", "shrinking_set", errors, default=10.0, kind=float)
-    p1 = _take(shr, "p1", "shrinking_set", errors, default=0.5, kind=float)
-    K = _take(shr, "K", "shrinking_set", errors, default=5.0, kind=float)
-    _reject_unknown(shr, "shrinking_set", errors)
-    if A is not None and A < 1.0:
-        errors.append(f"shrinking_set.A must be >= 1, got {A}")
-    if p1 is not None and not 0.0 < p1 < 1.0:
-        errors.append(f"shrinking_set.p1 must lie in (0, 1), got {p1}")
-    if K is not None and K <= 0.0:
-        errors.append(f"shrinking_set.K must be positive, got {K}")
-
-    ini = _section(raw, "initial_data", errors)
-    raw.pop("initial_data", None)
-    n_eff = n_dim if (n_dim is not None and n_dim >= 1) else 1
-    d1 = _parse_direction(ini.pop("d1", None), "d1", n_eff, errors, allow_quad=False)
-    d2 = _parse_direction(ini.pop("d2", None), "d2", n_eff, errors, allow_quad=True)
-    _reject_unknown(ini, "initial_data", errors)
-    for name, d in (("d1", d1), ("d2", d2)):
-        flat = [abs(d["const"])] + [abs(v) for v in d["lin"]]
-        flat += [abs(v) for row in d.get("quad", []) for v in row]
-        if max(flat) > 2.0:
-            errors.append(f"initial_data.{name} entries must lie in [-2, 2]")
-    if "quad" in d2:
-        q = np.asarray(d2["quad"])
-        if not np.allclose(q, q.T, atol=1e-12):
-            errors.append("initial_data.d2.quad must be symmetric")
-
-    phys = _section(raw, "physical", errors)
-    raw.pop("physical", None)
-    probe_raw = phys.pop("probe_log_radii", [10.0, 12.0, 14.0])
-    _reject_unknown(phys, "physical", errors)
-    probe_arr = _float_array(probe_raw)
-    probe_log_radii = [] if probe_arr is None else [float(v) for v in probe_arr.ravel()]
-    if probe_arr is None:
-        errors.append("physical.probe_log_radii must be a list of numbers")
-    if not all(math.isfinite(v) for v in probe_log_radii):
-        errors.append("physical.probe_log_radii entries must be finite numbers")
-        probe_log_radii = []
-    if any(v <= 0 for v in probe_log_radii):
-        errors.append("physical.probe_log_radii entries must be positive")
-
-    swp = _section(raw, "sweep", errors)
-    raw.pop("sweep", None)
-    sweep_ps = swp.pop("ps", [2, 3, 4])
-    sweep_ns = swp.pop("ns", [1, 2])
-    sweep_n2d = _take(swp, "N_2d", "sweep", errors, default=257, kind=int)
-    _reject_unknown(swp, "sweep", errors)
-    if not (isinstance(sweep_ps, list) and
-            all(type(v) is int and 2 <= v <= _params.MAX_P for v in sweep_ps)):
-        errors.append(f"sweep.ps must be a list of integers in [2, {_params.MAX_P}]")
-        sweep_ps = []
-    if not (isinstance(sweep_ns, list) and
-            all(type(v) is int and v in _spectral.N_DIMS for v in sweep_ns)):
-        errors.append(f"sweep.ns must be a list of integers in {_spectral.N_DIMS}")
-        sweep_ns = []
-    if sweep_n2d is not None and (sweep_n2d < 17 or sweep_n2d % 2 == 0):
-        errors.append(f"sweep.N_2d must be an odd integer >= 17, got {sweep_n2d}")
-
-    output_dir = _take(raw, "output_dir", "<root>", errors, default="out", kind=str)
-    seed = _take(raw, "seed", "<root>", errors, default=0, kind=int)
-    workers = _take(raw, "workers", "<root>", errors, default=2, kind=int)
-    _reject_unknown(raw, "<root>", errors)
+    values = {}
+    for name, section, key, kind, default, need in FIELDS:
+        node = nodes[section]
+        if kind == "direction":
+            values[name] = _parse_direction(node.pop(key, None), key, max(values["n_dim"] or 1, 1),
+                                            errors, allow_quad=name == "d2")
+        elif kind == "radii":
+            values[name] = _parse_radii(node.pop(key, default), errors)
+        else:
+            values[name] = _take(node, key, section or "<root>", errors, default=default,
+                                 required=need is True or values.get("mode") in need, kind=kind)
+    errors += [f"unknown key {section or '<root>'}.{key}"
+               for section, node in nodes.items() for key in node]
     # command-line overrides replace the file's values before they are checked
-    if overrides:
-        if overrides.get("out") is not None:
-            output_dir = overrides["out"]
-        if overrides.get("seed") is not None:
-            seed = overrides["seed"]
-        if overrides.get("workers") is not None:
-            workers = overrides["workers"]
-    if seed is not None and seed < 0:
-        errors.append(f"seed must be >= 0, got {seed}")
-    if workers is not None and workers < 1:
-        errors.append(f"workers must be >= 1, got {workers}")
+    for name, flag in (("output_dir", "out"), ("seed", "seed"), ("workers", "workers")):
+        if overrides and overrides.get(flag) is not None:
+            values[name] = overrides[flag]
 
-    # cross-field constraints; each runs as soon as its own inputs parsed
-    if (mode == "simulate-similarity" and n_dim is not None and n_dim >= 1
-            and n_dim not in _spectral.N_DIMS):
+    bad = set()
+    for name, test, requirement in BOUNDS:
+        _, section, key, kind, *_ = _FIELD[name]
+        value = values[name]
+        if name in bad or (value is None and kind is not list) or test(value):
+            continue
+        bad.add(name)
+        dotted = f"{section}.{key}" if section else key
+        errors.append(f"{dotted} must {requirement}"
+                      + ("" if kind is list else f", got {value!r}"))
+
+    # cross-field constraints; each runs once its own inputs passed the rules above
+    def ok(*names):
+        return all(values[k] is not None and k not in bad for k in names)
+
+    mode, n_dim, L, N, ds = (values[k] for k in ("mode", "n_dim", "L", "N", "ds"))
+    s0, s_end, scheme, K = (values[k] for k in ("s0", "s_end", "scheme", "K"))
+    probe_log_radii = values["probe_log_radii"]
+    if mode == "simulate-similarity" and ok("n_dim") and n_dim not in _spectral.N_DIMS:
         errors.append(
             f"simulate-similarity needs params.n_dim in {_spectral.N_DIMS} "
             f"(the grid dimensions), got {n_dim}"
         )
-    if mode in ("simulate-similarity", "sweep"):
-        window_ok = (
-            s0 is not None and s_end is not None and s0 >= 1.0
-        )
-        if window_ok and not s_end > s0:
+    if mode in _WINDOW_MODES:
+        if ok("s0", "s_end") and not s_end > s0:
             errors.append(f"solver.s_end = {s_end} must exceed solver.s0 = {s0}")
-            window_ok = False
-        if window_ok and K is not None and K > 0 and L is not None and L > 0:
+            bad.add("s_end")
+        if ok("s0", "s_end", "K", "L"):
             need = 2.0 * K * math.sqrt(s_end)
             if L < need:
                 errors.append(
                     "grid does not cover the localized region at the end "
                     f"time: require L >= 2*K*sqrt(s_end) = {need:.3f}, got L = {L}"
                 )
-        if (L is not None and L > 0 and N is not None and N >= 17 and N % 2
-                and ds is not None and ds > 0 and scheme in _solver.SCHEMES
-                and n_dim in _spectral.N_DIMS):
-            substeps = _solver._substep_count(scheme, _spectral.Grid(n_dim, L, N), ds)
+        # the pre-check runs on every grid the run steps on: a sweep's cells
+        # run on grid.N in one dimension and on sweep.N_2d in two
+        cells = ([(n, "N" if n == 1 else "sweep_n2d") for n in values["sweep_ns"]]
+                 if mode == "sweep" and ok("sweep_ns") else [])
+        for n, size in dict.fromkeys([(n_dim, "N")] + cells):
+            if not (ok("L", size, "ds", "scheme") and n in _spectral.N_DIMS):
+                continue
+            grid = _spectral.Grid(n, L, values[size])
+            substeps = _solver._substep_count(scheme, grid, ds)
             if substeps > MAX_SUBSTEPS_PER_STEP:
+                on = ("this grid" if (n, size) == (n_dim, "N")
+                      else f"the {n}-D sweep cells' grid (N = {grid.npts})")
                 errors.append(
                     f"ds CFL pre-check failed: ds = {ds} needs {substeps} "
-                    f"{scheme} substeps per step on this grid "
+                    f"{scheme} substeps per step on {on} "
                     f"(limit {MAX_SUBSTEPS_PER_STEP}); reduce ds or N"
                 )
         if scheme == "semi-implicit" and ds is not None and ds > 0.01:
@@ -396,7 +368,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
                 "simulate-physical supports n_dim = 1 only "
                 "(profile extraction interpolates along a line)"
             )
-        if probe_log_radii and L is not None and L > 0:
+        if probe_log_radii and ok("L"):
             x_max = math.exp(-min(probe_log_radii))
             if x_max >= L:
                 errors.append(
@@ -406,17 +378,12 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    return RunConfig(
-        mode=mode, p=p, n_dim=n_dim,
-        L=L if L is not None else 0.0, N=N if N is not None else 0,
-        ds=ds, s0=s0 if s0 is not None else 0.0,
-        s_end=s_end if s_end is not None else 0.0,
-        scheme=scheme, pin=pin, record_every=record_every, eta=eta,
-        A=A, p1=p1, K=K, d1=d1, d2=d2,
-        probe_log_radii=tuple(probe_log_radii),
-        sweep_ps=tuple(sweep_ps), sweep_ns=tuple(sweep_ns), sweep_n2d=sweep_n2d,
-        output_dir=output_dir, seed=seed, workers=workers,
-    )
+    for name, _, _, kind, *_ in FIELDS:
+        # an unset grid or window key is its kind's zero; lists become tuples
+        value = values[name]
+        values[name] = kind() if value is None else (
+            tuple(value) if isinstance(value, list) else value)
+    return RunConfig(**values)
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
@@ -463,6 +430,7 @@ def _run_similarity(config: RunConfig) -> int:
 
     recs = traj.records
     margins = [_diag.in_shrinking_set(r, ssp) for r in recs]
+    min_margin = [min(m.values()) for m in margins]
     s_vals, e1, e2 = recs["s"], recs["e1"], recs["e2"]
     fits: dict = {
         "profile_errors": {
@@ -475,7 +443,7 @@ def _run_similarity(config: RunConfig) -> int:
         },
         "membership": {
             "all_inside": all(v >= 0.0 for m in margins for v in m.values()),
-            "min_margin": float(min(min(m.values()) for m in margins)),
+            "min_margin": float(min(min_margin)),
             "final_margins": {k: float(v) for k, v in margins[-1].items()},
         },
     }
@@ -505,7 +473,7 @@ def _run_similarity(config: RunConfig) -> int:
 
     _diag.write_trajectory_csv(
         traj, os.path.join(config.output_dir, "trajectory.csv"),
-        ssp=ssp, params=pr, c0_tilde=c0_tilde,
+        ssp=ssp, params=pr, min_margin=min_margin, c0_tilde=c0_tilde,
     )
     _diag.write_json(fits, os.path.join(config.output_dir, "fits.json"))
     return 0
@@ -573,12 +541,6 @@ def _run_verify(config: RunConfig) -> int:
     return 0 if payload["all_pass"] else 3
 
 
-def _sweep_child(child_dict: dict) -> tuple:
-    config = RunConfig(**child_dict)
-    code = run(config)
-    return config.p, config.n_dim, code
-
-
 def _run_sweep(config: RunConfig) -> int:
     children = []
     for p in sorted(config.sweep_ps):
@@ -595,25 +557,20 @@ def _run_sweep(config: RunConfig) -> int:
                     "quad": [[config.d2["quad"][0][0] if i == j else 0.0
                               for j in range(n)] for i in range(n)],
                 },
-                probe_log_radii=config.probe_log_radii,
                 output_dir=os.path.join(config.output_dir, f"p{p}_n{n}"),
             )
             children.append(child)
 
-    results = {}
+    # the pool forks all its workers at once, so it gets no more than there are cells
+    codes = []
     if children:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for p, n, code in pool.map(
-                _sweep_child, [dataclasses.asdict(c) for c in children]
-            ):
-                results[(p, n)] = code
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(children))) as pool:
+            codes = list(pool.map(run, children))
 
     rows = []
-    for child in children:
-        key = (child.p, child.n_dim)
+    for child, code in zip(children, codes):
         row = {"p": child.p, "n_dim": child.n_dim,
                "out_dir": os.path.relpath(child.output_dir, config.output_dir)}
-        code = results.get(key, 4)
         fits_path = os.path.join(child.output_dir, "fits.json")
         if code == 0 and os.path.exists(fits_path):
             with open(fits_path) as fh:
@@ -728,15 +685,11 @@ def main(argv=None) -> int:
                 [f"subcommand {args.command} requires mode in {allowed}, "
                  f"got {config.mode!r}"]
             )
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        error = "ConfigError" if isinstance(exc, ConfigError) else "OSError"
+        messages = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
         print(
-            json.dumps({"error": "ConfigError", "messages": exc.errors}, indent=2),
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
-        print(
-            json.dumps({"error": "OSError", "messages": [str(exc)]}, indent=2),
+            json.dumps({"error": error, "messages": messages}, indent=2),
             file=sys.stderr,
         )
         return 2

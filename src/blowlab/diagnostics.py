@@ -113,7 +113,6 @@ class Trajectory(_RowStore):
 
     grid: _spectral.Grid
     snapshots: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.grid.n_dim
@@ -141,7 +140,6 @@ class PhysicalTrajectory(_RowStore):
     T_estimate: float = None
     decay_slope: float = None
     status: str = "ok"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.probes = np.asarray(self.probes, dtype=float)
@@ -614,10 +612,12 @@ def write_trajectory_csv(
     path: str,
     ssp: ShrinkingSetParams,
     params: _params.Params,
+    min_margin,
     c0_tilde: float = None,
 ) -> None:
     """Write per-record rows: s, modes, norms, errors, the shrinking-set margin
-    and envelopes, and the reference columns (ref_w2_h2 only given c0_tilde).
+    (min_margin: each record's smallest in_shrinking_set margin) and envelopes,
+    and the reference columns (ref_w2_h2 only given c0_tilde).
     """
     recs = traj.records
     if not len(recs):
@@ -639,10 +639,10 @@ def write_trajectory_csv(
     if c0_tilde is not None:
         cols += ["ref_w2_h2"]
     extra = []
-    for rec in recs:
+    for rec, margin in zip(recs, min_margin):
         s = float(rec["s"])
         bounds = shrinking_set_bounds(ssp, s)
-        extra.append([min(in_shrinking_set(rec, ssp).values()), bounds["q1_0"],
+        extra.append([margin, bounds["q1_0"],
                       bounds["q1_jk"], bounds["q2_0"], -params.kappa / (4.0 * params.p * s)]
                      + ([c0_tilde / s**2] if c0_tilde is not None else []))
     write_csv(path, cols, np.column_stack(blocks + [np.array(extra)]))

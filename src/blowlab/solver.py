@@ -407,14 +407,7 @@ def evolve(
     if ssp is None:
         ssp = _diag.ShrinkingSetParams(K=cfg.cutoff.K)
     grid = initial.grid
-    traj = _diag.Trajectory(
-        grid=grid,
-        meta={
-            "ds": cfg.ds, "scheme": cfg.scheme, "boundary": cfg.boundary,
-            "record_every": cfg.record_every, "pinned": cfg.pin_unstable_modes,
-            "p": params.p, "n_dim": params.n_dim,
-        },
-    )
+    traj = _diag.Trajectory(grid=grid)
     n_full = int(math.floor((cfg.s_end - initial.s) / cfg.ds + 1e-9))
     remainder = cfg.s_end - initial.s - n_full * cfg.ds
     if remainder < 1e-12 * max(1.0, cfg.s_end):
@@ -590,10 +583,7 @@ def run_physical_blowup(
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
     if stop_max is None:
         stop_max = 1e6 * max(1.0, m0)
-    traj = _diag.PhysicalTrajectory(
-        grid=grid, probes=probes,
-        meta={"eta": eta, "stop_max": stop_max, "p": params.p, "n_dim": params.n_dim},
-    )
+    traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
 
     def snap():
         traj.snapshots.append((t, u.copy()))

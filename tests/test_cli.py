@@ -287,6 +287,20 @@ class TestSimilarityArtifacts:
         assert np.all(np.diff(s) > 0)
         assert s[0] == pytest.approx(25.0)
 
+    def test_margins_computed_once_per_record(self, tmp_path, monkeypatch):
+        calls = []
+        real = diagnostics.in_shrinking_set
+
+        def counted(rec, ssp):
+            calls.append(float(rec["s"]))
+            return real(rec, ssp)
+
+        monkeypatch.setattr(diagnostics, "in_shrinking_set", counted)
+        out = tmp_path / "once"
+        assert cli.run(cli.config_from_dict(tiny_raw(output_dir=str(out)))) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) == len(set(calls))
+
     def test_rerun_is_byte_identical(self, tiny_run):
         _, config, out = tiny_run
         names = ("run_header.json", "fits.json", "trajectory.csv")
@@ -352,6 +366,31 @@ class TestSweepMode:
         lines = (tmp_path / "sw" / "sweep_table.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("p,n_dim,status,")
+
+    def test_pool_gets_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # a fork pool starts all of its workers at once; the fake runs the
+        # cells in this process and records the size it was asked for
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        config = cli.config_from_dict(
+            self._sweep_raw(tmp_path / "sw", ps=[2], ns=[1], workers=64)
+        )
+        assert cli.run(config) == 0
+        assert sizes == [1]
 
     def test_empty_sweep_is_ok(self, tmp_path):
         config = cli.config_from_dict(
@@ -699,6 +738,38 @@ class TestValidationBeforeRun:
         code, err = _main_on(raw, tmp_path, "simulate")
         assert code == 2
         assert any(fragment in m for m in json.loads(err)["messages"])
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_cell_grid_cfl_exits_2(self, tmp_path, monkeypatch):
+        # the root grid (n = 1, N = 257) needs few substeps; each 2-D cell
+        # runs on N_2d = 8001, where explicit-rk4 needs 445 per step
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        raw = tiny_raw(mode="sweep", output_dir=str(tmp_path / "out"))
+        raw["solver"]["scheme"] = "explicit-rk4"
+        raw["sweep"] = {"ps": [2], "ns": [1, 2], "N_2d": 8001}
+        code, err = _main_on(raw, tmp_path, "sweep")
+        assert code == 2
+        messages = json.loads(err)["messages"]
+        assert len(messages) == 1
+        assert "CFL pre-check" in messages[0] and "needs 445" in messages[0]
+        assert "2-D sweep cells' grid (N = 8001)" in messages[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"ps": [2, 2], "ns": [1]}, "sweep.ps must not repeat a value"),
+            ({"ps": [2, 3], "ns": [1, 2, 1]}, "sweep.ns must not repeat a value"),
+        ],
+    )
+    def test_repeated_sweep_value_exits_2(self, tmp_path, monkeypatch, sweep, message):
+        # a repeat would run two cells into the same directory
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        raw = tiny_raw(mode="sweep", output_dir=str(tmp_path / "out"))
+        raw["sweep"] = dict(sweep, N_2d=65)
+        code, err = _main_on(raw, tmp_path, "sweep")
+        assert code == 2
+        assert json.loads(err)["messages"] == [message]
         assert not (tmp_path / "out").exists()
 
     def test_boolean_in_sweep_dimensions_exits_2(self, tmp_path):

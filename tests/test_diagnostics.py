@@ -629,6 +629,10 @@ class TestExtractFinalProfile:
             dg.extract_final_profile(ptraj, 0.8)
 
 
+def min_margins(traj, ssp):
+    return [min(dg.in_shrinking_set(rec, ssp).values()) for rec in traj.records]
+
+
 class TestWriters:
     def make_traj(self):
         s_values = [25.0, 25.1, 25.2]
@@ -644,8 +648,9 @@ class TestWriters:
         pr = bp.make_params(2, 1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        dg.write_trajectory_csv(traj, p1, ssp=ssp, params=pr, c0_tilde=0.7)
-        dg.write_trajectory_csv(traj, p2, ssp=ssp, params=pr, c0_tilde=0.7)
+        margins = min_margins(traj, ssp)
+        dg.write_trajectory_csv(traj, p1, ssp=ssp, params=pr, min_margin=margins, c0_tilde=0.7)
+        dg.write_trajectory_csv(traj, p2, ssp=ssp, params=pr, min_margin=margins, c0_tilde=0.7)
         b1 = p1.read_bytes()
         assert b1 == p2.read_bytes()
         lines = b1.decode().strip().split("\n")
@@ -659,7 +664,8 @@ class TestWriters:
     def test_csv_floats_round_trip(self, tmp_path):
         traj = self.make_traj()
         path = tmp_path / "t.csv"
-        dg.write_trajectory_csv(traj, path, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        ssp = dg.ShrinkingSetParams()
+        dg.write_trajectory_csv(traj, path, ssp, bp.make_params(2, 1), min_margins(traj, ssp))
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         row = lines[1].split(",")
@@ -670,7 +676,7 @@ class TestWriters:
         traj = dg.Trajectory(grid=plateau_grid_1d())
         with pytest.raises(ValueError, match="no records"):
             dg.write_trajectory_csv(
-                traj, tmp_path / "x.csv", dg.ShrinkingSetParams(), bp.make_params(2, 1)
+                traj, tmp_path / "x.csv", dg.ShrinkingSetParams(), bp.make_params(2, 1), []
             )
 
     def test_json_deterministic_sorted_and_typed(self, tmp_path):
