@@ -639,7 +639,7 @@ def write_trajectory_csv(
     if c0_tilde is not None:
         cols += ["ref_w2_h2"]
     extra = []
-    for rec, margin in zip(recs, min_margin):
+    for rec, margin in zip(recs, min_margin, strict=True):
         s = float(rec["s"])
         bounds = shrinking_set_bounds(ssp, s)
         extra.append([margin, bounds["q1_0"],
