@@ -72,12 +72,13 @@ _GRID_MODES = ("simulate-similarity", "simulate-physical", "sweep")
 _WINDOW_MODES = ("simulate-similarity", "sweep")
 
 # One row per RunConfig field: (field, section ("" is the root), key, kind,
-# default, modes that require the key (True: every config)).  _take reads the
+# default, modes that require the key (True: every config)).  A verify config
+# without params.p runs the default battery.  _take reads the
 # kinds float, int, bool and str, and takes a list as it is for its BOUNDS
 # rows to judge; "direction" and "radii" have parsers of their own.
 FIELDS = (
     ("mode", "", "mode", str, None, True),
-    ("p", "params", "p", int, None, True),
+    ("p", "params", "p", int, None, _GRID_MODES),
     ("n_dim", "params", "n_dim", int, 1, ()),
     ("L", "grid", "L", float, None, _GRID_MODES),
     ("N", "grid", "N", int, None, _GRID_MODES),
@@ -141,16 +142,16 @@ BOUNDS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully expanded, validated settings of one run."""
+    """Fully expanded, validated settings of one run; a key the mode does not need may be None."""
 
     mode: str
-    p: int
+    p: int | None
     n_dim: int
-    L: float
-    N: int
+    L: float | None
+    N: int | None
     ds: float
-    s0: float
-    s_end: float
+    s0: float | None
+    s_end: float | None
     scheme: str
     pin: bool
     record_every: int
@@ -169,10 +170,12 @@ class RunConfig:
     workers: int
 
     def as_dict(self) -> dict:
-        """The settings in the layout of a config file, tuples as lists."""
+        """The settings in the layout of a config file, tuples as lists, unset keys left out."""
         out: dict = {}
         for name, section, key, *_ in FIELDS:
             value = getattr(self, name)
+            if value is None:
+                continue
             (out.setdefault(section, {}) if section else out)[key] = (
                 list(value) if isinstance(value, tuple) else value)
         return out
@@ -260,7 +263,7 @@ def _parse_direction(node, name, n, errors, *, allow_quad) -> dict:
 
 
 def _parse_radii(value, errors) -> list:
-    """physical.probe_log_radii as a list of floats; [] when they are not all finite."""
+    """physical.probe_log_radii as a list of floats; [] unless they are all finite and positive."""
     arr = _float_array(value)
     radii = [] if arr is None else [float(v) for v in arr.ravel()]
     if arr is None:
@@ -270,6 +273,7 @@ def _parse_radii(value, errors) -> list:
         radii = []
     if any(v <= 0 for v in radii):
         errors.append("physical.probe_log_radii entries must be positive")
+        radii = []
     return radii
 
 
@@ -378,12 +382,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    for name, _, _, kind, *_ in FIELDS:
-        # an unset grid or window key is its kind's zero; lists become tuples
-        value = values[name]
-        values[name] = kind() if value is None else (
-            tuple(value) if isinstance(value, list) else value)
-    return RunConfig(**values)
+    # lists become tuples; a key the mode leaves unset stays None
+    return RunConfig(**{name: tuple(value) if isinstance(value, list) else value
+                        for name, value in values.items()})
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
@@ -644,7 +645,7 @@ def run(config: RunConfig) -> int:
         return 4
 
 
-_DEFAULT_VERIFY = {"mode": "verify", "params": {"p": 2}}
+_DEFAULT_VERIFY = {"mode": "verify"}
 
 
 def main(argv=None) -> int:
@@ -672,7 +673,6 @@ def main(argv=None) -> int:
             if args.command != "verify":
                 raise ConfigError([f"--config is required for {args.command}"])
             config = config_from_dict(dict(_DEFAULT_VERIFY), overrides)
-            config = dataclasses.replace(config, p=None)
         else:
             config = load_config(args.config, overrides)
         allowed = {

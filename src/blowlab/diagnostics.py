@@ -52,6 +52,12 @@ class NonConvergenceError(RuntimeError):
 
 # shortest window ln(s_last/s_first) over which a decay exponent in s is fitted
 MIN_EXPONENT_LOG_SPAN = 0.1
+# largest relative change between the last two dyadic samples of a converged final profile
+FINAL_PROFILE_REL_TOL = 0.01
+# the intermediate-profile check follows tau in [0, INTERMEDIATE_TAU_MAX] on
+# INTERMEDIATE_N_XI points in xi
+INTERMEDIATE_TAU_MAX = 0.9
+INTERMEDIATE_N_XI = 33
 
 
 @dataclass(frozen=True)
@@ -351,9 +357,9 @@ def profile_error(state, params: _params.Params) -> tuple:
     for sups over all of space since both the deviation and the profiles
     decay or are clamped beyond the boundary.
     """
-    f0, g0 = _params.f0_g0(params, state.grid.radius2() / state.s)
-    e1 = float(np.max(np.abs(state.w.real - f0)))
-    e2 = float(np.max(np.abs(state.s * state.w.imag - g0)))
+    z2 = state.grid.radius2() / state.s
+    e1 = float(np.max(np.abs(state.w.real - _params.f0(params, z2))))
+    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.g0(params, z2))))
     return e1, e2
 
 
@@ -473,15 +479,13 @@ def intermediate_profile_check(
     x0: float,
     params: _params.Params,
     k0: float = 5.0,
-    tau_max: float = 0.9,
-    n_xi: int = 33,
 ) -> IntermediateReport:
     """Compare the solution rescaled about (x0, t0(x0)) with its limit ODE profiles.
 
     t0(x0) solves |x0| = k0 sqrt((T - t0) |ln(T - t0)|), then
     U(xi, tau) = (T - t0)^{1/(p-1)} u(x0 + xi sqrt(T - t0), t0 + tau (T - t0))
     and V2 = |ln(T - t0)| U2 are tracked against the closed-form pair for
-    tau in [0, tau_max] and |xi| <= |ln(T - t0)|^{1/4}.
+    tau in [0, INTERMEDIATE_TAU_MAX] and |xi| <= |ln(T - t0)|^{1/4}.
     """
     if ptraj.grid.n_dim != 1:
         raise ValueError("intermediate-profile check is implemented for 1D runs")
@@ -500,17 +504,17 @@ def intermediate_profile_check(
     t0 = _params.bisect_root(mismatch, t_lo, t_hi, residual_tol=1e-14, residual_scale=x0a)
     dT = T - t0
     times = np.array([snap[0] for snap in ptraj.snapshots])
-    if t0 < times[0] or t0 + tau_max * dT > times[-1]:
+    if t0 < times[0] or t0 + INTERMEDIATE_TAU_MAX * dT > times[-1]:
         raise ValueError(
-            f"t0(x0)={t0} (T-t0={dT:.3e}) with tau_max={tau_max} is outside "
+            f"t0(x0)={t0} (T-t0={dT:.3e}) with tau_max={INTERMEDIATE_TAU_MAX} is outside "
             "the recorded snapshot range"
         )
     log_factor = abs(math.log(dT))
     xi_max = log_factor**0.25
-    xi = np.linspace(-xi_max, xi_max, n_xi)
+    xi = np.linspace(-xi_max, xi_max, INTERMEDIATE_N_XI)
     x_points = x0 + xi * math.sqrt(dT)
 
-    tau_hi = min(tau_max, (times[-1] - t0) / dT)
+    tau_hi = min(INTERMEDIATE_TAU_MAX, (times[-1] - t0) / dT)
     tau_grid = np.linspace(0.0, tau_hi, 25)
     scale = dT ** (1.0 / (params.p - 1))
     u_center = np.empty_like(tau_grid)
@@ -522,7 +526,7 @@ def intermediate_profile_check(
         u = _field_at(ptraj, t0 + tau * dT, x_points)
         U1 = scale * u.real
         V2 = log_factor * scale * u.imag
-        mid = n_xi // 2
+        mid = INTERMEDIATE_N_XI // 2
         u_center[i] = U1[mid]
         v2_center[i] = V2[mid]
         u_win_err = max(u_win_err, float(np.max(np.abs(U1 - u_hat[i]))))
@@ -537,21 +541,22 @@ def intermediate_profile_check(
     )
 
 
-def extract_final_profile(ptraj: PhysicalTrajectory, x: float, rel_tol: float = 0.01) -> tuple:
+def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
     """extract_final_profiles at the one position x, raising its NonConvergenceError."""
-    (result,) = extract_final_profiles(ptraj, [x], rel_tol)
+    (result,) = extract_final_profiles(ptraj, [x])
     if isinstance(result, NonConvergenceError):
         raise result
     return result
 
 
-def extract_final_profiles(ptraj: PhysicalTrajectory, xs, rel_tol: float = 0.01) -> list:
+def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
 
     Snapshots are (t, u) pairs with u = u1 + i u2.  Samples the distinct
     snapshots nearest a dyadic sequence in T - t, one spline per sampled
     snapshot for all of xs, and requires the last two samples of each
-    component to differ by less than rel_tol relative to the final magnitude.
+    component to differ by less than FINAL_PROFILE_REL_TOL relative to the
+    final magnitude.
     Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
     fails with.
     """
@@ -575,20 +580,20 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs, rel_tol: float = 0.01)
     # compares the last two distinct snapshots
     picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
     samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks])
-    return [_cauchy_limit(samples[:, j], x, rel_tol) for j, x in enumerate(xs)]
+    return [_cauchy_limit(samples[:, j], x) for j, x in enumerate(xs)]
 
 
-def _cauchy_limit(samples: np.ndarray, x, rel_tol: float):
+def _cauchy_limit(samples: np.ndarray, x):
     """(u1, u2) of the last complex sample at x, or the NonConvergenceError to raise."""
     if len(samples) < 2:
         return NonConvergenceError(f"not enough snapshots to test convergence at x={x}")
     for name, part in (("u1", np.real), ("u2", np.imag)):
         a, b = float(part(samples[-2])), float(part(samples[-1]))
         scale = max(abs(b), 1e-300)
-        if abs(b - a) / scale >= rel_tol:
+        if abs(b - a) / scale >= FINAL_PROFILE_REL_TOL:
             return NonConvergenceError(
                 f"{name}({x}) not Cauchy-converged: last dyadic samples "
-                f"{a:.6g} and {b:.6g} differ by more than {rel_tol:.0%}"
+                f"{a:.6g} and {b:.6g} differ by more than {FINAL_PROFILE_REL_TOL:.0%}"
             )
     return float(samples[-1].real), float(samples[-1].imag)
 

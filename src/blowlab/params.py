@@ -24,6 +24,8 @@ import numpy as np
 MAX_P = 9
 
 OUTER_KINDS = ("R10", "R11", "R21", "R22")
+# most halvings bisect_root makes; float resolution ends it sooner on any bracket
+BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,6 @@ def g0(params: Params, z2):
     """Imaginary-part profile g0(z^2) = z^2 (p-1 + b z^2)^{-p/(p-1)}."""
     z2 = _check_nonneg(z2, "z2")
     return _g0(params, z2, _base(params, z2))
-
-
-def f0_g0(params: Params, z2) -> tuple:
-    """(f0(z^2), g0(z^2)) bit for bit, validating z2 and forming the base once."""
-    z2 = _check_nonneg(z2, "z2")
-    a = _base(params, z2)
-    return _f0(params, a), _g0(params, z2, a)
 
 
 def _similarity_base(params: Params, y2, s):
@@ -262,7 +257,6 @@ def bisect_root(
     *,
     residual_tol: float = 1e-12,
     residual_scale: float = 1.0,
-    max_iter: int = 200,
 ) -> float:
     """Bisection for a monotone sign change of fn on [lo, hi].
 
@@ -278,7 +272,7 @@ def bisect_root(
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     tol = residual_tol * residual_scale
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if abs(fmid) <= tol or mid == lo or mid == hi:

@@ -47,23 +47,24 @@ Z_SAMPLES.setflags(write=False)
 S_GRID.setflags(write=False)
 
 
-def stencil_d1(fn, z, h: float = DIFF_STEP):
-    """6th-order first derivative of fn at the points z."""
+def _stencil(fn, z, coef, h):
+    """sum_k coef_k fn(z + k h) over the 7 points k = -3..3, zero weights skipped."""
     z = np.asarray(z, dtype=float)
     acc = np.zeros_like(z)
-    for k, c in zip(range(-3, 4), _D1_COEF):
+    for k, c in zip(range(-3, 4), coef):
         if c != 0.0:
             acc = acc + c * fn(z + k * h)
-    return acc / h
+    return acc
+
+
+def stencil_d1(fn, z, h: float = DIFF_STEP):
+    """6th-order first derivative of fn at the points z."""
+    return _stencil(fn, z, _D1_COEF, h) / h
 
 
 def stencil_d2(fn, z, h: float = DIFF_STEP):
     """6th-order second derivative of fn at the points z."""
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for k, c in zip(range(-3, 4), _D2_COEF):
-        acc = acc + c * fn(z + k * h)
-    return acc / h**2
+    return _stencil(fn, z, _D2_COEF, h) / h**2
 
 
 @dataclass
@@ -94,6 +95,11 @@ class CheckReport:
             "notes": self.notes,
             "details": dict(self.details),
         }
+
+
+def _in_z(params: _params.Params, kind: str):
+    """The outer profile of kind as a function of z (it takes z^2)."""
+    return lambda z: _params.outer_profile(params, kind, z * z)
 
 
 def _linear_operator(params: _params.Params, fn, z):
@@ -127,9 +133,8 @@ def _r22_source(params: _params.Params, z, analytic: bool = False):
             + 4.0 * m * (m + 1) * b**2 * z2**2 * a ** (-m - 2)
         )
     else:
-        fn = lambda zz: _params.outer_profile(params, "R21", zz * zz)
-        d1 = stencil_d1(fn, z)
-        d2 = stencil_d2(fn, z)
+        d1 = stencil_d1(_in_z(params, "R21"), z)
+        d2 = stencil_d2(_in_z(params, "R21"), z)
     return d2 + r21 + 0.5 * z * d1 + p * (p - 1) * r10 ** (p - 2) * r11 * r21
 
 
@@ -265,43 +270,22 @@ def check_outer_ode_residuals(params: _params.Params) -> list[CheckReport]:
     z = Z_SAMPLES
     pr = params
     p = pr.p
+    f10, f11, f21 = (_in_z(pr, kind) for kind in ("R10", "R11", "R21"))
+    # (profile, residual of its equation at z, notes)
+    table = (
+        ("R10", -0.5 * z * stencil_d1(f10, z) - f10(z) / (p - 1) + f10(z) ** p,
+         f"differentiation step {DIFF_STEP:.3e}"),
+        ("R11", _linear_operator(pr, f11, z) + stencil_d2(f10, z) + 0.5 * z * stencil_d1(f10, z),
+         ""),
+        ("R21", _linear_operator(pr, f21, z), ""),
+    )
     reports = []
-
-    f10 = lambda zz: _params.outer_profile(pr, "R10", zz * zz)
-    f11 = lambda zz: _params.outer_profile(pr, "R11", zz * zz)
-    f21 = lambda zz: _params.outer_profile(pr, "R21", zz * zz)
-
-    res10 = -0.5 * z * stencil_d1(f10, z) - f10(z) / (p - 1) + f10(z) ** p
-    worst10 = float(np.max(np.abs(res10)))
-    reports.append(
-        CheckReport(
-            check_name=f"outer_ode_R10_p{p}", samples=len(z),
-            worst_residual=worst10, passed=worst10 < 1e-9,
-            notes=f"differentiation step {DIFF_STEP:.3e}",
-        )
-    )
-
-    res11 = (
-        _linear_operator(pr, f11, z)
-        + stencil_d2(f10, z)
-        + 0.5 * z * stencil_d1(f10, z)
-    )
-    worst11 = float(np.max(np.abs(res11)))
-    reports.append(
-        CheckReport(
-            check_name=f"outer_ode_R11_p{p}", samples=len(z),
-            worst_residual=worst11, passed=worst11 < 1e-9,
-        )
-    )
-
-    res21 = _linear_operator(pr, f21, z)
-    worst21 = float(np.max(np.abs(res21)))
-    reports.append(
-        CheckReport(
-            check_name=f"outer_ode_R21_p{p}", samples=len(z),
-            worst_residual=worst21, passed=worst21 < 1e-9,
-        )
-    )
+    for kind, residual, notes in table:
+        worst = float(np.max(np.abs(residual)))
+        reports.append(CheckReport(
+            check_name=f"outer_ode_{kind}_p{p}", samples=len(z),
+            worst_residual=worst, passed=worst < 1e-9, notes=notes,
+        ))
 
     _, r22_report = fit_r22_constants(pr)
     reports.append(r22_report)
@@ -440,9 +424,39 @@ def _bounded_verdict(s_grid, sups) -> dict:
     return verdict
 
 
+def _sweep(names, sups, s_grid=S_GRID) -> dict:
+    """{name: (s_grid, its per-s sups)}; sups(s) gives one sup per name, in order."""
+    table = np.array([sups(s) for s in s_grid])
+    return {name: (s_grid, table[:, i]) for i, name in enumerate(names)}
+
+
+def _envelope_report(check_name: str, sweeps: dict, *, samples: int, notes: str,
+                     extra_ok: bool = True, fitted_constant: float | None = None,
+                     seed: int | None = None, details: dict | None = None) -> CheckReport:
+    """One report for the envelope bounds in sweeps, each judged by _bounded_verdict.
+
+    Passes when every sup is finite, every verdict is bounded and extra_ok
+    holds.  The residual is the most-growing late-half slope; the fitted
+    constant is the first bound's unless given.
+    """
+    bounds = {name: _bounded_verdict(s, sups) for name, (s, sups) in sweeps.items()}
+    finite = all(np.all(np.isfinite(sups)) for _, sups in sweeps.values())
+    passed = finite and extra_ok and all(v["bounded"] for v in bounds.values())
+    if fitted_constant is None:
+        fitted_constant = next(iter(bounds.values()))["constant"]
+    return CheckReport(
+        check_name=check_name, samples=samples,
+        worst_residual=max(0.0, max(v["slope"] for v in bounds.values())),
+        fitted_constant=fitted_constant, passed=bool(passed), seed=seed, notes=notes,
+        details={**bounds, **(details or {})},
+    )
+
+
+_SLOPE_NOTES = "residual column is the most-growing late-half slope across bounds"
+
+
 def check_potential_bounds(params: _params.Params) -> CheckReport:
     """Slope-stability of the stated envelope bounds for the linearization potentials."""
-    s_grid = S_GRID
     n = params.n_dim
 
     def sups(s):
@@ -457,48 +471,33 @@ def check_potential_bounds(params: _params.Params) -> CheckReport:
         r2_in = r_in * r_in
         tilde = _rhs.potential_v(params, r2_in, s) + (r2_in - 2.0 * n) / (4.0 * s)
         return (
+            np.max(np.abs(tilde) * s**2 / (1.0 + r2_in**2)),
             np.max(v),
             np.max(v * s / (1.0 + r2)),
-            np.max(np.abs(tilde) * s**2 / (1.0 + r2_in**2)),
             np.max(vdiag * s**2.0),
             np.max(voff * s),
             np.max(vdiag * s**4.0 / (1.0 + r2**2)),
             np.max(voff * s**2.0 / (1.0 + r2)),
         )
 
-    names = ("V_global", "V_quadratic_over_s", "V_tilde", "Vdiag_sup_s2", "Voff_sup_s",
+    names = ("V_tilde", "V_global", "V_quadratic_over_s", "Vdiag_sup_s2", "Voff_sup_s",
              "Vdiag_weighted_s4", "Voff_weighted_s2")
-    per_s = np.array([sups(s) for s in s_grid])
-    bounds = {name: _bounded_verdict(s_grid, per_s[:, i]) for i, name in enumerate(names)}
-
-    s_top = float(s_grid[-1])
+    s_top = float(S_GRID[-1])
     origin = float(_rhs.potential_v(params, np.array([0.0]), s_top)[0] * s_top)
     origin_err = abs(origin - 0.5 * n) / (0.5 * n)
-
-    worst_slope = max(v["slope"] for v in bounds.values())
-    passed = all(v["bounded"] for v in bounds.values()) and origin_err < 0.01
-    return CheckReport(
-        check_name=f"potential_bounds_p{params.p}_n{n}", samples=len(s_grid) * 2001,
-        worst_residual=max(0.0, worst_slope),
-        fitted_constant=bounds["V_tilde"]["constant"], passed=passed,
-        notes="residual column is the most-growing late-half slope across bounds",
-        details={
-            **bounds,
-            "V_origin_times_s": origin,
-            "V_origin_target": 0.5 * n,
-        },
+    return _envelope_report(
+        f"potential_bounds_p{params.p}_n{n}", _sweep(names, sups),
+        samples=len(S_GRID) * 2001, notes=_SLOPE_NOTES, extra_ok=origin_err < 0.01,
+        details={"V_origin_times_s": origin, "V_origin_target": 0.5 * n},
     )
 
 
 def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport:
     """Ratio-boundedness of the nonlinear remainder against its stated envelope."""
-    p = params.p
     rng = np.random.default_rng([seed, params.p, params.n_dim, 3])
-    s_grid = S_GRID
-    ratio1 = []
-    ratio2 = []
-    c_q1q2 = 0.0
-    for s in s_grid:
+    c_q1q2 = [0.0]
+
+    def sups(s):
         r = np.linspace(0.0, 10.0 * math.sqrt(s), 301)
         r2 = r * r
         # floor the small-deviation scale: the remainder is a difference of
@@ -509,6 +508,8 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
             q1s[i] = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
             q2s[i] = scale * rng.uniform(-1.0, 1.0, size=r2.shape)
         b1s, b2s = _rhs.quadratic_b(params, q1s, q2s, r2, s)
+        ratio1 = []
+        ratio2 = []
         for scale, q1, q2, b1, b2 in zip(scales, q1s, q2s, b1s, b2s):
             den1 = q1**2 + q2**2
             den2 = q1**2 / s + np.abs(q1 * q2) + q2**2
@@ -519,25 +520,15 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
                 prod = np.abs(q1 * q2)
                 keep2 = prod > 1e-3
                 if np.any(keep2):
-                    c_q1q2 = max(c_q1q2, float(np.max(np.abs(b2[keep2]) / prod[keep2])))
-    per_s1 = np.array(ratio1).reshape(len(s_grid), 2).max(axis=1)
-    per_s2 = np.array(ratio2).reshape(len(s_grid), 2).max(axis=1)
-    v1 = _bounded_verdict(s_grid, per_s1)
-    v2 = _bounded_verdict(s_grid, per_s2)
-    worst_slope = max(v1["slope"], v2["slope"])
-    passed = (
-        v1["bounded"] and v2["bounded"]
-        and np.all(np.isfinite(per_s1)) and np.all(np.isfinite(per_s2))
-    )
-    return CheckReport(
-        check_name=f"quadratic_bounds_p{p}_n{params.n_dim}",
-        samples=2 * len(s_grid) * 301,
-        worst_residual=max(0.0, worst_slope),
-        fitted_constant=v1["constant"],
-        passed=bool(passed),
-        seed=seed,
+                    c_q1q2.append(float(np.max(np.abs(b2[keep2]) / prod[keep2])))
+        return np.max(ratio1), np.max(ratio2)
+
+    sweeps = _sweep(("B1", "B2"), sups)
+    return _envelope_report(
+        f"quadratic_bounds_p{params.p}_n{params.n_dim}", sweeps,
+        samples=2 * len(S_GRID) * 301, seed=seed,
         notes="uniform and envelope-scaled deviations; ratios against the stated bounds",
-        details={"B1": v1, "B2": v2, "C_q1q2_product": c_q1q2},
+        details={"C_q1q2_product": max(c_q1q2)},
     )
 
 
@@ -572,24 +563,12 @@ def check_rest_bounds(params: _params.Params) -> CheckReport:
     # the subtracted remainder comes out of cancelling order-one terms, so
     # past s ~ 3e3 the s^3-amplified roundoff floor overtakes it; its sweep
     # stops there while the leading-order fits use the full range
-    s_tilde = s_grid[s_grid <= 3e3]
-    tilde = np.array([tilde_sups(s) for s in s_tilde])
-    sup = np.array([sup_norms(s) for s in s_grid])
-    bounds = {
-        "R1_tilde": _bounded_verdict(s_tilde, tilde[:, 0]),
-        "R2_tilde": _bounded_verdict(s_tilde, tilde[:, 1]),
-        "R1_sup": _bounded_verdict(s_grid, sup[:, 0]),
-        "R2_sup": _bounded_verdict(s_grid, sup[:, 1]),
-    }
-    worst_slope = max(v["slope"] for v in bounds.values())
-    passed = all(v["bounded"] for v in bounds.values()) and c2_err < 0.01
-    return CheckReport(
-        check_name=f"rest_bounds_p{p}_n{n}", samples=len(s_grid) * 2001,
-        worst_residual=max(0.0, worst_slope),
-        fitted_constant=c2_fit, passed=bool(passed),
-        notes="residual column is the most-growing late-half slope across bounds",
+    sweeps = {**_sweep(("R1_tilde", "R2_tilde"), tilde_sups, s_grid[s_grid <= 3e3]),
+              **_sweep(("R1_sup", "R2_sup"), sup_norms)}
+    return _envelope_report(
+        f"rest_bounds_p{p}_n{n}", sweeps, samples=len(s_grid) * 2001, notes=_SLOPE_NOTES,
+        extra_ok=c2_err < 0.01, fitted_constant=c2_fit,
         details={
-            **bounds,
             "c1_fit": c1_fit, "c1_closed_form": c1,
             "c2_fit": c2_fit, "c2_closed_form": c2, "c2_rel_err": c2_err,
         },

@@ -193,7 +193,7 @@ class TestConfigParsing:
         }
         config = cli.config_from_dict(raw)
         assert config.mode == "simulate-physical"
-        assert config.s_end == 0.0
+        assert config.s_end is None
 
     def test_physical_mode_requires_one_dimension(self):
         raw = {
@@ -335,6 +335,13 @@ class TestVerifyMode:
             payload = json.load(fh)
         assert payload["all_pass"] is True
         assert len(payload["reports"]) == 42
+        # the header names the run: no p (the default battery), no grid keys
+        with open(out / "run_header.json") as fh:
+            header = json.load(fh)
+        assert "p" not in header["config"]["params"] and "grid" not in header["config"]
+        again = cli.config_from_dict(header["config"])
+        assert again.p is None
+        assert cli.config_hash(again) == header["config_hash"]
 
 
 class TestSweepMode:

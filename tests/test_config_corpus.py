@@ -181,7 +181,6 @@ EXPECTED = {
     ],
     "missing_everything": [
         "missing required key <root>.mode",
-        "missing required key params.p",
     ],
     "missing_physical_grid": [
         "missing required key grid.L",
@@ -205,7 +204,6 @@ EXPECTED = {
         "physical.probe_log_radii must be a list of numbers",
     ],
     "probes_range_and_dimension": [
-        "largest probe point exp(--1.0) = 2.718e+00 lies outside the grid (L = 0.2)",
         "physical.probe_log_radii entries must be positive",
         "simulate-physical supports n_dim = 1 only (profile extraction interpolates along a line)",
     ],
@@ -278,13 +276,16 @@ ACCEPTED = {
     "phys-collapse-1d": lambda: _workload_config("phys-collapse-1d"),
 }
 
-# config_hash, then the sha256 (first 16 hex digits) of run_header.json
+# config_hash, then the sha256 (first 16 hex digits) of run_header.json.
+# phys-collapse-1d and verify_default were re-pinned when unset keys stopped
+# being written as their kind's zero (solver.s_end: 0.0; grid.L, grid.N,
+# solver.s0 and solver.s_end) and the verify default stopped setting params.p.
 PINNED = {
-    "phys-collapse-1d": ("93a96bb55db1458f", "e6e61c349891c917"),
+    "phys-collapse-1d": ("2fc795b69522deee", "9a879528b1f0fcb1"),
     "sim-2d-cell": ("605f523d9dd303fa", "7bfa73c3f92b463c"),
     "sim-desk-1d": ("af7e2a67778bbe9e", "70094240c8fece44"),
     "tiny": ("b6dd2945a54cd1d4", "30a8c7732a930b54"),
-    "verify_default": ("9a631adaaf1c54fe", "15557a20d54c5a5e"),
+    "verify_default": ("6e8fe312893e598b", "6939e2d474b91455"),
 }
 
 
@@ -301,3 +302,23 @@ def test_accepted_config_hash_and_header_pinned(name, tmp_path, monkeypatch):
     header = (tmp_path / "out" / "pinned" / "run_header.json").read_bytes()
     got = (cli.config_hash(config), hashlib.sha256(header).hexdigest()[:16])
     assert got == PINNED[name]
+
+
+ROUND_TRIP = {
+    **ACCEPTED,
+    "sweep": lambda: _edit(_SIM, mode="sweep", sweep={"ps": [2, 3], "ns": [1, 2], "N_2d": 65}),
+    "verify_p3_n2": lambda: {"mode": "verify", "params": {"p": 3, "n_dim": 2}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_header_config_rebuilds_the_config_that_ran(name, tmp_path, monkeypatch):
+    # in every mode, the header's config parses back to the same config and hash
+    monkeypatch.chdir(tmp_path)
+    config = cli.config_from_dict(ROUND_TRIP[name]())
+    pathlib.Path(config.output_dir).mkdir(parents=True)
+    cli._write_header(config)
+    header = json.loads(pathlib.Path(config.output_dir, "run_header.json").read_text())
+    again = cli.config_from_dict(header["config"])
+    assert again == config
+    assert cli.config_hash(again) == header["config_hash"]

@@ -533,7 +533,7 @@ class TestIntermediateProfile:
         ptraj = manufactured_physical_trajectory(
             pr, T, dT, half_width=1.3 * x0, npts=2049
         )
-        rep = dg.intermediate_profile_check(ptraj, x0, pr, k0=k0, tau_max=0.9)
+        rep = dg.intermediate_profile_check(ptraj, x0, pr, k0=k0)
         # the bisected t0 satisfies its defining relation
         dt0 = T - rep.t0
         assert k0 * math.sqrt(dt0 * abs(math.log(dt0))) == pytest.approx(x0, rel=1e-10)
