@@ -532,12 +532,9 @@ def _run_physical(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    if config.p is None:
-        payload = _verifier.run_all(seed=config.seed)
-    else:
-        payload = _verifier.run_all(
-            ps=(config.p,), ns=(config.n_dim,), seed=config.seed
-        )
+    # a config without params.p runs the default battery
+    battery = {} if config.p is None else {"ps": (config.p,), "ns": (config.n_dim,)}
+    payload = _verifier.run_all(seed=config.seed, **battery)
     _diag.write_json(payload, os.path.join(config.output_dir, "verify_report.json"))
     return 0 if payload["all_pass"] else 3
 

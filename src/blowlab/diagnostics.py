@@ -54,8 +54,7 @@ class NonConvergenceError(RuntimeError):
 MIN_EXPONENT_LOG_SPAN = 0.1
 # largest relative change between the last two dyadic samples of a converged final profile
 FINAL_PROFILE_REL_TOL = 0.01
-# the intermediate-profile check follows tau in [0, INTERMEDIATE_TAU_MAX] on
-# INTERMEDIATE_N_XI points in xi
+# span in tau and sample count in xi of intermediate_profile_check
 INTERMEDIATE_TAU_MAX = 0.9
 INTERMEDIATE_N_XI = 33
 

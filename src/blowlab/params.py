@@ -142,32 +142,16 @@ def phi(params: Params, y2, s) -> np.ndarray:
     return out
 
 
-class ConstantsUnresolvedError(ValueError):
-    """Raised when the R22 outer profile is evaluated without fitted constants."""
-
-
-@dataclass(frozen=True)
-class R22Constants:
-    """Fitted constants of the second-order imaginary outer profile.
-
-    Coefficients of the three correction basis functions (A = p-1 + b z^2):
-      c_alg:       z^2 A^{-(2p-1)/(p-1)}
-      c_log_slow:  z^2 ln(A) A^{-p/(p-1)}
-      c_log_steep: z^2 ln(A) A^{-(2p-1)/(p-1)}
-    """
-
-    c_alg: float
-    c_log_slow: float
-    c_log_steep: float
-
-
-def outer_profile(params: Params, kind: str, z2, r22_constants: R22Constants | None = None):
+def outer_profile(params: Params, kind: str, z2):
     """Closed-form outer-expansion profiles in z = y/sqrt(s).
 
-    kind is one of "R10", "R11", "R21", "R22".  w1 ~ R10 + R11/s + ...,
-    w2 ~ R21/s + R22/s^2 + ...  "R22" requires fitted constants (its
-    correction coefficients have no closed form here); evaluating it
-    without them raises ConstantsUnresolvedError.
+    kind is one of "R10", "R11", "R21", "R22"; w1 ~ R10 + R11/s + ...,
+    w2 ~ R21/s + R22/s^2 + ...  With A = p-1 + b z^2,
+
+      R22 = -2 A^{-p/(p-1)} - ((p-1)/2) z^2 A^{-(2p-1)/(p-1)}
+            + ((p-2)/(p-1)) z^2 ln(A) A^{-p/(p-1)} + p z^2 ln(A) A^{-(2p-1)/(p-1)}
+
+    (verifier.fit_r22_constants certifies it against its ODE).
     """
     if kind not in OUTER_KINDS:
         raise ValueError(f"kind must be one of {OUTER_KINDS}, got {kind!r}")
@@ -176,26 +160,18 @@ def outer_profile(params: Params, kind: str, z2, r22_constants: R22Constants | N
     a = p - 1 + params.b * z2
     if kind == "R10":
         return a ** (-1.0 / (p - 1))
+    decay = a ** (-p / (p - 1.0))
     if kind == "R11":
-        decay = a ** (-p / (p - 1.0))
         return (p - 1) / (2.0 * p) * decay - (p - 1) / (4.0 * p) * z2 * np.log(a) * decay
     if kind == "R21":
-        return z2 * a ** (-p / (p - 1.0))
-    # R22
-    if r22_constants is None:
-        raise ConstantsUnresolvedError(
-            "R22 constants are unresolved: pass r22_constants "
-            "(fit them with verifier.fit_r22_constants)"
-        )
-    decay_p = a ** (-p / (p - 1.0))
-    decay_2p = a ** (-(2.0 * p - 1) / (p - 1.0))
+        return z2 * decay
+    decay_steep = a ** (-(2.0 * p - 1) / (p - 1.0))
     log_a = np.log(a)
-    c = r22_constants
     return (
-        -2.0 * decay_p
-        + c.c_alg * z2 * decay_2p
-        + c.c_log_slow * z2 * log_a * decay_p
-        + c.c_log_steep * z2 * log_a * decay_2p
+        -2.0 * decay
+        - (p - 1) / 2.0 * z2 * decay_steep
+        + (p - 2) / (p - 1.0) * z2 * log_a * decay
+        + p * z2 * log_a * decay_steep
     )
 
 

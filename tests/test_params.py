@@ -180,15 +180,14 @@ class TestOuterProfiles:
     def test_r11_at_origin(self):
         assert bp.outer_profile(self.p2, "R11", 0.0) == pytest.approx(0.25, rel=1e-14)
 
-    def test_r22_requires_constants(self):
-        with pytest.raises(bp.ConstantsUnresolvedError):
-            bp.outer_profile(self.p2, "R22", 1.0)
-
-    def test_r22_with_constants_at_origin(self):
-        # every correction basis function vanishes at z=0
-        c = bp.R22Constants(1.7, -2.3, 0.9)
-        val = bp.outer_profile(self.p2, "R22", 0.0, r22_constants=c)
-        assert val == pytest.approx(-2.0, rel=1e-14)
+    @pytest.mark.parametrize("p", range(2, bp.MAX_P + 1))
+    def test_r22_closed_form_at_origin(self, p):
+        # no constants to pass; every correction term vanishes at z = 0
+        pr = bp.make_params(p, 1)
+        z2 = np.linspace(0.0, 30.0, 61)
+        val = bp.outer_profile(pr, "R22", z2)
+        assert val.shape == z2.shape and np.all(np.isfinite(val))
+        assert val[0] == pytest.approx(-2.0 * (p - 1) ** (-p / (p - 1)), rel=1e-14)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
