@@ -12,6 +12,7 @@ quantitative quality of the numerics is covered elsewhere.
 """
 
 import copy
+import hashlib
 import io
 import json
 import math
@@ -47,6 +48,24 @@ def _boom_on_p3(config):
     if config.p == 3:
         raise RuntimeError("injected failure for p=3")
     return _REAL_RUN_SIMILARITY(config)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps in this process and records the size asked for."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 def tiny_raw(**top_level):
@@ -344,6 +363,62 @@ class TestVerifyMode:
         assert cli.config_hash(again) == header["config_hash"]
 
 
+def _sweep_digests(out):
+    """sha256 (first 16 hex digits) of a sweep's tables and of each cell's fits.json and
+    trajectory.csv; run headers embed the output directory, so they are left out."""
+    names = ["sweep_summary.json", "sweep_table.csv"] + sorted(
+        f"{cell.name}/{name}" for cell in out.iterdir() if cell.is_dir()
+        for name in ("fits.json", "trajectory.csv") if (cell / name).exists())
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in names}
+
+
+# _sweep_digests of the four-cell sweep ps [2, 3], ns [1, 2] on TINY (N_2d 65),
+# at d1 = 0 and d1 = 0.5, and at d1 = 0 with the p = 3 cells failing; and of
+# ps [2, 3], ns [1] over s 25 -> 35 at d1 = 0.3, d2 = 0.1, where the inner fit runs
+SWEEP_SHA256 = {
+    "inner fits": {
+        "sweep_summary.json": "ebb353742aea6637",
+        "sweep_table.csv": "c6624a10bfbb9566",
+        "p2_n1/fits.json": "4658c5b08cfc437a",
+        "p2_n1/trajectory.csv": "6c640cb1ae6c2932",
+        "p3_n1/fits.json": "234153db26c3b121",
+        "p3_n1/trajectory.csv": "e754b72c41f55388",
+    },
+    0.0: {
+        "sweep_summary.json": "b823c314e0d6d611",
+        "sweep_table.csv": "7d93625091bbd6ac",
+        "p2_n1/fits.json": "18841a069be14a7f",
+        "p2_n1/trajectory.csv": "de0e3060723b3985",
+        "p2_n2/fits.json": "e1afcdb0aa70167f",
+        "p2_n2/trajectory.csv": "15e53609bca5a7c1",
+        "p3_n1/fits.json": "7706518be6a3b155",
+        "p3_n1/trajectory.csv": "15002d968f5305ee",
+        "p3_n2/fits.json": "70989e39b3b7e110",
+        "p3_n2/trajectory.csv": "f2b3e8404c01f8eb",
+    },
+    0.5: {
+        "sweep_summary.json": "220542899ab97219",
+        "sweep_table.csv": "a88be19a53537f01",
+        "p2_n1/fits.json": "89e6d38fc3785635",
+        "p2_n1/trajectory.csv": "5d456dec1d872990",
+        "p2_n2/fits.json": "afc47da085622aed",
+        "p2_n2/trajectory.csv": "d3c248a8b1ddfb94",
+        "p3_n1/fits.json": "0073da074b896d30",
+        "p3_n1/trajectory.csv": "b1c6f56af92aeb79",
+        "p3_n2/fits.json": "824322769d86433b",
+        "p3_n2/trajectory.csv": "30a776478f98c68a",
+    },
+    "p3 fails": {
+        "sweep_summary.json": "cae1e0a1b1b9e897",
+        "sweep_table.csv": "ce8531ebff1a81c8",
+        "p2_n1/fits.json": "18841a069be14a7f",
+        "p2_n1/trajectory.csv": "de0e3060723b3985",
+        "p2_n2/fits.json": "e1afcdb0aa70167f",
+        "p2_n2/trajectory.csv": "15e53609bca5a7c1",
+    },
+}
+
+
 class TestSweepMode:
     def _sweep_raw(self, out, ps, ns, workers=2):
         raw = tiny_raw(output_dir=str(out), workers=workers)
@@ -377,27 +452,45 @@ class TestSweepMode:
     def test_pool_gets_no_more_workers_than_cells(self, tmp_path, monkeypatch):
         # a fork pool starts all of its workers at once; the fake runs the
         # cells in this process and records the size it was asked for
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         config = cli.config_from_dict(
             self._sweep_raw(tmp_path / "sw", ps=[2], ns=[1], workers=64)
         )
         assert cli.run(config) == 0
-        assert sizes == [1]
+        assert InProcessPool.sizes == [1]
+
+    @pytest.mark.parametrize("d1", [0.0, 0.5])
+    def test_sweep_bytes_pinned(self, tmp_path, d1):
+        raw = self._sweep_raw(tmp_path / "sw", ps=[2, 3], ns=[1, 2])
+        raw["initial_data"]["d1"] = d1
+        assert cli.run(cli.config_from_dict(raw)) == 0
+        assert _sweep_digests(tmp_path / "sw") == SWEEP_SHA256[d1]
+
+    def test_sweep_with_inner_fits_bytes_pinned(self, tmp_path):
+        # s 25 -> 35 is wide enough for the inner fit, so its columns are filled
+        raw = self._sweep_raw(tmp_path / "sw", ps=[2, 3], ns=[1])
+        raw["solver"].update(s_end=35.0)
+        raw["initial_data"] = {"d1": 0.3, "d2": 0.1}
+        assert cli.run(cli.config_from_dict(raw)) == 0
+        assert _sweep_digests(tmp_path / "sw") == SWEEP_SHA256["inner fits"]
+
+    def test_failed_cell_bytes_pinned(self, tmp_path, monkeypatch):
+        # the cells run in this process, so the patch reaches them under any
+        # multiprocessing start method
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_run_similarity", _boom_on_p3)
+        out = tmp_path / "swf"
+        config = cli.config_from_dict(self._sweep_raw(out, ps=[2, 3], ns=[1, 2]))
+        assert cli.run(config) == 1
+        with open(out / "sweep_summary.json") as fh:
+            rows = json.load(fh)["runs"]
+        assert [row["status"] for row in rows] == ["ok", "ok", "failed", "failed"]
+        for row in rows[2:]:
+            assert row["error"] == "injected failure for p=3"
+            with open(out / row["out_dir"] / "error.json") as fh:
+                assert json.load(fh)["message"] == row["error"]
+        assert _sweep_digests(out) == SWEEP_SHA256["p3 fails"]
 
     def test_empty_sweep_is_ok(self, tmp_path):
         config = cli.config_from_dict(
