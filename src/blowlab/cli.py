@@ -20,10 +20,14 @@ require it), and each single-field rule once, in BOUNDS; parsing, unknown-key
 rejection, the rules and RunConfig.as_dict read these two tables.  Cross-field
 constraints follow, among them a substep pre-check on every grid the run (or
 each sweep cell) steps on; all violations are reported at once, with exit 2.
-Outputs (run_header.json always; trajectory.csv, fits.json,
-verify_report.json, sweep_summary.json, sweep_table.csv per mode) are
-byte-deterministic for identical config and seed, carry no timestamps, and
-embed the config hash so every artifact is self-describing.
+Every mode runs through one entry, which returns the exit code together with
+the mode's result (fits, verify payload or sweep rows); a sweep's cells
+return their fits through the process pool, and its rows are built from
+them, not read back from disk.  Outputs (run_header.json always;
+trajectory.csv, fits.json, verify_report.json, sweep_summary.json,
+sweep_table.csv per mode) are byte-deterministic for identical config and
+seed, carry no timestamps, and embed the config hash so every artifact is
+self-describing.
 """
 
 from __future__ import annotations
@@ -417,7 +421,7 @@ def _initial_pieces(config: RunConfig):
     return pr, cut, idp
 
 
-def _run_similarity(config: RunConfig) -> int:
+def _run_similarity(config: RunConfig) -> tuple:
     pr, cut, idp = _initial_pieces(config)
     grid = _spectral.Grid(config.n_dim, config.L, config.N)
     state = _solver.similarity_initial_state(pr, idp, cut, grid)
@@ -477,7 +481,7 @@ def _run_similarity(config: RunConfig) -> int:
         ssp=ssp, params=pr, min_margin=min_margin, c0_tilde=c0_tilde,
     )
     _diag.write_json(fits, os.path.join(config.output_dir, "fits.json"))
-    return 0
+    return 0, fits
 
 
 def _write_physical_csv(ptraj, path: str) -> None:
@@ -495,7 +499,7 @@ def _write_physical_csv(ptraj, path: str) -> None:
         recs["t"], recs["dt"], recs["max_u"], recs["argmax"], recs["probe_u"].view(np.float64)]))
 
 
-def _run_physical(config: RunConfig) -> int:
+def _run_physical(config: RunConfig) -> tuple:
     pr, cut, idp = _initial_pieces(config)
     grid_x = _spectral.Grid(1, config.L, config.N)
     u0 = _solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
@@ -528,18 +532,27 @@ def _run_physical(config: RunConfig) -> int:
     }
     _write_physical_csv(ptraj, os.path.join(config.output_dir, "trajectory.csv"))
     _diag.write_json(fits, os.path.join(config.output_dir, "fits.json"))
-    return 0
+    return 0, fits
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(config: RunConfig) -> tuple:
     # a config without params.p runs the default battery
     battery = {} if config.p is None else {"ps": (config.p,), "ns": (config.n_dim,)}
     payload = _verifier.run_all(seed=config.seed, **battery)
     _diag.write_json(payload, os.path.join(config.output_dir, "verify_report.json"))
-    return 0 if payload["all_pass"] else 3
+    return (0 if payload["all_pass"] else 3), payload
 
 
-def _run_sweep(config: RunConfig) -> int:
+# the fits a sweep row reports, as (fits.json section, key); a cell whose
+# window is too short for the inner fit reports None for its keys
+SWEEP_FITS = (
+    ("inner", "w1bar_limit"), ("inner", "target_w1bar"), ("inner", "c0_tilde"),
+    ("inner", "drift_w1bar"), ("profile_errors", "e1_slope"),
+    ("profile_errors", "e2_slope"), ("membership", "min_margin"),
+)
+
+
+def _run_sweep(config: RunConfig) -> tuple:
     children = []
     for p in sorted(config.sweep_ps):
         for n in sorted(config.sweep_ns):
@@ -560,38 +573,20 @@ def _run_sweep(config: RunConfig) -> int:
             children.append(child)
 
     # the pool forks all its workers at once, so it gets no more than there are cells
-    codes = []
+    results = []
     if children:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(children))) as pool:
-            codes = list(pool.map(run, children))
+            results = list(pool.map(_run, children))
 
     rows = []
-    for child, code in zip(children, codes):
+    for child, (code, result) in zip(children, results):
         row = {"p": child.p, "n_dim": child.n_dim,
                "out_dir": os.path.relpath(child.output_dir, config.output_dir)}
-        fits_path = os.path.join(child.output_dir, "fits.json")
-        if code == 0 and os.path.exists(fits_path):
-            with open(fits_path) as fh:
-                fits = json.load(fh)
-            inner = fits.get("inner") or {}
-            row.update({
-                "status": "ok",
-                "w1bar_limit": inner.get("w1bar_limit"),
-                "target_w1bar": inner.get("target_w1bar"),
-                "c0_tilde": inner.get("c0_tilde"),
-                "drift_w1bar": inner.get("drift_w1bar"),
-                "e1_slope": fits["profile_errors"]["e1_slope"],
-                "e2_slope": fits["profile_errors"]["e2_slope"],
-                "min_margin": fits["membership"]["min_margin"],
-            })
+        if code == 0:
+            row["status"] = "ok"
+            row.update({key: (result[section] or {}).get(key) for section, key in SWEEP_FITS})
         else:
-            row["status"] = "failed"
-            err_path = os.path.join(child.output_dir, "error.json")
-            if os.path.exists(err_path):
-                with open(err_path) as fh:
-                    row["error"] = json.load(fh).get("message", "unknown")
-            else:
-                row["error"] = f"exit code {code}"
+            row.update({"status": "failed", "error": result})
         rows.append(row)
 
     all_ok = all(r["status"] == "ok" for r in rows)
@@ -599,30 +594,16 @@ def _run_sweep(config: RunConfig) -> int:
         {"runs": rows, "all_ok": bool(all_ok), "count": len(rows)},
         os.path.join(config.output_dir, "sweep_summary.json"),
     )
-    table_cols = ["p", "n_dim", "status", "w1bar_limit", "target_w1bar",
-                  "c0_tilde", "drift_w1bar", "e1_slope", "e2_slope", "min_margin"]
-    lines = [",".join(table_cols)]
-    for row in rows:
-        cells = []
-        for col in table_cols:
-            v = row.get(col)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(_diag._fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    with open(os.path.join(config.output_dir, "sweep_table.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return 0 if all_ok else 1
+    cols = ["p", "n_dim", "status"] + [key for _, key in SWEEP_FITS]
+    _diag.write_csv(os.path.join(config.output_dir, "sweep_table.csv"), cols,
+                    [[row.get(col) for col in cols] for row in rows])
+    return (0 if all_ok else 1), rows
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; 0 on success.
+def _run(config: RunConfig) -> tuple:
+    """run's exit code and the mode's result (fits, verify payload or sweep rows).
 
-    Failures after validation leave a machine-readable error.json in the
-    output directory and return a nonzero status.
+    A failure after validation writes error.json and returns (4, its message).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     _write_header(config)
@@ -639,7 +620,16 @@ def run(config: RunConfig) -> int:
             {"error": type(exc).__name__, "message": str(exc)},
             os.path.join(config.output_dir, "error.json"),
         )
-        return 4
+        return 4, str(exc)
+
+
+def run(config: RunConfig) -> int:
+    """Execute one validated configuration; 0 on success.
+
+    Failures after validation leave a machine-readable error.json in the
+    output directory and return a nonzero status.
+    """
+    return _run(config)[0]
 
 
 _DEFAULT_VERIFY = {"mode": "verify"}

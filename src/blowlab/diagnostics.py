@@ -597,14 +597,17 @@ def _cauchy_limit(samples: np.ndarray, x):
     return float(samples[-1].real), float(samples[-1].imag)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else format(float(v), ".17g")
 
 
 def write_csv(path: str, cols, table) -> None:
-    """Write a header line of cols, then one line per row of the 2-D float table.
+    """Write a header line of cols, then one line per row of the 2-D table.
 
-    All floats carry 17 significant digits; output is byte-deterministic.
+    A number carries 17 significant digits, a string is written as it is and
+    None as an empty cell; output is byte-deterministic.
     """
     lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in table]
     with open(path, "w") as fh:
