@@ -54,9 +54,6 @@ class NonConvergenceError(RuntimeError):
 MIN_EXPONENT_LOG_SPAN = 0.1
 # largest relative change between the last two dyadic samples of a converged final profile
 FINAL_PROFILE_REL_TOL = 0.01
-# span in tau and sample count in xi of intermediate_profile_check
-INTERMEDIATE_TAU_MAX = 0.9
-INTERMEDIATE_N_XI = 33
 
 
 @dataclass(frozen=True)
@@ -438,106 +435,6 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
 def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray) -> np.ndarray:
     """One complex cubic spline through a snapshot u = u1 + i u2, evaluated at x_points."""
     return CubicSpline(grid.axis(), u)(x_points)
-
-
-def _field_at(ptraj: PhysicalTrajectory, t: float, x_points: np.ndarray) -> np.ndarray:
-    """Complex u at time t and positions x_points: cubic in x, linear in t."""
-    times = np.array([snap[0] for snap in ptraj.snapshots])
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"time {t} outside the snapshot range")
-    i = int(np.searchsorted(times, t))
-    if i == 0:
-        i = 1
-    t0, ua = ptraj.snapshots[i - 1]
-    t1, ub = ptraj.snapshots[i]
-    lam = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    return ((1 - lam) * _interp_snapshot_x(ptraj.grid, ua, x_points)
-            + lam * _interp_snapshot_x(ptraj.grid, ub, x_points))
-
-
-@dataclass
-class IntermediateReport:
-    """Rescaled solution versus the intermediate-region limit profiles."""
-
-    x0: float
-    k0: float
-    t0: float
-    tau: np.ndarray
-    u_center: np.ndarray
-    u_hat: np.ndarray
-    v2_center: np.ndarray
-    v2_hat: np.ndarray
-    u_center_rel_err: float
-    v2_center_rel_err: float
-    u_window_abs_err: float
-    v2_window_abs_err: float
-
-
-def intermediate_profile_check(
-    ptraj: PhysicalTrajectory,
-    x0: float,
-    params: _params.Params,
-    k0: float = 5.0,
-) -> IntermediateReport:
-    """Compare the solution rescaled about (x0, t0(x0)) with its limit ODE profiles.
-
-    t0(x0) solves |x0| = k0 sqrt((T - t0) |ln(T - t0)|), then
-    U(xi, tau) = (T - t0)^{1/(p-1)} u(x0 + xi sqrt(T - t0), t0 + tau (T - t0))
-    and V2 = |ln(T - t0)| U2 are tracked against the closed-form pair for
-    tau in [0, INTERMEDIATE_TAU_MAX] and |xi| <= |ln(T - t0)|^{1/4}.
-    """
-    if ptraj.grid.n_dim != 1:
-        raise ValueError("intermediate-profile check is implemented for 1D runs")
-    T = ptraj.T_estimate
-    if T is None:
-        raise ValueError("trajectory has no T_estimate")
-    x0a = abs(float(x0))
-
-    def mismatch(t):
-        tau_left = T - t
-        return k0 * math.sqrt(tau_left * abs(math.log(tau_left))) - x0a
-
-    t_lo = T - math.exp(-2.0)
-    # largest representable t below T, so T - t stays positive in floats
-    t_hi = float(np.nextafter(T, -np.inf))
-    t0 = _params.bisect_root(mismatch, t_lo, t_hi, residual_tol=1e-14, residual_scale=x0a)
-    dT = T - t0
-    times = np.array([snap[0] for snap in ptraj.snapshots])
-    if t0 < times[0] or t0 + INTERMEDIATE_TAU_MAX * dT > times[-1]:
-        raise ValueError(
-            f"t0(x0)={t0} (T-t0={dT:.3e}) with tau_max={INTERMEDIATE_TAU_MAX} is outside "
-            "the recorded snapshot range"
-        )
-    log_factor = abs(math.log(dT))
-    xi_max = log_factor**0.25
-    xi = np.linspace(-xi_max, xi_max, INTERMEDIATE_N_XI)
-    x_points = x0 + xi * math.sqrt(dT)
-
-    tau_hi = min(INTERMEDIATE_TAU_MAX, (times[-1] - t0) / dT)
-    tau_grid = np.linspace(0.0, tau_hi, 25)
-    scale = dT ** (1.0 / (params.p - 1))
-    u_center = np.empty_like(tau_grid)
-    v2_center = np.empty_like(tau_grid)
-    u_win_err = 0.0
-    v2_win_err = 0.0
-    u_hat, v2_hat = _params.hat_uv(params, tau_grid, k0**2)
-    for i, tau in enumerate(tau_grid):
-        u = _field_at(ptraj, t0 + tau * dT, x_points)
-        U1 = scale * u.real
-        V2 = log_factor * scale * u.imag
-        mid = INTERMEDIATE_N_XI // 2
-        u_center[i] = U1[mid]
-        v2_center[i] = V2[mid]
-        u_win_err = max(u_win_err, float(np.max(np.abs(U1 - u_hat[i]))))
-        v2_win_err = max(v2_win_err, float(np.max(np.abs(V2 - v2_hat[i]))))
-    u_rel = float(np.max(np.abs(u_center - u_hat) / np.abs(u_hat)))
-    v2_rel = float(np.max(np.abs(v2_center - v2_hat) / np.abs(v2_hat)))
-    return IntermediateReport(
-        x0=float(x0), k0=float(k0), t0=float(t0), tau=tau_grid,
-        u_center=u_center, u_hat=u_hat, v2_center=v2_center, v2_hat=v2_hat,
-        u_center_rel_err=u_rel, v2_center_rel_err=v2_rel,
-        u_window_abs_err=u_win_err, v2_window_abs_err=v2_win_err,
-    )
 
 
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:

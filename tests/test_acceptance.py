@@ -283,8 +283,8 @@ def test_7_shrinking_set_containment(desk_run):
     assert min_margin > 0.0
 
 
-# The t0-curve parameter of the final-profile reference: the default k0 of
-# diagnostics.intermediate_profile_check and the cutoff K of physical_run.
+# The t0-curve parameter of the final-profile reference: the cutoff K of
+# physical_run.
 K0 = 5.0
 
 
@@ -357,10 +357,9 @@ def test_8_final_profile(physical_run):
     The references are u*_fx = (T - t0)^{-1/(p-1)} U(1) and
     u2*_fx = (T - t0)^{-1/(p-1)} V2(1) / sigma (_final_profile_reference).
     The paper leaves K0 free; it enters only through ln(K0^2) in sigma,
-    and K0 = 5 is the package's own value (the default k0 of
-    diagnostics.intermediate_profile_check and the cutoff K of the
-    fixture).  For p = 2, u2*_fx does not depend on K0.  Each t0(x) must
-    fall inside this run, 0 < t0 < T_est.
+    and K0 = 5 is the package's own value (the cutoff K of the fixture).
+    For p = 2, u2*_fx does not depend on K0.  Each t0(x) must fall inside
+    this run, 0 < t0 < T_est.
 
     The leading-order ratios u*/pred and u2*|ln x|/u* are printed, not
     banded: at these radii the o(1) correction to the limit, about

@@ -478,92 +478,6 @@ class TestInnerFit:
             dg.inner_fit(self.make_traj(np.array([25.0, 40.0]), pr), pr)
 
 
-def manufactured_physical_trajectory(pr, T, dT, half_width, npts, n_times=501):
-    """Snapshots of the leading-order blow-up form.
-
-    u1 = (T-t)^{-1/(p-1)} f0(z^2), u2 = (T-t)^{-1/(p-1)} g0(z^2)/|ln(T-t)|
-    with z^2 = x^2/((T-t)|ln(T-t)|), sampled densely around t = T - dT.
-    """
-    grid = sp.Grid(1, half_width, npts)
-    x = grid.meshes()[0]
-    ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=T)
-    for frac in np.linspace(0.95, 1.96, n_times):
-        t = T - dT * (2.0 - frac)
-        left = T - t
-        z2 = x**2 / (left * abs(math.log(left)))
-        scale = left ** (-1.0 / (pr.p - 1))
-        u1 = scale * bp.f0(pr, z2)
-        u2 = scale * bp.g0(pr, z2) / abs(math.log(left))
-        ptraj.snapshots.append((t, u1 + 1j * u2))
-    return ptraj
-
-
-class TestFieldInterpolation:
-    def test_linear_in_t_cubic_in_x(self):
-        grid = sp.Grid(1, 4.0, 129)
-        x = grid.meshes()[0]
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]))
-        for t in (0.0, 0.1, 0.2):
-            ptraj.snapshots.append(((t), (1.0 + t) * np.cos(x) + 1j * ((2.0 - t) * np.sin(x))))
-        pts = np.array([-1.3, 0.4, 2.2])
-        u = dg._field_at(ptraj, 0.05, pts)
-        u1, u2 = u.real, u.imag
-        assert u1 == pytest.approx(1.05 * np.cos(pts), abs=1e-6)
-        assert u2 == pytest.approx(1.95 * np.sin(pts), abs=1e-6)
-
-    def test_outside_range_rejected(self):
-        grid = sp.Grid(1, 4.0, 33)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]))
-        ptraj.snapshots.append((0.0, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
-        ptraj.snapshots.append((0.1, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
-        with pytest.raises(ValueError, match="outside"):
-            dg._field_at(ptraj, 0.2, np.array([0.0]))
-
-
-class TestIntermediateProfile:
-    def test_manufactured_field_tracks_limit_curves(self):
-        pr = bp.make_params(2, 1)
-        # the deviation from the limit curves is a finite-log correction of
-        # relative size ~ ln(1-tau)/ln(T-t0); at |ln dT| = 40 (desk-run
-        # depth) it sits inside the 10%/20% bands
-        dT = math.exp(-40.0)
-        T = 2.0 * dT
-        k0 = 5.0
-        x0 = k0 * math.sqrt(dT * abs(math.log(dT)))
-        ptraj = manufactured_physical_trajectory(
-            pr, T, dT, half_width=1.3 * x0, npts=2049
-        )
-        rep = dg.intermediate_profile_check(ptraj, x0, pr, k0=k0)
-        # the bisected t0 satisfies its defining relation
-        dt0 = T - rep.t0
-        assert k0 * math.sqrt(dt0 * abs(math.log(dt0))) == pytest.approx(x0, rel=1e-10)
-        assert rep.t0 == pytest.approx(T - dT, rel=1e-6)
-        assert rep.u_center_rel_err < 0.10
-        assert rep.v2_center_rel_err < 0.20
-        assert rep.tau[0] == 0.0
-        assert rep.tau[-1] <= 0.9 + 1e-12
-
-    def test_t0_outside_snapshots_rejected(self):
-        pr = bp.make_params(2, 1)
-        dT = math.exp(-18.0)
-        T = 2.0 * dT
-        x0 = 5.0 * math.sqrt(dT * abs(math.log(dT)))
-        grid = sp.Grid(1, 1.3 * x0, 65)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=T)
-        # snapshots end before t0 + tau_max dT
-        for frac in np.linspace(0.95, 1.2, 20):
-            t = T - dT * (2.0 - frac)
-            ptraj.snapshots.append((t, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
-        with pytest.raises(ValueError, match="snapshot range"):
-            dg.intermediate_profile_check(ptraj, x0, pr)
-
-    def test_requires_1d(self):
-        grid = sp.Grid(2, 4.0, 17)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
-        with pytest.raises(ValueError, match="1D"):
-            dg.intermediate_profile_check(ptraj, 0.1, bp.make_params(2, 2))
-
-
 class TestExtractFinalProfile:
     def make_converging(self, c1=2.0, c2=0.5):
         grid = sp.Grid(1, 4.0, 65)
