@@ -77,9 +77,10 @@ _WINDOW_MODES = ("simulate-similarity", "sweep")
 
 # One row per RunConfig field: (field, section ("" is the root), key, kind,
 # default, modes that require the key (True: every config)).  A verify config
-# without params.p runs the default battery.  _take reads the
-# kinds float, int, bool and str, and takes a list as it is for its BOUNDS
-# rows to judge; "direction" and "radii" have parsers of their own.
+# without params.p runs the default battery over n = 1, 2, so it leaves
+# params.n_dim unset and may not set it.  _take reads the kinds float, int,
+# bool and str, and takes a list as it is for its BOUNDS rows to judge;
+# "direction" and "radii" have parsers of their own.
 FIELDS = (
     ("mode", "", "mode", str, None, True),
     ("p", "params", "p", int, None, _GRID_MODES),
@@ -150,7 +151,7 @@ class RunConfig:
 
     mode: str
     p: int | None
-    n_dim: int
+    n_dim: int | None
     L: float | None
     N: int | None
     ds: float
@@ -296,6 +297,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
             errors.append(f"{section} must be a mapping")
             node = None
         nodes[section] = dict(node or {})
+    n_dim_given = "n_dim" in nodes["params"]
 
     values = {}
     for name, section, key, kind, default, need in FIELDS:
@@ -333,6 +335,11 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     mode, n_dim, L, N, ds = (values[k] for k in ("mode", "n_dim", "L", "N", "ds"))
     s0, s_end, scheme, K = (values[k] for k in ("s0", "s_end", "scheme", "K"))
     probe_log_radii = values["probe_log_radii"]
+    if mode == "verify" and values["p"] is None:
+        if n_dim_given:
+            errors.append("verify needs params.p when params.n_dim is set "
+                          "(without p it runs the default battery over n = 1, 2)")
+        values["n_dim"] = None
     if mode == "simulate-similarity" and ok("n_dim") and n_dim not in _spectral.N_DIMS:
         errors.append(
             f"simulate-similarity needs params.n_dim in {_spectral.N_DIMS} "

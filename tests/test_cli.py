@@ -354,10 +354,10 @@ class TestVerifyMode:
             payload = json.load(fh)
         assert payload["all_pass"] is True
         assert len(payload["reports"]) == 42
-        # the header names the run: no p (the default battery), no grid keys
+        # the header names the run: no p or n_dim (the default battery), no grid keys
         with open(out / "run_header.json") as fh:
             header = json.load(fh)
-        assert "p" not in header["config"]["params"] and "grid" not in header["config"]
+        assert "params" not in header["config"] and "grid" not in header["config"]
         again = cli.config_from_dict(header["config"])
         assert again.p is None
         assert cli.config_hash(again) == header["config_hash"]

@@ -109,6 +109,8 @@ CORPUS = {
                                      solver={"ds": 0.1, "s_end": 20.0,
                                              "scheme": "explicit-rk4"}),
     "similarity_dimension": _edit(_SIM, params={"n_dim": 3}),
+    # without p, verify runs the default battery over n = 1, 2 and cannot honour n_dim
+    "verify_n_dim_without_p": {"mode": "verify", "params": {"n_dim": 2}},
 }
 
 EXPECTED = {
@@ -252,6 +254,10 @@ EXPECTED = {
         "on this grid (limit 200); reduce ds or N",
         "solver.s_end = 20.0 must exceed solver.s0 = 25.0",
     ],
+    "verify_n_dim_without_p": [
+        "verify needs params.p when params.n_dim is set "
+        "(without p it runs the default battery over n = 1, 2)",
+    ],
 }
 
 
@@ -280,12 +286,14 @@ ACCEPTED = {
 # phys-collapse-1d and verify_default were re-pinned when unset keys stopped
 # being written as their kind's zero (solver.s_end: 0.0; grid.L, grid.N,
 # solver.s0 and solver.s_end) and the verify default stopped setting params.p.
+# verify_default was re-pinned again when a verify config without params.p
+# stopped writing params.n_dim: 1 (it runs the default battery over n = 1, 2).
 PINNED = {
     "phys-collapse-1d": ("2fc795b69522deee", "9a879528b1f0fcb1"),
     "sim-2d-cell": ("605f523d9dd303fa", "7bfa73c3f92b463c"),
     "sim-desk-1d": ("af7e2a67778bbe9e", "70094240c8fece44"),
     "tiny": ("b6dd2945a54cd1d4", "30a8c7732a930b54"),
-    "verify_default": ("6e8fe312893e598b", "6939e2d474b91455"),
+    "verify_default": ("988363c644db1f93", "7f4e70b11cd063f7"),
 }
 
 
