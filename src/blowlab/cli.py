@@ -297,7 +297,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
             errors.append(f"{section} must be a mapping")
             node = None
         nodes[section] = dict(node or {})
-    n_dim_given = "n_dim" in nodes["params"]
+    params_given = set(nodes["params"])
 
     values = {}
     for name, section, key, kind, default, need in FIELDS:
@@ -336,7 +336,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     s0, s_end, scheme, K = (values[k] for k in ("s0", "s_end", "scheme", "K"))
     probe_log_radii = values["probe_log_radii"]
     if mode == "verify" and values["p"] is None:
-        if n_dim_given:
+        if "n_dim" in params_given and "p" not in params_given:
             errors.append("verify needs params.p when params.n_dim is set "
                           "(without p it runs the default battery over n = 1, 2)")
         values["n_dim"] = None

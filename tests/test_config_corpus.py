@@ -111,6 +111,7 @@ CORPUS = {
     "similarity_dimension": _edit(_SIM, params={"n_dim": 3}),
     # without p, verify runs the default battery over n = 1, 2 and cannot honour n_dim
     "verify_n_dim_without_p": {"mode": "verify", "params": {"n_dim": 2}},
+    "verify_p_of_wrong_kind": {"mode": "verify", "params": {"p": "3", "n_dim": 2}},
 }
 
 EXPECTED = {
@@ -257,6 +258,9 @@ EXPECTED = {
     "verify_n_dim_without_p": [
         "verify needs params.p when params.n_dim is set "
         "(without p it runs the default battery over n = 1, 2)",
+    ],
+    "verify_p_of_wrong_kind": [
+        "params.p must be an integer, got '3'",
     ],
 }
 
