@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 
 from . import params as _params
 from . import rhs as _rhs
@@ -54,6 +54,8 @@ class NonConvergenceError(RuntimeError):
 MIN_EXPONENT_LOG_SPAN = 0.1
 # largest relative change between the last two dyadic samples of a converged final profile
 FINAL_PROFILE_REL_TOL = 0.01
+# nodes on each side of a final-profile probe in the window its spline is fitted on
+SPLINE_HALF_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -433,8 +435,44 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
 
 
 def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray) -> np.ndarray:
-    """One complex cubic spline through a snapshot u = u1 + i u2, evaluated at x_points."""
-    return CubicSpline(grid.axis(), u)(x_points)
+    """A complex cubic spline through a snapshot u = u1 + i u2, evaluated at x_points.
+
+    Each x gets its own spline, on the 2 SPLINE_HALF_WINDOW nodes around it
+    (the whole axis when that is shorter), with CubicSpline's not-a-knot
+    condition at both window ends.  Where a window end is a grid end this is
+    the global not-a-knot spline's condition; elsewhere the end's influence
+    decays like (2 - sqrt 3)^k over the k >= SPLINE_HALF_WINDOW - 1 nodes to
+    the probe, so the value is the global spline's to roundoff.  The slopes
+    solve one real tridiagonal system (dgttrf, zgttrs) per x.
+    """
+    ax = grid.axis()
+    n = min(2 * SPLINE_HALF_WINDOW, ax.size)
+    out = np.empty(len(x_points), dtype=complex)
+    for j, x in enumerate(x_points):
+        cell = min(max(int(np.searchsorted(ax, x, side="right")) - 1, 0), ax.size - 2)
+        lo = min(max(cell - SPLINE_HALF_WINDOW + 1, 0), ax.size - n)
+        xs, ys = ax[lo:lo + n], u[lo:lo + n]
+        dx = np.diff(xs)
+        slope = np.diff(ys) / dx
+        # row i of the slope equations: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i
+        # + dx_{i-1} s_{i+1} = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i); the end
+        # rows make the third derivative continuous at the second and the
+        # second-to-last node (not-a-knot)
+        d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        rhs = np.concatenate((
+            [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+        ))
+        dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.append(dx[1:], d1), diag,
+                                                np.append(d0, dx[:-1]))
+        s, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+        k = cell - lo
+        h, t = dx[k], x - xs[k]
+        c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
+        out[j] = ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]
+    return out
 
 
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
@@ -454,17 +492,21 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     component to differ by less than FINAL_PROFILE_REL_TOL relative to the
     final magnitude.
     Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
-    fails with.
+    fails with.  An x outside the grid [-L, L] raises CoverageError.
     """
     T = ptraj.T_estimate
     if T is None:
         raise ValueError("trajectory has no T_estimate")
+    x_arr = np.array([float(x) for x in xs])
+    L = ptraj.grid.half_width
+    outside = x_arr[~(np.abs(x_arr) <= L)]
+    if outside.size:
+        raise CoverageError(f"final-profile position {outside[0]} lies outside the grid [-{L}, {L}]")
     snaps = [snap for snap in ptraj.snapshots if T - snap[0] > 0]
     if len(snaps) < 2:
         return [NonConvergenceError("fewer than two snapshots precede the blow-up time")
                 for _ in xs]
     left = np.array([T - snap[0] for snap in snaps])
-    x_arr = np.array([float(x) for x in xs])
     # dyadic subsequence of snapshot times: T - t ~ delta, delta/2, delta/4, ...
     targets = []
     delta = left[0]

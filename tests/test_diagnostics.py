@@ -543,6 +543,34 @@ class TestExtractFinalProfile:
             dg.extract_final_profile(ptraj, 0.8)
 
 
+    def test_position_outside_grid_rejected(self, monkeypatch):
+        # refused before any snapshot is interpolated, where a spline would extrapolate
+        ptraj = self.make_converging()
+        assert dg.extract_final_profile(ptraj, -4.0) == pytest.approx((2.0, 0.5), rel=1e-4)
+        monkeypatch.setattr(dg, "_interp_snapshot_x", None)
+        for x in (4.0 + 1e-9, -4.5, math.nan):
+            with pytest.raises(dg.CoverageError, match="outside the grid"):
+                dg.extract_final_profiles(ptraj, [0.8, x])
+
+
+class TestSnapshotSpline:
+    # the windowed spline against scipy's global not-a-knot spline as the oracle
+    @pytest.mark.parametrize("npts", [33, 65, 7201])
+    def test_matches_global_cubic_spline(self, npts):
+        from scipy.interpolate import CubicSpline
+
+        grid = sp.Grid(1, 9e-5, npts)
+        ax, h = grid.axis(), grid.h
+        rng = np.random.default_rng(npts)
+        smooth = 3.0 + np.sin(4e4 * ax) + 1j * (2.0 + np.exp(-((ax / 3e-5) ** 2)))
+        u = 1e12 * (smooth + 0.05 * (rng.standard_normal(npts) + 1j * rng.standard_normal(npts)))
+        # an interior probe, then probes within 3 nodes of each grid end
+        xs = np.array([0.37 * grid.half_width, ax[0], ax[0] + 0.5 * h, ax[2] + 0.3 * h,
+                       ax[-1], ax[-1] - 0.5 * h, ax[-3] - 0.4 * h])
+        got = dg._interp_snapshot_x(grid, u, xs)
+        np.testing.assert_allclose(got, CubicSpline(ax, u)(xs), rtol=1e-12, atol=0.0)
+
+
 def min_margins(traj, ssp):
     return [min(dg.in_shrinking_set(rec, ssp).values()) for rec in traj.records]
 

@@ -6,7 +6,10 @@ except the oracles that only tests call, which are listed by name.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +100,15 @@ def test_definition_checker_finds_unread_names():
 def test_no_test_only_code_outside_the_oracle_list():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert unread_definitions(sources) == sorted(TEST_ONLY)
+
+
+def test_package_loads_neither_scipy_integrate_nor_interpolate():
+    # both pull in scipy.special and scipy.optimize, about 0.25 s of every
+    # run's start-up; a fresh interpreter shows what the package loads
+    code = ("import sys, blowlab.cli, blowlab.verifier\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 The closed-form constants asserted here were derived by hand and
 cross-checked against two independent numeric routes (stencil residuals
-and a high-order integrator) before being frozen.
+and an RK4 integrator) before being frozen.
 """
 
 import hashlib
@@ -59,11 +59,22 @@ def test_r22_constants_match_closed_forms(p, c_alg, c_log_slow, c_log_steep):
     rep = bv.fit_r22_constants(bp.make_params(p, 1))
     assert rep.passed
     assert rep.worst_residual < 1e-9
-    assert rep.details["integrator_deviation"] < 1e-6
+    assert rep.details["integrator_deviation"] < 1e-9
     assert rep.details["fit_deviation"] < 1e-6
     assert rep.details["c_alg"] == pytest.approx(c_alg, abs=1e-6)
     assert rep.details["c_log_slow"] == pytest.approx(c_log_slow, abs=1e-6)
     assert rep.details["c_log_steep"] == pytest.approx(c_log_steep, abs=1e-6)
+
+
+def test_r22_integrator_is_fourth_order(monkeypatch):
+    # the cross-check integrates the ODE: its deviation from the closed form
+    # is truncation error, which falls 16x per doubling of an RK4 step count
+    pr = bp.make_params(2, 1)
+    devs = []
+    for steps in (200, 400):
+        monkeypatch.setattr(bv, "R22_STEPS", steps)
+        devs.append(bv.fit_r22_constants(pr).details["integrator_deviation"])
+    assert devs[1] < devs[0] / 10.0
 
 
 def test_r22_fit_invariant_under_sample_placement():
