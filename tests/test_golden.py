@@ -298,9 +298,10 @@ GOLDEN_CSV_SHA256 = {
 
 
 # sha256 of fits.json where the 1e-9 band is too coarse: the final-profile
-# values u1*, u2* of the physical run in their last bit
+# values u1*, u2* of the physical run in their last bit, as the windowed
+# spline reads them
 GOLDEN_FITS_SHA256 = {
-    "phys_p2": "e7acd66cd3a3fa85be8da852a29c8abd842e133e3c866beffcf1f9bb30d16470",
+    "phys_p2": "cbe8c7063640a30609ba1dcd37f888a859cc6de7c095cebb033d13f7a90022de",
 }
 
 

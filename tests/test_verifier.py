@@ -264,10 +264,11 @@ def test_run_all_seed_recorded_in_sampled_checks():
 
 
 # sha256 of json.dumps(run_all(ps=2..9, ns=(1, 2), seed), sort_keys=True), recorded
-# when R22 became a closed form; only the r22_fit_p* reports moved then
+# when R22's integrator cross-check became RK4; only the r22_fit_p* reports'
+# integrator_deviation and notes moved then
 RUN_ALL_SHA256 = {
-    0: "09f43f11a574c88739a65902a80910e41f520c4f573207ae1858b89805231898",
-    5: "4e2e11740e5b373517e7d700e357964bb524fa393ae74b290589295edf3272a5",
+    0: "c541589bdd7a678cb47551b7ed4a84c2faa0ea1c93a68384766e92b48443c477",
+    5: "e87dc415a8194425ea6fc973460a1ac02fdad09e9347db83c337702e21e2550d",
 }
 
 
