@@ -487,10 +487,10 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
 
     Snapshots are (t, u) pairs with u = u1 + i u2.  Samples the distinct
-    snapshots nearest a dyadic sequence in T - t, one spline per sampled
-    snapshot for all of xs, and requires the last two samples of each
-    component to differ by less than FINAL_PROFILE_REL_TOL relative to the
-    final magnitude.
+    snapshots nearest a dyadic sequence in T - t, each through a windowed
+    spline around every x (_interp_snapshot_x), and requires the last two
+    samples of each component to differ by less than FINAL_PROFILE_REL_TOL
+    relative to the final magnitude.
     Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
     fails with.  An x outside the grid [-L, L] raises CoverageError.
     """
@@ -501,7 +501,8 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     L = ptraj.grid.half_width
     outside = x_arr[~(np.abs(x_arr) <= L)]
     if outside.size:
-        raise CoverageError(f"final-profile position {outside[0]} lies outside the grid [-{L}, {L}]")
+        raise CoverageError(
+            f"final-profile position {outside[0]} lies outside the grid [-{L}, {L}]")
     snaps = [snap for snap in ptraj.snapshots if T - snap[0] > 0]
     if len(snaps) < 2:
         return [NonConvergenceError("fewer than two snapshots precede the blow-up time")

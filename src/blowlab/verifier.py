@@ -8,7 +8,7 @@ residual of an exact identity sits at the differentiation noise floor.
 All four outer profiles R10, R11, R21 and R22 are closed forms
 (params.outer_profile) and are held to that floor; R22's check also
 integrates its linear ODE by classical RK4 on tabulated coefficients and
-refits its three correction coefficients.  The module needs no scipy.
+refits its three correction coefficients.
 
 Bound checks are slope tests: the envelope constants C are unspecified,
 so the falsifiable content is that the normalized sup does not grow across
@@ -171,10 +171,10 @@ def fit_r22_constants(
     like R10, R11 and R21, and a classical RK4 integration of the linear
     ODE r' = a(z) r + g(z) started on it, over R22_STEPS geometric steps in
     z, must follow it at every node (< 1e-6; it is about 1e-11 at 2000
-    steps).  Independently, the ODE residual is
-    affine in the three correction coefficients, so least squares over z
-    samples recovers them, and they must match the closed form's
-    -(p-1)/2, (p-2)/(p-1) and p (< 1e-6).  (Matching field values against
+    steps).  Independently, the ODE residual is affine in the three
+    correction coefficients, so least squares over z samples recovers
+    them, and they must match the closed form's -(p-1)/2, (p-2)/(p-1) and
+    p (< 1e-6).  (Matching field values against
     a shooting solution instead would be ill-posed: the regular solutions
     form a one-parameter family and any shot picks an arbitrary member.)
     """

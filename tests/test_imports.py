@@ -103,10 +103,11 @@ def test_no_test_only_code_outside_the_oracle_list():
 
 
 def test_package_loads_neither_scipy_integrate_nor_interpolate():
-    # both pull in scipy.special and scipy.optimize, about 0.25 s of every
-    # run's start-up; a fresh interpreter shows what the package loads
+    # both pull in scipy.special and scipy.optimize, about 0.4 s of every
+    # run's start-up on a 2-CPU host; a fresh interpreter shows what loads
     code = ("import sys, blowlab.cli, blowlab.verifier\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
+            " if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
