@@ -15,11 +15,12 @@ A run is described by one YAML file:
     seed: 0
     workers: 2
 
-Each key is declared once, in FIELDS (section, kind, default, the modes that
-require it), and each single-field rule once, in BOUNDS; parsing, unknown-key
-rejection, the rules and RunConfig.as_dict read these two tables.  Cross-field
-constraints follow, among them a substep pre-check on every grid the run (or
-each sweep cell) steps on; all violations are reported at once, with exit 2.
+Each key is declared once, on its RunConfig field (section, kind, default, the
+modes that require it), and each single-field rule once, in BOUNDS; parsing,
+unknown-key rejection, the rules and RunConfig.as_dict read FIELDS (those
+field declarations, in order) and BOUNDS.  Cross-field constraints follow,
+among them a substep pre-check on every grid the run (or each sweep cell)
+steps on; all violations are reported at once, with exit 2.
 Every mode runs through one entry, which returns the exit code together with
 the mode's result (fits, verify payload or sweep rows); a sweep's cells
 return their fits through the process pool, and its rows are built from
@@ -75,38 +76,66 @@ class ConfigError(ValueError):
 _GRID_MODES = ("simulate-similarity", "simulate-physical", "sweep")
 _WINDOW_MODES = ("simulate-similarity", "sweep")
 
-# One row per RunConfig field: (field, section ("" is the root), key, kind,
-# default, modes that require the key (True: every config)).  A verify config
-# without params.p runs the default battery over n = 1, 2, so it leaves
-# params.n_dim unset and may not set it.  _take reads the kinds float, int,
-# bool and str, and takes a list as it is for its BOUNDS rows to judge;
-# "direction" and "radii" have parsers of their own.
-FIELDS = (
-    ("mode", "", "mode", str, None, True),
-    ("p", "params", "p", int, None, _GRID_MODES),
-    ("n_dim", "params", "n_dim", int, 1, ()),
-    ("L", "grid", "L", float, None, _GRID_MODES),
-    ("N", "grid", "N", int, None, _GRID_MODES),
-    ("ds", "solver", "ds", float, 5e-3, _WINDOW_MODES),
-    ("s0", "solver", "s0", float, None, _GRID_MODES),
-    ("s_end", "solver", "s_end", float, None, _WINDOW_MODES),
-    ("scheme", "solver", "scheme", str, "semi-implicit", ()),
-    ("pin", "solver", "pin", bool, True, ()),
-    ("record_every", "solver", "record_every", int, 20, ()),
-    ("eta", "solver", "eta", float, 2.5e-4, ()),
-    ("A", "shrinking_set", "A", float, 10.0, ()),
-    ("p1", "shrinking_set", "p1", float, 0.5, ()),
-    ("K", "shrinking_set", "K", float, 5.0, ()),
-    ("d1", "initial_data", "d1", "direction", None, ()),
-    ("d2", "initial_data", "d2", "direction", None, ()),
-    ("probe_log_radii", "physical", "probe_log_radii", "radii", [10.0, 12.0, 14.0], ()),
-    ("sweep_ps", "sweep", "ps", list, [2, 3, 4], ()),
-    ("sweep_ns", "sweep", "ns", list, [1, 2], ()),
-    ("sweep_n2d", "sweep", "N_2d", int, 257, ()),
-    ("output_dir", "", "output_dir", str, "out", ()),
-    ("seed", "", "seed", int, 0, ()),
-    ("workers", "", "workers", int, 2, ()),
-)
+
+def _key(section, key, kind, default=None, required=()):
+    """A RunConfig field's config-file key: its section ("" is the root), key,
+    kind, default and the modes that require it (True: every config).
+
+    _take reads the kinds float, int, bool and str, and takes a list as it is
+    for its BOUNDS rows to judge; "direction" and "radii" have parsers of
+    their own.
+    """
+    return dataclasses.field(metadata={"key": (section, key, kind, default, required)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully expanded, validated settings of one run; a key the mode does not need may be None.
+
+    Each field declares its config-file key (_key), and FIELDS lists them.
+    """
+
+    mode: str = _key("", "mode", str, required=True)
+    p: int | None = _key("params", "p", int, required=_GRID_MODES)
+    # a verify config without params.p runs the default battery over n = 1, 2,
+    # so it leaves params.n_dim unset and may not set it
+    n_dim: int | None = _key("params", "n_dim", int, 1)
+    L: float | None = _key("grid", "L", float, required=_GRID_MODES)
+    N: int | None = _key("grid", "N", int, required=_GRID_MODES)
+    ds: float = _key("solver", "ds", float, 5e-3, _WINDOW_MODES)
+    s0: float | None = _key("solver", "s0", float, required=_GRID_MODES)
+    s_end: float | None = _key("solver", "s_end", float, required=_WINDOW_MODES)
+    scheme: str = _key("solver", "scheme", str, "semi-implicit")
+    pin: bool = _key("solver", "pin", bool, True)
+    record_every: int = _key("solver", "record_every", int, 20)
+    eta: float = _key("solver", "eta", float, 2.5e-4)
+    A: float = _key("shrinking_set", "A", float, 10.0)
+    p1: float = _key("shrinking_set", "p1", float, 0.5)
+    K: float = _key("shrinking_set", "K", float, 5.0)
+    d1: dict = _key("initial_data", "d1", "direction")
+    d2: dict = _key("initial_data", "d2", "direction")
+    probe_log_radii: tuple = _key("physical", "probe_log_radii", "radii", [10.0, 12.0, 14.0])
+    sweep_ps: tuple = _key("sweep", "ps", list, [2, 3, 4])
+    sweep_ns: tuple = _key("sweep", "ns", list, [1, 2])
+    sweep_n2d: int = _key("sweep", "N_2d", int, 257)
+    output_dir: str = _key("", "output_dir", str, "out")
+    seed: int = _key("", "seed", int, 0)
+    workers: int = _key("", "workers", int, 2)
+
+    def as_dict(self) -> dict:
+        """The settings in the layout of a config file, tuples as lists, unset keys left out."""
+        out: dict = {}
+        for name, section, key, *_ in FIELDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            (out.setdefault(section, {}) if section else out)[key] = (
+                list(value) if isinstance(value, tuple) else value)
+        return out
+
+
+# (field, section, key, kind, default, required modes) of every RunConfig field
+FIELDS = tuple((f.name, *f.metadata["key"]) for f in dataclasses.fields(RunConfig))
 _FIELD = {row[0]: row for row in FIELDS}
 
 
@@ -143,47 +172,6 @@ BOUNDS = (
     ("seed", lambda v: v >= 0, "be >= 0"),
     ("workers", lambda v: v >= 1, "be >= 1"),
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully expanded, validated settings of one run; a key the mode does not need may be None."""
-
-    mode: str
-    p: int | None
-    n_dim: int | None
-    L: float | None
-    N: int | None
-    ds: float
-    s0: float | None
-    s_end: float | None
-    scheme: str
-    pin: bool
-    record_every: int
-    eta: float
-    A: float
-    p1: float
-    K: float
-    d1: dict
-    d2: dict
-    probe_log_radii: tuple
-    sweep_ps: tuple
-    sweep_ns: tuple
-    sweep_n2d: int
-    output_dir: str
-    seed: int
-    workers: int
-
-    def as_dict(self) -> dict:
-        """The settings in the layout of a config file, tuples as lists, unset keys left out."""
-        out: dict = {}
-        for name, section, key, *_ in FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            (out.setdefault(section, {}) if section else out)[key] = (
-                list(value) if isinstance(value, tuple) else value)
-        return out
 
 
 def config_hash(config: RunConfig) -> str:
