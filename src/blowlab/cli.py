@@ -420,13 +420,13 @@ def _run_similarity(config: RunConfig) -> tuple:
     pr, cut, idp = _initial_pieces(config)
     grid = _spectral.Grid(config.n_dim, config.L, config.N)
     state = _solver.similarity_initial_state(pr, idp, cut, grid)
-    ssp = _diag.ShrinkingSetParams(A=config.A, p1=config.p1, K=config.K)
     cfg = _solver.SolverConfig(
         ds=config.ds, s_end=config.s_end, scheme=config.scheme,
         record_every=config.record_every, pin_unstable_modes=config.pin,
         cutoff=cut,
     )
-    traj = _solver.evolve(state, cfg, pr, ssp=ssp)
+    traj = _solver.evolve(state, cfg, pr)
+    ssp = _diag.ShrinkingSetParams(A=config.A, p1=config.p1)
 
     recs = traj.records
     margins = [_diag.in_shrinking_set(r, ssp) for r in recs]

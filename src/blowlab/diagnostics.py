@@ -60,19 +60,17 @@ SPLINE_HALF_WINDOW = 32
 
 @dataclass(frozen=True)
 class ShrinkingSetParams:
-    """Envelope parameters (A, p1, K) of the shrinking neighborhood."""
+    """Envelope constants (A, p1) of the shrinking neighborhood; its cutoff
+    radius K is the run's rhs.CutoffSpec."""
 
     A: float = 10.0
     p1: float = 0.5
-    K: float = 5.0
 
     def __post_init__(self):
         if not self.A >= 1.0:
             raise ValueError(f"A must be >= 1, got {self.A}")
         if not 0.0 < self.p1 < 1.0:
             raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
-        if not self.K > 0.0:
-            raise ValueError(f"K must be positive, got {self.K}")
 
 
 class _RowStore:
@@ -154,9 +152,8 @@ class PhysicalTrajectory(_RowStore):
         ])
 
 
-def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
-              ssp: ShrinkingSetParams) -> tuple:
-    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff at K sqrt(s).
+def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpec) -> tuple:
+    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff cut at K sqrt(s).
 
     Returns the five mode fields of a Trajectory record, (q0, q1, q2,
     q_minus_norm, q_e_norm), each with a leading axis of the two components;
@@ -166,7 +163,7 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
     plateau (L <= K sqrt(s), chi identically 1); a grid ending mid-transition
     raises CoverageError.
     """
-    edge = ssp.K * math.sqrt(s)
+    edge = cut.K * math.sqrt(s)
     if grid.half_width > edge + 1e-9 and grid.half_width < 2.0 * edge - 1e-9:
         raise CoverageError(
             f"grid half-width {grid.half_width} ends inside the cutoff "
@@ -177,7 +174,7 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float,
     r2 = grid.radius2()
     box = (grid.rows_within(2.0 * edge),) * n
     chi = np.zeros(grid.shape)
-    chi[box] = _rhs.cutoff_chi(_rhs.CutoffSpec(K=ssp.K), r2[box], s)
+    chi[box] = _rhs.cutoff_chi(cut, r2[box], s)
     q_b = chi * q
     q_e = (1.0 - chi) * q
     q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, grid.rho())

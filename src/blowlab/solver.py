@@ -371,11 +371,11 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     return np.concatenate(([m0], m1))
 
 
-def _record_state(state, params, ssp, removal_rate) -> tuple:
+def _record_state(state, params, cut, removal_rate) -> tuple:
     """One Trajectory row of state; its Phi1 + i Phi2 is the only full-grid profile a run forms."""
     grid = state.grid
     phi = _params.phi(params, grid.radius2(), state.s)
-    modes = _diag.decompose(grid, state.w - phi, state.s, ssp)
+    modes = _diag.decompose(grid, state.w - phi, state.s, cut)
     e1, e2 = _diag.profile_error(state, params)
     c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
     return (state.s, *modes, e1, e2, np.max(np.abs(_real(state.w))),
@@ -387,7 +387,6 @@ def evolve(
     cfg: SolverConfig,
     params: _params.Params,
     observer=None,
-    ssp: _diag.ShrinkingSetParams = None,
 ) -> _diag.Trajectory:
     """Step from initial.s to cfg.s_end, recording every record_every steps.
 
@@ -395,17 +394,16 @@ def evolve(
     trajectory's records.  Step errors propagate with the failing s attached.
     When pinning is enabled the removal rates (amount removed per unit s,
     averaged since the previous record) ride along on each record; the pin
-    (_pin) leaves w as it is beyond the cutoff's support box.  The steps run
-    in place on one workspace per run and give the same values as
-    step_similarity calls on fresh copies; initial is left as it was.
+    (_pin) leaves w as it is beyond the cutoff's support box.  The pin and
+    each record's decomposition use cfg.cutoff.  The steps run in place on
+    one workspace per run and give the same values as step_similarity calls
+    on fresh copies; initial is left as it was.
     """
     if not initial.s >= 1.0:
         raise ValueError(f"initial s must be >= 1, got {initial.s}")
     if not cfg.s_end > initial.s:
         raise ValueError(f"s_end={cfg.s_end} must exceed initial s={initial.s}")
     _require_finite(initial.w)
-    if ssp is None:
-        ssp = _diag.ShrinkingSetParams(K=cfg.cutoff.K)
     grid = initial.grid
     traj = _diag.Trajectory(grid=grid)
     n_full = int(math.floor((cfg.s_end - initial.s) / cfg.ds + 1e-9))
@@ -421,7 +419,7 @@ def evolve(
         nonlocal removed_sum, s_last_record
         span = state.s - s_last_record
         rate = np.zeros_like(removed_sum) if span <= 0 else removed_sum / span
-        traj.add(*_record_state(state, params, ssp, rate))
+        traj.add(*_record_state(state, params, cfg.cutoff, rate))
         if observer is not None:
             observer(traj.records[-1])
         removed_sum = np.zeros_like(removed_sum)

@@ -48,12 +48,12 @@ def desk_run():
     cut = rhs.CutoffSpec(K=K)
     idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5, n_dim=1)
     state = solver.similarity_initial_state(pr, idp, cut, grid)
-    ssp = diag.ShrinkingSetParams(A=10.0, p1=0.5, K=K)
+    ssp = diag.ShrinkingSetParams(A=10.0, p1=0.5)
     cfg = solver.SolverConfig(
         ds=5e-3, s_end=60.0, scheme="semi-implicit",
         record_every=20, pin_unstable_modes=True, cutoff=cut,
     )
-    traj = solver.evolve(state, cfg, pr, ssp=ssp)
+    traj = solver.evolve(state, cfg, pr)
     runtime = time.perf_counter() - t0
     return pr, ssp, traj, runtime
 

@@ -41,11 +41,11 @@ def blank_record(s=25.0, n=1):
 class TestShrinkingSetParams:
     def test_defaults(self):
         ssp = dg.ShrinkingSetParams()
-        assert (ssp.A, ssp.p1, ssp.K) == (10.0, 0.5, 5.0)
+        assert (ssp.A, ssp.p1) == (10.0, 0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"A": 0.5}, {"p1": 0.0}, {"p1": 1.0}, {"p1": -0.2}, {"K": 0.0}],
+        [{"A": 0.5}, {"p1": 0.0}, {"p1": 1.0}, {"p1": -0.2}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -89,10 +89,9 @@ class TestDecompose:
         # int h2 (y^2/4 - 1/2) rho = ||h2||^2/4 = 2, and the reconstruction
         # q2 y^2/2 - q2 gives back h2 when q2 = 2
         grid = plateau_grid_1d()
-        ssp = dg.ShrinkingSetParams()
         y = grid.meshes()[0]
         q = y**2 - 2.0
-        d = component(dg.decompose(grid, q, 25.0, ssp))
+        d = component(dg.decompose(grid, q, 25.0, rhs.CutoffSpec()))
         assert d["q0"] == pytest.approx(0.0, abs=1e-8)
         assert d["q1"][0] == pytest.approx(0.0, abs=1e-8)
         assert d["q2"][0, 0] == pytest.approx(2.0, abs=1e-8)
@@ -100,16 +99,14 @@ class TestDecompose:
 
     def test_constant_recovers_q0(self):
         grid = plateau_grid_1d()
-        d = component(dg.decompose(grid, np.full(grid.shape, 0.37), 25.0,
-                                   dg.ShrinkingSetParams()))
+        d = component(dg.decompose(grid, np.full(grid.shape, 0.37), 25.0, rhs.CutoffSpec()))
         assert d["q0"] == pytest.approx(0.37, abs=1e-8)
         assert abs(d["q1"][0]) < 1e-9
         assert abs(d["q2"][0, 0]) < 1e-9
 
     def test_zero_gives_zeros(self):
         grid = plateau_grid_1d()
-        d = component(dg.decompose(grid, np.zeros(grid.shape), 25.0,
-                                   dg.ShrinkingSetParams()))
+        d = component(dg.decompose(grid, np.zeros(grid.shape), 25.0, rhs.CutoffSpec()))
         assert d["q0"] == 0.0
         assert np.all(d["q1"] == 0.0)
         assert np.all(d["q2"] == 0.0)
@@ -121,7 +118,7 @@ class TestDecompose:
         # int (y1 y2)(y1 y2/4) rho = 1
         grid = sp.Grid(2, 10.0, 81)
         y1, y2 = grid.meshes()
-        d = component(dg.decompose(grid, y1 * y2, 25.0, dg.ShrinkingSetParams()))
+        d = component(dg.decompose(grid, y1 * y2, 25.0, rhs.CutoffSpec()))
         assert d["q2"][0, 1] == pytest.approx(1.0, abs=1e-8)
         assert d["q2"][1, 0] == pytest.approx(1.0, abs=1e-8)
         assert abs(d["q2"][0, 0]) < 1e-8
@@ -132,26 +129,25 @@ class TestDecompose:
         # K sqrt(s) = 25, 2K sqrt(s) = 50; half-width 30 ends inside
         grid = sp.Grid(1, 30.0, 61)
         with pytest.raises(dg.CoverageError):
-            dg.decompose(grid, np.zeros(grid.shape), 25.0, dg.ShrinkingSetParams())
+            dg.decompose(grid, np.zeros(grid.shape), 25.0, rhs.CutoffSpec())
 
     def test_grid_covering_full_transition_accepted(self):
         grid = sp.Grid(1, 21.0, 211)
-        d = component(dg.decompose(grid, np.ones(grid.shape), 4.0,
-                                   dg.ShrinkingSetParams()))
+        d = component(dg.decompose(grid, np.ones(grid.shape), 4.0, rhs.CutoffSpec()))
         assert d["q0"] == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("K,s", [(5.0, 1.0), (3.0, 2.0), (2.0, 3.0)])
     def test_polynomial_recovery_with_cutoff_corrections(self, K, s):
         # for q = (a0 + a1 y + a2 (y^2 - 2)) chi the recovered coefficients
         # match (a0, a1, 2 a2) up to the Gaussian tail of the cut region
-        ssp = dg.ShrinkingSetParams(K=K)
+        cut = rhs.CutoffSpec(K=K)
         edge = 2.0 * K * math.sqrt(s)
         grid = sp.Grid(1, edge + 0.5, 801)
         a0, a1, a2 = 0.3, -0.2, 0.15
         y = grid.meshes()[0]
-        chi = rhs.cutoff_chi(rhs.CutoffSpec(K=K), grid.radius2(), s)
+        chi = rhs.cutoff_chi(cut, grid.radius2(), s)
         q = (a0 + a1 * y + a2 * (y**2 - 2.0)) * chi
-        d = component(dg.decompose(grid, q, s, ssp))
+        d = component(dg.decompose(grid, q, s, cut))
         tail = 20.0 * math.exp(-K**2 * s / 4.0)
         assert abs(d["q0"] - a0) <= tail
         assert abs(d["q1"][0] - a1) <= tail
@@ -161,14 +157,14 @@ class TestDecompose:
     @given(seed=st.integers(0, 2**16), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
     def test_coefficients_linear_in_q(self, seed, a, b):
         grid = sp.Grid(1, 12.0, 121)
-        ssp = dg.ShrinkingSetParams()
+        cut = rhs.CutoffSpec()
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(grid.shape)
         g = rng.standard_normal(grid.shape)
         s = 1.0
-        d_f = component(dg.decompose(grid, f, s, ssp))
-        d_g = component(dg.decompose(grid, g, s, ssp))
-        d_c = component(dg.decompose(grid, a * f + b * g, s, ssp))
+        d_f = component(dg.decompose(grid, f, s, cut))
+        d_g = component(dg.decompose(grid, g, s, cut))
+        d_c = component(dg.decompose(grid, a * f + b * g, s, cut))
         assert d_c["q0"] == pytest.approx(a * d_f["q0"] + b * d_g["q0"], abs=1e-11)
         assert d_c["q1"][0] == pytest.approx(
             a * d_f["q1"][0] + b * d_g["q1"][0], abs=1e-11
@@ -185,10 +181,9 @@ class TestDecompose:
         # build the polynomial from the returned coefficients; for data that
         # is itself polynomial on the plateau the remainder must vanish
         grid = plateau_grid_1d()
-        ssp = dg.ShrinkingSetParams()
         y = grid.meshes()[0]
         vals = 0.4 - 0.1 * y + 0.05 * (y**2 - 2.0)
-        d = component(dg.decompose(grid, vals, 25.0, ssp))
+        d = component(dg.decompose(grid, vals, 25.0, rhs.CutoffSpec()))
         poly = d["q0"] + d["q1"][0] * y + 0.5 * d["q2"][0, 0] * y**2 - np.trace(d["q2"])
         assert np.max(np.abs(vals - poly)) < 1e-10
         assert d["q_minus_norm"] < 1e-10
@@ -199,14 +194,14 @@ class TestDecompose:
         # one pass over q1 + i q2 gives the same two decompositions as the
         # components taken separately; a real q has a zero second one
         grid = sp.Grid(n, 12.0, npts)
-        ssp = dg.ShrinkingSetParams()
+        cut = rhs.CutoffSpec()
         rng = np.random.default_rng(3)
         q1 = rng.standard_normal(grid.shape)
         q2 = rng.standard_normal(grid.shape)
-        modes = dg.decompose(grid, q1 + 1j * q2, s, ssp)
+        modes = dg.decompose(grid, q1 + 1j * q2, s, cut)
         d1, d2 = component(modes, 0), component(modes, 1)
         for got, part in ((d1, q1), (d2, q2)):
-            single = dg.decompose(grid, part, s, ssp)
+            single = dg.decompose(grid, part, s, cut)
             want, zero = component(single, 0), component(single, 1)
             assert got["q0"] == pytest.approx(want["q0"], rel=1e-14)
             np.testing.assert_allclose(got["q1"], want["q1"], rtol=1e-14, atol=0)
@@ -308,7 +303,7 @@ class TestModeResiduals:
         grid = sp.Grid(1, 60.0, 1201)
         r2 = grid.radius2()
         rho = grid.rho()
-        cut = rhs.CutoffSpec(K=ssp.K)
+        cut = rhs.CutoffSpec()
 
         def projected_rest(s):
             rest1, rest2 = rhs.rest_r(pr, r2, s)

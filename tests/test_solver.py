@@ -366,7 +366,7 @@ class TestEvolve:
         assert np.max(np.abs(a.w.imag - b.w.imag)) < 1e-3
 
     @staticmethod
-    def replay(initial, cfg, pr, ssp):
+    def replay(initial, cfg, pr):
         """evolve's record rows and snapshots rebuilt from one step_similarity call per step.
 
         Step k ends at s = initial.s + k ds (the remainder step at s_end), where the
@@ -389,7 +389,7 @@ class TestEvolve:
             nonlocal removed, s_rec
             span = state.s - s_rec
             rate = removed / span if span > 0 else np.zeros_like(removed)
-            records.append(solver._record_state(state, pr, ssp, rate))
+            records.append(solver._record_state(state, pr, cfg.cutoff, rate))
             removed, s_rec = np.zeros_like(removed), state.s
             while pending and state.s >= pending[0] - 1e-9:
                 pending.pop(0)
@@ -463,10 +463,9 @@ class TestEvolve:
             assert solver._substep_count(cfg.scheme, grid, cfg.ds) == 6
         assert (half_width > 2.0 * cut.K * math.sqrt(cfg.s_end)) == case.startswith("box")
         before = initial.w.copy()
-        ssp = dg.ShrinkingSetParams(K=cut.K)
-        traj = solver.evolve(initial, cfg, pr, ssp=ssp)
+        traj = solver.evolve(initial, cfg, pr)
         assert np.array_equal(initial.w, before)
-        records, snapshots = self.replay(initial, cfg, pr, ssp)
+        records, snapshots = self.replay(initial, cfg, pr)
         assert len(traj.records) == len(records)
         assert traj.records[-1]["s"] == cfg.s_end
         assert np.array_equal(traj.records, np.array(records, dtype=traj.records.dtype))
@@ -553,8 +552,6 @@ class TestInstability:
         # modes; the saturated end state here is core extinction (w -> 0),
         # so the escape shows up as shrinking-set exit and an order-one
         # profile error, not as a 10 kappa crossing
-        from blowlab import diagnostics as dg
-
         pr = bp.make_params(2, 1)
         cut = rhs.CutoffSpec(K=5.0)
         idp = rhs.InitialDataParams(A=10.0, s0=20.0, p1=0.5)
@@ -562,7 +559,7 @@ class TestInstability:
         st = solver.similarity_initial_state(pr, idp, cut, grid)
         cfg = solver.SolverConfig(ds=5e-3, s_end=32.0, record_every=200, cutoff=cut)
         traj = solver.evolve(st, cfg, pr)
-        ssp = dg.ShrinkingSetParams(A=idp.A, p1=idp.p1, K=cut.K)
+        ssp = dg.ShrinkingSetParams(A=idp.A, p1=idp.p1)
         by_s = {round(r["s"]): r for r in traj.records}
         first, last = traj.records[0], traj.records[-1]
         assert all(m >= 0.0 for m in dg.in_shrinking_set(first, ssp).values())
