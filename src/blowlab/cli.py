@@ -499,7 +499,7 @@ def _run_physical(config: RunConfig) -> tuple:
     grid_x = _spectral.Grid(1, config.L, config.N)
     u0 = _solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
     probes = np.exp(-np.asarray(config.probe_log_radii, dtype=float))
-    ptraj, t_est = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
+    ptraj = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
     probe_rows = []
     finals = _diag.extract_final_profiles(ptraj, probes.tolist())
     for lr, x, final in zip(config.probe_log_radii, probes, finals):
@@ -518,7 +518,7 @@ def _run_physical(config: RunConfig) -> tuple:
             })
         probe_rows.append(entry)
     fits = {
-        "T_estimate": float(t_est),
+        "T_estimate": ptraj.T_estimate,
         "T_target": math.exp(-config.s0),
         "status": ptraj.status,
         "records": len(ptraj.records),

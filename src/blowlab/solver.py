@@ -545,16 +545,16 @@ def run_physical_blowup(
     eta: float = 2.5e-4,
     probes=(),
     stop_max: float = None,
-) -> tuple:
+) -> _diag.PhysicalTrajectory:
     """Integrate toward blow-up with steps tied to the collapse timescale.
 
     dt = eta kappa^{p-1} max|u|^{1-p} is held fixed until max|u| grows by
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
     Every step is recorded, with u at the probes (x positions, 1-D grids
     only); a snapshot is kept whenever max|u| has grown by SNAPSHOT_FACTOR.
-    The steps run in place on one workspace allocated per run.  Returns
-    (PhysicalTrajectory, T_estimate), and the trajectory's status names what
-    ended the run:
+    The steps run in place on one workspace allocated per run.  Returns the
+    PhysicalTrajectory, whose T_estimate is the fitted blow-up time and
+    whose status names what ended the run:
 
     - "blown-up": max|u| reached stop_max (default 10^6 scaled by the
       initial amplitude when that exceeds 1), or max|u| became non-finite
@@ -681,9 +681,8 @@ def run_physical_blowup(
     slope = float(np.sum((t_sel - t_bar) * (y_sel - y_bar))) / var_t
     if not slope < 0:
         raise NoBlowupError("no blow-up detected: max|u|^(1-p) is not decaying")
-    T_est = float(t_bar - y_bar / slope)
-    left = T_est - ts_g[sel]
+    traj.T_estimate = float(t_bar - y_bar / slope)
+    left = traj.T_estimate - ts_g[sel]
     if np.all(left > 0):
         traj.decay_slope = _diag.line_fit(np.log(left), np.log(ms_g[sel]))[1]
-    traj.T_estimate = T_est
-    return traj, T_est
+    return traj

@@ -564,7 +564,7 @@ class TestPhysicalMode:
         def fake_run(u0, pr, **kwargs):
             ptraj = self._fake_trajectory(grid, kwargs["probes"])
             holder["ptraj"] = ptraj
-            return ptraj, 1.0
+            return ptraj
 
         monkeypatch.setattr(cli._solver, "run_physical_blowup", fake_run)
         raw = {

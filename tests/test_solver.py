@@ -678,9 +678,9 @@ class TestPhysical:
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
         st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, 1e150, dtype=complex))
-        traj, T_est = solver.run_physical_blowup(st, pr, eta=5e-3)
+        traj = solver.run_physical_blowup(st, pr, eta=5e-3)
         assert traj.status == "blown-up"
-        assert T_est == pytest.approx(1e-150, rel=0.01)
+        assert traj.T_estimate == pytest.approx(1e-150, rel=0.01)
         recs = traj.records
         assert np.all(np.isfinite(recs["max_u"])) and recs["max_u"][-1] > 1e150
         states, want = self.replay(st, pr, traj)
@@ -697,8 +697,8 @@ class TestPhysical:
         st = solver.PhysicalState(
             t=0.0, grid=grid, u=np.ones(grid.shape) + 1j * np.zeros(grid.shape),
         )
-        traj, T_est = solver.run_physical_blowup(st, pr)
-        assert T_est == pytest.approx(1.0, abs=1e-3)
+        traj = solver.run_physical_blowup(st, pr)
+        assert traj.T_estimate == pytest.approx(1.0, abs=1e-3)
         assert traj.status == "blown-up"
         assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
 
@@ -728,8 +728,8 @@ class TestPhysical:
         st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
         m0 = np.max(np.abs(st.u.real))
         probes = np.array([-0.3, 0.0, 0.6]) * grid_x.half_width
-        traj, T_est = solver.run_physical_blowup(st, pr, stop_max=300.0 * m0, probes=probes)
-        assert T_est == pytest.approx(T, rel=0.05)
+        traj = solver.run_physical_blowup(st, pr, stop_max=300.0 * m0, probes=probes)
+        assert traj.T_estimate == pytest.approx(T, rel=0.05)
         # argmax stays on the center node (whose coordinate is 0 up to
         # linspace rounding)
         assert np.all(np.abs(traj.records["argmax"]) <= 0.5 * grid_x.h)
@@ -750,9 +750,9 @@ class TestPhysical:
         idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5)
         grid_x = sp.Grid(1, 9e-5, 1201)
         st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
-        traj, T_est = solver.run_physical_blowup(st, pr, eta=5e-4)
+        traj = solver.run_physical_blowup(st, pr, eta=5e-4)
         assert traj.status == "receded"
-        assert T_est == pytest.approx(math.exp(-25.0), rel=0.01)
+        assert traj.T_estimate == pytest.approx(math.exp(-25.0), rel=0.01)
         assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
 
     @staticmethod
@@ -806,10 +806,10 @@ class TestPhysical:
                 kwargs = {"eta": 5e-4}
                 status, T_want = "receded", 1.390884098915639e-11
         before = st.u.copy()
-        traj, T_est = solver.run_physical_blowup(st, pr, **kwargs)
+        traj = solver.run_physical_blowup(st, pr, **kwargs)
         assert np.array_equal(st.u, before)
         assert traj.status == status
-        assert T_est == traj.T_estimate == T_want
+        assert traj.T_estimate == T_want
         states, want = self.replay(st, pr, traj)
         recs = traj.records
         for name in recs.dtype.names:
