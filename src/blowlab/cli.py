@@ -361,10 +361,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
                     f"{scheme} substeps per step on {on} "
                     f"(limit {MAX_SUBSTEPS_PER_STEP}); reduce ds or N"
                 )
-        if scheme == "semi-implicit" and ds is not None and ds > 0.01:
-            errors.append(
-                f"semi-implicit scheme requires solver.ds <= 0.01, got {ds}"
-            )
+        cap = _solver.SEMI_IMPLICIT_MAX_DS
+        if scheme == "semi-implicit" and ds is not None and ds > cap:
+            errors.append(f"semi-implicit scheme requires solver.ds <= {cap}, got {ds}")
     if mode == "simulate-physical":
         if n_dim is not None and n_dim != 1:
             errors.append(

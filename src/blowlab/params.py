@@ -157,14 +157,14 @@ def outer_profile(params: Params, kind: str, z2):
         raise ValueError(f"kind must be one of {OUTER_KINDS}, got {kind!r}")
     z2 = _check_nonneg(z2, "z2")
     p = params.p
-    a = p - 1 + params.b * z2
+    a = _base(params, z2)
     if kind == "R10":
-        return a ** (-1.0 / (p - 1))
+        return _f0(params, a)
+    if kind == "R21":
+        return _g0(params, z2, a)
     decay = a ** (-p / (p - 1.0))
     if kind == "R11":
         return (p - 1) / (2.0 * p) * decay - (p - 1) / (4.0 * p) * z2 * np.log(a) * decay
-    if kind == "R21":
-        return z2 * decay
     decay_steep = a ** (-(2.0 * p - 1) / (p - 1.0))
     log_a = np.log(a)
     return (

@@ -48,6 +48,8 @@ SCHEMES = ("semi-implicit", "explicit-rk4")
 BOUNDARIES = ("profile-clamp", "extrapolate")
 # fraction of each explicit stability limit a substep may use
 CFL_SAFETY = 0.9
+# largest nominal step ds of the semi-implicit scheme (see SolverConfig)
+SEMI_IMPLICIT_MAX_DS = 0.01
 # physical run: dt is refreshed each time max|u| grows by this factor
 SHRINK_FACTOR = 2.0
 # physical run: a snapshot is kept each time max|u| grows by this factor
@@ -126,14 +128,14 @@ def _require_finite(vals: np.ndarray) -> None:
 class SolverConfig:
     """Similarity-frame integration settings.
 
-    ds is the nominal step; the semi-implicit scheme caps it at 0.01 (the
-    explicit reaction and upwind drift keep a comfortable stability margin
-    there, and first-order splitting error stays below the measurement
-    tolerances).  pin_unstable_modes removes the expanding scalar and
-    gradient content of the localized deviation after every step, recording
-    the removal rates, so finite-window profile convergence is observable
-    despite the two expanding directions seeded by roundoff and the source
-    terms.
+    ds is the nominal step; the semi-implicit scheme caps it at
+    SEMI_IMPLICIT_MAX_DS (the explicit reaction and upwind drift keep a
+    comfortable stability margin there, and first-order splitting error stays
+    below the measurement tolerances).  pin_unstable_modes removes the
+    expanding scalar and gradient content of the localized deviation after
+    every step, recording the removal rates, so finite-window profile
+    convergence is observable despite the two expanding directions seeded
+    by roundoff and the source terms.
     """
 
     ds: float
@@ -156,9 +158,9 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.scheme == "semi-implicit" and self.ds > 0.01:
+        if self.scheme == "semi-implicit" and self.ds > SEMI_IMPLICIT_MAX_DS:
             raise ValueError(
-                f"semi-implicit scheme requires ds <= 0.01, got {self.ds}"
+                f"semi-implicit scheme requires ds <= {SEMI_IMPLICIT_MAX_DS}, got {self.ds}"
             )
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
