@@ -484,10 +484,10 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
 
     Snapshots are (t, u) pairs with u = u1 + i u2.  Samples the distinct
-    snapshots nearest a dyadic sequence in T - t, each through a windowed
-    spline around every x (_interp_snapshot_x), and requires the last two
-    samples of each component to differ by less than FINAL_PROFILE_REL_TOL
-    relative to the final magnitude.
+    snapshots nearest a dyadic sequence in T - t, reads the last two through
+    a windowed spline around every x (_interp_snapshot_x), and requires
+    their values of each component to differ by less than
+    FINAL_PROFILE_REL_TOL relative to the final magnitude.
     Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
     fails with.  An x outside the grid [-L, L] raises CoverageError.
     """
@@ -512,17 +512,16 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
         targets.append(delta)
         delta /= 2.0
     targets.append(left[-1])
-    # several targets can pick one snapshot; each is sampled once, so the test
-    # compares the last two distinct snapshots
+    # several targets can pick one snapshot; the test compares the last two
+    # distinct snapshots picked (the first and last targets pick two), so only
+    # those are read
     picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
-    samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks])
+    samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks[-2:]])
     return [_cauchy_limit(samples[:, j], x) for j, x in enumerate(xs)]
 
 
 def _cauchy_limit(samples: np.ndarray, x):
-    """(u1, u2) of the last complex sample at x, or the NonConvergenceError to raise."""
-    if len(samples) < 2:
-        return NonConvergenceError(f"not enough snapshots to test convergence at x={x}")
+    """(u1, u2) of the last of two complex samples at x, or the NonConvergenceError to raise."""
     for name, part in (("u1", np.real), ("u2", np.imag)):
         a, b = float(part(samples[-2])), float(part(samples[-1]))
         scale = max(abs(b), 1e-300)
