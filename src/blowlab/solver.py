@@ -433,14 +433,6 @@ def evolve(
     # the run's workspace; every state of the loop holds its w
     state = SimilarityState(s=initial.s, grid=grid, w=initial.w.copy())
     work = _Workspace(grid, state.w)
-    # A run on one workspace frees no block-sized array, and glibc raises its
-    # mmap and trim thresholds only when it frees a mapped array larger than
-    # them; below that it trims the heap top after the full-grid temporaries of
-    # a step or a record and faults the pages in again on the next one (257^2
-    # cell: 12k minor faults per run, 4k with this).  Freeing one untouched
-    # block-sized array raises them once.
-    spare = np.empty_like(work.block)
-    del spare
     push(state)
     total_steps = n_full + (1 if remainder > 0 else 0)
     n_sub = _substep_count(cfg.scheme, grid, cfg.ds)
