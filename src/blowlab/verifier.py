@@ -54,24 +54,24 @@ Z_SAMPLES.setflags(write=False)
 S_GRID.setflags(write=False)
 
 
-def _stencil(fn, z, coef, h):
-    """sum_k coef_k fn(z + k h) over the 7 points k = -3..3, zero weights skipped."""
+def _stencil(fn, z, coef):
+    """sum_k coef_k fn(z + k h) over the 7 points k = -3..3, h = DIFF_STEP, zero weights skipped."""
     z = np.asarray(z, dtype=float)
     acc = np.zeros_like(z)
     for k, c in zip(range(-3, 4), coef):
         if c != 0.0:
-            acc = acc + c * fn(z + k * h)
+            acc = acc + c * fn(z + k * DIFF_STEP)
     return acc
 
 
-def stencil_d1(fn, z, h: float = DIFF_STEP):
-    """6th-order first derivative of fn at the points z."""
-    return _stencil(fn, z, _D1_COEF, h) / h
+def stencil_d1(fn, z):
+    """6th-order first derivative of fn at the points z, at step DIFF_STEP."""
+    return _stencil(fn, z, _D1_COEF) / DIFF_STEP
 
 
-def stencil_d2(fn, z, h: float = DIFF_STEP):
-    """6th-order second derivative of fn at the points z."""
-    return _stencil(fn, z, _D2_COEF, h) / h**2
+def stencil_d2(fn, z):
+    """6th-order second derivative of fn at the points z, at step DIFF_STEP."""
+    return _stencil(fn, z, _D2_COEF) / DIFF_STEP**2
 
 
 @dataclass
