@@ -718,6 +718,63 @@ class TestPhysical:
         with pytest.raises(solver.NoBlowupError):
             solver.run_physical_blowup(st, pr)
 
+    @staticmethod
+    def constant_run(u0, pr=None, **kwargs):
+        """run_physical_blowup from the constant u0 on the 33-node grid of the T = 1 oracle."""
+        grid = sp.Grid(1, 8.0, 33)
+        st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, u0, dtype=complex))
+        return solver.run_physical_blowup(st, pr or bp.make_params(2, 1), **kwargs)
+
+    @pytest.mark.parametrize("u0,kwargs,match", [
+        (0.0, {}, "identically zero"),
+        # the first step already passes stop_max: two records, too few to fit
+        (1.0, {"stop_max": 1.0001}, "too little growth"),
+        # max|u| near the largest double whose square is finite, and steps of
+        # 2e-163, whose squares underflow: the fit's variance in t is 0
+        (1e154, {"eta": 2e-9, "stop_max": 1e154 * (1.0 + 1e-8)}, "too little growth"),
+    ], ids=["zero", "one-step", "variance-underflow"])
+    def test_run_without_a_fit_raises(self, u0, kwargs, match):
+        with pytest.raises(solver.NoBlowupError, match=match):
+            self.constant_run(u0, **kwargs)
+
+    def test_max_moving_to_a_lower_lump_is_not_decay(self):
+        # the peak starts on a complex lump that decays; a real lump takes over
+        # at 0.62 and passes the first peak only at the last step.  No y slope
+        # lies in the clean band, and over all records y rose: no blow-up time
+        pr = bp.make_params(2, 1)
+        grid = sp.Grid(1, 12.0, 97)
+        x = grid.axis()
+        u = (np.exp(0.55j * math.pi) * np.exp(-((x + 6.0) / 3.0) ** 2)
+             + 0.45 * np.exp(-((x - 6.0) / 3.0) ** 2))
+        st = solver.PhysicalState(t=0.0, grid=grid, u=u)
+        with pytest.raises(solver.NoBlowupError, match="not decaying"):
+            solver.run_physical_blowup(st, pr, eta=0.8, stop_max=1.0 + 1e-6)
+
+    def test_step_budget_before_any_doubling_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_STEPS", 10)
+        with pytest.raises(solver.NoBlowupError, match="growth never took off"):
+            self.constant_run(1.0)
+
+    def test_step_budget_after_growth_ends_stalled(self, monkeypatch):
+        # about 2,000 steps per doubling at the default eta: 20,000 steps reach
+        # max|u| ~ 1e3, far below stop_max = 1e6
+        monkeypatch.setattr(solver, "MAX_STEPS", 20_000)
+        traj = self.constant_run(1.0)
+        assert traj.status == "stalled"
+        assert len(traj.records) == 20_001
+        assert traj.T_estimate == pytest.approx(1.0, rel=1e-3)
+
+    def test_fit_falls_back_to_the_last_decade(self):
+        # eta = 2 makes each step triple max|u|, so y = 1/max|u| falls at slope
+        # -1/3, outside the clean band (-1.5, -0.5); T comes from the records
+        # within a decade of the last one, where the interior still triples
+        traj = self.constant_run(1.0, eta=2.0)
+        recs = traj.records
+        slopes = np.diff(1.0 / recs["max_u"]) / np.diff(recs["t"])
+        assert not np.any((slopes > -1.5) & (slopes < -0.5))
+        assert traj.status == "blown-up"
+        assert traj.T_estimate == pytest.approx(3.0, rel=1e-3)
+
     def test_constructed_data_blows_up_at_origin(self):
         # short run: the max stays at x = 0 and T lands near e^{-s0}
         pr = bp.make_params(2, 1)
