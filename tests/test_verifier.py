@@ -184,6 +184,29 @@ def test_quadratic_bounds_pass(p, n):
     assert rep.details["B2"]["bounded"]
 
 
+BATTERY = [(p, n) for p in range(2, 10) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quadratic_bounds_pass_at_every_seed(seed):
+    # the draws sit at fixed z = r/sqrt(s) for the whole sweep, so a seed
+    # changes the sampled points, not the s-trend the verdict reads
+    failed = [(p, n) for p, n in BATTERY
+              if not bv.check_quadratic_bounds(bp.make_params(p, n), seed=seed).passed]
+    assert failed == []
+
+
+def test_quadratic_verdicts_hold_on_a_finer_r_grid(monkeypatch):
+    def verdicts():
+        reports = [bv.check_quadratic_bounds(bp.make_params(p, n)) for p, n in BATTERY]
+        return [(r.passed, r.details["B1"]["bounded"], r.details["B2"]["bounded"])
+                for r in reports]
+
+    coarse = verdicts()
+    monkeypatch.setattr(bv, "QUADRATIC_NODES", 2 * bv.QUADRATIC_NODES - 1)
+    assert verdicts() == coarse
+
+
 def test_square_case_second_component_is_exact_product():
     rep = bv.check_quadratic_bounds(bp.make_params(2, 1))
     assert rep.details["C_q1q2_product"] == pytest.approx(2.0, abs=1e-9)
@@ -264,11 +287,11 @@ def test_run_all_seed_recorded_in_sampled_checks():
 
 
 # sha256 of json.dumps(run_all(ps=2..9, ns=(1, 2), seed), sort_keys=True), recorded
-# when R22's integrator cross-check became RK4; only the r22_fit_p* reports'
-# integrator_deviation and notes moved then
+# when the quadratic-bound check began to reuse its draws at every s; only the
+# quadratic_bounds_* reports moved then
 RUN_ALL_SHA256 = {
-    0: "c541589bdd7a678cb47551b7ed4a84c2faa0ea1c93a68384766e92b48443c477",
-    5: "e87dc415a8194425ea6fc973460a1ac02fdad09e9347db83c337702e21e2550d",
+    0: "a5c69690fb7959abd4b24d79ce4c98502c7b4a5e17196614c56d036e0afdad33",
+    5: "6e60e2e62beb171e5bcdb25e6c8a9207cbeba92cd1c5a1a0e9d3c3d717afb103",
 }
 
 
