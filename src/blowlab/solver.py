@@ -647,8 +647,6 @@ def run_physical_blowup(
     # extrapolation, so keep the last contiguous stretch of order -1 slopes.
     ts_g, ms_g = ts[: i_growth_end + 1], ms[: i_growth_end + 1]
     p = params.p
-    if len(ts_g) < 3:
-        raise NoBlowupError("no blow-up detected: too little growth to fit a blow-up time")
     y = params.kappa ** (p - 1) * ms_g ** (1 - p)
     k = max(1, len(y) // 100)
     sl = (y[k:] - y[:-k]) / (ts_g[k:] - ts_g[:-k])
