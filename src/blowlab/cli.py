@@ -78,13 +78,9 @@ _WINDOW_MODES = ("simulate-similarity", "sweep")
 
 
 def _key(section, key, kind, default=None, required=()):
-    """A RunConfig field's config-file key: its section ("" is the root), key,
-    kind, default and the modes that require it (True: every config).
-
-    _take reads the kinds float, int, bool and str, and takes a list as it is
-    for its BOUNDS rows to judge; "direction" and "radii" have parsers of
-    their own.
-    """
+    """A RunConfig field's config-file key: its section ("" is the root), key, kind
+    (_take's float, int, bool, str or list; "direction" and "radii" have parsers of
+    their own), default and the modes that require it (True: every config)."""
     return dataclasses.field(metadata={"key": (section, key, kind, default, required)})
 
 

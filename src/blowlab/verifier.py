@@ -499,10 +499,9 @@ def check_potential_bounds(params: _params.Params) -> CheckReport:
 def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport:
     """Ratio-boundedness of the nonlinear remainder against its stated envelope.
 
-    The uniform (q1, q2) draws, one pair per scale and r-node, are made once
-    and reused at every s.  The r-grid scales with sqrt(s), so each draw sits
-    at one z = r/sqrt(s), and the sweep measures the s-trend of the bounds,
-    not of the sampler.
+    One uniform (q1, q2) draw per scale and r-node serves every s; the r-grid
+    scales with sqrt(s), so each sits at one z = r/sqrt(s), and the sweep
+    measures the s-trend of the bounds, not of the sampler.
     """
     rng = np.random.default_rng([seed, params.p, params.n_dim, 3])
     unit = rng.uniform(-1.0, 1.0, size=(2, 2, QUADRATIC_NODES))
