@@ -153,7 +153,7 @@ class PhysicalTrajectory(_RowStore):
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpec) -> tuple:
-    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff cut at K sqrt(s).
+    """Split q = q1 + i q2 into (q0, q1, q2, q_minus, q_e) about the cutoff cut, at cut.K sqrt(s).
 
     Returns the five mode fields of a Trajectory record, (q0, q1, q2,
     q_minus_norm, q_e_norm), each with a leading axis of the two components;

@@ -719,11 +719,11 @@ class TestPhysical:
             solver.run_physical_blowup(st, pr)
 
     @staticmethod
-    def constant_run(u0, pr=None, **kwargs):
-        """run_physical_blowup from the constant u0 on the 33-node grid of the T = 1 oracle."""
+    def constant_run(u0, **kwargs):
+        """A p = 2 run from the constant u0 on the 33-node grid of the T = 1 oracle."""
         grid = sp.Grid(1, 8.0, 33)
         st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, u0, dtype=complex))
-        return solver.run_physical_blowup(st, pr or bp.make_params(2, 1), **kwargs)
+        return solver.run_physical_blowup(st, bp.make_params(2, 1), **kwargs)
 
     @pytest.mark.parametrize("u0,kwargs,match", [
         (0.0, {}, "identically zero"),
