@@ -421,10 +421,9 @@ def _run_similarity(config: RunConfig) -> tuple:
         cutoff=cut,
     )
     traj = _solver.evolve(state, cfg, pr)
-    ssp = _diag.ShrinkingSetParams(A=config.A, p1=config.p1)
 
     recs = traj.records
-    margins = [_diag.in_shrinking_set(r, ssp) for r in recs]
+    margins = [_diag.in_shrinking_set(r, idp) for r in recs]
     min_margin = [min(m.values()) for m in margins]
     s_vals, e1, e2 = recs["s"], recs["e1"], recs["e2"]
     fits: dict = {
@@ -457,7 +456,7 @@ def _run_similarity(config: RunConfig) -> tuple:
         fits["inner"] = None
         fits["inner_skipped"] = str(exc)
     try:
-        res = _diag.mode_ode_residuals(traj, ssp, pr)
+        res = _diag.mode_ode_residuals(traj, idp, pr)
         fits["mode_residuals"] = {
             "constants": {k: float(v) for k, v in res.constants.items()},
             "achieved_exponent_q2_null": float(res.achieved_exponent_q2_null),
@@ -468,7 +467,7 @@ def _run_similarity(config: RunConfig) -> tuple:
 
     _diag.write_trajectory_csv(
         traj, os.path.join(config.output_dir, "trajectory.csv"),
-        ssp=ssp, params=pr, min_margin=min_margin, c0_tilde=c0_tilde,
+        idp=idp, params=pr, min_margin=min_margin, c0_tilde=c0_tilde,
     )
     _diag.write_json(fits, os.path.join(config.output_dir, "fits.json"))
     return 0, fits

@@ -58,21 +58,6 @@ FINAL_PROFILE_REL_TOL = 0.01
 SPLINE_HALF_WINDOW = 32
 
 
-@dataclass(frozen=True)
-class ShrinkingSetParams:
-    """Envelope constants (A, p1) of the shrinking neighborhood; its cutoff
-    radius K is the run's rhs.CutoffSpec."""
-
-    A: float = 10.0
-    p1: float = 0.5
-
-    def __post_init__(self):
-        if not self.A >= 1.0:
-            raise ValueError(f"A must be >= 1, got {self.A}")
-        if not 0.0 < self.p1 < 1.0:
-            raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
-
-
 class _RowStore:
     """Rows as one numpy structured array, in a buffer that doubles when full.
 
@@ -192,11 +177,11 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
     return tuple(np.array(column) for column in zip(*parts))
 
 
-def shrinking_set_bounds(ssp: ShrinkingSetParams, s: float) -> dict:
-    """The ten envelope values at similarity time s, keyed by bound name."""
+def shrinking_set_bounds(idp: _rhs.InitialDataParams, s: float) -> dict:
+    """The ten envelope values at similarity time s for idp's (A, p1), keyed by bound name."""
     if not s >= 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
-    A, p1 = ssp.A, ssp.p1
+    A, p1 = idp.A, idp.p1
     ln_s = math.log(s)
     return {
         "q1_0": A / s**2,
@@ -212,13 +197,13 @@ def shrinking_set_bounds(ssp: ShrinkingSetParams, s: float) -> dict:
     }
 
 
-def in_shrinking_set(rec, ssp: ShrinkingSetParams) -> dict:
+def in_shrinking_set(rec, idp: _rhs.InitialDataParams) -> dict:
     """Margins (bound - observed)/bound of the ten envelope bounds, keyed by bound name.
 
     rec is one row of Trajectory.records; it lies in the shrinking set when
     every margin is >= 0.
     """
-    bounds = shrinking_set_bounds(ssp, float(rec["s"]))
+    bounds = shrinking_set_bounds(idp, float(rec["s"]))
     margins = {}
     for c, comp in enumerate(("q1", "q2")):
         observed = {
@@ -256,7 +241,7 @@ class ModeResidualSeries:
 
 
 def mode_ode_residuals(
-    traj: Trajectory, ssp: ShrinkingSetParams, params: _params.Params
+    traj: Trajectory, idp: _rhs.InitialDataParams, params: _params.Params
 ) -> ModeResidualSeries:
     """Residuals of the expected ODEs for the expanding and null modes.
 
@@ -288,8 +273,7 @@ def mode_ode_residuals(
     corr = 0.5 * (rate[1:-1] + rate[2:])
 
     s_mid = s[mid]
-    p1 = ssp.p1
-    A = ssp.A
+    p1, A = idp.p1, idp.A
 
     # one column per component, q1 then q2
     r_0 = np.abs(ddt(q0) + corr[:, :, 0] - q0[mid])
@@ -553,7 +537,7 @@ def write_csv(path: str, cols, table) -> None:
 def write_trajectory_csv(
     traj: Trajectory,
     path: str,
-    ssp: ShrinkingSetParams,
+    idp: _rhs.InitialDataParams,
     params: _params.Params,
     min_margin,
     c0_tilde: float = None,
@@ -584,7 +568,7 @@ def write_trajectory_csv(
     extra = []
     for rec, margin in zip(recs, min_margin, strict=True):
         s = float(rec["s"])
-        bounds = shrinking_set_bounds(ssp, s)
+        bounds = shrinking_set_bounds(idp, s)
         extra.append([margin, bounds["q1_0"],
                       bounds["q1_jk"], bounds["q2_0"], -params.kappa / (4.0 * params.p * s)]
                      + ([c0_tilde / s**2] if c0_tilde is not None else []))

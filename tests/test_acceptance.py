@@ -48,14 +48,13 @@ def desk_run():
     cut = rhs.CutoffSpec(K=K)
     idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5, n_dim=1)
     state = solver.similarity_initial_state(pr, idp, cut, grid)
-    ssp = diag.ShrinkingSetParams(A=10.0, p1=0.5)
     cfg = solver.SolverConfig(
         ds=5e-3, s_end=60.0, scheme="semi-implicit",
         record_every=20, pin_unstable_modes=True, cutoff=cut,
     )
     traj = solver.evolve(state, cfg, pr)
     runtime = time.perf_counter() - t0
-    return pr, ssp, traj, runtime
+    return pr, idp, traj, runtime
 
 
 @pytest.fixture(scope="session")
@@ -238,8 +237,8 @@ def test_5_inner_expansion_fits(desk_run):
 
 
 def test_6_mode_ode_residuals(desk_run):
-    pr, ssp, traj, _ = desk_run
-    res = diag.mode_ode_residuals(traj, ssp, pr)
+    pr, idp, traj, _ = desk_run
+    res = diag.mode_ode_residuals(traj, idp, pr)
 
     details = []
     ok = True
@@ -264,11 +263,11 @@ def test_6_mode_ode_residuals(desk_run):
 
 
 def test_7_shrinking_set_containment(desk_run):
-    _, ssp, traj, _ = desk_run
+    _, idp, traj, _ = desk_run
     margins = []
     inside = []
     for r in traj.records:
-        rep = diag.in_shrinking_set(r, ssp)
+        rep = diag.in_shrinking_set(r, idp)
         margins.append(min(rep.values()))
         inside.append(all(m >= 0.0 for m in rep.values()))
     min_margin = float(min(margins))

@@ -29,6 +29,7 @@ import pytest
 from blowlab import cli
 from blowlab import diagnostics
 from blowlab import params as params_mod
+from blowlab import rhs
 from blowlab import spectral
 
 TINY = {
@@ -286,7 +287,7 @@ class TestSimilarityArtifacts:
         mem = fits["membership"]
         assert mem["all_inside"] is True
         assert mem["min_margin"] > 0
-        bounds = diagnostics.shrinking_set_bounds(diagnostics.ShrinkingSetParams(), 26.0)
+        bounds = diagnostics.shrinking_set_bounds(rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5), 26.0)
         assert set(mem["final_margins"]) == set(bounds)
         # a one-unit window is too short for the inner fit, which must be
         # reported as skipped rather than silently absent
@@ -310,9 +311,9 @@ class TestSimilarityArtifacts:
         calls = []
         real = diagnostics.in_shrinking_set
 
-        def counted(rec, ssp):
+        def counted(rec, idp):
             calls.append(float(rec["s"]))
-            return real(rec, ssp)
+            return real(rec, idp)
 
         monkeypatch.setattr(diagnostics, "in_shrinking_set", counted)
         out = tmp_path / "once"

@@ -31,25 +31,15 @@ def component(modes, c=0):
     return dict(zip(("q0", "q1", "q2", "q_minus_norm", "q_e_norm"), (f[c] for f in modes)))
 
 
+# the envelope constants (A, p1) of the shrinking set, carried by the initial data
+IDP = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5)
+
+
 def blank_record(s=25.0, n=1):
     """A similarity record at s, every other field zero; add it with traj.add(*rec.item())."""
     rec = np.zeros((), dg.Trajectory(grid=sp.Grid(n, 16.0, 321)).records.dtype)
     rec["s"] = s
     return rec
-
-
-class TestShrinkingSetParams:
-    def test_defaults(self):
-        ssp = dg.ShrinkingSetParams()
-        assert (ssp.A, ssp.p1) == (10.0, 0.5)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"A": 0.5}, {"p1": 0.0}, {"p1": 1.0}, {"p1": -0.2}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            dg.ShrinkingSetParams(**kwargs)
 
 
 def similarity_trajectory():
@@ -215,8 +205,7 @@ class TestDecompose:
 
 class TestMembership:
     def test_zero_decompositions_inside_with_unit_margins(self):
-        ssp = dg.ShrinkingSetParams()
-        margins = dg.in_shrinking_set(blank_record(25.0), ssp)
+        margins = dg.in_shrinking_set(blank_record(25.0), IDP)
         assert all(m >= 0.0 for m in margins.values())
         assert set(margins) == {
             "q1_0", "q1_j", "q1_jk", "q1_minus", "q1_e",
@@ -225,26 +214,24 @@ class TestMembership:
         assert all(m == 1.0 for m in margins.values())
 
     def test_exact_bound_is_boundary(self):
-        ssp = dg.ShrinkingSetParams()
         s = 25.0
         rec = blank_record(s)
-        rec["q0"][0] = ssp.A / s**2
-        margins = dg.in_shrinking_set(rec, ssp)
+        rec["q0"][0] = IDP.A / s**2
+        margins = dg.in_shrinking_set(rec, IDP)
         assert margins["q1_0"] == 0.0
         assert all(m >= 0.0 for m in margins.values())
 
     def test_doubled_bound_gives_minus_one_margin(self):
-        ssp = dg.ShrinkingSetParams()
         s = 25.0
         rec = blank_record(s)
-        rec["q2"][1] = 2.0 * ssp.A**5 * math.log(s) / s ** (ssp.p1 + 2)
-        margins = dg.in_shrinking_set(rec, ssp)
+        rec["q2"][1] = 2.0 * IDP.A**5 * math.log(s) / s ** (IDP.p1 + 2)
+        margins = dg.in_shrinking_set(rec, IDP)
         assert margins["q2_jk"] == -1.0
         assert not all(m >= 0.0 for m in margins.values())
 
     def test_requires_s_at_least_one(self):
         with pytest.raises(ValueError):
-            dg.shrinking_set_bounds(dg.ShrinkingSetParams(), 0.5)
+            dg.shrinking_set_bounds(IDP, 0.5)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -257,7 +244,7 @@ class TestMembership:
             for comp, (v0, v1, v2, vm) in enumerate((vals[:4], vals[4:])):
                 rec["q0"][comp], rec["q1"][comp], rec["q2"][comp] = c * v0, c * v1, c * v2
                 rec["q_minus_norm"][comp], rec["q_e_norm"][comp] = abs(c * vm), abs(c * vm) / 2.0
-            return dg.in_shrinking_set(rec, dg.ShrinkingSetParams())
+            return dg.in_shrinking_set(rec, IDP)
 
         base = scaled(1.0)
         shrunk = scaled(lam)
@@ -299,7 +286,6 @@ class TestModeResiduals:
         # approximate profile's residual injects; adding the removal back
         # makes the mode-ODE residual equal that injected size
         pr = bp.make_params(2, 1)
-        ssp = dg.ShrinkingSetParams()
         grid = sp.Grid(1, 60.0, 1201)
         r2 = grid.radius2()
         rho = grid.rho()
@@ -322,10 +308,10 @@ class TestModeResiduals:
                 "rate2_0": lambda s: p1_sizes[s][1],
             },
         )
-        series = dg.mode_ode_residuals(traj, ssp, pr)
+        series = dg.mode_ode_residuals(traj, IDP, pr)
         for i, s in enumerate(series.s):
             want1 = abs(p1_sizes[s][0]) * s**2
-            want2 = abs(p1_sizes[s][1]) * s ** (ssp.p1 + 2)
+            want2 = abs(p1_sizes[s][1]) * s ** (IDP.p1 + 2)
             assert series.residuals["q1_0"][i] == pytest.approx(want1, rel=0.02)
             assert series.residuals["q2_0"][i] == pytest.approx(want2, rel=0.02)
         assert np.all(series.residuals["q1_j"] == 0.0)
@@ -336,7 +322,7 @@ class TestModeResiduals:
         c = 1e-4
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q0": lambda s: c})
-        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
         assert series.residuals["q1_0"] == pytest.approx(c * series.s**2, rel=1e-12)
 
     def test_null_mode_power_law_is_near_solution(self):
@@ -344,14 +330,14 @@ class TestModeResiduals:
         # difference's O(ds^2) truncation remains
         s_values = 25.0 + 0.1 * np.arange(21)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q2": lambda s: 1.0 / s**2})
-        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
         assert np.max(series.residuals["q1_jk"]) < 1e-4
 
     def test_achieved_exponent_recovered(self):
         # q2 null mode ~ s^{-3/2} leaves a residual ~ s^{-5/2}
         s_values = 25.0 + 0.1 * np.arange(41)
         traj = synthetic_trajectory(s_values, q_fns={"d2_q2": lambda s: s**-1.5})
-        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
         assert series.achieved_exponent_q2_null == pytest.approx(2.5, abs=0.02)
 
     def test_achieved_exponent_not_fitted_on_a_short_window(self):
@@ -359,7 +345,7 @@ class TestModeResiduals:
         # short to tell one power of s from another
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d2_q2": lambda s: s**-1.5})
-        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
         assert math.isnan(series.achieved_exponent_q2_null)
         assert np.all(np.isfinite(series.residuals["q2_jk"]))
 
@@ -367,7 +353,7 @@ class TestModeResiduals:
         c = 1e-4
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q0": lambda s: c})
-        series = dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
         assert series.constants["q1_0"] == pytest.approx(
             float(np.percentile(series.residuals["q1_0"], 95)), rel=1e-12
         )
@@ -375,12 +361,12 @@ class TestModeResiduals:
     def test_sparse_trajectory_rejected(self):
         traj = synthetic_trajectory([25.0, 25.5, 26.0])
         with pytest.raises(dg.TrajectoryTooSparseError, match="0.5"):
-            dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+            dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
 
     def test_too_few_records_rejected(self):
         traj = synthetic_trajectory([25.0, 25.1])
         with pytest.raises(dg.TrajectoryTooSparseError):
-            dg.mode_ode_residuals(traj, dg.ShrinkingSetParams(), bp.make_params(2, 1))
+            dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
 
 
 class TestProfileError:
@@ -566,8 +552,8 @@ class TestSnapshotSpline:
         np.testing.assert_allclose(got, CubicSpline(ax, u)(xs), rtol=1e-12, atol=0.0)
 
 
-def min_margins(traj, ssp):
-    return [min(dg.in_shrinking_set(rec, ssp).values()) for rec in traj.records]
+def min_margins(traj):
+    return [min(dg.in_shrinking_set(rec, IDP).values()) for rec in traj.records]
 
 
 class TestWriters:
@@ -581,13 +567,12 @@ class TestWriters:
 
     def test_csv_deterministic_and_complete(self, tmp_path):
         traj = self.make_traj()
-        ssp = dg.ShrinkingSetParams()
         pr = bp.make_params(2, 1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        margins = min_margins(traj, ssp)
-        dg.write_trajectory_csv(traj, p1, ssp=ssp, params=pr, min_margin=margins, c0_tilde=0.7)
-        dg.write_trajectory_csv(traj, p2, ssp=ssp, params=pr, min_margin=margins, c0_tilde=0.7)
+        margins = min_margins(traj)
+        dg.write_trajectory_csv(traj, p1, idp=IDP, params=pr, min_margin=margins, c0_tilde=0.7)
+        dg.write_trajectory_csv(traj, p2, idp=IDP, params=pr, min_margin=margins, c0_tilde=0.7)
         b1 = p1.read_bytes()
         assert b1 == p2.read_bytes()
         lines = b1.decode().strip().split("\n")
@@ -601,8 +586,7 @@ class TestWriters:
     def test_csv_floats_round_trip(self, tmp_path):
         traj = self.make_traj()
         path = tmp_path / "t.csv"
-        ssp = dg.ShrinkingSetParams()
-        dg.write_trajectory_csv(traj, path, ssp, bp.make_params(2, 1), min_margins(traj, ssp))
+        dg.write_trajectory_csv(traj, path, IDP, bp.make_params(2, 1), min_margins(traj))
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         row = lines[1].split(",")
@@ -613,7 +597,7 @@ class TestWriters:
         traj = dg.Trajectory(grid=plateau_grid_1d())
         with pytest.raises(ValueError, match="no records"):
             dg.write_trajectory_csv(
-                traj, tmp_path / "x.csv", dg.ShrinkingSetParams(), bp.make_params(2, 1), []
+                traj, tmp_path / "x.csv", IDP, bp.make_params(2, 1), []
             )
 
     def test_json_deterministic_sorted_and_typed(self, tmp_path):

@@ -327,8 +327,9 @@ class TestInitialData:
     def test_validation(self):
         with pytest.raises(ValueError):
             self.make(A=0.5)
-        with pytest.raises(ValueError):
-            self.make(p1=1.5)
+        for p1 in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                self.make(p1=p1)
         with pytest.raises(ValueError):
             self.make(s0=0.2)
         with pytest.raises(ValueError):

@@ -559,11 +559,10 @@ class TestInstability:
         st = solver.similarity_initial_state(pr, idp, cut, grid)
         cfg = solver.SolverConfig(ds=5e-3, s_end=32.0, record_every=200, cutoff=cut)
         traj = solver.evolve(st, cfg, pr)
-        ssp = dg.ShrinkingSetParams(A=idp.A, p1=idp.p1)
         by_s = {round(r["s"]): r for r in traj.records}
         first, last = traj.records[0], traj.records[-1]
-        assert all(m >= 0.0 for m in dg.in_shrinking_set(first, ssp).values())
-        assert not all(m >= 0.0 for m in dg.in_shrinking_set(last, ssp).values())
+        assert all(m >= 0.0 for m in dg.in_shrinking_set(first, idp).values())
+        assert not all(m >= 0.0 for m in dg.in_shrinking_set(last, idp).values())
         assert last["e1"] > 0.5
         # amplification consistent with the unit-rate expanding mode
         assert abs(by_s[26]["q0"][0]) > 50.0 * abs(by_s[21]["q0"][0]) > 0.0
