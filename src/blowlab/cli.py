@@ -107,7 +107,7 @@ class RunConfig:
     eta: float = _key("solver", "eta", float, 2.5e-4)
     A: float = _key("shrinking_set", "A", float, 10.0)
     p1: float = _key("shrinking_set", "p1", float, 0.5)
-    K: float = _key("shrinking_set", "K", float, 5.0)
+    K: float = _key("shrinking_set", "K", float, _rhs.CutoffSpec.K)
     d1: dict = _key("initial_data", "d1", "direction")
     d2: dict = _key("initial_data", "d2", "direction")
     probe_log_radii: tuple = _key("physical", "probe_log_radii", "radii", [10.0, 12.0, 14.0])

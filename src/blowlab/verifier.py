@@ -44,8 +44,8 @@ SLOPE_TOL = 0.05
 Z_SAMPLES = np.linspace(0.1, 10.0, 397)
 # geometric sweep in s of the bound checks
 S_GRID = np.geomspace(10.0, 1e4, 13)
-# the weighted sups run over |y| <= 2 K sqrt(s), the cutoff's support
-K = 5.0
+# the weighted sups run over |y| <= 2 K sqrt(s), the default cutoff's support
+K = _rhs.CutoffSpec.K
 # random points of the complex-identity check
 COMPLEX_SAMPLES = 10_000
 # r-nodes of the quadratic-bound check, each with its own (q1, q2) draws
