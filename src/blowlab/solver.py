@@ -58,6 +58,8 @@ SNAPSHOT_FACTOR = 1.05
 STALL_PATIENCE = 5000
 # physical run: step budget; running out of it also ends the run as "stalled"
 MAX_STEPS = 2_000_000
+# physical run: it ends "blown-up" once max|u| reaches this factor times max(1, max|u0|)
+STOP_GROWTH = 1e6
 
 
 class BlowupInSimilarityError(RuntimeError):
@@ -538,7 +540,6 @@ def run_physical_blowup(
     *,
     eta: float = 2.5e-4,
     probes=(),
-    stop_max: float = None,
 ) -> _diag.PhysicalTrajectory:
     """Integrate toward blow-up with steps tied to the collapse timescale.
 
@@ -550,8 +551,8 @@ def run_physical_blowup(
     PhysicalTrajectory, whose T_estimate is the fitted blow-up time and
     whose status names what ended the run:
 
-    - "blown-up": max|u| reached stop_max (default 10^6 scaled by the
-      initial amplitude when that exceeds 1), or max|u| became non-finite
+    - "blown-up": max|u| reached STOP_GROWTH times the initial amplitude
+      (or times 1 when that is below 1), or max|u| became non-finite
       (NaN or inf in u, or |u| past the largest double) in a step, then dropped;
     - "stalled": max|u| set no new peak for STALL_PATIENCE steps, or the
       MAX_STEPS budget ran out;
@@ -573,8 +574,7 @@ def run_physical_blowup(
     m0 = float(mod.flat[i])
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
-    if stop_max is None:
-        stop_max = 1e6 * max(1.0, m0)
+    stop_max = STOP_GROWTH * max(1.0, m0)
     traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
 
     def snap():

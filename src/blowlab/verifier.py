@@ -52,6 +52,9 @@ COMPLEX_SAMPLES = 10_000
 QUADRATIC_NODES = 301
 # RK4 steps of R22's integrator cross-check, on a geometric z-grid
 R22_STEPS = 2000
+# the z-window of R22's checks, and the samples its three coefficients are refitted on
+R22_Z_WINDOW = (0.1, 5.0)
+R22_FIT_SAMPLES = 201
 Z_SAMPLES.setflags(write=False)
 S_GRID.setflags(write=False)
 
@@ -163,9 +166,7 @@ def _r22_terms(params: _params.Params):
     )
 
 
-def fit_r22_constants(
-    params: _params.Params, z_lo: float = 0.1, z_hi: float = 5.0, n_samples: int = 201
-) -> CheckReport:
+def fit_r22_constants(params: _params.Params) -> CheckReport:
     """Certify the closed-form R22 profile against its ODE, two ways, and refit it.
 
     The closed form (params.outer_profile) has no free parameter.  Its
@@ -182,7 +183,8 @@ def fit_r22_constants(
     """
     p = params.p
     base, terms = _r22_terms(params)
-    z_fit = np.linspace(z_lo, z_hi, n_samples)
+    z_lo, z_hi = R22_Z_WINDOW
+    z_fit = np.linspace(z_lo, z_hi, R22_FIT_SAMPLES)
     design = np.column_stack([_linear_operator(params, f, z_fit) for f in terms])
     target = -(_linear_operator(params, base, z_fit) + _r22_source(params, z_fit))
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
@@ -224,7 +226,7 @@ def fit_r22_constants(
     if not passed:
         notes = "CERTIFICATION FAILED: the closed form misses its ODE or its refit. " + notes
     return CheckReport(
-        check_name=f"r22_fit_p{p}", samples=n_samples, worst_residual=worst,
+        check_name=f"r22_fit_p{p}", samples=R22_FIT_SAMPLES, worst_residual=worst,
         fitted_constant=float(coef[0]), passed=passed, notes=notes,
         details={
             "c_alg": float(coef[0]), "c_log_slow": float(coef[1]),

@@ -172,12 +172,6 @@ OPTIONS_SET_OUTSIDE = [
     "cli.main(argv)",
     # the progress hook of a similarity run, for a progress stream to use
     "solver.evolve(observer)",
-    # where a physical run stops; tests end short runs with it
-    "solver.run_physical_blowup(stop_max)",
-    # the z-window and sample count of R22's refit
-    "verifier.fit_r22_constants(n_samples)",
-    "verifier.fit_r22_constants(z_hi)",
-    "verifier.fit_r22_constants(z_lo)",
 ]
 
 

@@ -672,7 +672,7 @@ class TestPhysical:
 
     def test_run_overflowing_mid_run_ends_blown_up_without_its_step(self):
         # from 1e150, u = (T - t)^{-1} with T = 1e-150 overflows its square near
-        # 1.3e154, below the default stop_max of 1e156; the run ends "blown-up"
+        # 1.3e154, below the stop at STOP_GROWTH * 1e150 = 1e156; the run ends "blown-up"
         # and its last record is the state before the overflowing step
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
@@ -724,19 +724,20 @@ class TestPhysical:
         st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, u0, dtype=complex))
         return solver.run_physical_blowup(st, bp.make_params(2, 1), **kwargs)
 
-    @pytest.mark.parametrize("u0,kwargs,match", [
-        (0.0, {}, "identically zero"),
-        # the first step already passes stop_max: two records, too few to fit
-        (1.0, {"stop_max": 1.0001}, "too little growth"),
+    @pytest.mark.parametrize("u0,growth,kwargs,match", [
+        (0.0, solver.STOP_GROWTH, {}, "identically zero"),
+        # the first step already passes the stop: two records, too few to fit
+        (1.0, 1.0001, {}, "too little growth"),
         # max|u| near the largest double whose square is finite, and steps of
         # 2e-163, whose squares underflow: the fit's variance in t is 0
-        (1e154, {"eta": 2e-9, "stop_max": 1e154 * (1.0 + 1e-8)}, "too little growth"),
+        (1e154, 1.0 + 1e-8, {"eta": 2e-9}, "too little growth"),
     ], ids=["zero", "one-step", "variance-underflow"])
-    def test_run_without_a_fit_raises(self, u0, kwargs, match):
+    def test_run_without_a_fit_raises(self, monkeypatch, u0, growth, kwargs, match):
+        monkeypatch.setattr(solver, "STOP_GROWTH", growth)
         with pytest.raises(solver.NoBlowupError, match=match):
             self.constant_run(u0, **kwargs)
 
-    def test_max_moving_to_a_lower_lump_is_not_decay(self):
+    def test_max_moving_to_a_lower_lump_is_not_decay(self, monkeypatch):
         # the peak starts on a complex lump that decays; a real lump takes over
         # at 0.62 and passes the first peak only at the last step.  No y slope
         # lies in the clean band, and over all records y rose: no blow-up time
@@ -746,8 +747,10 @@ class TestPhysical:
         u = (np.exp(0.55j * math.pi) * np.exp(-((x + 6.0) / 3.0) ** 2)
              + 0.45 * np.exp(-((x - 6.0) / 3.0) ** 2))
         st = solver.PhysicalState(t=0.0, grid=grid, u=u)
+        # max|u0| is just below 1, so the run stops at 1 + 1e-6
+        monkeypatch.setattr(solver, "STOP_GROWTH", 1.0 + 1e-6)
         with pytest.raises(solver.NoBlowupError, match="not decaying"):
-            solver.run_physical_blowup(st, pr, eta=0.8, stop_max=1.0 + 1e-6)
+            solver.run_physical_blowup(st, pr, eta=0.8)
 
     def test_step_budget_before_any_doubling_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_STEPS", 10)
@@ -756,7 +759,7 @@ class TestPhysical:
 
     def test_step_budget_after_growth_ends_stalled(self, monkeypatch):
         # about 2,000 steps per doubling at the default eta: 20,000 steps reach
-        # max|u| ~ 1e3, far below stop_max = 1e6
+        # max|u| ~ 1e3, far below the stop at STOP_GROWTH = 1e6
         monkeypatch.setattr(solver, "MAX_STEPS", 20_000)
         traj = self.constant_run(1.0)
         assert traj.status == "stalled"
@@ -774,7 +777,7 @@ class TestPhysical:
         assert traj.status == "blown-up"
         assert traj.T_estimate == pytest.approx(3.0, rel=1e-3)
 
-    def test_constructed_data_blows_up_at_origin(self):
+    def test_constructed_data_blows_up_at_origin(self, monkeypatch):
         # short run: the max stays at x = 0 and T lands near e^{-s0}
         pr = bp.make_params(2, 1)
         cut = rhs.CutoffSpec(K=5.0)
@@ -782,9 +785,9 @@ class TestPhysical:
         T = math.exp(-20.0)
         grid_x = sp.Grid(1, 20.0 * math.sqrt(T), 801)
         st = solver.physical_initial_from_similarity(pr, idp, cut, grid_x)
-        m0 = np.max(np.abs(st.u.real))
         probes = np.array([-0.3, 0.0, 0.6]) * grid_x.half_width
-        traj = solver.run_physical_blowup(st, pr, stop_max=300.0 * m0, probes=probes)
+        monkeypatch.setattr(solver, "STOP_GROWTH", 300.0)
+        traj = solver.run_physical_blowup(st, pr, probes=probes)
         assert traj.T_estimate == pytest.approx(T, rel=0.05)
         # argmax stays on the center node (whose coordinate is 0 up to
         # linspace rounding)
@@ -834,14 +837,15 @@ class TestPhysical:
         return states, want
 
     @pytest.mark.parametrize("case", ["constructed-1d", "receded-1d", "constant-2d"])
-    def test_run_matches_step_physical_replay(self, case):
+    def test_run_matches_step_physical_replay(self, monkeypatch, case):
         # the run loop is bit for bit a sequence of step_physical calls at the
         # recorded dt: every records field, every snapshot, the status and T
         if case == "constant-2d":
             pr = bp.make_params(2, 2)
             grid = sp.Grid(2, 8.0, 17)
             st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
-            kwargs = {"eta": 5e-3, "stop_max": 1e3}
+            kwargs = {"eta": 5e-3}
+            monkeypatch.setattr(solver, "STOP_GROWTH", 1e3)
             status, T_want = "blown-up", 1.006914726527799
         else:
             pr = bp.make_params(2, 1)
@@ -852,9 +856,9 @@ class TestPhysical:
             if case == "constructed-1d":
                 grid = sp.Grid(1, 20.0 * math.sqrt(T), 801)
                 st = solver.physical_initial_from_similarity(pr, idp, cut, grid)
-                m0 = np.max(np.abs(st.u.real))
                 probes = np.array([-0.3, 0.0, 0.6]) * grid.half_width
-                kwargs = {"stop_max": 300.0 * m0, "probes": probes}
+                kwargs = {"probes": probes}
+                monkeypatch.setattr(solver, "STOP_GROWTH", 300.0)
                 status, T_want = "blown-up", 2.0606350626133203e-09
             else:
                 grid = sp.Grid(1, 9e-5, 1201)

@@ -77,10 +77,12 @@ def test_r22_integrator_is_fourth_order(monkeypatch):
     assert devs[1] < devs[0] / 10.0
 
 
-def test_r22_fit_invariant_under_sample_placement():
+def test_r22_fit_invariant_under_sample_placement(monkeypatch):
     pr = bp.make_params(2, 1)
-    a = bv.fit_r22_constants(pr, 0.1, 5.0, 201).details
-    b = bv.fit_r22_constants(pr, 0.3, 4.0, 97).details
+    a = bv.fit_r22_constants(pr).details
+    monkeypatch.setattr(bv, "R22_Z_WINDOW", (0.3, 4.0))
+    monkeypatch.setattr(bv, "R22_FIT_SAMPLES", 97)
+    b = bv.fit_r22_constants(pr).details
     for key in ("c_alg", "c_log_slow", "c_log_steep"):
         assert abs(a[key] - b[key]) < 1e-6
 
