@@ -125,7 +125,6 @@ class PhysicalTrajectory(_RowStore):
     probes: np.ndarray
     snapshots: list = field(default_factory=list)
     T_estimate: float = None
-    decay_slope: float = None
     status: str = "ok"
 
     def __post_init__(self):

@@ -674,7 +674,4 @@ def run_physical_blowup(
     if not slope < 0:
         raise NoBlowupError("no blow-up detected: max|u|^(1-p) is not decaying")
     traj.T_estimate = float(t_bar - y_bar / slope)
-    left = traj.T_estimate - ts_g[sel]
-    if np.all(left > 0):
-        traj.decay_slope = _diag.line_fit(np.log(left), np.log(ms_g[sel]))[1]
     return traj

@@ -699,7 +699,11 @@ class TestPhysical:
         traj = solver.run_physical_blowup(st, pr)
         assert traj.T_estimate == pytest.approx(1.0, abs=1e-3)
         assert traj.status == "blown-up"
-        assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
+        # max|u| ~ (T - t)^{-1}: log-log slope -1 over the last decade of growth
+        t, m = traj.records["t"], traj.records["max_u"]
+        near = m >= m[-1] / 10.0
+        slope = dg.line_fit(np.log(traj.T_estimate - t[near]), np.log(m[near]))[1]
+        assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_probes_need_a_1d_grid(self):
         pr = bp.make_params(2, 2)
@@ -812,7 +816,6 @@ class TestPhysical:
         traj = solver.run_physical_blowup(st, pr, eta=5e-4)
         assert traj.status == "receded"
         assert traj.T_estimate == pytest.approx(math.exp(-25.0), rel=0.01)
-        assert traj.decay_slope == pytest.approx(-1.0, abs=0.05)
 
     @staticmethod
     def replay(u0, pr, traj):
