@@ -476,12 +476,13 @@ def similarity_initial_state(
     return SimilarityState(s=idp.s0, grid=grid, w=w)
 
 
-def _physical_step_in_place(u, factor, edge_vals, dt, p, buf, mod) -> tuple:
+def _physical_step_in_place(u, factor, edge, edge_vals, dt, p, buf, mod) -> tuple:
     """One semi-implicit step of d_t u = Lap u + u^p on u; returns (i, mod.flat[i]).
 
-    Diffusion (buf.T is the 2-D ADI buffer), reaction with u^p in buf, faces
-    copied from edge_vals, then mod = |u| and i = argmax; mod.flat[i] is NaN or
-    inf when a part of u is, and inf when |u| exceeds the largest double.
+    Diffusion (buf.T is the 2-D ADI buffer), reaction with u^p in buf, the
+    boundary nodes edge (as _Workspace.edge) set to edge_vals, then mod = |u|
+    and i = argmax; mod.flat[i] is NaN or inf when a part of u is, and inf
+    when |u| exceeds the largest double.
     """
     _diffuse_in_place(u, factor, buf.T if u.ndim == 2 else None)
     if p == 2:  # what u**2 calls; np.power(u, 2) moves the last bit
@@ -489,9 +490,7 @@ def _physical_step_in_place(u, factor, edge_vals, dt, p, buf, mod) -> tuple:
     else:
         np.power(u, p, out=buf)
     np.add(u, np.multiply(dt, buf, out=buf), out=u)
-    for axis in range(u.ndim):
-        face, vals = u.swapaxes(0, axis), edge_vals.swapaxes(0, axis)
-        face[0], face[-1] = vals[0], vals[-1]
+    u[edge] = edge_vals
     np.abs(u, out=mod)
     i = int(np.argmax(mod))
     return i, float(mod.flat[i])
@@ -509,8 +508,10 @@ def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> Ph
     grid = state.grid
     u, buf = state.u.copy(), np.empty_like(state.u)
     factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
+    edge = np.nonzero(_edge_mask(grid))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, m = _physical_step_in_place(u, factor, state.u, dt, params.p, buf, np.empty(grid.shape))
+        _, m = _physical_step_in_place(u, factor, edge, state.u[edge], dt, params.p, buf,
+                                       np.empty(grid.shape))
     if not math.isfinite(m):
         return dataclasses.replace(state, status="overflow")
     return PhysicalState(t=state.t + dt, grid=grid, u=u)
@@ -568,8 +569,10 @@ def run_physical_blowup(
     if probes.size and grid.n_dim != 1:
         raise ValueError("probes are x positions and need a 1-D grid")
     _require_finite(u0.u)
-    # the run's workspace: the state, u^p and |u|; each step resets u's faces to u0's
+    # the run's workspace: the state, u^p and |u|; each step resets u's boundary to u0's
     u, buf, mod = u0.u.copy(), np.empty_like(u0.u), np.abs(u0.u)
+    edge = np.nonzero(_edge_mask(grid))
+    edge_vals = u0.u[edge]
     i = int(np.argmax(mod))
     m0 = float(mod.flat[i])
     if m0 == 0.0:
@@ -595,7 +598,7 @@ def run_physical_blowup(
     status = "blown-up"
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_STEPS):
-            i, m = _physical_step_in_place(u, factor, u0.u, dt, params.p, buf, mod)
+            i, m = _physical_step_in_place(u, factor, edge, edge_vals, dt, params.p, buf, mod)
             if not math.isfinite(m):
                 break  # overflow: the step is dropped and the run ends "blown-up"
             t += dt
