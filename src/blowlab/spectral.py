@@ -54,9 +54,12 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return (self.npts,) * self.n_dim
 
+    @functools.lru_cache(maxsize=32)
     def axis(self) -> np.ndarray:
         """Node coordinates along one axis (read-only, shared by equal grids)."""
-        return _axis(self)
+        ax = np.linspace(-self.half_width, self.half_width, self.npts)
+        ax.setflags(write=False)
+        return ax
 
     def meshes(self, rows: slice = slice(None)) -> list[np.ndarray]:
         """Coordinate arrays, one per axis, broadcastable to the box of rows on every axis."""
@@ -65,9 +68,13 @@ class Grid:
             return [ax]
         return [ax[:, None], ax[None, :]]
 
+    @functools.lru_cache(maxsize=32)
     def radius2(self) -> np.ndarray:
         """|y|^2 on the grid (read-only, shared by equal grids)."""
-        return _radius2(self)
+        ax2 = self.axis() ** 2
+        r2 = ax2 if self.n_dim == 1 else ax2[:, None] + ax2[None, :]
+        r2.setflags(write=False)
+        return r2
 
     @functools.lru_cache(maxsize=32)
     def rho(self) -> np.ndarray:
@@ -80,21 +87,6 @@ class Grid:
         """The axis nodes with |y| < radius: on every axis, a box holding that ball's nodes."""
         ax = self.axis()
         return slice(int(np.searchsorted(ax, -radius, "right")), int(np.searchsorted(ax, radius)))
-
-
-@functools.lru_cache(maxsize=32)
-def _axis(grid: Grid) -> np.ndarray:
-    ax = np.linspace(-grid.half_width, grid.half_width, grid.npts)
-    ax.setflags(write=False)
-    return ax
-
-
-@functools.lru_cache(maxsize=32)
-def _radius2(grid: Grid) -> np.ndarray:
-    ax2 = grid.axis() ** 2
-    r2 = ax2 if grid.n_dim == 1 else ax2[:, None] + ax2[None, :]
-    r2.setflags(write=False)
-    return r2
 
 
 def hermite(m: int, y) -> np.ndarray:
