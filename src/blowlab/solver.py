@@ -548,6 +548,7 @@ def run_physical_blowup(
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
     Every step is recorded, with u at the probes (x positions, 1-D grids
     only); a snapshot is kept whenever max|u| has grown by SNAPSHOT_FACTOR.
+    eta must be positive and finite, and every probe must lie on the grid.
     The steps run in place on one workspace allocated per run.  Returns the
     PhysicalTrajectory, whose T_estimate is the fitted blow-up time and
     whose status names what ended the run:
@@ -563,11 +564,18 @@ def run_physical_blowup(
     self-similar rate.  NoBlowupError is raised instead when max|u| decays
     before it doubles, or when too little growth is left to fit T.
     """
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     grid = u0.grid
     ax = grid.axis()
     probes = np.asarray(probes, dtype=float)
     if probes.size and grid.n_dim != 1:
         raise ValueError("probes are x positions and need a 1-D grid")
+    # np.interp would read the boundary value at a probe off the grid
+    L = grid.half_width
+    outside = probes[~(np.abs(probes) <= L)]
+    if outside.size:
+        raise ValueError(f"probe {outside[0]} lies outside the grid [-{L}, {L}]")
     _require_finite(u0.u)
     # the run's workspace: the state, u^p and |u|; each step resets u's boundary to u0's
     u, buf, mod = u0.u.copy(), np.empty_like(u0.u), np.abs(u0.u)

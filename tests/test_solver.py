@@ -712,6 +712,26 @@ class TestPhysical:
         with pytest.raises(ValueError, match="1-D grid"):
             solver.run_physical_blowup(st, pr, probes=[0.5])
 
+    @pytest.mark.parametrize("kwargs,match", [
+        # np.interp clamps: these probes would read the boundary value u = 1
+        ({"probes": [0.5, 20.0]}, "probe 20.0 lies outside the grid"),
+        ({"probes": [-50.0]}, "probe -50.0 lies outside the grid"),
+        ({"probes": [math.nan]}, "probe nan lies outside the grid"),
+        ({"eta": 0.0}, "eta must be positive"),
+        ({"eta": -1e-3}, "eta must be positive"),
+        ({"eta": math.nan}, "eta must be positive"),
+    ], ids=["probe-right", "probe-left", "probe-nan", "eta-zero", "eta-negative", "eta-nan"])
+    def test_unusable_inputs_refused_up_front(self, monkeypatch, kwargs, match):
+        # refused before the first step: a run would take none at all
+        monkeypatch.setattr(solver, "MAX_STEPS", 0)
+        with pytest.raises(ValueError, match=match):
+            self.constant_run(1.0, **kwargs)
+
+    def test_probes_at_the_grid_ends_are_read(self):
+        # the Dirichlet nodes keep u0 = 1
+        traj = self.constant_run(1.0, eta=2.0, probes=[-8.0, 8.0])
+        assert np.all(traj.records["probe_u"] == 1.0)
+
     def test_no_blowup_detected_for_decaying_data(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 129)
