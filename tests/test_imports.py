@@ -3,7 +3,8 @@
 Every module-level import is used (names in __all__ count as used), every
 module-level function, class and method is read somewhere in the package,
 except the oracles that only tests call, which are listed by name, and every
-optional parameter is set by some call in the package, except a named few.
+optional parameter and dataclass field with a default is set somewhere in the
+package, except a named few.
 """
 
 import ast
@@ -103,48 +104,69 @@ def test_no_test_only_code_outside_the_oracle_list():
     assert unread_definitions(sources) == sorted(TEST_ONLY)
 
 
-def unset_options(sources: dict, skip=()) -> list[str]:
-    """module.function(parameter) of each optional parameter in sources ({module:
-    source}) that no call in sources sets; functions named in skip are left out.
+def _name(node):
+    """The name a Name or Attribute node ends in (the called name of a call's func)."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
 
-    Calls are matched to functions by name (a class call to its __init__).  A
-    call sets a parameter by keyword, by position (self or cls skipped for a
-    method) or, for all of them, through a * or ** splat.
+
+def unset_options(sources: dict, skip=()) -> list[str]:
+    """module.function(parameter) of each optional parameter, and module.Class(field)
+    of each dataclass field with a default, in sources ({module: source}) that
+    nothing in sources sets; functions and classes named in skip are left out.
+
+    Calls are matched to functions by name (a class call to its __init__, or to
+    a dataclass's fields in order).  A call sets a parameter by keyword, by
+    position (self or cls skipped for a method) or, for all of them, through a
+    * or ** splat.  A dataclass field is also set by a keyword of a replace
+    call or by a store to an attribute of its name.  A field whose value is a
+    field() call has a default only when it passes default=.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    defs = []  # (function node, dotted name, name its calls use, is a method)
+    # (dotted name, name its calls use, positional names, optional names, is a dataclass)
+    defs = []
+
+    def has_default(value):
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            return any(k.arg == "default" for k in value.keywords)
+        return value is not None
 
     def visit(node, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if any(_name(getattr(d, "func", d)) == "dataclass" for d in child.decorator_list):
+                    fields = [(f.target.id, f.value) for f in child.body
+                              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                    defs.append((f"{prefix}.{child.name}", child.name, [n for n, _ in fields],
+                                 [n for n, v in fields if has_default(v)], True))
                 visit(child, f"{prefix}.{child.name}", child.name)
             elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                optional = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if cls and not any(_name(d) == "staticmethod" for d in child.decorator_list):
+                    positional = positional[1:]
                 called = cls if cls and child.name == "__init__" else child.name
-                defs.append((child, f"{prefix}.{child.name}", called, cls is not None))
+                defs.append((f"{prefix}.{child.name}", called, positional, optional, False))
                 visit(child, f"{prefix}.{child.name}", None)
             else:
                 visit(child, prefix, cls)
 
     for module, tree in trees.items():
         visit(tree, module, None)
-    calls = [node for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Call)]
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    # what sets a dataclass field besides a call to its class
+    stored = {node.attr for node in nodes
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    stored |= {k.arg for call in calls if _name(call.func) == "replace" for k in call.keywords}
     unset = []
-    for fn, dotted, called, method in defs:
-        args = fn.args
-        positional = [a.arg for a in args.posonlyargs + args.args]
-        optional = positional[len(positional) - len(args.defaults):] + [
-            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    for dotted, called, positional, optional, dataclass in defs:
         if dotted in skip or not optional:
             continue
-        if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                              for d in fn.decorator_list):
-            positional = positional[1:]
-        given = set()
+        given = stored.copy() if dataclass else set()
         for call in calls:
-            func = call.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name != called:
+            if _name(call.func) != called:
                 continue
             if (any(k.arg is None for k in call.keywords)
                     or any(isinstance(a, ast.Starred) for a in call.args)):
@@ -166,18 +188,39 @@ def test_option_checker_finds_unset_parameters():
     assert unset_options(sources, skip=["a.f"]) == []
 
 
-# Optional parameters that no src/ call sets, on purpose.
+def test_option_checker_finds_unset_dataclass_fields():
+    sources = {
+        "a": "@dataclass(frozen=True)\nclass D:\n    x: int\n    y: int = 0\n"
+             "    z: list = field(default_factory=list)\n    u: int = field(default=1)\n"
+             "    v: int = 2\n    w: int = 3\n    t: int = 4\n"
+             "@dataclasses.dataclass\nclass E:\n    k: int = 0\n",
+        "b": "D(0, 1)\ndataclasses.replace(d, v=5)\nd.w = 6\n",
+    }
+    # a position, a replace keyword and an attribute store set fields; a
+    # default_factory is no default
+    assert unset_options(sources) == ["a.D(t)", "a.D(u)", "a.E(k)"]
+    assert unset_options({**sources, "c": "D(**kw)\n"}) == ["a.E(k)"]
+
+
+# Optional parameters and dataclass fields that no src/ code sets, on purpose.
 OPTIONS_SET_OUTSIDE = [
     # the command line; the console script reads sys.argv
     "cli.main(argv)",
     # the progress hook of a similarity run, for a progress stream to use
     "solver.evolve(observer)",
 ]
+FIELDS_SET_OUTSIDE = [
+    # the boundary the exact-symmetry and fixed-point tests step with
+    "solver.SolverConfig(boundary)",
+    # views of the field for tests; perfbench reads Trajectory.snapshots
+    "solver.SolverConfig(snapshot_at)",
+]
 
 
 def test_no_option_only_tests_set():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
-    assert unset_options(sources, skip=TEST_ONLY) == sorted(OPTIONS_SET_OUTSIDE)
+    assert unset_options(sources, skip=TEST_ONLY) == sorted(
+        OPTIONS_SET_OUTSIDE + FIELDS_SET_OUTSIDE)
 
 
 def test_package_loads_neither_scipy_integrate_nor_interpolate():
