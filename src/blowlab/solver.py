@@ -673,16 +673,12 @@ def run_physical_blowup(
         sel = ms_g >= ms_g[-1] / 10.0
     if np.count_nonzero(sel) < 3:
         raise NoBlowupError("no blow-up detected: too little growth to fit a blow-up time")
-    # mean-centered closed-form line fit: blow-up times are often tiny on an
-    # absolute scale, and a [1, t] design matrix would be numerically
-    # rank-one in that regime
-    t_sel, y_sel = ts_g[sel], y[sel]
-    t_bar, y_bar = float(np.mean(t_sel)), float(np.mean(y_sel))
-    var_t = float(np.sum((t_sel - t_bar) ** 2))
-    if var_t == 0.0:
-        raise NoBlowupError("no blow-up detected: too little growth to fit a blow-up time")
-    slope = float(np.sum((t_sel - t_bar) * (y_sel - y_bar))) / var_t
-    if not slope < 0:
+    # y against x = (t - t_first)/span on [0, 1]: blow-up times are often tiny
+    # on an absolute scale, where a [1, t] design would be numerically rank-one
+    t_sel = ts_g[sel]
+    span = t_sel[-1] - t_sel[0]
+    c0, c1 = _diag.line_fit((t_sel - t_sel[0]) / span, y[sel])
+    if not c1 < 0:
         raise NoBlowupError("no blow-up detected: max|u|^(1-p) is not decaying")
-    traj.T_estimate = float(t_bar - y_bar / slope)
+    traj.T_estimate = float(t_sel[0] - span * c0 / c1)
     return traj

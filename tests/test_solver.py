@@ -748,18 +748,23 @@ class TestPhysical:
         st = solver.PhysicalState(t=0.0, grid=grid, u=np.full(grid.shape, u0, dtype=complex))
         return solver.run_physical_blowup(st, bp.make_params(2, 1), **kwargs)
 
-    @pytest.mark.parametrize("u0,growth,kwargs,match", [
-        (0.0, solver.STOP_GROWTH, {}, "identically zero"),
+    @pytest.mark.parametrize("u0,growth,match", [
+        (0.0, solver.STOP_GROWTH, "identically zero"),
         # the first step already passes the stop: two records, too few to fit
-        (1.0, 1.0001, {}, "too little growth"),
-        # max|u| near the largest double whose square is finite, and steps of
-        # 2e-163, whose squares underflow: the fit's variance in t is 0
-        (1e154, 1.0 + 1e-8, {"eta": 2e-9}, "too little growth"),
-    ], ids=["zero", "one-step", "variance-underflow"])
-    def test_run_without_a_fit_raises(self, monkeypatch, u0, growth, kwargs, match):
+        (1.0, 1.0001, "too little growth"),
+    ], ids=["zero", "one-step"])
+    def test_run_without_a_fit_raises(self, monkeypatch, u0, growth, match):
         monkeypatch.setattr(solver, "STOP_GROWTH", growth)
         with pytest.raises(solver.NoBlowupError, match=match):
-            self.constant_run(u0, **kwargs)
+            self.constant_run(u0)
+
+    def test_fit_of_steps_whose_squares_underflow(self, monkeypatch):
+        # max|u| near the largest double whose square is finite, and steps of
+        # 2e-163, whose squares underflow: u = (T - t)^{-1} with T = 1e-154
+        monkeypatch.setattr(solver, "STOP_GROWTH", 1.0 + 1e-8)
+        traj = self.constant_run(1e154, eta=2e-9)
+        assert traj.status == "blown-up"
+        assert traj.T_estimate == pytest.approx(1e-154, rel=1e-6)
 
     def test_max_moving_to_a_lower_lump_is_not_decay(self, monkeypatch):
         # the peak starts on a complex lump that decays; a real lump takes over
@@ -869,7 +874,7 @@ class TestPhysical:
             st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
             kwargs = {"eta": 5e-3}
             monkeypatch.setattr(solver, "STOP_GROWTH", 1e3)
-            status, T_want = "blown-up", 1.006914726527799
+            status, T_want = "blown-up", 1.0069147265277991
         else:
             pr = bp.make_params(2, 1)
             cut = rhs.CutoffSpec(K=5.0)
@@ -882,7 +887,7 @@ class TestPhysical:
                 probes = np.array([-0.3, 0.0, 0.6]) * grid.half_width
                 kwargs = {"probes": probes}
                 monkeypatch.setattr(solver, "STOP_GROWTH", 300.0)
-                status, T_want = "blown-up", 2.0606350626133203e-09
+                status, T_want = "blown-up", 2.060635062613321e-09
             else:
                 grid = sp.Grid(1, 9e-5, 1201)
                 st = solver.physical_initial_from_similarity(pr, idp, cut, grid)
