@@ -25,7 +25,8 @@ max|u| (a step overflows when that is not finite), serves step_physical and
 run_physical_blowup.  The run steps one workspace per run, records every step
 as one row of diagnostics.PhysicalTrajectory's columns, keeps snapshots as
 max|u| grows, ends with a named status (see its docstring) and fits the
-blow-up time.  Its settings are the module constants below.
+blow-up time with diagnostics.line_fit.  Its settings, STOP_GROWTH among
+them, are the module constants below.
 
 One trajectory is strictly sequential and single-owner; independent
 trajectories share no mutable state.
@@ -506,12 +507,11 @@ def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> Ph
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    u, buf = state.u.copy(), np.empty_like(state.u)
+    u, buf, mod = state.u.copy(), np.empty_like(state.u), np.empty(grid.shape)
     factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
     edge = np.nonzero(_edge_mask(grid))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, m = _physical_step_in_place(u, factor, edge, state.u[edge], dt, params.p, buf,
-                                       np.empty(grid.shape))
+        _, m = _physical_step_in_place(u, factor, edge, state.u[edge], dt, params.p, buf, mod)
     if not math.isfinite(m):
         return dataclasses.replace(state, status="overflow")
     return PhysicalState(t=state.t + dt, grid=grid, u=u)
@@ -572,10 +572,8 @@ def run_physical_blowup(
     if probes.size and grid.n_dim != 1:
         raise ValueError("probes are x positions and need a 1-D grid")
     # np.interp would read the boundary value at a probe off the grid
-    L = grid.half_width
-    outside = probes[~(np.abs(probes) <= L)]
-    if outside.size:
-        raise ValueError(f"probe {outside[0]} lies outside the grid [-{L}, {L}]")
+    if not np.all(np.abs(probes) <= grid.half_width):
+        raise ValueError(f"probes {probes} must lie within the grid's half-width {grid.half_width}")
     _require_finite(u0.u)
     # the run's workspace: the state, u^p and |u|; each step resets u's boundary to u0's
     u, buf, mod = u0.u.copy(), np.empty_like(u0.u), np.abs(u0.u)

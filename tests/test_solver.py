@@ -714,9 +714,9 @@ class TestPhysical:
 
     @pytest.mark.parametrize("kwargs,match", [
         # np.interp clamps: these probes would read the boundary value u = 1
-        ({"probes": [0.5, 20.0]}, "probe 20.0 lies outside the grid"),
-        ({"probes": [-50.0]}, "probe -50.0 lies outside the grid"),
-        ({"probes": [math.nan]}, "probe nan lies outside the grid"),
+        ({"probes": [0.5, 20.0]}, "probes .* must lie within the grid"),
+        ({"probes": [-50.0]}, "probes .* must lie within the grid"),
+        ({"probes": [math.nan]}, "probes .* must lie within the grid"),
         ({"eta": 0.0}, "eta must be positive"),
         ({"eta": -1e-3}, "eta must be positive"),
         ({"eta": math.nan}, "eta must be positive"),
