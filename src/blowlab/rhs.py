@@ -245,9 +245,9 @@ class InitialDataParams:
     n_dim: int = 1
 
     def __post_init__(self):
-        if self.A < 1:
+        if not self.A >= 1:
             raise ValueError(f"A must be >= 1, got {self.A}")
-        if self.s0 < 1:
+        if not self.s0 >= 1:
             raise ValueError(f"s0 must be >= 1, got {self.s0}")
         if not 0.0 < self.p1 < 1.0:
             raise ValueError(f"p1 must be in (0, 1), got {self.p1}")

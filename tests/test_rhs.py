@@ -325,8 +325,11 @@ class TestInitialData:
         assert q2[i0, i0] == pytest.approx(want, rel=1e-13)
 
     def test_validation(self):
+        for A in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                self.make(A=A)
         with pytest.raises(ValueError):
-            self.make(A=0.5)
+            self.make(s0=math.nan)
         for p1 in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 self.make(p1=p1)
