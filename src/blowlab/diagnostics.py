@@ -16,7 +16,8 @@ All of these moments come from one routine, spectral.gaussian_moments, which
 the solver's mode pinning uses too.  decompose acts on the complex deviation
 q = q1 + i q2 at once and returns each mode field for both components.
 Similarity and physical records are columns of one numpy structured array
-per trajectory, and both frames write their CSV through write_csv.
+per trajectory, and both frames write their CSV through write_csv.  The
+shrinking-set checks take (A, p1) from the run's rhs.InitialDataParams.
 
 All operations are read-only on their inputs; a finished trajectory can be
 analyzed concurrently.
