@@ -583,7 +583,7 @@ def run_physical_blowup(
     m0 = float(mod.flat[i])
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
-    stop_max = STOP_GROWTH * max(1.0, m0)
+    m_stop = STOP_GROWTH * max(1.0, m0)
     traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
 
     def snap():
@@ -618,7 +618,7 @@ def run_physical_blowup(
             if m >= m_snap * SNAPSHOT_FACTOR:
                 snap()
                 m_snap = m
-            if m >= stop_max:
+            if m >= m_stop:
                 snap()
                 break
             if m < 0.5 * peak:
