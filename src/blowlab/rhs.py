@@ -199,8 +199,8 @@ class CutoffSpec:
     K: float = 5.0
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError(f"K must be > 0, got {self.K}")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"K must be > 0 and finite, got {self.K}")
 
 
 def chi0(x) -> np.ndarray:

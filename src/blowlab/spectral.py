@@ -39,8 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.n_dim not in N_DIMS:
             raise ValueError(f"n_dim must be one of {N_DIMS}, got {self.n_dim}")
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be > 0 and finite, got {self.half_width}")
         if self.npts < 16:
             raise ValueError(f"npts must be >= 16, got {self.npts}")
         if self.npts % 2 == 0:

@@ -275,8 +275,10 @@ class TestCutoff:
         assert np.all(chi[~box] == 0.0) and chi[(grid.npts // 2,) * n_dim] == 1.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            rhs.CutoffSpec(K=0.0)
+        # NaN passes a "<= 0" test
+        for K in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="K must be > 0 and finite"):
+                rhs.CutoffSpec(K=K)
 
 
 class TestInitialData:

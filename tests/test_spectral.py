@@ -43,6 +43,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             sp.Grid(1, 16.0, 15)
 
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_half_width_outside_zero_to_inf(self, half_width):
+        # NaN passes a "<= 0" test, and would give h = nan
+        with pytest.raises(ValueError, match="half_width"):
+            sp.Grid(1, half_width, 17)
+
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             sp.Grid(3, 16.0, 65)
