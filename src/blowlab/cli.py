@@ -495,7 +495,7 @@ def _run_physical(config: RunConfig) -> tuple:
     probes = np.exp(-np.asarray(config.probe_log_radii, dtype=float))
     ptraj = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
     probe_rows = []
-    finals = _diag.extract_final_profiles(ptraj, probes.tolist())
+    finals = _diag.extract_final_profiles(ptraj)
     for lr, x, final in zip(config.probe_log_radii, probes, finals):
         entry = {"log_radius": float(lr), "x": float(x),
                  "u_star_prediction": float(_params.final_profile_prediction(pr, x)[0])}

@@ -115,11 +115,17 @@ class Trajectory(_RowStore):
 
 @dataclass
 class PhysicalTrajectory(_RowStore):
-    """Per-step physical records as columns, snapshots (t, u) with u complex, and blow-up fits.
+    """Per-step physical records as columns, snapshots at the probes, and blow-up fits.
 
     records is a numpy structured array with one row per recorded step and
     the fields t, dt, max_u, argmax (the position of max|u|, shape (n_dim,))
-    and probe_u (complex u at the probes, shape (n_probes,)).
+    and probe_u (complex u at the probes, x positions on a 1-D grid, shape
+    (n_probes,)).  A probe's spline window is the 2 SPLINE_HALF_WINDOW nodes
+    around its cell, shifted inward at a grid end (the whole axis when that is
+    shorter); windows holds their indices, one row per probe, and cells the
+    index of each probe's cell in its window.  A snapshot (t, values) keeps u
+    on the windows only, all that extract_final_profiles reads, so values is
+    empty without probes.
     """
 
     grid: _spectral.Grid
@@ -130,11 +136,26 @@ class PhysicalTrajectory(_RowStore):
 
     def __post_init__(self):
         self.probes = np.asarray(self.probes, dtype=float)
+        if self.probes.size and self.grid.n_dim != 1:
+            raise ValueError("probes are x positions and need a 1-D grid")
+        L = self.grid.half_width
+        # NaN fails the comparison too
+        if not np.all(np.abs(self.probes) <= L):
+            raise CoverageError(f"probes {self.probes} must lie within the grid's half-width {L}")
+        ax = self.grid.axis()
+        n = min(2 * SPLINE_HALF_WINDOW, ax.size)
+        cells = np.clip(np.searchsorted(ax, self.probes, side="right") - 1, 0, ax.size - 2)
+        lo = np.clip(cells - SPLINE_HALF_WINDOW + 1, 0, ax.size - n)
+        self.windows, self.cells = lo[:, None] + np.arange(n), cells - lo
         self._start_rows([
             ("t", float), ("dt", float), ("max_u", float),
             ("argmax", float, (self.grid.n_dim,)),
             ("probe_u", complex, (self.probes.size,)),
         ])
+
+    def keep_snapshot(self, t: float, u: np.ndarray) -> None:
+        """Append the snapshot (t, u on each probe's window), a copy of shape windows.shape."""
+        self.snapshots.append((t, np.take(u, self.windows)))
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpec) -> tuple:
@@ -415,24 +436,21 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     )
 
 
-def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray) -> np.ndarray:
-    """A complex cubic spline through a snapshot u = u1 + i u2, evaluated at x_points.
+def _spline_at_probes(ptraj: PhysicalTrajectory, values: np.ndarray) -> np.ndarray:
+    """Complex cubic splines through one snapshot's window values, each at its probe.
 
-    Each x gets its own spline, on the 2 SPLINE_HALF_WINDOW nodes around it
-    (the whole axis when that is shorter), with CubicSpline's not-a-knot
-    condition at both window ends.  Where a window end is a grid end this is
-    the global not-a-knot spline's condition; elsewhere the end's influence
-    decays like (2 - sqrt 3)^k over the k >= SPLINE_HALF_WINDOW - 1 nodes to
-    the probe, so the value is the global spline's to roundoff.  The slopes
-    solve one real tridiagonal system (dgttrf, zgttrs) per x.
+    Each probe gets its own spline, on the nodes of its window, with
+    CubicSpline's not-a-knot condition at both window ends.  Where a window
+    end is a grid end this is the global not-a-knot spline's condition;
+    elsewhere the end's influence decays like (2 - sqrt 3)^k over the
+    k >= SPLINE_HALF_WINDOW - 1 nodes to the probe, so the value is the global
+    spline's to roundoff.  The slopes solve one real tridiagonal system
+    (dgttrf, zgttrs) per probe.
     """
-    ax = grid.axis()
-    n = min(2 * SPLINE_HALF_WINDOW, ax.size)
-    out = np.empty(len(x_points), dtype=complex)
-    for j, x in enumerate(x_points):
-        cell = min(max(int(np.searchsorted(ax, x, side="right")) - 1, 0), ax.size - 2)
-        lo = min(max(cell - SPLINE_HALF_WINDOW + 1, 0), ax.size - n)
-        xs, ys = ax[lo:lo + n], u[lo:lo + n]
+    ax = ptraj.grid.axis()
+    out = np.empty(ptraj.probes.size, dtype=complex)
+    for j, (x, nodes, k, ys) in enumerate(zip(ptraj.probes, ptraj.windows, ptraj.cells, values)):
+        xs = ax[nodes]
         dx = np.diff(xs)
         slope = np.diff(ys) / dx
         # row i of the slope equations: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i
@@ -449,7 +467,6 @@ def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray
         dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.append(dx[1:], d1), diag,
                                                 np.append(d0, dx[:-1]))
         s, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
-        k = cell - lo
         h, t = dx[k], x - xs[k]
         c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
         out[j] = ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]
@@ -457,33 +474,34 @@ def _interp_snapshot_x(grid: _spectral.Grid, u: np.ndarray, x_points: np.ndarray
 
 
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
-    """extract_final_profiles at the one position x, raising its NonConvergenceError."""
-    (result,) = extract_final_profiles(ptraj, [x])
+    """extract_final_profiles at the probe x, raising its NonConvergenceError.
+
+    An x that is not one of the trajectory's probes raises CoverageError.
+    """
+    (at,) = np.nonzero(ptraj.probes == x)
+    if not at.size:
+        raise CoverageError(f"{x} is not one of the trajectory's probes {ptraj.probes}")
+    result = extract_final_profiles(ptraj)[at[0]]
     if isinstance(result, NonConvergenceError):
         raise result
     return result
 
 
-def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
-    """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x in xs.
+def extract_final_profiles(ptraj: PhysicalTrajectory) -> list:
+    """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x each probe.
 
-    Snapshots are (t, u) pairs with u = u1 + i u2.  Samples the distinct
-    snapshots nearest a dyadic sequence in T - t, reads the last two through
-    a windowed spline around every x (_interp_snapshot_x), and requires
-    their values of each component to differ by less than
-    FINAL_PROFILE_REL_TOL relative to the final magnitude.
-    Returns one entry per x: its (u1, u2) pair, or the NonConvergenceError it
-    fails with.  An x outside the grid [-L, L] raises CoverageError.
+    Snapshots are (t, values) pairs, values = u1 + i u2 on the probes'
+    windows.  Samples the distinct snapshots nearest a dyadic sequence in
+    T - t, reads the last two through each probe's windowed spline
+    (_spline_at_probes), and requires their values of each component to
+    differ by less than FINAL_PROFILE_REL_TOL relative to the final
+    magnitude.  Returns one entry per probe: its (u1, u2) pair, or the
+    NonConvergenceError it fails with.
     """
     T = ptraj.T_estimate
     if T is None:
         raise ValueError("trajectory has no T_estimate")
-    x_arr = np.array([float(x) for x in xs])
-    L = ptraj.grid.half_width
-    outside = x_arr[~(np.abs(x_arr) <= L)]
-    if outside.size:
-        raise CoverageError(
-            f"final-profile position {outside[0]} lies outside the grid [-{L}, {L}]")
+    xs = ptraj.probes.tolist()
     snaps = [snap for snap in ptraj.snapshots if T - snap[0] > 0]
     if len(snaps) < 2:
         return [NonConvergenceError("fewer than two snapshots precede the blow-up time")
@@ -500,7 +518,7 @@ def extract_final_profiles(ptraj: PhysicalTrajectory, xs) -> list:
     # distinct snapshots picked (the first and last targets pick two), so only
     # those are read
     picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
-    samples = np.array([_interp_snapshot_x(ptraj.grid, snaps[i][1], x_arr) for i in picks[-2:]])
+    samples = np.array([_spline_at_probes(ptraj, snaps[i][1]) for i in picks[-2:]])
     return [_cauchy_limit(samples[:, j], x) for j, x in enumerate(xs)]
 
 

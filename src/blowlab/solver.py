@@ -24,8 +24,9 @@ timescale (kappa/max|u|)^{p-1}.  One in-place step kernel, which also takes
 max|u| (a step overflows when that is not finite), serves step_physical and
 run_physical_blowup.  The run steps one workspace per run, records every step
 as one row of diagnostics.PhysicalTrajectory's columns, keeps snapshots as
-max|u| grows, ends with a named status (see its docstring) and fits the
-blow-up time with diagnostics.line_fit.  Its settings, STOP_GROWTH among
+max|u| grows (u on the probes' spline windows only, so their size does not
+grow with the grid), ends with a named status (see its docstring) and fits
+the blow-up time with diagnostics.line_fit.  Its settings, STOP_GROWTH among
 them, are the module constants below.
 
 One trajectory is strictly sequential and single-owner; independent
@@ -547,8 +548,10 @@ def run_physical_blowup(
     dt = eta kappa^{p-1} max|u|^{1-p} is held fixed until max|u| grows by
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
     Every step is recorded, with u at the probes (x positions, 1-D grids
-    only); a snapshot is kept whenever max|u| has grown by SNAPSHOT_FACTOR.
-    eta must be positive and finite, and every probe must lie on the grid.
+    only); a snapshot of u on the probes' spline windows (see
+    diagnostics.PhysicalTrajectory) is kept at the start, whenever max|u| has
+    grown by SNAPSHOT_FACTOR, and at the end.  eta must be positive and
+    finite, and the trajectory refuses a probe off the grid.
     The steps run in place on one workspace allocated per run.  Returns the
     PhysicalTrajectory, whose T_estimate is the fitted blow-up time and
     whose status names what ended the run:
@@ -568,12 +571,8 @@ def run_physical_blowup(
         raise ValueError(f"eta must be positive and finite, got {eta}")
     grid = u0.grid
     ax = grid.axis()
-    probes = np.asarray(probes, dtype=float)
-    if probes.size and grid.n_dim != 1:
-        raise ValueError("probes are x positions and need a 1-D grid")
-    # np.interp would read the boundary value at a probe off the grid
-    if not np.all(np.abs(probes) <= grid.half_width):
-        raise ValueError(f"probes {probes} must lie within the grid's half-width {grid.half_width}")
+    # refuses probes off the grid, where np.interp would read the boundary value
+    traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
     _require_finite(u0.u)
     # the run's workspace: the state, u^p and |u|; each step resets u's boundary to u0's
     u, buf, mod = u0.u.copy(), np.empty_like(u0.u), np.abs(u0.u)
@@ -584,21 +583,17 @@ def run_physical_blowup(
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
     m_stop = STOP_GROWTH * max(1.0, m0)
-    traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
-
-    def snap():
-        traj.snapshots.append((t, u.copy()))
 
     def record(m, i):
         pos = ax[list(np.unravel_index(i, grid.shape))] if grid.n_dim > 1 else ax[i : i + 1]
-        traj.add(t, dt, m, pos, np.interp(probes, ax, u) if probes.size else ())
+        traj.add(t, dt, m, pos, np.interp(traj.probes, ax, u) if traj.probes.size else ())
 
     t, m_ref = u0.t, m0
     kp = params.kappa ** (params.p - 1)
     dt = eta * kp * m_ref ** (1 - params.p)
     factor = _diffusion_factor(grid.shape[0], dt / (grid.h * grid.h))
     record(m0, i)
-    snap()
+    traj.keep_snapshot(t, u)
     m_snap = peak = m0
     steps_since_peak = i_growth_end = 0
     status = "blown-up"
@@ -616,10 +611,10 @@ def run_physical_blowup(
             else:
                 steps_since_peak += 1
             if m >= m_snap * SNAPSHOT_FACTOR:
-                snap()
+                traj.keep_snapshot(t, u)
                 m_snap = m
             if m >= m_stop:
-                snap()
+                traj.keep_snapshot(t, u)
                 break
             if m < 0.5 * peak:
                 if peak < 2.0 * m0:
@@ -631,11 +626,11 @@ def run_physical_blowup(
                 # decaying solution cannot do; the clean growth records still
                 # yield a blow-up time
                 status = "receded"
-                snap()
+                traj.keep_snapshot(t, u)
                 break
             if steps_since_peak >= STALL_PATIENCE:
                 status = "stalled"
-                snap()
+                traj.keep_snapshot(t, u)
                 break
             if m >= SHRINK_FACTOR * m_ref:
                 m_ref = m

@@ -545,17 +545,13 @@ class TestPhysicalMode:
     def _fake_trajectory(self, grid, probes):
         axis = grid.axis()
         bump = np.exp(-((axis / 0.1) ** 2))
-        snaps = [
-            (0.9, 2.0 + 1.0 * bump + 1j * np.full_like(axis, 1.0)),
-            (0.95, 2.0 + 1.0 * bump + 1j * np.full_like(axis, 1.0)),
-            (0.975, 2.0 + 2.0 * bump + 1j * np.full_like(axis, 1.0)),
-        ]
         ptraj = diagnostics.PhysicalTrajectory(
             grid=grid, probes=np.asarray(probes), T_estimate=1.0, status="ok",
         )
         for k, t in enumerate((0.5, 0.7, 0.9)):
             ptraj.add(t, 0.01, 2.0 + k, (8,), np.full(len(probes), 2.0 + 1.0j))
-        ptraj.snapshots = snaps
+        for t, growth in ((0.9, 1.0), (0.95, 1.0), (0.975, 2.0)):
+            ptraj.keep_snapshot(t, 2.0 + growth * bump + 1j * np.full_like(axis, 1.0))
         return ptraj
 
     def test_plumbing_with_stubbed_evolution(self, tmp_path, monkeypatch):

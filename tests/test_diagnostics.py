@@ -460,14 +460,17 @@ class TestInnerFit:
 
 
 class TestExtractFinalProfile:
-    def make_converging(self, c1=2.0, c2=0.5):
+    @staticmethod
+    def make_converging(probes=(0.8,), c1=2.0, c2=0.5, extra=None):
+        """Snapshots u = c (1 + T - t), T = 1, with extra(T - t) added to each field."""
         grid = sp.Grid(1, 4.0, 65)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array(probes), T_estimate=1.0)
         for k in range(15):
             left = 0.1 / 2**k
             u1 = np.full(grid.shape, c1 * (1.0 + left))
             u2 = np.full(grid.shape, c2 * (1.0 + left))
-            ptraj.snapshots.append((1.0 - left, u1 + 1j * u2))
+            u = u1 + 1j * u2 + (0.0 if extra is None else extra(left))
+            ptraj.keep_snapshot(1.0 - left, u)
         return ptraj
 
     def test_cauchy_converged_values_returned(self):
@@ -480,30 +483,30 @@ class TestExtractFinalProfile:
         # to several dyadic targets; the test must still compare it with its
         # predecessor, from which it differs by 5%
         ptraj = self.make_converging()
-        t, u = ptraj.snapshots[-1]
-        ptraj.snapshots.append((1.0 - (1.0 - t) / 40.0, 1.05 * u))
+        t, vals = ptraj.snapshots[-1]
+        ptraj.snapshots.append((1.0 - (1.0 - t) / 40.0, 1.05 * vals))
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
             dg.extract_final_profile(ptraj, 0.8)
 
     def test_diverging_point_rejected(self):
         grid = sp.Grid(1, 4.0, 65)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([0.8]), T_estimate=1.0)
         for k in range(15):
             left = 0.1 / 2**k
             vals = np.full(grid.shape, left ** (-0.3))
-            ptraj.snapshots.append((1.0 - left, vals + 1j * (0.0 * vals)))
+            ptraj.keep_snapshot(1.0 - left, vals + 1j * (0.0 * vals))
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
             dg.extract_final_profile(ptraj, 0.8)
 
     def test_many_positions_match_one_at_a_time(self):
-        # one call over several x returns, bit for bit, each x's values or the
-        # error extract_final_profile raises there; here x > 1 does not converge
-        ptraj = self.make_converging()
-        ax = ptraj.grid.axis()
-        for k, (t, u) in enumerate(ptraj.snapshots):
-            u += np.where(ax > 1.0, (0.1 / 2**k) ** -0.3, 0.0)
+        # one read of several probes returns, bit for bit, each probe's values
+        # or the error extract_final_profile raises there; here x > 1 does not
+        # converge
         xs = [-2.0, 3.0, -2.5, 1.7]
-        finals = dg.extract_final_profiles(ptraj, xs)
+        ax = sp.Grid(1, 4.0, 65).axis()
+        ptraj = self.make_converging(
+            xs, extra=lambda left: np.where(ax > 1.0, left ** -0.3, 0.0))
+        finals = dg.extract_final_profiles(ptraj)
         assert len(finals) == len(xs)
         for x, final in zip(xs, finals):
             try:
@@ -513,31 +516,39 @@ class TestExtractFinalProfile:
                 assert str(final) == str(exc)
         assert [isinstance(f, tuple) for f in finals] == [True, False, True, False]
         ptraj.snapshots = ptraj.snapshots[-1:]
-        finals = dg.extract_final_profiles(ptraj, xs)
+        finals = dg.extract_final_profiles(ptraj)
         assert all(isinstance(f, dg.NonConvergenceError) for f in finals)
 
     def test_needs_snapshots_before_blowup(self):
         grid = sp.Grid(1, 4.0, 65)
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([]), T_estimate=1.0)
-        ptraj.snapshots.append((1.5, np.zeros(grid.shape) + 1j * np.zeros(grid.shape)))
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([0.8]), T_estimate=1.0)
+        ptraj.keep_snapshot(1.5, np.zeros(grid.shape) + 1j * np.zeros(grid.shape))
         with pytest.raises(dg.NonConvergenceError):
             dg.extract_final_profile(ptraj, 0.8)
 
-
-    def test_position_outside_grid_rejected(self, monkeypatch):
-        # refused before any snapshot is interpolated, where a spline would extrapolate
-        ptraj = self.make_converging()
+    def test_position_outside_grid_rejected(self):
+        # refused when the trajectory is built, before any snapshot is kept,
+        # where a window would fall off the grid and a spline extrapolate
+        ptraj = self.make_converging([0.8, -4.0])
         assert dg.extract_final_profile(ptraj, -4.0) == pytest.approx((2.0, 0.5), rel=1e-4)
-        monkeypatch.setattr(dg, "_interp_snapshot_x", None)
         for x in (4.0 + 1e-9, -4.5, math.nan):
-            with pytest.raises(dg.CoverageError, match="outside the grid"):
-                dg.extract_final_profiles(ptraj, [0.8, x])
+            with pytest.raises(dg.CoverageError, match="must lie within the grid"):
+                dg.PhysicalTrajectory(grid=ptraj.grid, probes=np.array([0.8, x]))
+
+    def test_position_that_is_not_a_probe_rejected(self):
+        # the trajectory keeps values near its probes only; x = 0.8 is on the
+        # grid and inside the window of the probe at 0.75, and still refused
+        ptraj = self.make_converging([0.75, -2.0])
+        assert dg.extract_final_profile(ptraj, 0.75) == pytest.approx((2.0, 0.5), rel=1e-4)
+        for x in (0.8, 0.75 + 1e-12, 4.0):
+            with pytest.raises(dg.CoverageError, match="not one of the trajectory's probes"):
+                dg.extract_final_profile(ptraj, x)
 
 
 class TestSnapshotSpline:
-    # the windowed spline against scipy's global not-a-knot spline as the oracle
     @pytest.mark.parametrize("npts", [33, 65, 7201])
     def test_matches_global_cubic_spline(self, npts):
+        # the windowed spline against scipy's global not-a-knot spline as the oracle
         from scipy.interpolate import CubicSpline
 
         grid = sp.Grid(1, 9e-5, npts)
@@ -548,8 +559,35 @@ class TestSnapshotSpline:
         # an interior probe, then probes within 3 nodes of each grid end
         xs = np.array([0.37 * grid.half_width, ax[0], ax[0] + 0.5 * h, ax[2] + 0.3 * h,
                        ax[-1], ax[-1] - 0.5 * h, ax[-3] - 0.4 * h])
-        got = dg._interp_snapshot_x(grid, u, xs)
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=xs)
+        ptraj.keep_snapshot(0.0, u)
+        got = dg._spline_at_probes(ptraj, ptraj.snapshots[0][1])
         np.testing.assert_allclose(got, CubicSpline(ax, u)(xs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("npts", [33, 7201])
+    def test_windows_hold_the_nodes_around_each_probe(self, npts):
+        # 2 SPLINE_HALF_WINDOW nodes, SPLINE_HALF_WINDOW on each side of the
+        # probe's cell, shifted inward at a grid end; the whole axis when shorter
+        grid = sp.Grid(1, 1.0, npts)
+        ax, half = grid.axis(), dg.SPLINE_HALF_WINDOW
+        xs = np.array([0.1 + 0.3 * grid.h, ax[0], ax[-1], ax[-2] - 0.5 * grid.h])
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=xs)
+        n = min(2 * half, npts)
+        assert ptraj.windows.shape == (xs.size, n)
+        for x, nodes, k in zip(xs, ptraj.windows, ptraj.cells):
+            assert np.array_equal(np.diff(nodes), np.ones(n - 1))
+            assert ax[nodes[k]] <= x <= ax[nodes[k + 1]]
+        if npts > 2 * half:
+            cell = int(np.searchsorted(ax, xs[0])) - 1
+            assert np.array_equal(ptraj.windows[0], np.arange(cell - half + 1, cell + half + 1))
+            assert ptraj.windows[1][0] == 0 and ptraj.windows[2][-1] == npts - 1
+            assert ptraj.windows[3][-1] == npts - 1
+        else:
+            assert np.all(ptraj.windows == np.arange(npts))
+        u = ax + 1j * ax**2
+        ptraj.keep_snapshot(0.0, u)
+        t, values = ptraj.snapshots[0]
+        assert t == 0.0 and np.array_equal(values, u[ptraj.windows])
 
 
 def min_margins(traj):

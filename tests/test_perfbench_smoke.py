@@ -44,3 +44,9 @@ def test_workload_runs_traced_on_tiny_inputs(name, tmp_path):
     assert len(layers) == 29
     assert all(math.isfinite(v) for v in layers.values())
     assert (tmp_path / "spans.json").exists()
+    if name == "phys-collapse-1d":
+        # each snapshot keeps the 64-node spline window of each of the 3 probes,
+        # complex128, whatever the grid size
+        fits = json.loads((out / "fits.json").read_text())
+        assert len(fits["probes"]) == 3
+        assert layers["diagnostics.snapshot_bytes"] == fits["snapshots"] * 3 * 64 * 16

@@ -732,6 +732,33 @@ class TestPhysical:
         traj = self.constant_run(1.0, eta=2.0, probes=[-8.0, 8.0])
         assert np.all(traj.records["probe_u"] == 1.0)
 
+    def test_snapshots_keep_the_probe_windows_whatever_the_grid(self):
+        # the same constant-data run on two grids: every snapshot holds
+        # n_probes x 2 SPLINE_HALF_WINDOW values
+        pr = bp.make_params(2, 1)
+        probes = [-3.0, 0.1, 8.0]
+        window = (len(probes), 2 * dg.SPLINE_HALF_WINDOW)
+        for npts in (129, 1025):
+            grid = sp.Grid(1, 8.0, npts)
+            st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
+            traj = solver.run_physical_blowup(st, pr, eta=2e-2, probes=probes)
+            assert traj.status == "blown-up" and len(traj.snapshots) > 100
+            assert traj.windows.shape == window
+            for t, vals in traj.snapshots:
+                assert vals.shape == window and vals.dtype == np.complex128
+            # the window of the probe at x = 8 ends on the Dirichlet node, where u = 1
+            t, vals = traj.snapshots[-1]
+            assert vals[2, -1] == 1.0 and np.max(np.abs(vals[1])) > 1e5
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_run_without_probes_keeps_snapshot_times_only(self, n_dim):
+        grid = sp.Grid(n_dim, 8.0, 33)
+        st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
+        traj = solver.run_physical_blowup(st, bp.make_params(2, n_dim), eta=2e-2)
+        assert len(traj.snapshots) > 100
+        assert np.all(np.diff([t for t, _ in traj.snapshots]) >= 0.0)
+        assert all(vals.size == 0 for _, vals in traj.snapshots)
+
     def test_no_blowup_detected_for_decaying_data(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 129)
@@ -825,9 +852,10 @@ class TestPhysical:
         recs = traj.records
         assert np.all(np.diff(recs["t"]) > 0)
         assert recs["probe_u"].shape == (len(recs), probes.size)
-        assert recs["probe_u"][-1] == pytest.approx(
-            np.interp(probes, grid_x.axis(), traj.snapshots[-1][1]), rel=1e-12
-        )
+        # the last snapshot keeps u on each probe's window, which holds its cell
+        last = [np.interp(x, grid_x.axis()[nodes], vals)
+                for x, nodes, vals in zip(probes, traj.windows, traj.snapshots[-1][1])]
+        assert recs["probe_u"][-1] == pytest.approx(last, rel=1e-12)
 
     def test_underresolved_collapse_recedes_but_still_fits_T(self):
         # on a grid too coarse to follow the shrinking core, max|u| grows
@@ -912,7 +940,7 @@ class TestPhysical:
         assert len(traj.snapshots) == len(keep)
         for (t, u), k in zip(traj.snapshots, keep):
             assert t == states[k].t
-            assert np.array_equal(u, states[k].u)
+            assert np.array_equal(u, np.take(states[k].u, traj.windows))
 
     def test_similarity_physical_equivalence(self):
         # the two pictures agree through the similarity change of variables
