@@ -51,6 +51,10 @@ class NonConvergenceError(RuntimeError):
     """Pointwise limit not Cauchy-converged over the recorded window."""
 
 
+class NoBlowupError(RuntimeError):
+    """Physical run stopped growing before reaching the blow-up threshold."""
+
+
 # shortest window ln(s_last/s_first) over which a decay exponent in s is fitted
 MIN_EXPONENT_LOG_SPAN = 0.1
 # largest relative change between the last two dyadic samples of a converged final profile
@@ -330,6 +334,43 @@ def line_fit(x, y) -> tuple:
     x = np.asarray(x, dtype=float)
     coef = np.linalg.lstsq(np.column_stack([np.ones(x.size), x]), y, rcond=None)[0]
     return float(coef[0]), float(coef[1])
+
+
+def fit_blowup_time(t, max_u, params: _params.Params) -> float:
+    """Blow-up time T fitted to physical records (t, max|u|) of a growing max|u|.
+
+    Raises NoBlowupError when fewer than three records qualify, or when
+    max|u|^(1-p) does not decay over them.
+    """
+    # Fit on the clean part of the collapse.  For a genuine single-point
+    # blow-up y = kappa^(p-1) max|u|^(1-p) decays at rate dy/dt ~ -1 for every
+    # p; records where under-resolution or a rotating core phase has slowed the
+    # collapse violate that and would wreck the extrapolation, so keep the last
+    # contiguous stretch of order -1 slopes, else the last decade of growth.
+    p = params.p
+    y = params.kappa ** (p - 1) * max_u ** (1 - p)
+    k = max(1, len(y) // 100)
+    sl = (y[k:] - y[:-k]) / (t[k:] - t[:-k])
+    clean = (sl > -1.5) & (sl < -0.5)
+    sel = np.zeros(len(y), dtype=bool)
+    if np.any(clean):
+        end = int(np.nonzero(clean)[0][-1])
+        start = end
+        while start > 0 and clean[start - 1]:
+            start -= 1
+        sel[start : end + k + 1] = True
+    if np.count_nonzero(sel) < 3:
+        sel = max_u >= max_u[-1] / 10.0
+    if np.count_nonzero(sel) < 3:
+        raise NoBlowupError("no blow-up detected: too little growth to fit a blow-up time")
+    # y against x = (t - t_first)/span on [0, 1]: blow-up times are often tiny
+    # on an absolute scale, where a [1, t] design would be numerically rank-one
+    t_sel = t[sel]
+    span = t_sel[-1] - t_sel[0]
+    c0, c1 = line_fit((t_sel - t_sel[0]) / span, y[sel])
+    if not c1 < 0:
+        raise NoBlowupError("no blow-up detected: max|u|^(1-p) is not decaying")
+    return float(t_sel[0] - span * c0 / c1)
 
 
 def late_loglog_slope(x, y) -> float:

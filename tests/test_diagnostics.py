@@ -408,6 +408,44 @@ class TestLateLoglogSlope:
         assert dg.late_loglog_slope(s, y) == pytest.approx(2.0, rel=1e-12)
 
 
+class TestFitBlowupTime:
+    """fit_blowup_time on synthetic (t, max|u|) records, y = kappa^(p-1) max|u|^(1-p)."""
+
+    @staticmethod
+    def records(pr, t, y):
+        return t, pr.kappa * y ** (-1.0 / (pr.p - 1))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exact_collapse(self, p):
+        # y = T - t: slope -1 at every record, the clean band's centre
+        pr = bp.make_params(p, 1)
+        t = np.linspace(0.0, 0.99, 300)
+        assert dg.fit_blowup_time(*self.records(pr, t, 1.0 - t), pr) == pytest.approx(
+            1.0, rel=1e-12)
+
+    def test_slope_outside_the_band_takes_the_last_decade(self):
+        # y falls at slope -0.2 down to 0.1, then at -1/3 to 0.01: no slope lies
+        # in (-1.5, -0.5), and the records with y <= 10 y[-1] lie on the second
+        # line, which reaches 0 at T = 4.8 (a fit over all records would not)
+        pr = bp.make_params(2, 1)
+        t1 = np.linspace(0.0, 4.5, 200)
+        t2 = np.linspace(4.5, 4.77, 100)[1:]
+        t = np.concatenate([t1, t2])
+        y = np.concatenate([1.0 - 0.2 * t1, 0.1 - (t2 - 4.5) / 3.0])
+        assert dg.fit_blowup_time(*self.records(pr, t, y), pr) == pytest.approx(4.8, rel=1e-12)
+
+    def test_too_little_growth(self):
+        pr = bp.make_params(2, 1)
+        with pytest.raises(dg.NoBlowupError, match="too little growth"):
+            dg.fit_blowup_time(np.array([0.0, 1.0]), np.array([1.0, 2.0]), pr)
+
+    def test_rising_y_is_not_decaying(self):
+        pr = bp.make_params(2, 1)
+        t = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(dg.NoBlowupError, match="not decaying"):
+            dg.fit_blowup_time(*self.records(pr, t, 1.0 + t), pr)
+
+
 class TestRadialCoefficients:
     @pytest.mark.parametrize("n,npts", [(1, 201), (2, 81)])
     def test_radial_quadratic_normalized(self, n, npts):
