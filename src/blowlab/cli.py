@@ -382,8 +382,11 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path} is not a readable YAML file: {exc}"]) from exc
     return config_from_dict(raw, overrides)
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import params as _params
 from . import rhs as _rhs
@@ -505,9 +504,9 @@ def _spline_at_probes(ptraj: PhysicalTrajectory, values: np.ndarray) -> np.ndarr
             3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
             [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
         ))
-        dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.append(dx[1:], d1), diag,
-                                                np.append(d0, dx[:-1]))
-        s, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+        dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(
+            np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]))
+        s, _ = _spectral.lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
         h, t = dx[k], x - xs[k]
         c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
         out[j] = ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import diagnostics as _diag
 from . import params as _params
@@ -184,7 +183,7 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
     upper = np.full(npts - 1, -r)
     upper[0] = lower[-1] = 0.0
     # strictly diagonally dominant for r > 0, so the factor always exists
-    dl, d, du, du2, ipiv, _ = lapack.dgttrf(lower, diag, upper)
+    dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(lower, diag, upper)
     factor = tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
     for a in factor:
         a.setflags(write=False)
@@ -199,9 +198,9 @@ def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
     """
     if w.ndim == 2:
         fbuf[...] = w
-        lapack.zgttrs(*factor, fbuf, overwrite_b=1)
+        _spectral.lapack.zgttrs(*factor, fbuf, overwrite_b=1)
         w[...] = fbuf
-    lapack.zgttrs(*factor, w.T, overwrite_b=1)
+    _spectral.lapack.zgttrs(*factor, w.T, overwrite_b=1)
 
 
 def _drift_views(grid: _spectral.Grid, vals, work) -> tuple:

@@ -10,16 +10,47 @@ with ∫ h_i h_j ρ dy = i! 2^i δ_{ij} and L h_m = (1 - m/2) h_m per axis.
 Runs need only the projections onto h_0, h_1 and h_2, which
 `gaussian_moments` computes, and the finite-difference Δ - y/2·∇ of the
 explicit RK4 scheme, `diffusion_drift`.  Grids are uniform, symmetric about
-the origin, with an odd point count so y = 0 is a gridline.
+the origin, with an odd point count so y = 0 is a gridline.  The module also
+binds `lapack`, scipy's compiled LAPACK wrappers, for the package's
+tridiagonal solves.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sysconfig
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file on their own.
+
+    `scipy.linalg.lapack` only re-exports this extension (`from
+    scipy.linalg._flapack import *`), so `dgttrf` and `zgttrs` here are the
+    same compiled functions and every result is bit-identical.  The public
+    import is avoided because the package init of `scipy.linalg` clones the
+    numpy namespace through `scipy._lib._array_api` (numpy.f2py, numpy.testing,
+    numpy.ma, numpy.random, ...): about 0.3 s and 18 MiB of every run's start-up.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    path = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension not found at {path}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 MAX_HERMITE_DEGREE = 30
 # spatial dimensions a Grid supports

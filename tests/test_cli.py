@@ -878,6 +878,29 @@ class TestValidationBeforeRun:
         assert "sweep.ns must be a list of integers in (1, 2)" in json.loads(err)["messages"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"mode: verify\nparams: {p: [2\n",
+            b"mode: verify\nparams:\n\tp: 2\n",
+            b"mode: verify\nparams: {p: 2}\n# \xff\xfe\n",
+        ],
+        ids=["yaml-syntax", "tab-indent", "not-utf8"],
+    )
+    def test_unparsable_config_file_exits_2(self, tmp_path, content):
+        # exit 1 means a sweep with failed cells, so a file that does not
+        # parse must not end in a traceback
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "ConfigError"
+        assert str(path) in payload["messages"][0]
+        assert not (tmp_path / "out").exists()
+
 
 def test_module_entry_point_help():
     proc = subprocess.run(

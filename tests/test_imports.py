@@ -223,14 +223,40 @@ def test_no_option_only_tests_set():
         OPTIONS_SET_OUTSIDE + FIELDS_SET_OUTSIDE)
 
 
-def test_package_loads_neither_scipy_integrate_nor_interpolate():
-    # both pull in scipy.special and scipy.optimize, about 0.4 s of every
-    # run's start-up on a 2-CPU host; a fresh interpreter shows what loads
+def test_package_loads_no_scipy_linalg_integrate_or_interpolate():
+    # the package init of scipy.linalg clones the numpy namespace (numpy.f2py,
+    # numpy.testing, numpy.ma, numpy.random, ...), about 0.3 s and 18 MiB of
+    # every run's start-up on a 2-CPU host, so the package loads only scipy's
+    # LAPACK extension (spectral.lapack); scipy.integrate and scipy.interpolate
+    # pull in scipy.special and scipy.optimize, about 0.4 s more.  A fresh
+    # interpreter shows what loads
     code = ("import sys, blowlab.cli, blowlab.verifier\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate')"
             " if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_lapack_routines_are_scipys_own():
+    # Python keeps one copy of a single-phase extension per path and name, so
+    # the routines the package loads are the objects scipy.linalg.lapack
+    # exports; if a scipy release breaks that, this fails before any answer moves
+    from scipy.linalg import lapack
+
+    from blowlab import spectral
+
+    assert spectral.lapack.dgttrf is lapack.dgttrf
+    assert spectral.lapack.zgttrs is lapack.zgttrs
+
+
+def test_missing_lapack_extension_names_the_path(monkeypatch):
+    import sysconfig
+
+    from blowlab import spectral
+
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: ".missing.so")
+    with pytest.raises(ImportError, match=r"_flapack\.missing\.so"):
+        spectral._load_flapack()
