@@ -651,6 +651,27 @@ class TestPhysical:
         assert np.all(z2.u.real == 0.0) and np.all(z2.u.imag == 0.0)
         assert z2.t == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_step_physical_matches_reference_step(self, n_dim, p):
+        # bit for bit the step written out: diffusion solve, explicit reaction,
+        # then the boundary nodes reset to their incoming values; the incoming
+        # state is left as it was
+        pr = bp.make_params(p, n_dim)
+        grid = symmetry_grid(n_dim)
+        u = random_field(grid, 3, 1.5)
+        st = solver.PhysicalState(t=0.25, grid=grid, u=u)
+        before = u.copy()
+        dt = 1e-3
+        want = implicit_diffusion(u, grid.h, dt)
+        want = want + dt * want**p
+        edge = solver._edge_mask(grid)
+        want[edge] = u[edge]
+        got = solver.step_physical(st, dt, pr)
+        assert got.t == 0.25 + dt
+        assert np.array_equal(got.u, want)
+        assert np.array_equal(st.u, before)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_step_refuses_dt_outside_zero_to_inf(self, dt):
         grid = sp.Grid(1, 8.0, 33)
@@ -1030,6 +1051,32 @@ class TestExactSymmetries:
         a = solver.step_physical(solver.PhysicalState(t=0.0, grid=grid, u=u), 1e-3, pr)
         b = solver.step_physical(solver.PhysicalState(t=0.0, grid=grid, u=np.conj(u)), 1e-3, pr)
         assert np.array_equal(np.conj(a.u), b.u)
+
+    @pytest.mark.parametrize("n_dim,npts,p", [(1, 201, 2), (1, 201, 3), (2, 33, 2)])
+    def test_conjugation_commutes_with_run_physical_blowup(self, monkeypatch, n_dim, npts, p):
+        # a whole run, not one step: conjugated data give the same times, steps,
+        # moduli, argmax, status and T, and conjugated probe values and snapshots
+        monkeypatch.setattr(solver, "STOP_GROWTH", 30.0)
+        pr = bp.make_params(p, n_dim)
+        idp = rhs.InitialDataParams(A=10.0, s0=20.0, p1=0.5, n_dim=n_dim,
+                                    d1_const=0.5, d2_const=-1.0)
+        grid = sp.Grid(n_dim, 20.0 * math.exp(-10.0), npts)
+        u0 = solver.physical_initial_from_similarity(pr, idp, rhs.CutoffSpec(K=5.0), grid)
+        assert np.max(np.abs(u0.u.imag)) > 0.0
+        probes = np.array([-0.3, 0.0, 0.6]) * grid.half_width if n_dim == 1 else ()
+        a = solver.run_physical_blowup(u0, pr, eta=5e-3, probes=probes)
+        b = solver.run_physical_blowup(
+            solver.PhysicalState(t=0.0, grid=grid, u=np.conj(u0.u)), pr, eta=5e-3, probes=probes
+        )
+        assert a.status == b.status
+        assert a.T_estimate == b.T_estimate
+        for name in ("t", "dt", "max_u", "argmax"):
+            assert np.array_equal(a.records[name], b.records[name]), name
+        assert np.array_equal(np.conj(a.records["probe_u"]), b.records["probe_u"])
+        assert len(a.snapshots) == len(b.snapshots)
+        for (ta, ua), (tb, ub) in zip(a.snapshots, b.snapshots):
+            assert ta == tb
+            assert np.array_equal(np.conj(ua), ub)
 
     @settings(deadline=None, max_examples=30)
     @given(
