@@ -1,33 +1,32 @@
 """Time integration in similarity and physical variables.
 
 The state is one complex128 array, w = w1 + i w2 (resp. u = u1 + i u2).
-The linear operators are real.  The diffusion solve uses one cached LU
-factor per (npts, dt/h^2), applied to the complex state by zgttrs; the
-drift stencil acts on the real view (`_real`, trailing axis of length
-two), so both components go through one solve, one stencil, one boundary
-pass.
+The linear operators are real.  The diffusion solve applies a real LU
+factor of I - dt D2 to the complex state by zgttrs; the drift stencil acts
+on the real view (`_real`, trailing axis of length two), so both components
+go through one solve, one stencil, one boundary pass.  One _Stepper per run
+takes every semi-implicit substep of either frame in place.
 
 Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
 default scheme is operator splitting per step: implicit diffusion
 (tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
 drift, explicit reaction.  Splitting is first order in ds and second order
 in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
-CFL_SAFETY.  evolve steps one workspace per run (the state, three scratch
-arrays and the drift stencil's views on them) through step_similarity, once
-per step, and takes the clamped boundary values of every substep up to the
+CFL_SAFETY.  evolve steps its stepper through step_similarity, once per
+step, and takes the clamped boundary values of every substep up to the
 next record from one profile call.  It pins on the cutoff's support box and
 forms the full-grid profile only for a record.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
-timescale (kappa/max|u|)^{p-1}.  One _PhysicalStepper, which steps a copy of
-the state in place and also takes max|u| (a step overflows when that is not
-finite), serves step_physical and run_physical_blowup.  The run records every
-step as one row of diagnostics.PhysicalTrajectory's columns, keeps snapshots
-as max|u| grows (u on the probes' spline windows only, so their size does not
-grow with the grid), names its end in one place (see its docstring) and fits
-the blow-up time with diagnostics.fit_blowup_time.  Its settings, STOP_GROWTH
-among them, are the module constants below.
+timescale (kappa/max|u|)^{p-1}.  Each step also takes max|u| (it overflows
+when that is not finite); step_physical is one step on a copy of the state.
+The run records every step as one row of diagnostics.PhysicalTrajectory's
+columns, keeps snapshots as max|u| grows (u on the probes' spline windows
+only, so their size does not grow with the grid), names its end in one
+place (see its docstring) and fits the blow-up time with
+diagnostics.fit_blowup_time.  Its settings, STOP_GROWTH among them, are the
+module constants below.
 
 One trajectory is strictly sequential and single-owner; independent
 trajectories share no mutable state.
@@ -48,7 +47,9 @@ from .diagnostics import NoBlowupError
 
 SCHEMES = ("semi-implicit", "explicit-rk4")
 BOUNDARIES = ("profile-clamp", "extrapolate")
-# fraction of each explicit stability limit a substep may use
+# largest drift CFL number y_max dss/(2h) of a substep (and the fraction of the
+# diffusion limit explicit-rk4 uses).  No stability margin: forward Euler on the
+# upwind drift alone is stable only to 0.5; grids with L >= 120 and h >= 0.085 diverge
 CFL_SAFETY = 0.9
 # largest nominal step ds of the semi-implicit scheme (see SolverConfig)
 SEMI_IMPLICIT_MAX_DS = 0.01
@@ -128,8 +129,8 @@ class SolverConfig:
     """Similarity-frame integration settings.
 
     ds is the nominal step; the semi-implicit scheme caps it at
-    SEMI_IMPLICIT_MAX_DS (the explicit reaction and upwind drift keep a
-    comfortable stability margin there).  The splitting is first order in ds:
+    SEMI_IMPLICIT_MAX_DS, and its substeps have no stability margin (see
+    CFL_SAFETY).  The splitting is first order in ds:
     on a p = 2, N = 4097, ds = 5e-3 run over s 25 -> 35 its time error is about
     2.4 % of w1bar_limit and 6 % of e1_final.  pin_unstable_modes removes the
     expanding scalar and gradient content of the localized deviation after
@@ -168,9 +169,6 @@ class SolverConfig:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
-# a run solves with one dt at a time (a physical run moves to a smaller dt
-# each time max|u| doubles and never returns), so only the latest is kept
-@functools.lru_cache(maxsize=1)
 def _diffusion_factor(npts: int, r: float) -> tuple:
     """LU factor of I - r D2 (identity boundary rows) as zgttrs takes it.
 
@@ -184,10 +182,7 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
     upper[0] = lower[-1] = 0.0
     # strictly diagonally dominant for r > 0, so the factor always exists
     dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(lower, diag, upper)
-    factor = tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
-    for a in factor:
-        a.setflags(write=False)
-    return factor
+    return tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
 
 
 def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
@@ -281,16 +276,38 @@ def _rk4_rhs(w, grid, params):
     return _complex(_spectral.diffusion_drift(grid, _real(w))) - inv * w + w**params.p
 
 
-class _Workspace:
-    """In-place buffers of similarity steps: the state w, a block of three arrays
-    shaped like it, the drift stencil's views on their real views, and the
-    boundary nodes as indices (in _edge_mask's order; a mask is slower to apply)."""
+class _Stepper:
+    """Semi-implicit substeps in place of one state w in the "similarity" or "physical" frame:
+    w, a block of three arrays shaped like it, the boundary nodes as indices (in
+    _edge_mask's order; a mask is slower to apply), the drift stencil's views on the
+    block (similarity frame only) and the LU factor of the last dt, factored again only
+    when dt changes.  The caller sets the boundary."""
 
-    def __init__(self, grid: _spectral.Grid, w: np.ndarray):
-        self.w = w
+    def __init__(self, grid: _spectral.Grid, w: np.ndarray, p: int, frame: str):
+        self.w, self.p, self.h2, self.dt = w, p, grid.h * grid.h, None
         self.block = np.empty((3,) + grid.shape, np.complex128)
-        self.drift = _drift_views(grid, _real(w), _real(self.block))
         self.edge = np.nonzero(_edge_mask(grid))
+        self.drift = (_drift_views(grid, _real(w), _real(self.block))
+                      if frame == "similarity" else None)
+
+    def step(self, dt: float) -> None:
+        """Diffuse (ADI on block[0].T in 2-D), drift (similarity frame), react: w + dt w^p,
+        less dt w/(p-1) in the similarity frame (the physical one skips it: 0 w would
+        turn an inf into NaN)."""
+        w, (a, b, _) = self.w, self.block
+        if dt != self.dt:
+            self.dt, self.factor = dt, _diffusion_factor(w.shape[0], dt / self.h2)
+        _diffuse_in_place(w, self.factor, a.T)
+        if self.drift is not None:
+            wr, drift = _real(w), _drift(*self.drift)
+            np.subtract(wr, np.multiply(dt, drift, out=drift), out=wr)
+        if self.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
+            np.square(w, out=a)
+        else:
+            np.power(w, self.p, out=a)
+        if self.drift is not None:
+            np.subtract(a, np.multiply(1.0 / (self.p - 1), w, out=b), out=a)
+        np.add(w, np.multiply(dt, a, out=a), out=w)
 
 
 def _clamp_values(params: _params.Params, grid: _spectral.Grid, s) -> np.ndarray:
@@ -300,14 +317,14 @@ def _clamp_values(params: _params.Params, grid: _spectral.Grid, s) -> np.ndarray
 
 def step_similarity(
     state: SimilarityState, cfg: SolverConfig, params: _params.Params, ds: float = None,
-    *, work: _Workspace = None, clamp: np.ndarray = None,
+    *, work: _Stepper = None, clamp: np.ndarray = None,
 ) -> SimilarityState:
     """Advance the similarity-frame state by one step of length ds (default cfg.ds).
 
-    The substeps solve, drift and react in place on a workspace: by default a
+    The substeps solve, drift and react in place on a _Stepper: by default a
     new one holding a copy of state.w, with the clamped boundary values of all
     substeps from one profile call, so state is left as it was.  evolve passes
-    its run's workspace, whose w is state.w, and the boundary values of the
+    its run's stepper, whose w is state.w, and the boundary values of the
     step's substeps (clamp, n_sub rows); the step then overwrites state.w.
     """
     if ds is None:
@@ -316,25 +333,13 @@ def step_similarity(
     n_sub = _substep_count(cfg.scheme, grid, ds)
     dss = ds / n_sub
     if work is None:
-        work = _Workspace(grid, state.w.copy())
+        work = _Stepper(grid, state.w.copy(), params.p, "similarity")
     if clamp is None and cfg.boundary == "profile-clamp":
         clamp = _clamp_values(params, grid, state.s + np.arange(1, n_sub + 1) * dss)
     w = work.w
-    if cfg.scheme == "semi-implicit":
-        factor = _diffusion_factor(grid.shape[0], dss / (grid.h * grid.h))
-        a, b, _ = work.block
-        wr, inv = _real(w), 1.0 / (params.p - 1)
     for k in range(n_sub):
         if cfg.scheme == "semi-implicit":
-            _diffuse_in_place(w, factor, a.T)
-            drift = _drift(*work.drift)
-            np.subtract(wr, np.multiply(dss, drift, out=drift), out=wr)
-            if params.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
-                np.square(w, out=a)
-            else:
-                np.power(w, params.p, out=a)
-            np.subtract(a, np.multiply(inv, w, out=b), out=a)
-            np.add(w, np.multiply(dss, a, out=a), out=w)
+            work.step(dss)
         else:
             k1 = _rk4_rhs(w, grid, params)
             k2 = _rk4_rhs(w + 0.5 * dss * k1, grid, params)
@@ -400,7 +405,7 @@ def evolve(
     averaged since the previous record) ride along on each record; the pin
     (_pin) leaves w as it is beyond the cutoff's support box.  The pin and
     each record's decomposition use cfg.cutoff.  The steps run in place on
-    one workspace per run and give the same values as step_similarity calls
+    one _Stepper per run and give the same values as step_similarity calls
     on fresh copies; initial is left as it was.
     """
     if not initial.s >= 1.0:
@@ -432,9 +437,9 @@ def evolve(
             pending_snaps.pop(0)
             traj.snapshots.append((state.s, state.w.copy()))
 
-    # the run's workspace; every state of the loop holds its w
+    # the run's stepper; every state of the loop holds its w
     state = SimilarityState(s=initial.s, grid=grid, w=initial.w.copy())
-    work = _Workspace(grid, state.w)
+    work = _Stepper(grid, state.w, params.p, "similarity")
     push(state)
     total_steps = n_full + (1 if remainder > 0 else 0)
     n_sub = _substep_count(cfg.scheme, grid, cfg.ds)
@@ -476,38 +481,16 @@ def similarity_initial_state(
     return SimilarityState(s=idp.s0, grid=grid, w=w)
 
 
-class _PhysicalStepper:
-    """In-place semi-implicit steps of d_t u = Lap u + u^p on a copy of a state: u, t,
-    dt, the u^p and |u| scratch (buf, mod), the boundary nodes (as _Workspace.edge)
-    and the incoming values they keep."""
-
-    def __init__(self, state: PhysicalState, p: int):
-        self.u, self.t, self.dt, self.p = state.u.copy(), state.t, None, p
-        self.buf, self.mod = np.empty_like(self.u), np.abs(self.u)
-        self.edge = np.nonzero(_edge_mask(state.grid))
-        self.edge_vals = state.u[self.edge]
-        self.h2 = state.grid.h * state.grid.h
-
-    def step(self) -> tuple:
-        """Diffuse (ADI on buf.T in 2-D), react, reset the boundary; returns (argmax i,
-        max|u|), which is NaN or inf when a part of u is or |u| passes the largest
-        double.  t advances by dt only when max|u| is finite."""
-        u, buf = self.u, self.buf
-        factor = _diffusion_factor(u.shape[0], self.dt / self.h2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _diffuse_in_place(u, factor, buf.T if u.ndim == 2 else None)
-            if self.p == 2:  # what u**2 calls; np.power(u, 2) moves the last bit
-                np.square(u, out=buf)
-            else:
-                np.power(u, self.p, out=buf)
-            np.add(u, np.multiply(self.dt, buf, out=buf), out=u)
-            u[self.edge] = self.edge_vals
-            np.abs(u, out=self.mod)
-        i = int(np.argmax(self.mod))
-        m = float(self.mod.flat[i])
-        if math.isfinite(m):
-            self.t += self.dt
-        return i, m
+def _physical_step(run: _Stepper, dt: float, edge_vals, mod) -> tuple:
+    """One step of d_t u = Lap u + u^p on run.w, the boundary reset to edge_vals; returns
+    (argmax i, max|u|) from |u| in mod, NaN or inf when a part of u is or |u| passes
+    the largest double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        run.step(dt)
+        run.w[run.edge] = edge_vals
+        np.abs(run.w, out=mod)
+    i = int(np.argmax(mod))
+    return i, float(mod.flat[i])
 
 
 def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> PhysicalState:
@@ -518,11 +501,10 @@ def step_physical(state: PhysicalState, dt: float, params: _params.Params) -> Ph
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    run = _PhysicalStepper(state, params.p)
-    run.dt = dt
-    if not math.isfinite(run.step()[1]):
+    run = _Stepper(state.grid, state.u.copy(), params.p, "physical")
+    if not math.isfinite(_physical_step(run, dt, state.u[run.edge], np.abs(state.u))[1]):
         raise OverflowError(f"max|u| overflowed in a step of {dt:.6g} from t = {state.t:.6g}")
-    return PhysicalState(t=run.t, grid=state.grid, u=run.u)
+    return PhysicalState(t=state.t + dt, grid=state.grid, u=run.w)
 
 
 def physical_initial_from_similarity(
@@ -554,7 +536,7 @@ def run_physical_blowup(
 
     dt = eta kappa^{p-1} max|u|^{1-p} is held fixed until max|u| grows by
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
-    One _PhysicalStepper takes every step, and each is recorded, with u at
+    One _Stepper takes every step, and each is recorded, with u at
     the probes (x positions, 1-D grids only); a snapshot of u on the probes'
     spline windows (see diagnostics.PhysicalTrajectory) is kept at the start,
     whenever max|u| has grown by SNAPSHOT_FACTOR, and at the end unless that
@@ -580,35 +562,37 @@ def run_physical_blowup(
     # refuses probes off the grid, where np.interp would read the boundary value
     traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
     _require_finite(u0.u)
-    run = _PhysicalStepper(u0, params.p)
-    i = int(np.argmax(run.mod))
-    m = m0 = float(run.mod.flat[i])
+    run = _Stepper(grid, u0.u.copy(), params.p, "physical")
+    u, edge_vals, mod = run.w, u0.u[run.edge], np.abs(u0.u)
+    i = int(np.argmax(mod))
+    m = m0 = float(mod.flat[i])
     if m0 == 0.0:
         raise NoBlowupError("no blow-up detected: initial data is identically zero")
     m_stop = STOP_GROWTH * max(1.0, m0)
     kp = params.kappa ** (params.p - 1)
-    run.dt = eta * kp * m0 ** (1 - params.p)
+    t, dt = u0.t, eta * kp * m0 ** (1 - params.p)
 
     def record(i, m):
         pos = ax[list(np.unravel_index(i, grid.shape))] if grid.n_dim > 1 else ax[i : i + 1]
-        at = np.interp(traj.probes, ax, run.u) if traj.probes.size else ()
-        traj.add(run.t, run.dt, m, pos, at)
+        at = np.interp(traj.probes, ax, u) if traj.probes.size else ()
+        traj.add(t, dt, m, pos, at)
 
     record(i, m0)
-    traj.keep_snapshot(run.t, run.u)
+    traj.keep_snapshot(t, u)
     m_ref = m_snap = peak = m0
     steps_since_peak, end = 0, 1
     status = None  # the MAX_STEPS budget ran out
     for _ in range(MAX_STEPS):
-        i, m = run.step()
+        i, m = _physical_step(run, dt, edge_vals, mod)
         if math.isfinite(m):  # else an overflow: the step is dropped
+            t += dt
             record(i, m)
             if m > peak * (1.0 + 1e-9):
                 peak, steps_since_peak, end = m, 0, len(traj.records)
             else:
                 steps_since_peak += 1
             if m >= m_snap * SNAPSHOT_FACTOR:
-                traj.keep_snapshot(run.t, run.u)
+                traj.keep_snapshot(t, u)
                 m_snap = m
         # a collapse that recedes after doubling, which a genuinely decaying
         # solution cannot do, still yields T from its clean growth records
@@ -619,13 +603,13 @@ def run_physical_blowup(
             break
         if m >= SHRINK_FACTOR * m_ref:
             m_ref = m
-            run.dt = eta * kp * m_ref ** (1 - params.p)
+            dt = eta * kp * m_ref ** (1 - params.p)
     if status in (None, "receded") and peak < 2.0 * m0:
         raise NoBlowupError("no blow-up detected: " + (
             f"max|u| fell to {m:.4g} from peak {peak:.4g}" if status else "growth never took off"))
     # u is spoiled after an overflow
-    if math.isfinite(m) and traj.snapshots[-1][0] != run.t:
-        traj.keep_snapshot(run.t, run.u)
+    if math.isfinite(m) and traj.snapshots[-1][0] != t:
+        traj.keep_snapshot(t, u)
     traj.status = status or "stalled"
     traj.T_estimate = _diag.fit_blowup_time(
         traj.records["t"][:end], traj.records["max_u"][:end], params)
