@@ -129,8 +129,8 @@ class SolverConfig:
     """Similarity-frame integration settings.
 
     ds is the nominal step; the semi-implicit scheme caps it at
-    SEMI_IMPLICIT_MAX_DS, and its substeps have no stability margin (see
-    CFL_SAFETY).  The splitting is first order in ds:
+    SEMI_IMPLICIT_MAX_DS, and its drift substeps keep no stability margin
+    (see CFL_SAFETY).  The splitting is first order in ds:
     on a p = 2, N = 4097, ds = 5e-3 run over s 25 -> 35 its time error is about
     2.4 % of w1bar_limit and 6 % of e1_final.  pin_unstable_modes removes the
     expanding scalar and gradient content of the localized deviation after
