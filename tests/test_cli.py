@@ -593,7 +593,9 @@ class TestPhysicalMode:
         )
         # at x = e^{-2} the last two dyadic samples differ by the bump growth
         assert inner["converged"] is False
-        assert "not Cauchy-converged" in inner["reason"]
+        assert inner["reason"] == (
+            "u1(0.1353352832366127) not Cauchy-converged: last dyadic samples "
+            "2.15879 and 2.31757 differ by more than 1%")
 
         lines = (tmp_path / "phys" / "trajectory.csv").read_text().splitlines()
         assert lines[0] == ("t,dt,max_u,argmax_0,"
@@ -900,6 +902,39 @@ class TestValidationBeforeRun:
         assert payload["error"] == "ConfigError"
         assert str(path) in payload["messages"][0]
         assert not (tmp_path / "out").exists()
+
+
+# grids that validate and then diverge at the outflow edge, y ~ L: the explicit
+# upwind drift is stable on its own only to CFL 0.5, and a substep may reach
+# CFL_SAFETY = 0.9 (ROADMAP, Finding 2 and direction 2)
+_DIVERGES = "validates, then exits 4 with BlowupInSimilarityError by s = 25.21"
+
+
+class TestAcceptedConfigsRun:
+    """Every config the validator accepts either runs or exits 2."""
+
+    @pytest.mark.parametrize("L, N", [
+        (87.5, 1023),
+        (120.0, 5581),
+        *(pytest.param(L, N, marks=pytest.mark.xfail(strict=True, reason=_DIVERGES))
+          for L, N in ((120.0, 1405), (175.0, 2047), (120.0, 2825), (175.0, 4119),
+                       (250.0, 5883))),
+    ])
+    def test_similarity_grid_runs_or_exits_2(self, tmp_path, L, N):
+        # the sim-desk-1d benchmark settings (zero direction data at seed 0)
+        # on a short window
+        raw = {
+            "mode": "simulate-similarity",
+            "params": {"p": 2, "n_dim": 1},
+            "grid": {"L": L, "N": N},
+            "solver": {"ds": 5e-3, "s0": 25.0, "s_end": 25.5, "scheme": "semi-implicit",
+                       "pin": True, "record_every": 20},
+            "shrinking_set": {"A": 10.0, "p1": 0.5, "K": 5.0},
+            "initial_data": {"d1": 0.0, "d2": 0.0},
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code in (0, 2), (tmp_path / "out" / "error.json").read_text()
 
 
 def test_module_entry_point_help():

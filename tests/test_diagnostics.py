@@ -8,6 +8,7 @@ closed forms are known.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -556,6 +557,25 @@ class TestExtractFinalProfile:
         ptraj.snapshots = ptraj.snapshots[-1:]
         finals = dg.extract_final_profiles(ptraj)
         assert all(isinstance(f, dg.NonConvergenceError) for f in finals)
+
+    def test_many_probes_read_one_at_a_time(self):
+        # each probe of one trajectory reads its own value or raises its own
+        # error; here x > 1 does not converge
+        xs = [-2.0, 3.0, -2.5, 1.7]
+        ax = sp.Grid(1, 4.0, 65).axis()
+        ptraj = self.make_converging(
+            xs, extra=lambda left: np.where(ax > 1.0, left ** -0.3, 0.0))
+        for x in xs:
+            if x <= 1.0:
+                assert dg.extract_final_profile(ptraj, x) == pytest.approx((2.0, 0.5), rel=1e-4)
+            else:
+                with pytest.raises(dg.NonConvergenceError,
+                                   match=rf"^u1\({re.escape(str(x))}\) not Cauchy"):
+                    dg.extract_final_profile(ptraj, x)
+        ptraj.snapshots = ptraj.snapshots[-1:]
+        for x in xs:
+            with pytest.raises(dg.NonConvergenceError, match="fewer than two snapshots"):
+                dg.extract_final_profile(ptraj, x)
 
     def test_needs_snapshots_before_blowup(self):
         grid = sp.Grid(1, 4.0, 65)
