@@ -366,6 +366,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
                 "simulate-physical supports n_dim = 1 only "
                 "(profile extraction interpolates along a line)"
             )
+        if ok("scheme") and scheme != "semi-implicit":
+            errors.append("simulate-physical steps semi-implicit only: solver.scheme "
+                          f"must be semi-implicit, got {scheme!r}")
         if probe_log_radii and ok("L"):
             x_max = math.exp(-min(probe_log_radii))
             if x_max >= L:

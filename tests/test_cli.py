@@ -776,6 +776,21 @@ class TestValidationBeforeRun:
         assert any("CFL pre-check" in m and "needs 418" in m for m in messages)
         assert not (tmp_path / "out").exists()
 
+    def test_physical_rk4_exits_2(self, tmp_path, monkeypatch):
+        # the physical run has one stepper, the semi-implicit one; an rk4
+        # config would run it and record explicit-rk4 in its header
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        raw = _set_in(copy.deepcopy(_PHYSICAL), "solver.scheme", "explicit-rk4")
+        raw["output_dir"] = str(tmp_path / "out")
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert code == 2
+        assert json.loads(err)["messages"] == [
+            "simulate-physical steps semi-implicit only: solver.scheme must be "
+            "semi-implicit, got 'explicit-rk4'"]
+        assert not (tmp_path / "out").exists()
+        raw["solver"]["scheme"] = "semi-implicit"
+        assert cli.config_from_dict(raw).scheme == "semi-implicit"
+
     @pytest.mark.parametrize(
         "base, dotted, value",
         [
