@@ -501,14 +501,14 @@ def _run_physical(config: RunConfig) -> tuple:
     probes = np.exp(-np.asarray(config.probe_log_radii, dtype=float))
     ptraj = _solver.run_physical_blowup(u0, pr, eta=config.eta, probes=probes)
     probe_rows = []
-    finals = _diag.extract_final_profiles(ptraj)
-    for lr, x, final in zip(config.probe_log_radii, probes, finals):
+    for lr, x in zip(config.probe_log_radii, probes):
         entry = {"log_radius": float(lr), "x": float(x),
                  "u_star_prediction": float(_params.final_profile_prediction(pr, x)[0])}
-        if isinstance(final, _diag.NonConvergenceError):
-            entry.update({"converged": False, "reason": str(final)})
+        try:
+            u1s, u2s = _diag.extract_final_profile(ptraj, x)
+        except _diag.NonConvergenceError as exc:
+            entry.update({"converged": False, "reason": str(exc)})
         else:
-            u1s, u2s = final
             entry.update({
                 "converged": True,
                 "u1_star": u1s,

@@ -127,7 +127,7 @@ class PhysicalTrajectory(_RowStore):
     around its cell, shifted inward at a grid end (the whole axis when that is
     shorter); windows holds their indices, one row per probe, and cells the
     index of each probe's cell in its window.  A snapshot (t, values) keeps u
-    on the windows only, all that extract_final_profiles reads, so values is
+    on the windows only, all that extract_final_profile reads, so values is
     empty without probes.
     """
 
@@ -476,76 +476,58 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     )
 
 
-def _spline_at_probes(ptraj: PhysicalTrajectory, values: np.ndarray) -> np.ndarray:
-    """Complex cubic splines through one snapshot's window values, each at its probe.
+def _spline_at(ptraj: PhysicalTrajectory, j: int, ys: np.ndarray) -> complex:
+    """The complex cubic spline through probe j's window values ys, at that probe.
 
-    Each probe gets its own spline, on the nodes of its window, with
-    CubicSpline's not-a-knot condition at both window ends.  Where a window
-    end is a grid end this is the global not-a-knot spline's condition;
-    elsewhere the end's influence decays like (2 - sqrt 3)^k over the
-    k >= SPLINE_HALF_WINDOW - 1 nodes to the probe, so the value is the global
-    spline's to roundoff.  The slopes solve one real tridiagonal system
-    (dgttrf, zgttrs) per probe.
+    The spline lies on the nodes of the probe's window, with CubicSpline's
+    not-a-knot condition at both window ends.  Where a window end is a grid
+    end this is the global not-a-knot spline's condition; elsewhere the end's
+    influence decays like (2 - sqrt 3)^k over the k >= SPLINE_HALF_WINDOW - 1
+    nodes to the probe, so the value is the global spline's to roundoff.  The
+    slopes solve one real tridiagonal system (dgttrf, zgttrs).
     """
-    ax = ptraj.grid.axis()
-    out = np.empty(ptraj.probes.size, dtype=complex)
-    for j, (x, nodes, k, ys) in enumerate(zip(ptraj.probes, ptraj.windows, ptraj.cells, values)):
-        xs = ax[nodes]
-        dx = np.diff(xs)
-        slope = np.diff(ys) / dx
-        # row i of the slope equations: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i
-        # + dx_{i-1} s_{i+1} = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i); the end
-        # rows make the third derivative continuous at the second and the
-        # second-to-last node (not-a-knot)
-        d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
-        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
-        rhs = np.concatenate((
-            [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-            3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-            [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
-        ))
-        dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(
-            np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]))
-        s, _ = _spectral.lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
-        h, t = dx[k], x - xs[k]
-        c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
-        out[j] = ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]
-    return out
+    xs, k = ptraj.grid.axis()[ptraj.windows[j]], ptraj.cells[j]
+    dx = np.diff(xs)
+    slope = np.diff(ys) / dx
+    # row i of the slope equations: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i
+    # + dx_{i-1} s_{i+1} = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i); the end
+    # rows make the third derivative continuous at the second and the
+    # second-to-last node (not-a-knot)
+    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    rhs = np.concatenate((
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    ))
+    dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(
+        np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]))
+    s, _ = _spectral.lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+    h, t = dx[k], ptraj.probes[j] - xs[k]
+    c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
+    return ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]
 
 
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
-    """extract_final_profiles at the probe x, raising its NonConvergenceError.
+    """Cauchy-converged values (u1, u2) of u(x, t) as t approaches blow-up, at the probe x.
 
-    An x that is not one of the trajectory's probes raises CoverageError.
+    Snapshots are (t, values) pairs, values = u1 + i u2 on the probes'
+    windows.  Samples the distinct snapshots nearest a dyadic sequence in
+    T - t, reads the last two through the probe's windowed spline
+    (_spline_at), and requires their values of each component to differ by
+    less than FINAL_PROFILE_REL_TOL relative to the final magnitude, or
+    raises NonConvergenceError.  An x that is not one of the trajectory's
+    probes raises CoverageError.
     """
     (at,) = np.nonzero(ptraj.probes == x)
     if not at.size:
         raise CoverageError(f"{x} is not one of the trajectory's probes {ptraj.probes}")
-    result = extract_final_profiles(ptraj)[at[0]]
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
-
-
-def extract_final_profiles(ptraj: PhysicalTrajectory) -> list:
-    """Cauchy-converged values of u1(x, t), u2(x, t) as t approaches blow-up, x each probe.
-
-    Snapshots are (t, values) pairs, values = u1 + i u2 on the probes'
-    windows.  Samples the distinct snapshots nearest a dyadic sequence in
-    T - t, reads the last two through each probe's windowed spline
-    (_spline_at_probes), and requires their values of each component to
-    differ by less than FINAL_PROFILE_REL_TOL relative to the final
-    magnitude.  Returns one entry per probe: its (u1, u2) pair, or the
-    NonConvergenceError it fails with.
-    """
     T = ptraj.T_estimate
     if T is None:
         raise ValueError("trajectory has no T_estimate")
-    xs = ptraj.probes.tolist()
     snaps = [snap for snap in ptraj.snapshots if T - snap[0] > 0]
     if len(snaps) < 2:
-        return [NonConvergenceError("fewer than two snapshots precede the blow-up time")
-                for _ in xs]
+        raise NonConvergenceError("fewer than two snapshots precede the blow-up time")
     left = np.array([T - snap[0] for snap in snaps])
     # dyadic subsequence of snapshot times: T - t ~ delta, delta/2, delta/4, ...
     targets = []
@@ -558,21 +540,17 @@ def extract_final_profiles(ptraj: PhysicalTrajectory) -> list:
     # distinct snapshots picked (the first and last targets pick two), so only
     # those are read
     picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
-    samples = np.array([_spline_at_probes(ptraj, snaps[i][1]) for i in picks[-2:]])
-    return [_cauchy_limit(samples[:, j], x) for j, x in enumerate(xs)]
-
-
-def _cauchy_limit(samples: np.ndarray, x):
-    """(u1, u2) of the last of two complex samples at x, or the NonConvergenceError to raise."""
+    j = at[0]
+    prev, last = (_spline_at(ptraj, j, snaps[i][1][j]) for i in picks[-2:])
     for name, part in (("u1", np.real), ("u2", np.imag)):
-        a, b = float(part(samples[-2])), float(part(samples[-1]))
+        a, b = float(part(prev)), float(part(last))
         scale = max(abs(b), 1e-300)
         if abs(b - a) / scale >= FINAL_PROFILE_REL_TOL:
-            return NonConvergenceError(
-                f"{name}({x}) not Cauchy-converged: last dyadic samples "
-                f"{a:.6g} and {b:.6g} differ by more than {FINAL_PROFILE_REL_TOL:.0%}"
+            raise NonConvergenceError(
+                f"{name}({float(ptraj.probes[j])}) not Cauchy-converged: last dyadic "
+                f"samples {a:.6g} and {b:.6g} differ by more than {FINAL_PROFILE_REL_TOL:.0%}"
             )
-    return float(samples[-1].real), float(samples[-1].imag)
+    return float(last.real), float(last.imag)
 
 
 def _fmt(v) -> str:

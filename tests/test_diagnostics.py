@@ -537,27 +537,6 @@ class TestExtractFinalProfile:
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
             dg.extract_final_profile(ptraj, 0.8)
 
-    def test_many_positions_match_one_at_a_time(self):
-        # one read of several probes returns, bit for bit, each probe's values
-        # or the error extract_final_profile raises there; here x > 1 does not
-        # converge
-        xs = [-2.0, 3.0, -2.5, 1.7]
-        ax = sp.Grid(1, 4.0, 65).axis()
-        ptraj = self.make_converging(
-            xs, extra=lambda left: np.where(ax > 1.0, left ** -0.3, 0.0))
-        finals = dg.extract_final_profiles(ptraj)
-        assert len(finals) == len(xs)
-        for x, final in zip(xs, finals):
-            try:
-                assert final == dg.extract_final_profile(ptraj, x)
-            except dg.NonConvergenceError as exc:
-                assert isinstance(final, dg.NonConvergenceError)
-                assert str(final) == str(exc)
-        assert [isinstance(f, tuple) for f in finals] == [True, False, True, False]
-        ptraj.snapshots = ptraj.snapshots[-1:]
-        finals = dg.extract_final_profiles(ptraj)
-        assert all(isinstance(f, dg.NonConvergenceError) for f in finals)
-
     def test_many_probes_read_one_at_a_time(self):
         # each probe of one trajectory reads its own value or raises its own
         # error; here x > 1 does not converge
@@ -619,7 +598,7 @@ class TestSnapshotSpline:
                        ax[-1], ax[-1] - 0.5 * h, ax[-3] - 0.4 * h])
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=xs)
         ptraj.keep_snapshot(0.0, u)
-        got = dg._spline_at_probes(ptraj, ptraj.snapshots[0][1])
+        got = [dg._spline_at(ptraj, j, ys) for j, ys in enumerate(ptraj.snapshots[0][1])]
         np.testing.assert_allclose(got, CubicSpline(ax, u)(xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("npts", [33, 7201])

@@ -76,8 +76,6 @@ TEST_ONLY = [
     "solver.step_physical",
     # exact spatially constant solution, the physical run's oracle
     "params.exact_constant_solution",
-    # the one-x final-profile read: test_8 and perfbench's FIT group call it
-    "diagnostics.extract_final_profile",
     # the t0-curve ODE pair and its root finder: test_8_final_profile's reference
     "params.hat_uv",
     "params.bisect_root",

@@ -50,3 +50,8 @@ def test_workload_runs_traced_on_tiny_inputs(name, tmp_path):
         fits = json.loads((out / "fits.json").read_text())
         assert len(fits["probes"]) == 3
         assert layers["diagnostics.snapshot_bytes"] == fits["snapshots"] * 3 * 64 * 16
+        # the tracer's FIT group names the final-profile read the run calls
+        assert layers["diagnostics.fit.s"] > 0
+    if name in ("sim-desk-1d", "sim-2d-cell"):
+        # and its STEP group the step that evolve takes
+        assert layers["solver.steps"] > 0
