@@ -948,7 +948,7 @@ class TestAcceptedConfigsRun:
             "initial_data": {"d1": 0.0, "d2": 0.0},
             "output_dir": str(tmp_path / "out"),
         }
-        code, err = _main_on(raw, tmp_path, "simulate")
+        code, _ = _main_on(raw, tmp_path, "simulate")
         assert code in (0, 2), (tmp_path / "out" / "error.json").read_text()
 
 
