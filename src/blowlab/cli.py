@@ -316,7 +316,7 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
     def ok(*names):
         return all(values[k] is not None and k not in bad for k in names)
 
-    mode, n_dim, L, N, ds = (values[k] for k in ("mode", "n_dim", "L", "N", "ds"))
+    mode, n_dim, L, ds = (values[k] for k in ("mode", "n_dim", "L", "ds"))
     s0, s_end, scheme, K = (values[k] for k in ("s0", "s_end", "scheme", "K"))
     probe_log_radii = values["probe_log_radii"]
     if mode == "verify" and values["p"] is None:

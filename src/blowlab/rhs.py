@@ -268,12 +268,13 @@ class InitialDataParams:
             raise ValueError("linear direction entries must have shape (n_dim,)")
         if self.d2_quad.shape != (n, n):
             raise ValueError("d2_quad must have shape (n_dim, n_dim)")
+        entries = (self.d1_const, self.d1_lin, self.d2_const, self.d2_lin, self.d2_quad)
+        # checked first: NaN passes the magnitude test and fails the symmetry one
+        if not all(np.all(np.isfinite(v)) for v in entries):
+            raise ValueError("direction entries must be finite")
         if not np.allclose(self.d2_quad, self.d2_quad.T, atol=1e-12):
             raise ValueError("d2_quad must be symmetric")
-        mags = [abs(self.d1_const), abs(self.d2_const)]
-        mags += [float(np.max(np.abs(v))) if v.size else 0.0
-                 for v in (self.d1_lin, self.d2_lin, self.d2_quad)]
-        if max(mags) > 2.0:
+        if max(np.max(np.abs(v), initial=0.0) for v in entries) > 2.0:
             raise ValueError("direction magnitudes must lie in [-2, 2]")
 
 

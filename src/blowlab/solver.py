@@ -46,7 +46,6 @@ from . import spectral as _spectral
 from .diagnostics import NoBlowupError
 
 SCHEMES = ("semi-implicit", "explicit-rk4")
-BOUNDARIES = ("profile-clamp", "extrapolate")
 # largest drift CFL number y_max dss/(2h) of a substep (and the fraction of the
 # diffusion limit explicit-rk4 uses).  No stability margin: forward Euler on the
 # upwind drift alone is stable only to 0.5; grids with L >= 120 and h >= 0.085 diverge
@@ -142,7 +141,6 @@ class SolverConfig:
     ds: float
     s_end: float
     scheme: str = "semi-implicit"
-    boundary: str = "profile-clamp"
     record_every: int = 10
     pin_unstable_modes: bool = False
     cutoff: _rhs.CutoffSpec = field(default_factory=_rhs.CutoffSpec)
@@ -159,8 +157,6 @@ class SolverConfig:
             raise ValueError(f"s_end must be finite, got {self.s_end}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.scheme == "semi-implicit" and self.ds > SEMI_IMPLICIT_MAX_DS:
             raise ValueError(
                 f"semi-implicit scheme requires ds <= {SEMI_IMPLICIT_MAX_DS}, got {self.ds}"
@@ -252,14 +248,6 @@ def _edge_mask(grid: _spectral.Grid) -> np.ndarray:
     return edge
 
 
-def _extrapolate_boundary(vals: np.ndarray) -> None:
-    """Overwrite the boundary faces in place by linear extrapolation, axis by axis."""
-    for axis in range(vals.ndim):
-        v = np.moveaxis(vals, axis, 0)
-        v[0] = 2.0 * v[1] - v[2]
-        v[-1] = 2.0 * v[-2] - v[-3]
-
-
 def _substep_count(scheme: str, grid: _spectral.Grid, ds: float) -> int:
     """Number of equal substeps of a ds step keeping the explicit pieces in their limits."""
     drift_cfl = grid.half_width * ds / (2.0 * grid.h)
@@ -321,11 +309,12 @@ def step_similarity(
 ) -> SimilarityState:
     """Advance the similarity-frame state by one step of length ds (default cfg.ds).
 
-    The substeps solve, drift and react in place on a _Stepper: by default a
-    new one holding a copy of state.w, with the clamped boundary values of all
-    substeps from one profile call, so state is left as it was.  evolve passes
-    its run's stepper, whose w is state.w, and the boundary values of the
-    step's substeps (clamp, n_sub rows); the step then overwrites state.w.
+    The substeps solve, drift and react in place on a _Stepper, and substep k
+    ends by setting the boundary nodes to clamp[k] (n_sub rows, in _edge_mask's
+    order), by default Phi1 + i Phi2 at its s from one profile call.  The
+    default stepper holds a copy of state.w, so state is left as it was.
+    evolve passes its run's stepper, whose w is state.w, and the step's rows
+    of its clamp block; the step then overwrites state.w.
     """
     if ds is None:
         ds = cfg.ds
@@ -334,7 +323,7 @@ def step_similarity(
     dss = ds / n_sub
     if work is None:
         work = _Stepper(grid, state.w.copy(), params.p, "similarity")
-    if clamp is None and cfg.boundary == "profile-clamp":
+    if clamp is None:
         clamp = _clamp_values(params, grid, state.s + np.arange(1, n_sub + 1) * dss)
     w = work.w
     for k in range(n_sub):
@@ -346,10 +335,7 @@ def step_similarity(
             k3 = _rk4_rhs(w + 0.5 * dss * k2, grid, params)
             k4 = _rk4_rhs(w + dss * k3, grid, params)
             w[...] = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if cfg.boundary == "profile-clamp":
-            w[work.edge] = clamp[k]
-        else:
-            _extrapolate_boundary(w)
+        w[work.edge] = clamp[k]
     s = float(state.s + n_sub * dss)
     # the larger of max|w1| and max|w2|, as recorded in max_w
     max_w = float(np.max(np.abs(_real(w))))
@@ -447,7 +433,7 @@ def evolve(
     for k in range(1, total_steps + 1):
         ds_k = cfg.ds if k <= n_full else remainder
         clamp = None  # the remainder step makes its own
-        if cfg.boundary == "profile-clamp" and k <= n_full:
+        if k <= n_full:
             j = (k - 1) % cfg.record_every
             if j == 0:
                 # boundary values of every substep up to the next record, at the s

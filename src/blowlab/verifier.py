@@ -363,7 +363,7 @@ def check_barB_expansion(params: _params.Params) -> CheckReport:
     for r in scales:
         b1, _ = _rhs.bar_b(params, np.array([r]), np.array([0.0]))
         seq1.append(b1[0] / r**2)
-        b1c, b2c = _rhs.bar_b(params, np.array([r]), np.array([r]))
+        _, b2c = _rhs.bar_b(params, np.array([r]), np.array([r]))
         seq2.append(b2c[0] / r**2)
     coeff1 = _richardson_limit(seq1)
     coeff2 = _richardson_limit(seq2)

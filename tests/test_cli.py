@@ -307,6 +307,18 @@ class TestSimilarityArtifacts:
         assert np.all(np.diff(s) > 0)
         assert s[0] == pytest.approx(25.0)
 
+    def test_sparse_records_skip_mode_residuals(self, tmp_path):
+        # records 0.2 apart are too sparse for the centered differences of the
+        # mode residuals: the run still exits 0 and says why they are missing
+        raw = tiny_raw(output_dir=str(tmp_path / "out"))
+        raw["solver"]["record_every"] = 40
+        code, err = _main_on(raw, tmp_path, "simulate")
+        assert (code, err) == (0, "")
+        fits = json.loads((tmp_path / "out" / "fits.json").read_text())
+        assert fits["mode_residuals"] is None
+        assert fits["mode_residuals_skipped"].startswith(
+            "record spacing up to 0.2000 exceeds 0.1; ")
+
     def test_margins_computed_once_per_record(self, tmp_path, monkeypatch):
         calls = []
         real = diagnostics.in_shrinking_set

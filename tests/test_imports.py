@@ -1,6 +1,7 @@
 """src/blowlab carries no dead names.
 
 Every module-level import is used (names in __all__ count as used), every
+local name a function assigns is read in it, every
 module-level function, class and method is read somewhere in the package,
 except the oracles that only tests call, which are listed by name, and every
 optional parameter and dataclass field with a default is set somewhere in the
@@ -43,6 +44,46 @@ def test_checker_finds_unused_and_honours_all():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_locals(source: str) -> list[str]:
+    """function:name of each name a function of source (a module-level one or a
+    method, nested functions included) assigns and never reads; names starting
+    with _ are exempt, and an augmented assignment reads its target."""
+    tree = ast.parse(source)
+    units = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    units += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef)]
+    unread = []
+    for qualname, func in units:
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        unread += [(line, f"{qualname}:{name}") for name, line in stored.items()
+                   if name not in read and not name.startswith("_")]
+    return [name for _, name in sorted(unread)]
+
+
+def test_local_checker_finds_unread_names():
+    src = ("def f(x):\n    a, b = x\n    _c = 1\n    d = 2\n    d += 1\n    return a\n"
+           "class C:\n    def m(self):\n        e = 1\n        def g():\n"
+           "            nonlocal e\n            e = 2\n            k = 3\n        return g\n")
+    # b and k are never read; _c is exempt, d is read by its += and e by g's nonlocal
+    assert unread_locals(src) == ["f:b", "C.m:k"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_local_names(path):
+    assert unread_locals(path.read_text()) == []
 
 
 def unread_definitions(sources: dict) -> list[str]:
@@ -208,8 +249,6 @@ OPTIONS_SET_OUTSIDE = [
     "solver.evolve(observer)",
 ]
 FIELDS_SET_OUTSIDE = [
-    # the boundary the exact-symmetry and fixed-point tests step with
-    "solver.SolverConfig(boundary)",
     # views of the field for tests; perfbench reads Trajectory.snapshots
     "solver.SolverConfig(snapshot_at)",
 ]

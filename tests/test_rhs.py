@@ -326,6 +326,15 @@ class TestInitialData:
         want = 10.0**5 * math.log(s0) / s0**2.5 * (-2.0 * 0.5)
         assert q2[i0, i0] == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("entry,value", [
+        ("d1_const", math.nan), ("d1_lin", [math.nan]), ("d2_const", math.inf),
+        ("d2_lin", [-math.inf]), ("d2_quad", [[math.nan]]),
+    ], ids=["d1_const", "d1_lin", "d2_const", "d2_lin", "d2_quad"])
+    def test_non_finite_directions_refused(self, entry, value):
+        # max |NaN| > 2 is False, and a NaN d2_quad is not equal to its transpose
+        with pytest.raises(ValueError, match="^direction entries must be finite$"):
+            self.make(**{entry: value})
+
     def test_validation(self):
         for A in (0.5, math.nan):
             with pytest.raises(ValueError):

@@ -28,6 +28,19 @@ def profile_state(pr, grid, s):
     )
 
 
+def step_frozen(state, cfg, pr):
+    """step_similarity with the boundary frozen at state's incoming edge values.
+
+    The frozen Dirichlet rule of step_physical: every substep resets the edge to
+    the values it came in with.  The profile clamp pins Phi1 + i Phi2 there,
+    which breaks the exact symmetries and moves the fixed points.
+    """
+    edge = state.w[solver._edge_mask(state.grid)]
+    n_sub = solver._substep_count(cfg.scheme, state.grid, cfg.ds)
+    clamp = np.broadcast_to(edge, (n_sub,) + edge.shape)
+    return solver.step_similarity(state, cfg, pr, clamp=clamp)
+
+
 def implicit_diffusion(w, h, dt):
     """Solve (I - dt D2) out = w by solver._diffuse_in_place on a copy of w."""
     out = np.array(w, dtype=np.complex128)
@@ -45,8 +58,6 @@ class TestConfig:
         solver.SolverConfig(ds=0.02, s_end=30.0, scheme="explicit-rk4")
         with pytest.raises(ValueError):
             solver.SolverConfig(ds=0.01, s_end=30.0, scheme="imex")
-        with pytest.raises(ValueError):
-            solver.SolverConfig(ds=0.01, s_end=30.0, boundary="periodic")
         with pytest.raises(ValueError):
             solver.SolverConfig(ds=0.01, s_end=30.0, record_every=0)
         # NaN and inf pass a "> 0" test; evolve then fails to count the steps
@@ -78,22 +89,22 @@ class TestFixedPoints:
         # each rotation kappa e^{2 pi i k/(p-1)} is a fixed point
         pr = bp.make_params(p, 1)
         grid = sp.Grid(1, 8.0, 33)
-        cfg = solver.SolverConfig(ds=0.01, s_end=11.0, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=0.01, s_end=11.0)
         for k in range(p - 1):
             theta = 2.0 * math.pi * k / (p - 1)
             st = constant_state(
                 pr, grid, 10.0, pr.kappa * math.cos(theta), pr.kappa * math.sin(theta)
             )
-            st2 = solver.step_similarity(st, cfg, pr)
+            st2 = step_frozen(st, cfg, pr)
             assert np.max(np.abs(st2.w.real - st.w.real)) < 1e-12
             assert np.max(np.abs(st2.w.imag - st.w.imag)) < 1e-12
 
     def test_zero_stays_zero(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
-        cfg = solver.SolverConfig(ds=0.01, s_end=11.0, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=0.01, s_end=11.0)
         st = constant_state(pr, grid, 10.0, 0.0)
-        st2 = solver.step_similarity(st, cfg, pr)
+        st2 = step_frozen(st, cfg, pr)
         assert np.all(st2.w.real == 0.0)
         assert np.all(st2.w.imag == 0.0)
 
@@ -117,13 +128,13 @@ class TestFixedPoints:
     def test_real_subspace_preserved(self):
         pr = bp.make_params(3, 1)
         grid = sp.Grid(1, 10.0, 101)
-        cfg = solver.SolverConfig(ds=0.01, s_end=26.0, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=0.01, s_end=26.0)
         r2 = grid.radius2()
         st = solver.SimilarityState(
             s=25.0, grid=grid, w=bp.phi1(pr, r2, 25.0) + 1j * np.zeros(grid.shape),
         )
         for _ in range(50):
-            st = solver.step_similarity(st, cfg, pr)
+            st = step_frozen(st, cfg, pr)
         assert np.all(st.w.imag == 0.0)
 
 
@@ -202,7 +213,6 @@ class TestKernels:
             run.step(dt)
             assert np.array_equal(run.w, fresh.w)
 
-    @pytest.mark.parametrize("boundary", solver.BOUNDARIES)
     @pytest.mark.parametrize(
         "scheme,n_dim,p,half_width,npts",
         [("semi-implicit", 1, 2, 87.4, 4097), ("semi-implicit", 1, 3, 87.4, 4097),
@@ -210,7 +220,7 @@ class TestKernels:
          ("explicit-rk4", 1, 2, 8.0, 129)],
     )
     def test_step_similarity_matches_reference_substep(
-        self, scheme, n_dim, p, half_width, npts, boundary
+        self, scheme, n_dim, p, half_width, npts
     ):
         # bit for bit the substep sequence written out: diffusion solve, drift on
         # the real view, reaction (or one RK4 stage set), then the boundary
@@ -237,10 +247,7 @@ class TestKernels:
                     k4 = solver._rk4_rhs(w + dss * k3, grid, pr)
                     w = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
                 s_next = state.s + (k + 1) * dss
-                if cfg.boundary == "profile-clamp":
-                    w[edge] = bp.phi1(pr, r2_edge, s_next) + 1j * bp.phi2(pr, r2_edge, s_next)
-                else:
-                    solver._extrapolate_boundary(w)
+                w[edge] = bp.phi1(pr, r2_edge, s_next) + 1j * bp.phi2(pr, r2_edge, s_next)
             return s_next, n_sub, w
 
         pr = bp.make_params(p, n_dim)
@@ -250,7 +257,7 @@ class TestKernels:
         state = profile_state(pr, grid, 25.0)
         state = solver.SimilarityState(s=25.0, grid=grid, w=state.w + 1e-3 * noise)
         before = state.w.copy()
-        cfg = solver.SolverConfig(ds=0.005, s_end=30.0, scheme=scheme, boundary=boundary)
+        cfg = solver.SolverConfig(ds=0.005, s_end=30.0, scheme=scheme)
         s_want, n_sub, w_want = reference_step(state, cfg, pr, cfg.ds)
         if npts == 4097:
             assert n_sub == 6
@@ -281,26 +288,24 @@ class TestEvolve:
             solver.evolve(constant_state(pr, grid, 12.0, pr.kappa), cfg, pr)
 
     def test_constant_run_records_identical(self):
-        # the state never moves, so snapshots and state-derived numbers agree
+        # kappa is a fixed point: under the frozen edge it does not drift over the
+        # 1,000 steps of s 10 -> 20, checked every 200 steps (the profile clamp
+        # of evolve would pull the edge off kappa)
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
-        cfg = solver.SolverConfig(
-            ds=0.01, s_end=20.0, boundary="extrapolate", record_every=200,
-            snapshot_at=(10.0, 15.0, 20.0),
-        )
+        cfg = solver.SolverConfig(ds=0.01, s_end=20.0)
         st = constant_state(pr, grid, 10.0, pr.kappa)
-        traj = solver.evolve(st, cfg, pr)
-        assert len(traj.snapshots) == 3
-        for _, ws in traj.snapshots:
-            w1s, w2s = ws.real, ws.imag
-            assert np.max(np.abs(w1s - pr.kappa)) < 1e-11
-            assert np.max(np.abs(w2s)) < 1e-11
-        assert all(r["max_w"] == pytest.approx(pr.kappa, abs=1e-11) for r in traj.records)
+        for k in range(1, 1001):
+            st = step_frozen(st, cfg, pr)
+            if k % 200 == 0:
+                assert np.max(np.abs(st.w.real - pr.kappa)) < 1e-11
+                assert np.max(np.abs(st.w.imag)) < 1e-11
+        assert st.s == pytest.approx(20.0, abs=1e-9)
 
     def test_observer_and_monotone_s(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
-        cfg = solver.SolverConfig(ds=0.01, s_end=10.3, boundary="extrapolate", record_every=10)
+        cfg = solver.SolverConfig(ds=0.01, s_end=10.3, record_every=10)
         seen = []
         traj = solver.evolve(constant_state(pr, grid, 10.0, pr.kappa), cfg, pr, observer=seen.append)
         assert np.array_equal(np.array(seen), traj.records)
@@ -357,7 +362,7 @@ class TestEvolve:
     def test_blowup_guard_attaches_s(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 8.0, 33)
-        cfg = solver.SolverConfig(ds=0.01, s_end=15.0, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=0.01, s_end=15.0)
         st = constant_state(pr, grid, 10.0, 5.0 * pr.kappa)
         with pytest.raises(solver.BlowupInSimilarityError) as err:
             solver.evolve(st, cfg, pr)
@@ -441,7 +446,7 @@ class TestEvolve:
         return records, snapshots
 
     @pytest.mark.parametrize(
-        "case", ["p2-1d-substeps-remainder", "p3-2d", "extrapolate", "rk4", "snapshots",
+        "case", ["p2-1d-substeps-remainder", "p3-2d", "p3-unpinned", "rk4", "snapshots",
                  "box-1d", "box-2d"]
     )
     def test_evolve_matches_step_similarity_replay(self, case):
@@ -460,9 +465,9 @@ class TestEvolve:
         elif case == "box-1d":
             half_width, npts = 87.5, 513
             kw.update(snapshot_at=(25.1, 25.255))
-        elif case == "extrapolate":
+        elif case == "p3-unpinned":
             p, npts = 3, 257
-            kw.update(boundary="extrapolate", s_end=25.3, pin_unstable_modes=False)
+            kw.update(s_end=25.3, pin_unstable_modes=False)
         elif case == "rk4":
             half_width, npts = 8.0, 129
             kw.update(scheme="explicit-rk4", s_end=25.13, record_every=4)
@@ -1050,8 +1055,9 @@ class TestExactSymmetries:
     conjugation is exact on both, so conjugation commutes with a step
     bitwise.  Rotation by omega = e^{2 pi i k/(p-1)} maps solutions to
     solutions (omega^{p-1} = 1), but omega is rounded, so it commutes to
-    roundoff.  The clamp boundary pins the profile, which breaks both; the
-    similarity steps here extrapolate instead.
+    roundoff.  The profile clamp pins Phi1 + i Phi2 on the edge, which breaks
+    both, so the similarity steps here freeze the edge at its incoming values
+    (step_frozen), as step_physical does.
     """
 
     @settings(deadline=None, max_examples=30)
@@ -1098,12 +1104,10 @@ class TestExactSymmetries:
     def test_conjugation_commutes_with_step_similarity(self, p, n_dim, scheme, seed):
         pr = bp.make_params(p, n_dim)
         grid = symmetry_grid(n_dim)
-        cfg = solver.SolverConfig(ds=5e-3, s_end=30.0, scheme=scheme, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=5e-3, s_end=30.0, scheme=scheme)
         w = random_field(grid, seed, pr.kappa)
-        a = solver.step_similarity(solver.SimilarityState(s=20.0, grid=grid, w=w), cfg, pr)
-        b = solver.step_similarity(
-            solver.SimilarityState(s=20.0, grid=grid, w=np.conj(w)), cfg, pr
-        )
+        a = step_frozen(solver.SimilarityState(s=20.0, grid=grid, w=w), cfg, pr)
+        b = step_frozen(solver.SimilarityState(s=20.0, grid=grid, w=np.conj(w)), cfg, pr)
         assert np.array_equal(np.conj(a.w), b.w)
         assert a.s == b.s
 
@@ -1124,10 +1128,8 @@ class TestExactSymmetries:
         )
         assert np.max(np.abs(omega * a.u - b.u)) <= 1e-12 * np.max(np.abs(a.u))
 
-        cfg = solver.SolverConfig(ds=5e-3, s_end=30.0, boundary="extrapolate")
+        cfg = solver.SolverConfig(ds=5e-3, s_end=30.0)
         w = random_field(grid, seed, pr.kappa)
-        a = solver.step_similarity(solver.SimilarityState(s=20.0, grid=grid, w=w), cfg, pr)
-        b = solver.step_similarity(
-            solver.SimilarityState(s=20.0, grid=grid, w=omega * w), cfg, pr
-        )
+        a = step_frozen(solver.SimilarityState(s=20.0, grid=grid, w=w), cfg, pr)
+        b = step_frozen(solver.SimilarityState(s=20.0, grid=grid, w=omega * w), cfg, pr)
         assert np.max(np.abs(omega * a.w - b.w)) <= 1e-12 * np.max(np.abs(a.w))
