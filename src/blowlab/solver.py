@@ -28,13 +28,17 @@ place (see its docstring) and fits the blow-up time with
 diagnostics.fit_blowup_time.  Its settings, STOP_GROWTH among them, are the
 module constants below.
 
-One trajectory is strictly sequential and single-owner; independent
-trajectories share no mutable state.
+One trajectory is single-owner and its steps are sequential; independent
+trajectories share no mutable state.  In 2-D a run's stepper splits each
+substep into halves and runs one on a helper thread that lives only as long
+as the run (see _Stepper); the bits do not depend on the thread schedule.
 """
 
+import contextvars
 import dataclasses
 import functools
 import math
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,43 +185,56 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
     return tuple(a.astype(np.complex128) for a in (dl, d, du, du2)) + (ipiv,)
 
 
-def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf) -> None:
-    """Solve (I - dt D2) x = w into the C-order complex w itself, ADI beyond 1D.
+def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf, axis: int, lines: slice) -> None:
+    """Solve (I - dt D2) x = w along axis on the lines (a half) into the C-order complex w.
 
-    2-D: axis 0 on the Fortran-order fbuf (shaped like w; unused in 1-D), then
-    axis 1 on w.T; that order fixes the last bits.  Boundary rows are identity.
+    Axis 0 of a 2-D w: the columns in lines, through the Fortran-order fbuf (shaped
+    like w); the last axis: w[lines].T.  ADI solves axis 0 on every column before
+    axis 1 on any row; that order fixes the last bits.  Each line is its own
+    right-hand side, so the halves do not move them.  Boundary rows are identity.
     """
-    if w.ndim == 2:
-        fbuf[...] = w
-        _spectral.lapack.zgttrs(*factor, fbuf, overwrite_b=1)
-        w[...] = fbuf
-    _spectral.lapack.zgttrs(*factor, w.T, overwrite_b=1)
+    if axis < w.ndim - 1:
+        cols = (slice(None), lines)
+        fbuf[cols] = w[cols]
+        _spectral.lapack.zgttrs(*factor, fbuf[cols], overwrite_b=1)
+        w[cols] = fbuf[cols]
+    else:
+        _spectral.lapack.zgttrs(*factor, w[lines].T, overwrite_b=1)
 
 
-def _drift_views(grid: _spectral.Grid, vals, work) -> tuple:
-    """(out, per-axis views, 2h): the drift stencil's operands, for _drift.
+def _drift_views(grid: _spectral.Grid, vals, work, halves) -> list:
+    """[(out, per-axis views, 2h)] per half (a slice of rows): the drift stencil's operands.
 
-    vals is the real view of a state, grid.shape + (2,); work holds three arrays
-    shaped like it: the result out, then two scratch.  Views follow the contents
-    of the arrays they are taken from, so a run builds them once.
+    Each entry is the arguments of _drift.  vals is the real view of a state,
+    grid.shape + (2,); work holds three arrays shaped like it: the result out,
+    then two scratch.  A half writes its rows of work only, but reads vals up to
+    two rows past them.  Views follow the contents of the arrays they are taken
+    from, so a run builds them once.
     """
-    ax = grid.axis()
-    k = int(np.count_nonzero(ax[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
-    # y/2 on the interior, first on its axis; on the last axis it is repeated for
-    # both components: one long loop, not pairs
-    vel = np.repeat(0.5 * ax[1:-1], 2)
-    lead = (-1,) + (1,) * (grid.n_dim - 1)
-    vels = (vel[::2].reshape(lead + (1,)),) * (grid.n_dim - 1) + (vel.reshape(lead + (2,)),)
+    n, y2 = grid.npts, 0.5 * grid.axis()
+    k = int(np.count_nonzero(y2[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
     out, d, e = work
-    views = []
-    for axis, v in enumerate(vels):
-        m, dm, em, om = (a.swapaxes(0, axis) for a in (vals, d, e, out))
-        # outward flow on the left half: stencil uses i, i+1, i+2; on the right
-        # half i, i-1, i-2
-        left = (dm[1 : k + 1], em[1 : k + 1], m[1 : k + 1], m[2 : k + 2], m[3 : k + 3])
-        right = (dm[k + 1 : -1], em[k + 1 : -1], m[k + 1 : -1], m[k:-2], m[k - 1 : -3])
-        views.append((left, right, v, dm[1:-1], om[1:-1]))
-    return out, views, 2.0 * grid.h
+    whole = (vals, d, e, out)
+    per_half = []
+    for rows in halves:
+        lo, hi = max(rows.start, 1), min(rows.stop, n - 1)  # the half's interior rows
+        views = []
+        for axis in range(grid.n_dim):
+            # axis 0: the half's interior rows of the whole arrays, split where the
+            # flow turns; any other axis: its whole interior on the half's rows
+            m, dm, em, om = (a.swapaxes(0, axis) for a in
+                             (whole if axis == 0 else (x[rows] for x in whole)))
+            a, b, c = (lo, min(max(k + 1, lo), hi), hi) if axis == 0 else (1, k + 1, n - 1)
+            # y/2 along the axis; on the last one repeated per component: one loop, not pairs
+            v = (y2[a:c].reshape((-1,) + (1,) * grid.n_dim) if axis < grid.n_dim - 1
+                 else np.repeat(y2[a:c], 2).reshape((-1,) + (1,) * (grid.n_dim - 1) + (2,)))
+            # outward flow on the left part: stencil uses i, i+1, i+2; on the right
+            # part i, i-1, i-2
+            left = (dm[a:b], em[a:b], m[a:b], m[a + 1 : b + 1], m[a + 2 : b + 2])
+            right = (dm[b:c], em[b:c], m[b:c], m[b - 1 : c - 1], m[b - 2 : c - 2])
+            views.append((left, right, v, dm[a:c], om[a:c]))
+        per_half.append((out[rows], views, 2.0 * grid.h))
+    return per_half
 
 
 def _drift(out, views, two_h) -> np.ndarray:
@@ -267,27 +284,52 @@ def _rk4_rhs(w, grid, params):
 class _Stepper:
     """Semi-implicit substeps in place of one state w in the "similarity" or "physical" frame:
     w, a block of three arrays shaped like it, the boundary nodes as indices (in
-    _edge_mask's order; a mask is slower to apply), the drift stencil's views on the
-    block (similarity frame only) and the LU factor of the last dt, factored again only
-    when dt changes.  The caller sets the boundary."""
+    _edge_mask's order; a mask is slower to apply), the halves of the grid's rows,
+    the drift stencil's views on the block per half (similarity frame only) and the
+    LU factor of the last dt, factored again only when dt changes.  The caller sets
+    the boundary.
+
+    A 1-D grid is one half; a 2-D grid splits at row n // 2, where the drift's upwind
+    stencil changes side (columns for the axis-0 solve).  Every phase (each ADI axis,
+    the drift, the reaction) ends on both halves before the next starts.  Entered as
+    a context, the stepper runs half 1 on a helper thread, which calls only private
+    numpy and LAPACK kernels and is joined on exit, so no thread outlives the run
+    (nor reaches a fork after it); outside one, the halves run in turn, with the
+    same bits.
+    """
 
     def __init__(self, grid: _spectral.Grid, w: np.ndarray, p: int, frame: str):
         self.w, self.p, self.h2, self.dt = w, p, grid.h * grid.h, None
         self.block = np.empty((3,) + grid.shape, np.complex128)
         self.edge = np.nonzero(_edge_mask(grid))
-        self.drift = (_drift_views(grid, _real(w), _real(self.block))
+        n = grid.npts
+        self.halves = (slice(0, n),) if grid.n_dim == 1 else (slice(0, n // 2), slice(n // 2, n))
+        self.drift = (_drift_views(grid, _real(w), _real(self.block), self.halves)
                       if frame == "similarity" else None)
+        # w and the first two block arrays on each half's rows, for _react
+        self.parts = [(w[r], self.block[0][r], self.block[1][r]) for r in self.halves]
+        self.helper = None
 
-    def step(self, dt: float) -> None:
-        """Diffuse (ADI on block[0].T in 2-D), drift (similarity frame), react: w + dt w^p,
+    def __enter__(self):
+        if len(self.halves) > 1:
+            self.helper = futures.ThreadPoolExecutor(1)
+        return self
+
+    def __exit__(self, *exc):
+        if self.helper is not None:
+            self.helper.shutdown()
+            self.helper = None
+
+    def _diffuse(self, axis: int, i: int) -> None:
+        _diffuse_in_place(self.w, self.factor, self.block[0].T, axis, self.halves[i])
+
+    def _react(self, i: int) -> None:
+        """Drift update (similarity frame) and reaction on the rows of half i: w + dt w^p,
         less dt w/(p-1) in the similarity frame (the physical one skips it: 0 w would
         turn an inf into NaN)."""
-        w, (a, b, _) = self.w, self.block
-        if dt != self.dt:
-            self.dt, self.factor = dt, _diffusion_factor(w.shape[0], dt / self.h2)
-        _diffuse_in_place(w, self.factor, a.T)
+        (w, a, b), dt = self.parts[i], self.dt
         if self.drift is not None:
-            wr, drift = _real(w), _drift(*self.drift)
+            wr, drift = _real(w), _real(a)
             np.subtract(wr, np.multiply(dt, drift, out=drift), out=wr)
         if self.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
             np.square(w, out=a)
@@ -296,6 +338,27 @@ class _Stepper:
         if self.drift is not None:
             np.subtract(a, np.multiply(1.0 / (self.p - 1), w, out=b), out=a)
         np.add(w, np.multiply(dt, a, out=a), out=w)
+
+    def _both(self, phase, *args) -> None:
+        """phase(*args, i) on each half i, half 1 on the helper if any; returns when all end."""
+        if self.helper is None:
+            for i in range(len(self.halves)):
+                phase(*args, i)
+            return
+        # the copied context carries this thread's np.errstate to the helper
+        later = self.helper.submit(contextvars.copy_context().run, phase, *args, 1)
+        phase(*args, 0)
+        later.result()
+
+    def step(self, dt: float) -> None:
+        """Diffuse (ADI in 2-D, axis 0 first), drift (similarity frame), react; each a phase."""
+        if dt != self.dt:
+            self.dt, self.factor = dt, _diffusion_factor(self.w.shape[0], dt / self.h2)
+        for axis in range(self.w.ndim):
+            self._both(self._diffuse, axis)
+        if self.drift is not None:
+            self._both(lambda i: _drift(*self.drift[i]))
+        self._both(self._react)
 
 
 def _clamp_values(params: _params.Params, grid: _spectral.Grid, s) -> np.ndarray:
@@ -430,28 +493,29 @@ def evolve(
     total_steps = n_full + (1 if remainder > 0 else 0)
     n_sub = _substep_count(cfg.scheme, grid, cfg.ds)
     substeps = np.arange(1, n_sub + 1) * (cfg.ds / n_sub)
-    for k in range(1, total_steps + 1):
-        ds_k = cfg.ds if k <= n_full else remainder
-        clamp = None  # the remainder step makes its own
-        if k <= n_full:
-            j = (k - 1) % cfg.record_every
-            if j == 0:
-                # boundary values of every substep up to the next record, at the s
-                # step_similarity gives them: step i starts at initial.s + i ds
-                steps = np.arange(k - 1, min(k - 1 + cfg.record_every, n_full))
-                starts = initial.s + steps * cfg.ds
-                block = _clamp_values(params, grid, starts[:, None] + substeps)
-            clamp = block[j]
-        state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
-        # keep s exact against accumulation drift
-        s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
-        state = dataclasses.replace(state, s=s_exact)
-        if cfg.pin_unstable_modes:
-            # the deviation goes into the step's scratch, free until the next step
-            scratch = work.block[0].reshape(-1)
-            removed_sum += _pin(state.w, grid, params, cfg.cutoff, state.s, scratch)
-        if k % cfg.record_every == 0 or k == total_steps:
-            push(state)
+    with work:  # a 2-D stepper's helper thread lives as long as the loop
+        for k in range(1, total_steps + 1):
+            ds_k = cfg.ds if k <= n_full else remainder
+            clamp = None  # the remainder step makes its own
+            if k <= n_full:
+                j = (k - 1) % cfg.record_every
+                if j == 0:
+                    # boundary values of every substep up to the next record, at the s
+                    # step_similarity gives them: step i starts at initial.s + i ds
+                    steps = np.arange(k - 1, min(k - 1 + cfg.record_every, n_full))
+                    starts = initial.s + steps * cfg.ds
+                    block = _clamp_values(params, grid, starts[:, None] + substeps)
+                clamp = block[j]
+            state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
+            # keep s exact against accumulation drift
+            s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
+            state = dataclasses.replace(state, s=s_exact)
+            if cfg.pin_unstable_modes:
+                # the deviation goes into the step's scratch, free until the next step
+                scratch = work.block[0].reshape(-1)
+                removed_sum += _pin(state.w, grid, params, cfg.cutoff, state.s, scratch)
+            if k % cfg.record_every == 0 or k == total_steps:
+                push(state)
     return traj
 
 
@@ -568,28 +632,29 @@ def run_physical_blowup(
     m_ref = m_snap = peak = m0
     steps_since_peak, end = 0, 1
     status = None  # the MAX_STEPS budget ran out
-    for _ in range(MAX_STEPS):
-        i, m = _physical_step(run, dt, edge_vals, mod)
-        if math.isfinite(m):  # else an overflow: the step is dropped
-            t += dt
-            record(i, m)
-            if m > peak * (1.0 + 1e-9):
-                peak, steps_since_peak, end = m, 0, len(traj.records)
-            else:
-                steps_since_peak += 1
-            if m >= m_snap * SNAPSHOT_FACTOR:
-                traj.keep_snapshot(t, u)
-                m_snap = m
-        # a collapse that recedes after doubling, which a genuinely decaying
-        # solution cannot do, still yields T from its clean growth records
-        status = ("blown-up" if not math.isfinite(m) or m >= m_stop
-                  else "receded" if m < 0.5 * peak
-                  else "stalled" if steps_since_peak >= STALL_PATIENCE else None)
-        if status:
-            break
-        if m >= SHRINK_FACTOR * m_ref:
-            m_ref = m
-            dt = eta * kp * m_ref ** (1 - params.p)
+    with run:  # a 2-D stepper's helper thread lives as long as the loop
+        for _ in range(MAX_STEPS):
+            i, m = _physical_step(run, dt, edge_vals, mod)
+            if math.isfinite(m):  # else an overflow: the step is dropped
+                t += dt
+                record(i, m)
+                if m > peak * (1.0 + 1e-9):
+                    peak, steps_since_peak, end = m, 0, len(traj.records)
+                else:
+                    steps_since_peak += 1
+                if m >= m_snap * SNAPSHOT_FACTOR:
+                    traj.keep_snapshot(t, u)
+                    m_snap = m
+            # a collapse that recedes after doubling, which a genuinely decaying
+            # solution cannot do, still yields T from its clean growth records
+            status = ("blown-up" if not math.isfinite(m) or m >= m_stop
+                      else "receded" if m < 0.5 * peak
+                      else "stalled" if steps_since_peak >= STALL_PATIENCE else None)
+            if status:
+                break
+            if m >= SHRINK_FACTOR * m_ref:
+                m_ref = m
+                dt = eta * kp * m_ref ** (1 - params.p)
     if status in (None, "receded") and peak < 2.0 * m0:
         raise NoBlowupError("no blow-up detected: " + (
             f"max|u| fell to {m:.4g} from peak {peak:.4g}" if status else "growth never took off"))

@@ -18,6 +18,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import unittest
@@ -479,6 +480,30 @@ class TestSweepMode:
         raw["initial_data"]["d1"] = d1
         assert cli.run(cli.config_from_dict(raw)) == 0
         assert _sweep_digests(tmp_path / "sw") == SWEEP_SHA256[d1]
+
+    def test_sweep_forked_after_a_2d_run_in_process(self, tmp_path):
+        # a 2-D run in one process, then a sweep whose pool forks its cells from
+        # it: a helper thread left alive by the run would be missing in the
+        # forked n = 2 cell, which would wait for it forever
+        single = tiny_raw(output_dir=str(tmp_path / "one"))
+        single["params"]["n_dim"], single["grid"]["N"] = 2, 65
+        sweep = self._sweep_raw(tmp_path / "sw", ps=[2], ns=[1, 2])
+        code = ("import json, sys\nfrom blowlab import cli\n"
+                "for raw in json.loads(sys.argv[1]):\n"
+                "    assert cli.run(cli.config_from_dict(raw)) == 0\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps([single, sweep])], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the forked cells too
+            proc.communicate()
+            pytest.fail("the sweep after a 2-D run in the same process hung")
+        assert proc.returncode == 0, err
 
     def test_sweep_with_inner_fits_bytes_pinned(self, tmp_path):
         # s 25 -> 35 is wide enough for the inner fit, so its columns are filled

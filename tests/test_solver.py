@@ -1,6 +1,9 @@
 """Tests for blowlab.solver: similarity and physical integrators."""
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -42,11 +45,37 @@ def step_frozen(state, cfg, pr):
 
 
 def implicit_diffusion(w, h, dt):
-    """Solve (I - dt D2) out = w by solver._diffuse_in_place on a copy of w."""
+    """Solve (I - dt D2) out = w on a copy of w, written out unsplit: one zgttrs
+    call on the whole grid per axis, axis 0 first (through a Fortran-order copy)."""
     out = np.array(w, dtype=np.complex128)
-    fbuf = np.empty_like(out, order="F") if out.ndim == 2 else None
-    solver._diffuse_in_place(out, solver._diffusion_factor(w.shape[0], dt / (h * h)), fbuf)
+    factor = solver._diffusion_factor(w.shape[0], dt / (h * h))
+    if out.ndim == 2:
+        fbuf = np.asfortranarray(out)
+        sp.lapack.zgttrs(*factor, fbuf, overwrite_b=1)
+        out[...] = fbuf
+    sp.lapack.zgttrs(*factor, out.T, overwrite_b=1)
     return out
+
+
+def upwind_drift(grid, vals):
+    """(y/2).grad of the real view vals, written out unsplit: per axis the
+    second-order upwind stencil on whole slices, in the kernel's operation order."""
+    out = np.zeros_like(vals)
+    ax = grid.axis()
+    k = int(np.count_nonzero(ax[1:-2] < 0.0))
+    two_h = 2.0 * grid.h
+    for axis in range(grid.n_dim):
+        m, o = np.moveaxis(vals, axis, 0), np.moveaxis(out, axis, 0)
+        left = (-3.0 * m[1 : k + 1] + 4.0 * m[2 : k + 2] - m[3 : k + 3]) / two_h
+        right = (3.0 * m[k + 1 : -1] - 4.0 * m[k:-2] + m[k - 1 : -3]) / two_h
+        vel = (0.5 * ax[1:-1]).reshape((-1,) + (1,) * grid.n_dim)
+        o[1:-1] += vel * np.concatenate([left, right])
+    return out
+
+
+def bits(w):
+    """The bit patterns of w; np.array_equal counts -0 and +0 as equal."""
+    return np.ascontiguousarray(w).view(np.uint64)
 
 
 class TestConfig:
@@ -145,8 +174,9 @@ class TestKernels:
         ids=["1-33", "2-17", "1-87.4-4097", "2-24.0-65"],
     )
     def test_upwind_matches_pointwise_stencil(self, n_dim, half_width, npts):
-        # the slice-wise drift equals the node-by-node upwind stencil exactly,
-        # for a real view whose trailing axis holds the two components; on the
+        # the slice-wise drift, written out and as the kernel on halves, equals
+        # the node-by-node upwind stencil exactly, for a real view whose
+        # trailing axis holds the two components; on the
         # last two grids 2h is not a power of two, so dividing by 2h and
         # multiplying by its reciprocal round differently
         grid = sp.Grid(n_dim, half_width, npts)
@@ -167,11 +197,19 @@ class TestKernels:
                 else:
                     d = (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * h)
                 want[idx] += 0.5 * ax[i] * d
-        work = np.empty((3,) + vals.shape)
-        assert np.array_equal(solver._drift(*solver._drift_views(grid, vals, work)), want)
+        assert np.array_equal(upwind_drift(grid, vals), want)
+        # the kernel, half by half, on the stepper's halves and on halves split
+        # off the row where the stencil changes side; each half fills its rows
+        stepper = solver._Stepper(grid, np.zeros(grid.shape, complex), 2, "physical")
+        for halves in (stepper.halves, (slice(0, 3), slice(3, npts))):
+            work = np.full((3,) + vals.shape, np.nan)
+            for views in solver._drift_views(grid, vals, work, halves):
+                solver._drift(*views)
+            assert np.array_equal(work[0], want)
 
     def test_implicit_diffusion_matches_banded_reference(self):
-        # bit for bit the same as one banded solve per axis on the real view
+        # the written-out solve and the kernel on halves are, bit for bit, one
+        # banded solve per axis on the real view
         def banded_reference(w, h, dt):
             r = dt / (h * h)
             npts = w.shape[0]
@@ -194,10 +232,18 @@ class TestKernels:
             w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             before = w.copy()
             dt = r * grid.h**2
+            want = banded_reference(w, grid.h, dt)
             got = implicit_diffusion(w, grid.h, dt)
-            assert np.array_equal(got, banded_reference(w, grid.h, dt))
+            assert np.array_equal(got, want)
             assert got.flags.c_contiguous
             assert np.array_equal(w, before)
+            # the kernel: axis by axis, on the stepper's halves in turn
+            run = solver._Stepper(grid, w.copy(), 2, "physical")
+            factor = solver._diffusion_factor(npts, r)
+            for axis in range(n_dim):
+                for rows in run.halves:
+                    solver._diffuse_in_place(run.w, factor, run.block[0].T, axis, rows)
+            assert np.array_equal(run.w, want)
 
     @pytest.mark.parametrize("frame", ["similarity", "physical"])
     @pytest.mark.parametrize("n_dim", [1, 2])
@@ -217,14 +263,17 @@ class TestKernels:
         "scheme,n_dim,p,half_width,npts",
         [("semi-implicit", 1, 2, 87.4, 4097), ("semi-implicit", 1, 3, 87.4, 4097),
          ("semi-implicit", 2, 2, 24.0, 65), ("semi-implicit", 2, 3, 24.0, 65),
-         ("explicit-rk4", 1, 2, 8.0, 129)],
+         ("semi-implicit", 2, 3, 87.5, 257), ("explicit-rk4", 1, 2, 8.0, 129)],
     )
     def test_step_similarity_matches_reference_substep(
         self, scheme, n_dim, p, half_width, npts
     ):
-        # bit for bit the substep sequence written out: diffusion solve, drift on
-        # the real view, reaction (or one RK4 stage set), then the boundary
-        # values of that substep's s; the incoming state is left as it was
+        # bit for bit the substep sequence written out unsplit: diffusion solve,
+        # drift on the real view, reaction (or one RK4 stage set), then the
+        # boundary values of that substep's s; the incoming state is left as it
+        # was.  The step runs on a default stepper, halves one after the other,
+        # and on one entered as a context, whose helper thread takes half of
+        # each phase in 2-D (the 257 grid is the 2-D sweep cell's)
         def reference_step(state, cfg, pr, ds):
             grid = state.grid
             n_sub = solver._substep_count(cfg.scheme, grid, ds)
@@ -237,8 +286,7 @@ class TestKernels:
                 if cfg.scheme == "semi-implicit":
                     w = implicit_diffusion(w, grid.h, dss)
                     wr = w.view(np.float64).reshape(w.shape + (2,))
-                    work = np.empty((3,) + wr.shape)
-                    wr -= dss * solver._drift(*solver._drift_views(grid, wr, work))
+                    wr -= dss * upwind_drift(grid, wr)
                     w = w + dss * (w**pr.p - inv * w)
                 else:
                     k1 = solver._rk4_rhs(w, grid, pr)
@@ -263,8 +311,36 @@ class TestKernels:
             assert n_sub == 6
         got = solver.step_similarity(state, cfg, pr)
         assert got.s == s_want
-        assert np.array_equal(got.w, w_want)
+        assert np.array_equal(bits(got.w), bits(w_want))
+        with solver._Stepper(grid, state.w.copy(), pr.p, "similarity") as work:
+            assert (work.helper is not None) == (n_dim == 2)
+            got = solver.step_similarity(state, cfg, pr, work=work)
+        assert np.array_equal(bits(got.w), bits(w_want))
         assert np.array_equal(state.w, before)
+
+    @pytest.mark.parametrize("frame", ["similarity", "physical"])
+    @pytest.mark.parametrize("npts", [17, 65, 257])
+    def test_helper_thread_matches_inline_halves(self, frame, npts):
+        # 20 steps of a 2-D stepper whose helper thread takes half of each phase
+        # give the bits of the same steps with both halves on this thread; a
+        # short switch interval interleaves the two threads as finely as it can
+        pr = bp.make_params(3, 2)
+        grid = sp.Grid(2, 8.0, npts)
+        w0 = random_field(grid, 9, pr.kappa)
+        inline = solver._Stepper(grid, w0.copy(), pr.p, frame)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with solver._Stepper(grid, w0.copy(), pr.p, frame) as threaded:
+                assert threaded.helper is not None
+                for _ in range(20):
+                    for run in (inline, threaded):
+                        run.step(1e-3)
+                        run.w[run.edge] = w0[run.edge]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.helper is None
+        assert np.array_equal(bits(threaded.w), bits(inline.w))
 
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_grid_geometry_is_shared_and_read_only(self, n_dim):
@@ -286,6 +362,30 @@ class TestEvolve:
             solver.evolve(constant_state(pr, grid, 0.5, pr.kappa), cfg, pr)
         with pytest.raises(ValueError):
             solver.evolve(constant_state(pr, grid, 12.0, pr.kappa), cfg, pr)
+
+    def test_helper_thread_lives_as_long_as_the_run(self):
+        # a 2-D run's helper thread is alive while it steps and gone once it
+        # returns or raises, so a process forked afterwards inherits no thread
+        pr = bp.make_params(2, 2)
+        grid = sp.Grid(2, 8.0, 33)
+        before = threading.active_count()
+        seen = []
+
+        def count(_):
+            seen.append(threading.active_count())
+
+        cfg = solver.SolverConfig(ds=0.005, s_end=25.05, record_every=2)
+        solver.evolve(profile_state(pr, grid, 25.0), cfg, pr, observer=count)
+        assert seen[0] == before and max(seen) == before + 1
+        assert threading.active_count() == before
+        # from 9 kappa the reaction takes max|w| past the 10 kappa guard on the
+        # third step, after two records
+        seen.clear()
+        cfg = solver.SolverConfig(ds=0.005, s_end=26.0, record_every=1)
+        with pytest.raises(solver.BlowupInSimilarityError):
+            solver.evolve(constant_state(pr, grid, 25.0, 9.0 * pr.kappa), cfg, pr, observer=count)
+        assert seen == [before, before + 1, before + 1]
+        assert threading.active_count() == before
 
     def test_constant_run_records_identical(self):
         # kappa is a fixed point: under the frozen edge it does not drift over the
@@ -688,6 +788,18 @@ class TestPhysical:
         assert got.t == 0.25 + dt
         assert np.array_equal(got.u, want)
         assert np.array_equal(st.u, before)
+
+    def test_physical_helper_keeps_the_step_errstate(self):
+        # the overflow a 2-D physical run ends on raises no warning, on either
+        # thread: the helper runs under the caller's np.errstate
+        pr = bp.make_params(2, 2)
+        grid = sp.Grid(2, 8.0, 33)
+        u = np.full(grid.shape, 1e150, dtype=complex)
+        st = solver.PhysicalState(t=0.0, grid=grid, u=u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solver.run_physical_blowup(st, pr, eta=5e-3)
+        assert traj.status == "blown-up"
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_step_refuses_dt_outside_zero_to_inf(self, dt):
