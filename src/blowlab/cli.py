@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -570,6 +569,9 @@ def _run_sweep(config: RunConfig) -> tuple:
     # the pool forks all its workers at once, so it gets no more than there are cells
     results = []
     if children:
+        # imported here: it loads multiprocessing, which no other mode needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(children))) as pool:
             results = list(pool.map(_run, children))
 

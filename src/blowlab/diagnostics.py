@@ -393,13 +393,14 @@ def profile_error(state, params: _params.Params) -> tuple:
     """Sup-norm distances to the leading profiles.
 
     e1 = sup |w1 - f0(|y|^2/s)|, e2 = sup |s w2 - g0(|y|^2/s)| over the
-    grid, with w = w1 + i w2 the state's complex array; grid sups stand in
-    for sups over all of space since both the deviation and the profiles
-    decay or are clamped beyond the boundary.
+    grid (f0 = R10, g0 = R21 of params.outer_profile), with w = w1 + i w2
+    the state's complex array; grid sups stand in for sups over all of
+    space since both the deviation and the profiles decay or are clamped
+    beyond the boundary.
     """
     z2 = state.grid.radius2() / state.s
-    e1 = float(np.max(np.abs(state.w.real - _params.f0(params, z2))))
-    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.g0(params, z2))))
+    e1 = float(np.max(np.abs(state.w.real - _params.outer_profile(params, "R10", z2))))
+    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.outer_profile(params, "R21", z2))))
     return e1, e2
 
 
@@ -432,7 +433,6 @@ class InnerFit:
     w1bar_limit: float
     c0_tilde: float
     window_means_w1bar: np.ndarray
-    window_means_w2h2: np.ndarray
     drift_w1bar: float
     drift_w2h2: float
 
@@ -470,7 +470,6 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
         w1bar_limit=w1bar_limit,
         c0_tilde=c0_tilde,
         window_means_w1bar=means1,
-        window_means_w2h2=means2,
         drift_w1bar=rel_drift(means1),
         drift_w2h2=rel_drift(means2),
     )

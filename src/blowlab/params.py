@@ -7,8 +7,11 @@ part approaches the profile f0 in the slow variable z = y/sqrt(s) and
 the imaginary part approaches g0 carrying one extra 1/s factor
 (similarity frame: y = x/sqrt(T-t), s = -ln(T-t)).
 
-Every radial profile here takes the *squared* radius z2 = |z|^2 (or
-y2 = |y|^2) so 1-D and n-D callers share one code path.
+Two routines evaluate the profiles: `outer_profile` gives the terms of the
+outer expansion in z, f0 = R10 and g0 = R21 among them, and `phi` gives the
+profile pair Phi1 + i Phi2 in (y, s) that the perturbation system is
+written around.  Every radial profile here takes the *squared* radius
+z2 = |z|^2 (or y2 = |y|^2) so 1-D and n-D callers share one code path.
 """
 
 from __future__ import annotations
@@ -44,19 +47,24 @@ class Params:
     b: float
 
 
-def make_params(p: int, n_dim: int = 1) -> Params:
-    """Build Params, deriving kappa and b from p."""
+def _checked_p(p) -> int:
+    """p as an int once it passes the package's rule: an integer in [2, MAX_P]."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise TypeError(f"p must be an integer, got {p!r}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if p > MAX_P:
         raise ValueError(f"p must be <= {MAX_P} (exact binomial range), got {p}")
+    return int(p)
+
+
+def make_params(p: int, n_dim: int = 1) -> Params:
+    """Build Params, deriving kappa and b from p."""
+    p = _checked_p(p)
     if isinstance(n_dim, bool) or not isinstance(n_dim, (int, np.integer)):
         raise TypeError(f"n_dim must be an integer, got {n_dim!r}")
     if n_dim < 1:
         raise ValueError(f"n_dim must be >= 1, got {n_dim}")
-    p = int(p)
     kappa = (p - 1.0) ** (-1.0 / (p - 1.0))
     b = (p - 1.0) ** 2 / (4.0 * p)
     return Params(p=p, n_dim=int(n_dim), kappa=kappa, b=b)
@@ -69,76 +77,24 @@ def _check_nonneg(z2, name: str):
     return z2
 
 
-def _base(params: Params, z2):
-    """p-1 + b z^2, the base of the profile powers."""
-    return params.p - 1 + params.b * z2
+def phi(params: Params, y2, s) -> np.ndarray:
+    """The profile pair Phi1 + i Phi2 in the similarity frame, as one complex array.
 
+      Phi1(y, s) = f0(|y|^2/s) + n kappa/(2 p s)
+      Phi2(y, s) = g0(|y|^2/s)/s - 2 n kappa/((p-1) s^2)
 
-def _f0(params: Params, a):
-    return a ** (-1.0 / (params.p - 1))
-
-
-def _g0(params: Params, z2, a):
-    return z2 * a ** (-params.p / (params.p - 1.0))
-
-
-def f0(params: Params, z2):
-    """Modulus-part profile f0(z^2) = (p-1 + b z^2)^{-1/(p-1)}."""
-    z2 = _check_nonneg(z2, "z2")
-    return _f0(params, _base(params, z2))
-
-
-def g0(params: Params, z2):
-    """Imaginary-part profile g0(z^2) = z^2 (p-1 + b z^2)^{-p/(p-1)}."""
-    z2 = _check_nonneg(z2, "z2")
-    return _g0(params, z2, _base(params, z2))
-
-
-def _similarity_base(params: Params, y2, s):
-    """(z2, a): z2 = |y|^2/s and its base a, for validated y2 and s > 0."""
+    with f0 = R10 and g0 = R21 of outer_profile; the shift of Phi2 makes its
+    Gaussian mean vanish to leading order.  s > 0 may be an array
+    broadcasting against y2.
+    """
     if np.any(np.asarray(s) <= 0):
         raise ValueError(f"s must be > 0, got {s}")
+    p, n_kappa = params.p, params.n_dim * params.kappa
     z2 = _check_nonneg(y2, "y2") / s
-    return z2, _base(params, z2)
-
-
-def _phi1(params: Params, a, s):
-    return _f0(params, a) + params.n_dim * params.kappa / (2.0 * params.p * s)
-
-
-def _phi2(params: Params, z2, a, s):
-    shift = 2.0 * params.n_dim * params.kappa / ((params.p - 1) * s * s)
-    return _g0(params, z2, a) / s - shift
-
-
-def phi1(params: Params, y2, s):
-    """First-order accurate real-part profile in the similarity frame.
-
-    phi1(y, s) = f0(|y|^2/s) + n kappa/(2 p s); s may be an array broadcasting against y2.
-    """
-    _, a = _similarity_base(params, y2, s)
-    return _phi1(params, a, s)
-
-
-def phi2(params: Params, y2, s):
-    """Imaginary-part profile in the similarity frame.
-
-    phi2(y, s) = (|y|^2/s^2)(p-1 + b|y|^2/s)^{-p/(p-1)} - 2 n kappa/((p-1)s^2),
-    i.e. g0(|y|^2/s)/s shifted so its Gaussian mean vanishes to leading order; s as in phi1.
-    """
-    return _phi2(params, *_similarity_base(params, y2, s), s)
-
-
-def phi(params: Params, y2, s) -> np.ndarray:
-    """The profile pair as one complex array, phi1 + i phi2, bit for bit.
-
-    Validates once and forms the base p-1 + b|y|^2/s once for both parts;
-    s as in phi1.
-    """
-    z2, a = _similarity_base(params, y2, s)
+    a = p - 1 + params.b * z2
     out = np.empty(np.shape(a), dtype=np.complex128)
-    out.real = _phi1(params, a, s)
-    out.imag = _phi2(params, z2, a, s)
+    out.real = a ** (-1.0 / (p - 1)) + n_kappa / (2.0 * p * s)
+    out.imag = z2 * a ** (-p / (p - 1.0)) / s - 2.0 * n_kappa / ((p - 1) * s * s)
     return out
 
 
@@ -148,21 +104,23 @@ def outer_profile(params: Params, kind: str, z2):
     kind is one of "R10", "R11", "R21", "R22"; w1 ~ R10 + R11/s + ...,
     w2 ~ R21/s + R22/s^2 + ...  With A = p-1 + b z^2,
 
+      R10 = f0 = A^{-1/(p-1)}   (the modulus profile)
+      R21 = g0 = z^2 A^{-p/(p-1)}
       R22 = -2 A^{-p/(p-1)} - ((p-1)/2) z^2 A^{-(2p-1)/(p-1)}
             + ((p-2)/(p-1)) z^2 ln(A) A^{-p/(p-1)} + p z^2 ln(A) A^{-(2p-1)/(p-1)}
 
-    (verifier.fit_r22_constants certifies it against its ODE).
+    (verifier.fit_r22_constants certifies R22 against its ODE).
     """
     if kind not in OUTER_KINDS:
         raise ValueError(f"kind must be one of {OUTER_KINDS}, got {kind!r}")
     z2 = _check_nonneg(z2, "z2")
     p = params.p
-    a = _base(params, z2)
+    a = p - 1 + params.b * z2
     if kind == "R10":
-        return _f0(params, a)
-    if kind == "R21":
-        return _g0(params, z2, a)
+        return a ** (-1.0 / (p - 1))
     decay = a ** (-p / (p - 1.0))
+    if kind == "R21":
+        return z2 * decay
     if kind == "R11":
         return (p - 1) / (2.0 * p) * decay - (p - 1) / (4.0 * p) * z2 * np.log(a) * decay
     decay_steep = a ** (-(2.0 * p - 1) / (p - 1.0))

@@ -14,7 +14,10 @@ with V the scalar potential p(Phi1^{p-1} - 1/(p-1)), V_{i,j} the
 off-profile parts of the Jacobian of (F1, F2), B the pure second-order
 Taylor remainder of F at Phi, and R the residual of the profile pair
 under the similarity flow.  All of those pieces live here, together with
-the smooth cutoff and the initial data of the trapped construction.
+the smooth cutoff and the initial data of the trapped construction.  They
+read the profile pair from params.phi.  F and its Jacobian stay binomial
+sums in the real pair: through complex powers, V11 = Re(p Phi^{p-1}) -
+p Phi1^{p-1} would cancel catastrophically.
 """
 
 from __future__ import annotations
@@ -24,21 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import MAX_P, Params, phi1, phi2
+from .params import Params, _checked_p, phi
 from .spectral import Grid
-
-
-def _check_p(p: int) -> int:
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise TypeError(f"p must be an integer, got {p!r}")
-    if not 2 <= p <= MAX_P:
-        raise ValueError(f"p must be in [2, {MAX_P}], got {p}")
-    return int(p)
 
 
 def f1f2(u1, u2, p: int):
     """Real and imaginary parts of (u1 + i u2)^p via exact binomial sums."""
-    p = _check_p(p)
+    p = _checked_p(p)
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     u2sq = u2 * u2
@@ -71,7 +66,7 @@ def bar_b(params: Params, w1bar, w2):
 def potential_v(params: Params, y2, s):
     """Scalar potential V = p (Phi1^{p-1} - 1/(p-1)) of the linearized flow."""
     p = params.p
-    return p * (phi1(params, y2, s) ** (p - 1) - 1.0 / (p - 1))
+    return p * (phi(params, y2, s).real ** (p - 1) - 1.0 / (p - 1))
 
 
 def potentials_vjk(params: Params, y2, s):
@@ -83,7 +78,8 @@ def potentials_vjk(params: Params, y2, s):
       V21 = dF2/du1                    V22 = dF2/du2 - p Phi1^{p-1}
     For p=2 they reduce to V11 = V22 = 0, V12 = -2 Phi2, V21 = 2 Phi2.
     """
-    return _vjk(params.p, phi1(params, y2, s), phi2(params, y2, s))
+    pair = phi(params, y2, s)
+    return _vjk(params.p, pair.real, pair.imag)
 
 
 def _vjk(p: int, p1v, p2v):
@@ -118,8 +114,8 @@ def quadratic_b(params: Params, q1, q2, y2, s):
     p = params.p
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    p1v = phi1(params, y2, s)
-    p2v = phi2(params, y2, s)
+    pair = phi(params, y2, s)
+    p1v, p2v = pair.real, pair.imag
     f1_pert, f2_pert = f1f2(p1v + q1, p2v + q2, p)
     f1_base, f2_base = f1f2(p1v, p2v, p)
     v11, v12, v21, v22 = _vjk(p, p1v, p2v)
@@ -140,28 +136,24 @@ def rest_r(params: Params, y2, s):
     At the origin s^2 R1 -> c1 (fitted elsewhere) and
     s^3 R2 -> -n(n+4) kappa/(p-1).
     """
-    if s <= 0:
-        raise ValueError(f"s must be > 0, got {s}")
+    pair = phi(params, y2, s)  # validates s > 0 and y2 >= 0
+    phi1v, phi2v = pair.real, pair.imag
     p = params.p
     b = params.b
     n = params.n_dim
     kap = params.kappa
-    y2 = np.asarray(y2, dtype=float)
-    xi = y2 / s
+    xi = np.asarray(y2, dtype=float) / s
     a = p - 1 + b * xi
-    e1 = -1.0 / (p - 1)       # f0 exponent
     ep = -p / (p - 1.0)       # first derivative exponent
     e2p = -(2.0 * p - 1) / (p - 1)
     e3p = -(3.0 * p - 2) / (p - 1)
 
     f1p = -(b / (p - 1)) * a**ep
     f1pp = (p * b * b / (p - 1) ** 2) * a**e2p
-    phi1v = a**e1 + n * kap / (2.0 * p * s)
 
     gv = xi * a**ep
     gp = a**ep - (p * b / (p - 1)) * xi * a**e2p
     gpp = -2.0 * (p * b / (p - 1)) * a**e2p + (p * (2.0 * p - 1) * b * b / (p - 1) ** 2) * xi * a**e3p
-    phi2v = gv / s - 2.0 * n * kap / ((p - 1) * s * s)
 
     fo1, fo2 = f1f2(phi1v, phi2v, p)
 

@@ -15,7 +15,7 @@ in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
 CFL_SAFETY.  evolve steps its stepper through step_similarity, once per
 step, and takes the clamped boundary values of every substep up to the
 next record from one profile call.  It pins on the cutoff's support box and
-forms the full-grid profile only for a record.
+forms full-grid profiles (Phi, f0 and g0) only for a record.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
@@ -430,7 +430,11 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
 
 
 def _record_state(state, params, cut, removal_rate) -> tuple:
-    """One Trajectory row of state; its Phi1 + i Phi2 is the only full-grid profile a run forms."""
+    """One Trajectory row of state.
+
+    A record forms the only full-grid profiles of a run: Phi1 + i Phi2 here,
+    for the mode decomposition, and f0, g0 in diagnostics.profile_error.
+    """
     grid = state.grid
     phi = _params.phi(params, grid.radius2(), state.s)
     modes = _diag.decompose(grid, state.w - phi, state.s, cut)

@@ -22,6 +22,7 @@ import signal
 import subprocess
 import sys
 import unittest
+from concurrent import futures
 from contextlib import redirect_stderr
 
 import numpy as np
@@ -467,7 +468,7 @@ class TestSweepMode:
         # a fork pool starts all of its workers at once; the fake runs the
         # cells in this process and records the size it was asked for
         monkeypatch.setattr(InProcessPool, "sizes", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
         config = cli.config_from_dict(
             self._sweep_raw(tmp_path / "sw", ps=[2], ns=[1], workers=64)
         )
@@ -516,7 +517,7 @@ class TestSweepMode:
     def test_failed_cell_bytes_pinned(self, tmp_path, monkeypatch):
         # the cells run in this process, so the patch reaches them under any
         # multiprocessing start method
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli, "_run_similarity", _boom_on_p3)
         out = tmp_path / "swf"
         config = cli.config_from_dict(self._sweep_raw(out, ps=[2, 3], ns=[1, 2]))

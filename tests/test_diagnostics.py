@@ -381,7 +381,7 @@ class TestProfileError:
         state = type("S", (), {})()
         state.s = s
         state.grid = grid
-        state.w = bp.phi1(pr, r2, s) + 1j * bp.phi2(pr, r2, s)
+        state.w = bp.phi(pr, r2, s)
         e1, e2 = dg.profile_error(state, pr)
         assert e1 == pytest.approx(n * pr.kappa / (2 * p * s), rel=1e-12)
         assert e2 == pytest.approx(2 * n * pr.kappa / ((p - 1) * s), rel=1e-12)

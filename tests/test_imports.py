@@ -5,7 +5,8 @@ local name a function assigns is read in it, every
 module-level function, class and method is read somewhere in the package,
 except the oracles that only tests call, which are listed by name, and every
 optional parameter and dataclass field with a default is set somewhere in the
-package, except a named few.
+package, except a named few, and every dataclass field is read somewhere in
+the package or its tests.
 """
 
 import ast
@@ -241,6 +242,44 @@ def test_option_checker_finds_unset_dataclass_fields():
     assert unset_options({**sources, "c": "D(**kw)\n"}) == ["a.E(k)"]
 
 
+def unread_fields(sources: dict, readers=()) -> list[str]:
+    """module.Class.field of each field of a dataclass in sources ({module:
+    source}) whose name no attribute read in sources or readers (more
+    sources) loads; an augmented assignment reads its target."""
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    _name(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+                fields += [(f.target.id, f"{module}.{node.name}.{f.target.id}")
+                           for f in node.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    for source in [*sources.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+    return sorted(dotted for name, dotted in fields if name not in read)
+
+
+def test_field_checker_finds_unread_fields():
+    sources = {
+        "a": "@dataclass\nclass D:\n    x: int\n    y: int = 0\n    z: int = 0\n"
+             "    u: int = 0\nclass P:\n    k: int\n",
+        "b": "d = D(1, y=2)\nd.x\nd.z = 3\nd.u += 1\n",
+    }
+    # passing a field to the class or storing it is no read; P is no dataclass
+    assert unread_fields(sources) == ["a.D.y", "a.D.z"]
+    assert unread_fields(sources, readers=["print(d.y)"]) == ["a.D.z"]
+
+
+def test_no_dataclass_field_nothing_reads():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    tests = [path.read_text() for path in pathlib.Path(__file__).parent.glob("*.py")]
+    assert unread_fields(sources, readers=tests) == []
+
+
 # Optional parameters and dataclass fields that no src/ code sets, on purpose.
 OPTIONS_SET_OUTSIDE = [
     # the command line; the console script reads sys.argv
@@ -260,21 +299,31 @@ def test_no_option_only_tests_set():
         OPTIONS_SET_OUTSIDE + FIELDS_SET_OUTSIDE)
 
 
+def loaded_at_import(modules) -> list[str]:
+    """Those of modules that a fresh interpreter has loaded once it imports
+    blowlab.cli and blowlab.verifier."""
+    code = ("import sys, blowlab.cli, blowlab.verifier\n"
+            f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return ast.literal_eval(out.stdout.strip())
+
+
 def test_package_loads_no_scipy_linalg_integrate_or_interpolate():
     # the package init of scipy.linalg clones the numpy namespace (numpy.f2py,
     # numpy.testing, numpy.ma, numpy.random, ...), about 0.3 s and 18 MiB of
     # every run's start-up on a 2-CPU host, so the package loads only scipy's
     # LAPACK extension (spectral.lapack); scipy.integrate and scipy.interpolate
-    # pull in scipy.special and scipy.optimize, about 0.4 s more.  A fresh
-    # interpreter shows what loads
-    code = ("import sys, blowlab.cli, blowlab.verifier\n"
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate')"
-            " if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # pull in scipy.special and scipy.optimize, about 0.4 s more
+    assert loaded_at_import(("scipy.linalg", "scipy.integrate", "scipy.interpolate")) == []
+
+
+def test_package_loads_no_multiprocessing():
+    # only a sweep forks cells, so cli imports ProcessPoolExecutor, and with
+    # it multiprocessing, inside _run_sweep; every other mode starts without
+    assert loaded_at_import(("multiprocessing", "concurrent.futures.process")) == []
 
 
 def test_lapack_routines_are_scipys_own():

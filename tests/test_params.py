@@ -8,6 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowlab import params as bp
+from blowlab import solver, spectral
+
+
+def assert_phi_parts_are_outer_profiles(pr, y2, s):
+    """phi's real part against R10(|y|^2/s) + n kappa/(2ps) and its imaginary part
+    against R21(|y|^2/s)/s - 2n kappa/((p-1)s^2), compared bit for bit."""
+    p, n, kappa = pr.p, pr.n_dim, pr.kappa
+    z2 = np.asarray(y2, dtype=float) / s
+    got = bp.phi(pr, y2, s)
+    real = bp.outer_profile(pr, "R10", z2) + n * kappa / (2.0 * p * s)
+    imag = bp.outer_profile(pr, "R21", z2) / s - 2.0 * n * kappa / ((p - 1) * s * s)
+    assert got.dtype == np.complex128 and got.shape == np.shape(real) == np.shape(imag)
+    assert np.array_equal(got.real.view(np.uint64), np.asarray(real).view(np.uint64))
+    assert np.array_equal(got.imag.view(np.uint64), np.asarray(imag).view(np.uint64))
 
 
 class TestMakeParams:
@@ -52,52 +66,52 @@ class TestProfiles:
         self.p2 = bp.make_params(2, 1)
 
     def test_f0_values(self):
-        assert bp.f0(self.p2, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert bp.f0(self.p2, 8.0) == pytest.approx(0.5, abs=1e-15)
+        assert bp.outer_profile(self.p2, "R10", 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert bp.outer_profile(self.p2, "R10", 8.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_f0_rejects_negative(self):
         with pytest.raises(ValueError):
-            bp.f0(self.p2, -1.0)
+            bp.outer_profile(self.p2, "R10", -1.0)
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_f0_decreasing_and_starts_at_kappa(self, p):
         pr = bp.make_params(p, 1)
         z2 = np.linspace(0.0, 50.0, 400)
-        vals = bp.f0(pr, z2)
+        vals = bp.outer_profile(pr, "R10", z2)
         assert vals[0] == pytest.approx(pr.kappa, rel=1e-14)
         assert np.all(np.diff(vals) < 0)
 
     def test_g0_values(self):
-        assert bp.g0(self.p2, 0.0) == 0.0
-        assert bp.g0(self.p2, 1.0) == pytest.approx(64.0 / 81.0, rel=1e-14)
-        assert bp.g0(self.p2, 8.0) == pytest.approx(2.0, rel=1e-14)
+        assert bp.outer_profile(self.p2, "R21", 0.0) == 0.0
+        assert bp.outer_profile(self.p2, "R21", 1.0) == pytest.approx(64.0 / 81.0, rel=1e-14)
+        assert bp.outer_profile(self.p2, "R21", 8.0) == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 9])
     def test_g0_identity(self, p):
         # g0(z2) (p-1+b z2)^{p/(p-1)} == z2 at 1000 points, rel < 1e-13
         pr = bp.make_params(p, 1)
         z2 = np.linspace(1e-3, 100.0, 1000)
-        lhs = bp.g0(pr, z2) * (p - 1 + pr.b * z2) ** (p / (p - 1.0))
+        lhs = bp.outer_profile(pr, "R21", z2) * (p - 1 + pr.b * z2) ** (p / (p - 1.0))
         assert np.max(np.abs(lhs / z2 - 1.0)) < 1e-13
 
     def test_phi1_values(self):
-        assert bp.phi1(self.p2, 0.0, 10.0) == pytest.approx(1.025, rel=1e-14)
-        assert bp.phi1(self.p2, 80.0, 10.0) == pytest.approx(0.525, rel=1e-14)
+        assert bp.phi(self.p2, 0.0, 10.0).real == pytest.approx(1.025, rel=1e-14)
+        assert bp.phi(self.p2, 80.0, 10.0).real == pytest.approx(0.525, rel=1e-14)
 
     def test_phi1_limit_kappa(self):
-        assert bp.phi1(self.p2, 0.0, 1e12) == pytest.approx(1.0, abs=1e-11)
+        assert bp.phi(self.p2, 0.0, 1e12).real == pytest.approx(1.0, abs=1e-11)
 
     def test_phi2_values(self):
-        assert bp.phi2(self.p2, 0.0, 10.0) == pytest.approx(-0.02, rel=1e-14)
+        assert bp.phi(self.p2, 0.0, 10.0).imag == pytest.approx(-0.02, rel=1e-14)
         expect = 1.0 / (100.0 * (9.0 / 8.0) ** 2) - 2e-4
-        assert bp.phi2(self.p2, 100.0, 100.0) == pytest.approx(expect, rel=1e-14)
+        assert bp.phi(self.p2, 100.0, 100.0).imag == pytest.approx(expect, rel=1e-14)
         assert expect == pytest.approx(0.0077012, abs=1e-6)
 
     def test_phi_reject_bad_s(self):
         with pytest.raises(ValueError):
-            bp.phi1(self.p2, 1.0, 0.0)
+            bp.phi(self.p2, 1.0, 0.0)
         with pytest.raises(ValueError):
-            bp.phi2(self.p2, 1.0, -2.0)
+            bp.phi(self.p2, 1.0, -2.0)
 
     @pytest.mark.parametrize("p,n_dim", [(2, 1), (3, 2), (5, 1)])
     def test_phi_array_s_broadcasts_like_scalar_calls(self, p, n_dim):
@@ -106,19 +120,17 @@ class TestProfiles:
         pr = bp.make_params(p, n_dim)
         y2 = np.array([0.0, 0.3, 17.0, 4.5e3, 7.6e3])
         s = 25.0 + np.arange(1, 7) * (0.005 / 6)
-        for phi in (bp.phi1, bp.phi2):
-            got = phi(pr, y2[None, :], s[:, None])
-            want = np.stack([phi(pr, y2, float(si)) for si in s])
-            assert got.shape == (6, 5)
-            assert np.array_equal(got, want)
+        got = bp.phi(pr, y2[None, :], s[:, None])
+        want = np.stack([bp.phi(pr, y2, float(si)) for si in s])
+        assert got.shape == (6, 5)
+        assert np.array_equal(got, want)
 
     def test_phi_reject_one_bad_s_in_array(self):
         s = np.array([[25.0], [0.0], [26.0]])
-        for phi in (bp.phi1, bp.phi2):
-            with pytest.raises(ValueError, match="s must be > 0"):
-                phi(self.p2, np.ones((1, 3)), s)
-            with pytest.raises(ValueError, match="s must be > 0"):
-                phi(self.p2, 1.0, -s)
+        with pytest.raises(ValueError, match="s must be > 0"):
+            bp.phi(self.p2, np.ones((1, 3)), s)
+        with pytest.raises(ValueError, match="s must be > 0"):
+            bp.phi(self.p2, 1.0, -s)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -128,15 +140,24 @@ class TestProfiles:
         s=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=7),
     )
     def test_phi_is_phi1_plus_i_phi2_bit_for_bit(self, p, n_dim, y2, s):
-        # the one-call complex profile against the two real calls it replaces,
+        # Phi1 and Phi2 written through the outer profiles R10 = f0 and R21 = g0,
         # for a scalar s and for an (m, 1) column of s against a row of y2
         pr = bp.make_params(p, n_dim)
         y2 = np.array(y2)
-        for y2_arg, s_arg in ((y2, s[0]), (y2[None, :], np.array(s)[:, None])):
-            got = bp.phi(pr, y2_arg, s_arg)
-            want = bp.phi1(pr, y2_arg, s_arg) + 1j * bp.phi2(pr, y2_arg, s_arg)
-            assert got.dtype == np.complex128 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert_phi_parts_are_outer_profiles(pr, y2, s[0])
+        assert_phi_parts_are_outer_profiles(pr, y2[None, :], np.array(s)[:, None])
+
+    @pytest.mark.parametrize("p,n_dim,npts", [(2, 1, 4097), (3, 2, 257), (9, 2, 33)])
+    def test_phi_parts_are_outer_profiles_on_the_edge_radii(self, p, n_dim, npts):
+        # the clamp's call: the edge nodes' radii against one s, and against the
+        # (substeps, 1) column of s the solver takes them at
+        pr = bp.make_params(p, n_dim)
+        grid = spectral.Grid(n_dim, 87.5, npts)
+        y2 = grid.radius2()[solver._edge_mask(grid)]
+        s = 25.0 + np.arange(1, 7) * (5e-3 / 6)
+        assert_phi_parts_are_outer_profiles(pr, y2, 25.0)
+        assert_phi_parts_are_outer_profiles(pr, y2, s[..., None])
+        assert np.array_equal(solver._clamp_values(pr, grid, s), bp.phi(pr, y2, s[..., None]))
 
     @pytest.mark.parametrize(
         "y2,s,match",
@@ -146,15 +167,14 @@ class TestProfiles:
          (-1.0, -1.0, "s must be > 0")],
     )
     def test_phi_raises_as_phi1_and_phi2(self, y2, s, match):
-        for fn in (bp.phi, bp.phi1, bp.phi2):
-            with pytest.raises(ValueError, match=match):
-                fn(self.p2, y2, s)
+        with pytest.raises(ValueError, match=match):
+            bp.phi(self.p2, y2, s)
 
     def test_phi2_mean_shift_scaling(self):
         # second term is -2 n kappa / ((p-1) s^2) for any p, n
         pr = bp.make_params(3, 2)
         s = 7.0
-        assert bp.phi2(pr, 0.0, s) == pytest.approx(
+        assert bp.phi(pr, 0.0, s).imag == pytest.approx(
             -2 * 2 * pr.kappa / ((3 - 1) * s * s), rel=1e-14
         )
 
@@ -164,16 +184,18 @@ class TestOuterProfiles:
         self.p2 = bp.make_params(2, 1)
 
     def test_r10_is_f0(self):
+        # f0(z^2) = (p-1 + b z^2)^{-1/(p-1)}
         z2 = np.linspace(0, 30, 101)
         np.testing.assert_allclose(
-            bp.outer_profile(self.p2, "R10", z2), bp.f0(self.p2, z2), rtol=1e-15
+            bp.outer_profile(self.p2, "R10", z2), (1.0 + 0.125 * z2) ** -1.0, rtol=1e-15
         )
         assert bp.outer_profile(self.p2, "R10", 0.0) == pytest.approx(1.0)
 
     def test_r21_equals_g0(self):
+        # g0(z^2) = z^2 (p-1 + b z^2)^{-p/(p-1)}
         z2 = np.linspace(0, 50, 500)
         np.testing.assert_allclose(
-            bp.outer_profile(self.p2, "R21", z2), bp.g0(self.p2, z2), rtol=1e-14
+            bp.outer_profile(self.p2, "R21", z2), z2 * (1.0 + 0.125 * z2) ** -2.0, rtol=1e-14
         )
         assert bp.outer_profile(self.p2, "R21", 8.0) == pytest.approx(2.0, rel=1e-14)
 

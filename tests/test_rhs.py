@@ -1,6 +1,7 @@
 """Tests for blowlab.rhs: nonlinearity, potentials, remainders, rest term, initial data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ class TestF1F2:
             rhs.f1f2(1.0, 1.0, 10)
         with pytest.raises(TypeError):
             rhs.f1f2(1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [1, 10, 2.0, True])
+    def test_p_rule_is_make_params_rule(self, bad):
+        with pytest.raises((TypeError, ValueError)) as want:
+            bp.make_params(bad, 1)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            rhs.f1f2(1.0, 1.0, bad)
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_complex_power_oracle(self, p):
@@ -85,7 +93,7 @@ class TestPotentials:
         y2 = np.linspace(0, 200, 101)
         s = 10.0
         v11, v12, v21, v22 = rhs.potentials_vjk(p2, y2, s)
-        p2v = bp.phi2(p2, y2, s)
+        p2v = bp.phi(p2, y2, s).imag
         assert np.all(v11 == 0.0)
         assert np.all(v22 == 0.0)
         np.testing.assert_allclose(v12, -2.0 * p2v, rtol=1e-14)
@@ -100,8 +108,8 @@ class TestPotentials:
     def test_vjk_match_numerical_jacobian(self, p):
         pr = bp.make_params(p, 1)
         y2, s = 30.0, 20.0
-        u1 = float(bp.phi1(pr, y2, s))
-        u2 = float(bp.phi2(pr, y2, s))
+        pair = bp.phi(pr, y2, s)
+        u1, u2 = float(pair.real), float(pair.imag)
         h = 1e-6
         dF1_du1 = (rhs.f1f2(u1 + h, u2, p)[0] - rhs.f1f2(u1 - h, u2, p)[0]) / (2 * h)
         dF1_du2 = (rhs.f1f2(u1, u2 + h, p)[0] - rhs.f1f2(u1, u2 - h, p)[0]) / (2 * h)
@@ -134,8 +142,8 @@ class TestQuadraticB:
         q2 = rng.uniform(-0.3, 0.3, 100)
         y2 = rng.uniform(0, 50, 100)
         s = 30.0
-        p1v = bp.phi1(pr, y2, s)
-        p2v = bp.phi2(pr, y2, s)
+        pair = bp.phi(pr, y2, s)
+        p1v, p2v = pair.real, pair.imag
         b1, b2 = rhs.quadratic_b(pr, q1, q2, y2, s)
         v11, v12, v21, v22 = rhs.potentials_vjk(pr, y2, s)
         diag = p * p1v ** (p - 1)
@@ -174,7 +182,8 @@ class TestRestR:
         h = grid.h
 
         def profile_fields(ss):
-            return bp.phi1(pr, y2, ss), bp.phi2(pr, y2, ss)
+            pair = bp.phi(pr, y2, ss)
+            return pair.real, pair.imag
 
         p1v, p2v = profile_fields(s)
         lap1 = np.zeros_like(p1v)
@@ -207,12 +216,13 @@ class TestRestR:
             grid = sp.Grid(1, 6.0, npts)
             ax = grid.axis()
             y2 = ax * ax
-            p1v = bp.phi1(pr, y2, s)
+            pair = bp.phi(pr, y2, s)
+            p1v = pair.real
             lap = sp.second_derivative(p1v, grid.h)
             drift = 0.5 * ax * sp.first_derivative(p1v, grid.h)
-            f1v, _ = rhs.f1f2(p1v, bp.phi2(pr, y2, s), 2)
+            f1v, _ = rhs.f1f2(p1v, pair.imag, 2)
             ds = 1e-5
-            dt = (bp.phi1(pr, y2, s + ds) - bp.phi1(pr, y2, s - ds)) / (2 * ds)
+            dt = (bp.phi(pr, y2, s + ds).real - bp.phi(pr, y2, s - ds).real) / (2 * ds)
             r1_fd = lap - drift - p1v + f1v - dt
             r1_an, _ = rhs.rest_r(pr, y2, s)
             errs.append(np.max(np.abs((r1_an - r1_fd)[2:-2])))
