@@ -25,15 +25,14 @@ Every mode runs through one entry, which returns the exit code together with
 the mode's result (fits, verify payload or sweep rows); a sweep's cells
 return their fits through the process pool, and its rows are built from
 them, not read back from disk.  Outputs (run_header.json always;
-trajectory.csv, fits.json, verify_report.json, sweep_summary.json,
-sweep_table.csv per mode) are byte-deterministic for identical config and
-seed, carry no timestamps, and embed the config hash so every artifact is
-self-describing.
+trajectory.csv, laid out by diagnostics, fits.json, verify_report.json,
+sweep_summary.json, sweep_table.csv per mode) are byte-deterministic for
+identical config and seed, carry no timestamps, and embed the config hash
+so every artifact is self-describing.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -43,7 +42,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import diagnostics as _diag
 from . import params as _params
@@ -56,8 +54,6 @@ ARTIFACT_VERSION = "1"
 MODES = ("simulate-similarity", "simulate-physical", "verify", "sweep")
 # most substeps one ds step of a similarity run may need, checked at load
 MAX_SUBSTEPS_PER_STEP = 200
-# a physical trajectory.csv is thinned to about this many rows
-MAX_PHYSICAL_CSV_ROWS = 5000
 
 
 class ConfigError(ValueError):
@@ -384,6 +380,8 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
+    import yaml  # imported here: a run handed a RunConfig never parses YAML
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -478,21 +476,6 @@ def _run_similarity(config: RunConfig) -> tuple:
     return 0, fits
 
 
-def _write_physical_csv(ptraj, path: str) -> None:
-    n = ptraj.grid.n_dim
-    cols = ["t", "dt", "max_u"] + [f"argmax_{i}" for i in range(n)]
-    for i in range(len(ptraj.probes)):
-        cols += [f"probe{i}_u1", f"probe{i}_u2"]
-    # thin long runs to every stride-th row plus the last one; the float view
-    # of probe_u interleaves u1 and u2 per probe
-    recs = ptraj.records
-    stride = max(1, -(-len(recs) // MAX_PHYSICAL_CSV_ROWS))
-    last = recs[-1:] if (len(recs) - 1) % stride else recs[:0]
-    recs = np.concatenate([recs[::stride], last])
-    _diag.write_csv(path, cols, np.column_stack([
-        recs["t"], recs["dt"], recs["max_u"], recs["argmax"], recs["probe_u"].view(np.float64)]))
-
-
 def _run_physical(config: RunConfig) -> tuple:
     pr, cut, idp = _initial_pieces(config)
     grid_x = _spectral.Grid(1, config.L, config.N)
@@ -524,7 +507,7 @@ def _run_physical(config: RunConfig) -> tuple:
         "snapshots": len(ptraj.snapshots),
         "probes": probe_rows,
     }
-    _write_physical_csv(ptraj, os.path.join(config.output_dir, "trajectory.csv"))
+    _diag.write_physical_csv(ptraj, os.path.join(config.output_dir, "trajectory.csv"))
     _diag.write_json(fits, os.path.join(config.output_dir, "fits.json"))
     return 0, fits
 
@@ -633,6 +616,8 @@ _DEFAULT_VERIFY = {"mode": "verify"}
 
 
 def main(argv=None) -> int:
+    import argparse  # imported here: only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="blowlab",
         description="Blow-up simulation and certification runs.",

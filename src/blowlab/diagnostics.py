@@ -16,8 +16,10 @@ All of these moments come from one routine, spectral.gaussian_moments, which
 the solver's mode pinning uses too.  decompose acts on the complex deviation
 q = q1 + i q2 at once and returns each mode field for both components.
 Similarity and physical records are columns of one numpy structured array
-per trajectory, and both frames write their CSV through write_csv.  The
-shrinking-set checks take (A, p1) from the run's rhs.InitialDataParams.
+per trajectory; each trajectory's record builds its rows from the run's
+state, and write_trajectory_csv and write_physical_csv lay out the frames'
+CSV through write_csv.  The shrinking-set checks take (A, p1) from the
+run's rhs.InitialDataParams.
 
 All operations are read-only on their inputs; a finished trajectory can be
 analyzed concurrently.
@@ -60,6 +62,8 @@ MIN_EXPONENT_LOG_SPAN = 0.1
 FINAL_PROFILE_REL_TOL = 0.01
 # nodes on each side of a final-profile probe in the window its spline is fitted on
 SPLINE_HALF_WINDOW = 32
+# a physical trajectory.csv is thinned to about this many rows
+MAX_PHYSICAL_CSV_ROWS = 5000
 
 
 class _RowStore:
@@ -115,6 +119,18 @@ class Trajectory(_RowStore):
             ("removal_rate", float, (2, 1 + n)),
         ])
 
+    def record(self, state, params: _params.Params, cut: _rhs.CutoffSpec, removal_rate) -> None:
+        """Append the row of the similarity state, with the complex removal_rate (1 + n,); a
+        record forms a run's only full-grid profiles: Phi here (the modes about cut), f0
+        and g0 in profile_error."""
+        grid, w = state.grid, state.w
+        modes = decompose(grid, w - _params.phi(params, grid.radius2(), state.s), state.s, cut)
+        e1, e2 = profile_error(state, params)
+        c0, c2 = radial_mode_coefficients(grid, w - params.kappa)
+        # max_w is the larger of max|w1| and max|w2|
+        self.add(state.s, *modes, e1, e2, np.max(np.abs(w.view(np.float64))),
+                 c2.real, c0.imag, c2.imag, np.array([removal_rate.real, removal_rate.imag]))
+
 
 @dataclass
 class PhysicalTrajectory(_RowStore):
@@ -149,12 +165,21 @@ class PhysicalTrajectory(_RowStore):
         n = min(2 * SPLINE_HALF_WINDOW, ax.size)
         cells = np.clip(np.searchsorted(ax, self.probes, side="right") - 1, 0, ax.size - 2)
         lo = np.clip(cells - SPLINE_HALF_WINDOW + 1, 0, ax.size - n)
-        self.windows, self.cells = lo[:, None] + np.arange(n), cells - lo
+        self.windows, self.cells, self._axis = lo[:, None] + np.arange(n), cells - lo, ax
         self._start_rows([
             ("t", float), ("dt", float), ("max_u", float),
             ("argmax", float, (self.grid.n_dim,)),
             ("probe_u", complex, (self.probes.size,)),
         ])
+
+    def record(self, t: float, dt: float, i: int, max_u: float, u: np.ndarray) -> None:
+        """Append the row of the step to t of length dt, where max|u| = max_u at the flat
+        index i: argmax is the position of node i, probe_u u at the probes, linearly
+        interpolated (probes off the grid, where np.interp would read the boundary
+        value, are refused on construction)."""
+        ax = self._axis
+        pos = ax[i : i + 1] if u.ndim == 1 else ax[list(np.unravel_index(i, u.shape))]
+        self.add(t, dt, max_u, pos, np.interp(self.probes, ax, u) if self.probes.size else ())
 
     def keep_snapshot(self, t: float, u: np.ndarray) -> None:
         """Append the snapshot (t, u on each probe's window), a copy of shape windows.shape."""
@@ -180,10 +205,9 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
             "or shrink it inside K sqrt(s)"
         )
     n = grid.n_dim
-    r2 = grid.radius2()
-    box = (grid.rows_within(2.0 * edge),) * n
+    rows, chi_box = _rhs.cutoff_box(cut, grid, s)
     chi = np.zeros(grid.shape)
-    chi[box] = _rhs.cutoff_chi(cut, r2[box], s)
+    chi[(rows,) * n] = chi_box
     q_b = chi * q
     q_e = (1.0 - chi) * q
     q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, grid.rho())
@@ -195,7 +219,7 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
         for k in range(n):
             poly = poly + 0.5 * q2[j, k] * meshes[j] * meshes[k]
     q_minus = q_b - poly
-    weight = 1.0 + np.sqrt(r2) ** 3
+    weight = 1.0 + np.sqrt(grid.radius2()) ** 3
     parts = [(part(q0), part(q1), part(q2), np.max(np.abs(part(q_minus)) / weight),
               np.max(np.abs(part(q_e)))) for part in (np.real, np.imag)]
     return tuple(np.array(column) for column in zip(*parts))
@@ -608,6 +632,22 @@ def write_trajectory_csv(
                       bounds["q1_jk"], bounds["q2_0"], -params.kappa / (4.0 * params.p * s)]
                      + ([c0_tilde / s**2] if c0_tilde is not None else []))
     write_csv(path, cols, np.column_stack(blocks + [np.array(extra)]))
+
+
+def write_physical_csv(ptraj: PhysicalTrajectory, path: str) -> None:
+    """Write t, dt, max_u, argmax and u1, u2 at each probe, thinned to every stride-th
+    record plus the last one so that about MAX_PHYSICAL_CSV_ROWS rows remain."""
+    n = ptraj.grid.n_dim
+    cols = ["t", "dt", "max_u"] + [f"argmax_{i}" for i in range(n)]
+    for i in range(len(ptraj.probes)):
+        cols += [f"probe{i}_u1", f"probe{i}_u2"]
+    recs = ptraj.records
+    stride = max(1, -(-len(recs) // MAX_PHYSICAL_CSV_ROWS))
+    last = recs[-1:] if (len(recs) - 1) % stride else recs[:0]
+    recs = np.concatenate([recs[::stride], last])
+    # the float view of probe_u interleaves u1 and u2 per probe
+    write_csv(path, cols, np.column_stack([
+        recs["t"], recs["dt"], recs["max_u"], recs["argmax"], recs["probe_u"].view(np.float64)]))
 
 
 def _jsonable(obj):

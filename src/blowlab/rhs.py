@@ -217,6 +217,13 @@ def cutoff_chi(cut: CutoffSpec, y2, s) -> np.ndarray:
     return chi0(np.sqrt(y2 / (cut.K * cut.K * s)))
 
 
+def cutoff_box(cut: CutoffSpec, grid: Grid, s: float) -> tuple:
+    """(rows, chi): the axis nodes with |y| < 2K sqrt(s) as a slice, and chi(y, s) on the
+    box of those rows on every axis; chi is zero off that box."""
+    rows = grid.rows_within(2.0 * cut.K * math.sqrt(s))
+    return rows, cutoff_chi(cut, grid.radius2()[(rows,) * grid.n_dim], s)
+
+
 @dataclass(frozen=True)
 class InitialDataParams:
     """Parameters of the trapped initial data at s = s0.
@@ -287,8 +294,7 @@ def initial_data(
         raise ValueError("dimension mismatch between params, initial data and grid")
     A, s0, p1 = idp.A, idp.s0, idp.p1
     ys = grid.meshes()
-    r2 = grid.radius2()
-    chi2 = chi0(2.0 * np.sqrt(r2 / (cut.K * cut.K * s0)))
+    chi2 = cutoff_chi(cut, 4.0 * grid.radius2(), s0)  # chi(2y, s0)
 
     lin1 = np.full(grid.shape, idp.d1_const, dtype=float)
     lin2 = np.full(grid.shape, idp.d2_const, dtype=float)

@@ -14,19 +14,18 @@ drift, explicit reaction.  Splitting is first order in ds and second order
 in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
 CFL_SAFETY.  evolve steps its stepper through step_similarity, once per
 step, and takes the clamped boundary values of every substep up to the
-next record from one profile call.  It pins on the cutoff's support box and
-forms full-grid profiles (Phi, f0 and g0) only for a record.
+next record from one profile call.  It pins on the cutoff's support box;
+diagnostics.Trajectory.record builds each record and its full-grid profiles.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
 explicit reaction, advanced with steps proportional to the local collapse
 timescale (kappa/max|u|)^{p-1}.  Each step also takes max|u| (it overflows
 when that is not finite); step_physical is one step on a copy of the state.
-The run records every step as one row of diagnostics.PhysicalTrajectory's
-columns, keeps snapshots as max|u| grows (u on the probes' spline windows
-only, so their size does not grow with the grid), names its end in one
-place (see its docstring) and fits the blow-up time with
-diagnostics.fit_blowup_time.  Its settings, STOP_GROWTH among them, are the
-module constants below.
+The run hands every step to diagnostics.PhysicalTrajectory.record, keeps
+snapshots as max|u| grows (u on the probes' spline windows only, so their
+size does not grow with the grid), names its end in one place (see its
+docstring) and fits the blow-up time with diagnostics.fit_blowup_time.  Its
+settings, STOP_GROWTH among them, are the module constants below.
 
 One trajectory is single-owner and its steps are sequential; independent
 trajectories share no mutable state.  In 2-D a run's stepper splits each
@@ -38,7 +37,6 @@ import contextvars
 import dataclasses
 import functools
 import math
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,7 +310,10 @@ class _Stepper:
 
     def __enter__(self):
         if len(self.halves) > 1:
-            self.helper = futures.ThreadPoolExecutor(1)
+            # imported here: it loads logging, which a 1-D run never needs
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.helper = ThreadPoolExecutor(1)
         return self
 
     def __exit__(self, *exc):
@@ -414,11 +415,9 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     so Phi, chi and q (in the flat complex buf) are formed, and w is changed, on
     the box of those rows only.  Returns (m0, m_1..m_n), one component per part.
     """
-    rows = grid.rows_within(2.0 * cut.K * math.sqrt(s))
+    rows, chi = _rhs.cutoff_box(cut, grid, s)
     box = (rows,) * grid.n_dim
-    r2 = grid.radius2()[box]
-    phi = _params.phi(params, r2, s)
-    chi = _rhs.cutoff_chi(cut, r2, s)
+    phi = _params.phi(params, grid.radius2()[box], s)
     q = np.subtract(w[box], phi, out=buf[: phi.size].reshape(phi.shape))
     m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
     correction = m0
@@ -427,21 +426,6 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     q -= correction * chi
     np.add(phi, q, out=w[box])
     return np.concatenate(([m0], m1))
-
-
-def _record_state(state, params, cut, removal_rate) -> tuple:
-    """One Trajectory row of state.
-
-    A record forms the only full-grid profiles of a run: Phi1 + i Phi2 here,
-    for the mode decomposition, and f0, g0 in diagnostics.profile_error.
-    """
-    grid = state.grid
-    phi = _params.phi(params, grid.radius2(), state.s)
-    modes = _diag.decompose(grid, state.w - phi, state.s, cut)
-    e1, e2 = _diag.profile_error(state, params)
-    c0, c2 = _diag.radial_mode_coefficients(grid, state.w - params.kappa)
-    return (state.s, *modes, e1, e2, np.max(np.abs(_real(state.w))),
-            c2.real, c0.imag, c2.imag, _real(removal_rate).T)
 
 
 def evolve(
@@ -470,56 +454,47 @@ def evolve(
     traj = _diag.Trajectory(grid=grid)
     n_full = int(math.floor((cfg.s_end - initial.s) / cfg.ds + 1e-9))
     remainder = cfg.s_end - initial.s - n_full * cfg.ds
-    if remainder < 1e-12 * max(1.0, cfg.s_end):
-        remainder = 0.0
+    # s_at[k] is where step k ends and full step k + 1 starts, exact against
+    # accumulation drift: initial.s + k ds, then s_at[n_full] + remainder
+    s_at = (initial.s + np.arange(n_full + 1) * cfg.ds).tolist()
+    if remainder >= 1e-12 * max(1.0, cfg.s_end):
+        s_at.append(s_at[-1] + remainder)
+    total_steps = len(s_at) - 1
     pending_snaps = sorted(cfg.snapshot_at)
-
-    removed_sum = np.zeros(1 + grid.n_dim, dtype=np.complex128)
-    s_last_record = initial.s
-
-    def push(state):
-        nonlocal removed_sum, s_last_record
-        span = state.s - s_last_record
-        rate = np.zeros_like(removed_sum) if span <= 0 else removed_sum / span
-        traj.add(*_record_state(state, params, cfg.cutoff, rate))
-        if observer is not None:
-            observer(traj.records[-1])
-        removed_sum = np.zeros_like(removed_sum)
-        s_last_record = state.s
-        while pending_snaps and state.s >= pending_snaps[0] - 1e-9:
-            pending_snaps.pop(0)
-            traj.snapshots.append((state.s, state.w.copy()))
-
+    removed = np.zeros(1 + grid.n_dim, dtype=np.complex128)  # since the last record
     # the run's stepper; every state of the loop holds its w
     state = SimilarityState(s=initial.s, grid=grid, w=initial.w.copy())
     work = _Stepper(grid, state.w, params.p, "similarity")
-    push(state)
-    total_steps = n_full + (1 if remainder > 0 else 0)
     n_sub = _substep_count(cfg.scheme, grid, cfg.ds)
     substeps = np.arange(1, n_sub + 1) * (cfg.ds / n_sub)
     with work:  # a 2-D stepper's helper thread lives as long as the loop
-        for k in range(1, total_steps + 1):
-            ds_k = cfg.ds if k <= n_full else remainder
-            clamp = None  # the remainder step makes its own
-            if k <= n_full:
-                j = (k - 1) % cfg.record_every
-                if j == 0:
-                    # boundary values of every substep up to the next record, at the s
-                    # step_similarity gives them: step i starts at initial.s + i ds
-                    steps = np.arange(k - 1, min(k - 1 + cfg.record_every, n_full))
-                    starts = initial.s + steps * cfg.ds
-                    block = _clamp_values(params, grid, starts[:, None] + substeps)
-                clamp = block[j]
-            state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
-            # keep s exact against accumulation drift
-            s_exact = initial.s + min(k, n_full) * cfg.ds + (remainder if k > n_full else 0.0)
-            state = dataclasses.replace(state, s=s_exact)
-            if cfg.pin_unstable_modes:
-                # the deviation goes into the step's scratch, free until the next step
-                scratch = work.block[0].reshape(-1)
-                removed_sum += _pin(state.w, grid, params, cfg.cutoff, state.s, scratch)
-            if k % cfg.record_every == 0 or k == total_steps:
-                push(state)
+        for k in range(total_steps + 1):
+            if k:
+                clamp = None  # the remainder step makes its own
+                if k <= n_full:
+                    j = (k - 1) % cfg.record_every
+                    if j == 0:
+                        # boundary values of every substep up to the next record
+                        starts = np.array(s_at[k - 1 : min(k - 1 + cfg.record_every, n_full)])
+                        block = _clamp_values(params, grid, starts[:, None] + substeps)
+                    clamp = block[j]
+                ds_k = cfg.ds if k <= n_full else remainder
+                state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
+                state = dataclasses.replace(state, s=s_at[k])
+                if cfg.pin_unstable_modes:
+                    # the deviation goes into the step's scratch, free until the next step
+                    scratch = work.block[0].reshape(-1)
+                    removed += _pin(state.w, grid, params, cfg.cutoff, state.s, scratch)
+            if k % cfg.record_every and k < total_steps:
+                continue
+            # the removal rate averaged since the previous record (the first has none)
+            traj.record(state, params, cfg.cutoff, removed / (state.s - s_rec) if k else removed)
+            removed, s_rec = np.zeros_like(removed), state.s
+            if observer is not None:
+                observer(traj.records[-1])
+            while pending_snaps and state.s >= pending_snaps[0] - 1e-9:
+                pending_snaps.pop(0)
+                traj.snapshots.append((state.s, state.w.copy()))
     return traj
 
 
@@ -612,8 +587,6 @@ def run_physical_blowup(
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     grid = u0.grid
-    ax = grid.axis()
-    # refuses probes off the grid, where np.interp would read the boundary value
     traj = _diag.PhysicalTrajectory(grid=grid, probes=probes)
     _require_finite(u0.u)
     run = _Stepper(grid, u0.u.copy(), params.p, "physical")
@@ -625,13 +598,7 @@ def run_physical_blowup(
     m_stop = STOP_GROWTH * max(1.0, m0)
     kp = params.kappa ** (params.p - 1)
     t, dt = u0.t, eta * kp * m0 ** (1 - params.p)
-
-    def record(i, m):
-        pos = ax[list(np.unravel_index(i, grid.shape))] if grid.n_dim > 1 else ax[i : i + 1]
-        at = np.interp(traj.probes, ax, u) if traj.probes.size else ()
-        traj.add(t, dt, m, pos, at)
-
-    record(i, m0)
+    traj.record(t, dt, i, m0, u)
     traj.keep_snapshot(t, u)
     m_ref = m_snap = peak = m0
     steps_since_peak, end = 0, 1
@@ -641,7 +608,7 @@ def run_physical_blowup(
             i, m = _physical_step(run, dt, edge_vals, mod)
             if math.isfinite(m):  # else an overflow: the step is dropped
                 t += dt
-                record(i, m)
+                traj.record(t, dt, i, m, u)
                 if m > peak * (1.0 + 1e-9):
                     peak, steps_since_peak, end = m, 0, len(traj.records)
                 else:

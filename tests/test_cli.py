@@ -660,7 +660,7 @@ class TestPhysicalMode:
         for k in range(12003):
             ptraj.add(float(k), 1.0, 1.0, (0,), ())
         path = tmp_path / "long.csv"
-        cli._write_physical_csv(ptraj, str(path))
+        diagnostics.write_physical_csv(ptraj, str(path))
         lines = path.read_text().splitlines()
         # stride 3 keeps indices 0, 3, ..., 12000, plus the appended last row
         assert len(lines) == 1 + 4001 + 1

@@ -75,6 +75,31 @@ class TestTrajectoryTypes:
         assert np.array_equal(traj.records, want)
 
 
+class TestPhysicalRecord:
+    def test_probes_read_by_linear_interpolation_in_1d(self):
+        grid = sp.Grid(1, 4.0, 33)
+        probes = np.array([-3.1, 0.0, 0.37, 4.0])
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=probes)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+        i = int(np.argmax(np.abs(u)))
+        ptraj.record(0.25, 1e-3, i, float(np.abs(u[i])), u)
+        (rec,) = ptraj.records
+        assert (rec["t"], rec["dt"], rec["max_u"]) == (0.25, 1e-3, np.abs(u[i]))
+        assert rec["argmax"][0] == grid.axis()[i]
+        want = np.interp(probes, grid.axis(), u)
+        assert np.array_equal(rec["probe_u"].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("i", [0, 7, 17 * 9 + 4, 17 * 17 - 1])
+    def test_argmax_is_the_node_position_in_2d(self, i):
+        grid = sp.Grid(2, 4.0, 17)
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=())
+        ptraj.record(1.0, 0.5, i, 2.0, np.zeros(grid.shape, dtype=complex))
+        row, col = np.unravel_index(i, grid.shape)
+        assert list(ptraj.records["argmax"][0]) == [grid.axis()[row], grid.axis()[col]]
+        assert ptraj.records["probe_u"].shape == (1, 0)
+
+
 class TestDecompose:
     def test_h2_recovers_two(self):
         # int h2 (y^2/4 - 1/2) rho = ||h2||^2/4 = 2, and the reconstruction

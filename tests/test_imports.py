@@ -301,8 +301,8 @@ def test_no_option_only_tests_set():
 
 def loaded_at_import(modules) -> list[str]:
     """Those of modules that a fresh interpreter has loaded once it imports
-    blowlab.cli and blowlab.verifier."""
-    code = ("import sys, blowlab.cli, blowlab.verifier\n"
+    blowlab.cli, blowlab.verifier and blowlab.solver."""
+    code = ("import sys, blowlab.cli, blowlab.verifier, blowlab.solver\n"
             f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
@@ -324,6 +324,14 @@ def test_package_loads_no_multiprocessing():
     # only a sweep forks cells, so cli imports ProcessPoolExecutor, and with
     # it multiprocessing, inside _run_sweep; every other mode starts without
     assert loaded_at_import(("multiprocessing", "concurrent.futures.process")) == []
+
+
+def test_package_loads_no_yaml_argparse_or_thread_pool():
+    # every run's start-up pays for what the modules import: cli.load_config
+    # imports yaml (about 20 ms after numpy on a 2-CPU host), cli.main argparse
+    # (3 ms), and a 2-D stepper's helper thread concurrent.futures (7 ms, with
+    # logging); a config handed to cli.run, the verifier and 1-D runs need none
+    assert loaded_at_import(("yaml", "argparse", "concurrent.futures", "logging")) == []
 
 
 def test_lapack_routines_are_scipys_own():

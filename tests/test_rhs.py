@@ -307,6 +307,16 @@ class TestInitialData:
         assert q1[i0] == pytest.approx(10.0 / 25.0**2, rel=1e-14)
         assert np.all(q2 == 0.0)
 
+    @pytest.mark.parametrize("n_dim,half_width,npts", [(1, 40.0, 513), (1, 87.5, 1023), (2, 30.0, 65)])
+    @pytest.mark.parametrize("K,s0", [(5.0, 25.0), (1.3, 2.0), (9.0, 30.7)])
+    def test_cutoff_is_chi_at_2y_bit_for_bit(self, n_dim, half_width, npts, K, s0):
+        # q1 with d1 = 1 is (A/s0^2) chi(2y, s0), chi(2y, s0) = chi0(2 |y| / (K sqrt(s0)))
+        pr, cut = bp.make_params(2, n_dim), rhs.CutoffSpec(K=K)
+        grid = sp.Grid(n_dim, half_width, npts)
+        q1, _ = rhs.initial_data(pr, self.make(s0=s0, d1_const=1.0, n_dim=n_dim), cut, grid)
+        chi2 = rhs.chi0(2.0 * np.sqrt(grid.radius2() / (K * K * s0)))
+        assert np.array_equal(q1.view(np.uint64), ((10.0 / s0**2) * chi2).view(np.uint64))
+
     def test_support_bound(self):
         pr = bp.make_params(2, 1)
         cut = rhs.CutoffSpec(K=5.0)

@@ -507,14 +507,14 @@ class TestEvolve:
         remainder = cfg.s_end - initial.s - n_full * cfg.ds
         steps = [cfg.ds] * n_full + ([remainder] if remainder >= 1e-12 * cfg.s_end else [])
         pending = sorted(cfg.snapshot_at)
-        records, snapshots = [], []
+        traj, snapshots = dg.Trajectory(grid=grid), []
         removed, s_rec = np.zeros(1 + grid.n_dim, dtype=complex), initial.s
 
         def record(state):
             nonlocal removed, s_rec
             span = state.s - s_rec
             rate = removed / span if span > 0 else np.zeros_like(removed)
-            records.append(solver._record_state(state, pr, cfg.cutoff, rate))
+            traj.record(state, pr, cfg.cutoff, rate)
             removed, s_rec = np.zeros_like(removed), state.s
             while pending and state.s >= pending[0] - 1e-9:
                 pending.pop(0)
@@ -544,11 +544,11 @@ class TestEvolve:
             state = solver.SimilarityState(s=s, grid=grid, w=w)
             if k % cfg.record_every == 0 or k == len(steps):
                 record(state)
-        return records, snapshots
+        return traj.records, snapshots
 
     @pytest.mark.parametrize(
         "case", ["p2-1d-substeps-remainder", "p3-2d", "p3-unpinned", "rk4", "snapshots",
-                 "box-1d", "box-2d"]
+                 "box-1d", "box-2d", "remainder-starts-block"]
     )
     def test_evolve_matches_step_similarity_replay(self, case):
         # the run loop is bit for bit a sequence of step_similarity calls, each
@@ -572,6 +572,10 @@ class TestEvolve:
         elif case == "rk4":
             half_width, npts = 8.0, 129
             kw.update(scheme="explicit-rk4", s_end=25.13, record_every=4)
+        elif case == "remainder-starts-block":
+            # n_full = 20 = 2 record_every: the remainder step starts a record block
+            npts = 257
+            kw.update(s_end=25.205)
         elif case == "snapshots":
             npts = 257
             kw.update(s_end=25.5, record_every=7, snapshot_at=(25.0, 25.2, 25.31, 25.5, 26.0))
@@ -586,6 +590,8 @@ class TestEvolve:
         initial = solver.similarity_initial_state(pr, idp, cut, grid)
         if case == "p2-1d-substeps-remainder":
             assert solver._substep_count(cfg.scheme, grid, cfg.ds) == 6
+        if case == "remainder-starts-block":
+            assert int(math.floor((cfg.s_end - 25.0) / cfg.ds + 1e-9)) == 20
         assert (half_width > 2.0 * cut.K * math.sqrt(cfg.s_end)) == case.startswith("box")
         before = initial.w.copy()
         traj = solver.evolve(initial, cfg, pr)
@@ -593,7 +599,7 @@ class TestEvolve:
         records, snapshots = self.replay(initial, cfg, pr)
         assert len(traj.records) == len(records)
         assert traj.records[-1]["s"] == cfg.s_end
-        assert np.array_equal(traj.records, np.array(records, dtype=traj.records.dtype))
+        assert np.array_equal(traj.records, records)
         assert len(traj.snapshots) == len(snapshots)
         assert len(snapshots) == {"snapshots": 4, "box-1d": 2, "box-2d": 2}.get(case, 0)
         for (s_got, w_got), (s_want, w_want) in zip(traj.snapshots, snapshots):
