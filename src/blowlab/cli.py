@@ -459,7 +459,7 @@ def _run_similarity(config: RunConfig) -> tuple:
         fits["inner"] = None
         fits["inner_skipped"] = str(exc)
     try:
-        res = _diag.mode_ode_residuals(traj, idp, pr)
+        res = _diag.mode_ode_residuals(traj, idp)
         fits["mode_residuals"] = {
             "constants": {k: float(v) for k, v in res.constants.items()},
             "achieved_exponent_q2_null": float(res.achieved_exponent_q2_null),

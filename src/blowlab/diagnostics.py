@@ -288,9 +288,7 @@ class ModeResidualSeries:
     achieved_exponent_q2_null: float
 
 
-def mode_ode_residuals(
-    traj: Trajectory, idp: _rhs.InitialDataParams, params: _params.Params
-) -> ModeResidualSeries:
+def mode_ode_residuals(traj: Trajectory, idp: _rhs.InitialDataParams) -> ModeResidualSeries:
     """Residuals of the expected ODEs for the expanding and null modes.
 
     The expanding modes should follow dq/ds = q (scalar) and dq/ds = q/2

@@ -14,10 +14,10 @@ with V the scalar potential p(Phi1^{p-1} - 1/(p-1)), V_{i,j} the
 off-profile parts of the Jacobian of (F1, F2), B the pure second-order
 Taylor remainder of F at Phi, and R the residual of the profile pair
 under the similarity flow.  All of those pieces live here, together with
-the smooth cutoff and the initial data of the trapped construction.  They
-read the profile pair from params.phi.  F and its Jacobian stay binomial
-sums in the real pair: through complex powers, V11 = Re(p Phi^{p-1}) -
-p Phi1^{p-1} would cancel catastrophically.
+the smooth cutoff and the initial data of the trapped construction.  V,
+V_{i,j} and B take Phi1 + i Phi2 from their caller; R reads params.phi.
+F and its Jacobian stay binomial sums in the real pair: through complex
+powers, V11 = Re(p Phi^{p-1}) - p Phi1^{p-1} would cancel catastrophically.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ def bar_b(params: Params, w1bar, w2):
     return g1 - kap**p - lin * w1bar, g2 - lin * w2
 
 
-def potential_v(params: Params, y2, s):
-    """Scalar potential V = p (Phi1^{p-1} - 1/(p-1)) of the linearized flow."""
+def potential_v(params: Params, pair):
+    """Scalar potential V = p (Phi1^{p-1} - 1/(p-1)) at pair = Phi1 + i Phi2."""
     p = params.p
-    return p * (phi(params, y2, s).real ** (p - 1) - 1.0 / (p - 1))
+    return p * (pair.real ** (p - 1) - 1.0 / (p - 1))
 
 
-def potentials_vjk(params: Params, y2, s):
-    """Profile-coupling potentials (V11, V12, V21, V22).
+def potentials_vjk(params: Params, pair):
+    """Profile-coupling potentials (V11, V12, V21, V22) at pair = Phi1 + i Phi2.
 
     These are the entries of the Jacobian of (F1, F2) at (Phi1, Phi2)
     minus the diagonal part p Phi1^{p-1} that is absorbed into V:
@@ -78,18 +78,10 @@ def potentials_vjk(params: Params, y2, s):
       V21 = dF2/du1                    V22 = dF2/du2 - p Phi1^{p-1}
     For p=2 they reduce to V11 = V22 = 0, V12 = -2 Phi2, V21 = 2 Phi2.
     """
-    pair = phi(params, y2, s)
-    return _vjk(params.p, pair.real, pair.imag)
-
-
-def _vjk(p: int, p1v, p2v):
-    """potentials_vjk at the profile values p1v = Phi1, p2v = Phi2."""
+    p = params.p
+    p1v, p2v = pair.real, pair.imag
     p2sq = p2v * p2v
-    shape = np.broadcast(p1v, p2v).shape
-    v11 = np.zeros(shape)
-    v12 = np.zeros(shape)
-    v21 = np.zeros(shape)
-    v22 = np.zeros(shape)
+    v11, v12, v21, v22 = (np.zeros(np.shape(pair)) for _ in range(4))
     for j in range(1, p // 2 + 1):
         c = (-1) ** j * math.comb(p, 2 * j)
         if p - 2 * j > 0:
@@ -104,21 +96,20 @@ def _vjk(p: int, p1v, p2v):
     return v11, v12, v21, v22
 
 
-def quadratic_b(params: Params, q1, q2, y2, s):
-    """Pure second-order Taylor remainder of (F1, F2) at the profile pair.
+def quadratic_b(params: Params, q1, q2, pair):
+    """Pure second-order Taylor remainder of (F1, F2) at pair = Phi1 + i Phi2.
 
     B_i(q) = F_i(Phi + q) - F_i(Phi) - [Jacobian at Phi] q.  For p = 2 this
-    is exactly (q1^2 - q2^2, 2 q1 q2).  q1 and q2 broadcast against y2, so
+    is exactly (q1^2 - q2^2, 2 q1 q2).  q1 and q2 broadcast against pair, so
     a stack of deviations shares one evaluation of the profile terms.
     """
     p = params.p
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    pair = phi(params, y2, s)
     p1v, p2v = pair.real, pair.imag
     f1_pert, f2_pert = f1f2(p1v + q1, p2v + q2, p)
     f1_base, f2_base = f1f2(p1v, p2v, p)
-    v11, v12, v21, v22 = _vjk(p, p1v, p2v)
+    v11, v12, v21, v22 = potentials_vjk(params, pair)
     diag = p * p1v ** (p - 1)
     b1 = f1_pert - f1_base - (diag + v11) * q1 - v12 * q2
     b2 = f2_pert - f2_base - v21 * q1 - (diag + v22) * q2
@@ -134,7 +125,9 @@ def rest_r(params: Params, y2, s):
     ∂_s g|_y = -(xi/s) f'.
 
     At the origin s^2 R1 -> c1 (fitted elsewhere) and
-    s^3 R2 -> -n(n+4) kappa/(p-1).
+    s^3 R2 -> -n(n+4) kappa/(p-1).  It reads Phi itself: like phi it is a
+    closed form in xi, it needs y2 and s for the profile's xi-derivatives,
+    and none of its grids is shared with another piece.
     """
     pair = phi(params, y2, s)  # validates s > 0 and y2 >= 0
     phi1v, phi2v = pair.real, pair.imag

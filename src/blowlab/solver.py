@@ -34,7 +34,6 @@ as the run (see _Stepper); the bits do not depend on the thread schedule.
 """
 
 import contextvars
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -480,7 +479,7 @@ def evolve(
                     clamp = block[j]
                 ds_k = cfg.ds if k <= n_full else remainder
                 state = step_similarity(state, cfg, params, ds=ds_k, work=work, clamp=clamp)
-                state = dataclasses.replace(state, s=s_at[k])
+                state.s = s_at[k]
                 if cfg.pin_unstable_modes:
                     # the deviation goes into the step's scratch, free until the next step
                     scratch = work.block[0].reshape(-1)

@@ -465,16 +465,18 @@ def check_potential_bounds(params: _params.Params) -> CheckReport:
     n = params.n_dim
 
     def sups(s):
-        # every sup at one s, from one evaluation of each potential per grid
+        # every sup at one s, from one profile read and one evaluation of each potential per grid
         r = np.linspace(0.0, 20.0 * math.sqrt(s), 2001)
         r2 = r * r
-        v = np.abs(_rhs.potential_v(params, r2, s))
-        v11, v12, v21, v22 = _rhs.potentials_vjk(params, r2, s)
+        pair = _params.phi(params, r2, s)
+        v = np.abs(_rhs.potential_v(params, pair))
+        v11, v12, v21, v22 = _rhs.potentials_vjk(params, pair)
         vdiag = np.abs(v11) + np.abs(v22)
         voff = np.abs(v12) + np.abs(v21)
         r_in = np.linspace(0.0, 2.0 * K * math.sqrt(s), 2001)
         r2_in = r_in * r_in
-        tilde = _rhs.potential_v(params, r2_in, s) + (r2_in - 2.0 * n) / (4.0 * s)
+        v_in = _rhs.potential_v(params, _params.phi(params, r2_in, s))
+        tilde = v_in + (r2_in - 2.0 * n) / (4.0 * s)
         return (
             np.max(np.abs(tilde) * s**2 / (1.0 + r2_in**2)),
             np.max(v),
@@ -489,7 +491,7 @@ def check_potential_bounds(params: _params.Params) -> CheckReport:
     names = ("V_tilde", "V_global", "V_quadratic_over_s", "Vdiag_sup_s2", "Voff_sup_s",
              "Vdiag_weighted_s4", "Voff_weighted_s2")
     s_top = float(S_GRID[-1])
-    origin = float(_rhs.potential_v(params, np.array([0.0]), s_top)[0] * s_top)
+    origin = float(_rhs.potential_v(params, _params.phi(params, np.array([0.0]), s_top))[0] * s_top)
     origin_err = abs(origin - 0.5 * n) / (0.5 * n)
     return _envelope_report(
         f"potential_bounds_p{params.p}_n{n}", _sweep(names, sups),
@@ -517,7 +519,7 @@ def check_quadratic_bounds(params: _params.Params, seed: int = 0) -> CheckReport
         scales = (1.0, max(math.log(s) / s**2, 1e-5))
         column = np.array(scales)[:, None]
         q1s, q2s = column * unit[:, 0], column * unit[:, 1]
-        b1s, b2s = _rhs.quadratic_b(params, q1s, q2s, r2, s)
+        b1s, b2s = _rhs.quadratic_b(params, q1s, q2s, _params.phi(params, r2, s))
         ratio1 = []
         ratio2 = []
         for scale, q1, q2, b1, b2 in zip(scales, q1s, q2s, b1s, b2s):

@@ -241,8 +241,8 @@ def test_5_inner_expansion_fits(desk_run):
 
 
 def test_6_mode_ode_residuals(desk_run):
-    pr, idp, traj, _ = desk_run
-    res = diag.mode_ode_residuals(traj, idp, pr)
+    _, idp, traj, _ = desk_run
+    res = diag.mode_ode_residuals(traj, idp)
 
     details = []
     ok = True

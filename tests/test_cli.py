@@ -800,6 +800,11 @@ class TestValidationBeforeRun:
         assert json.loads(err.getvalue())["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
 
+    def test_config_root_not_a_mapping_exits_2(self, tmp_path):
+        code, err = _main_on(["mode", "verify"], tmp_path, "verify")
+        assert code == 2
+        assert json.loads(err)["messages"] == ["configuration root must be a mapping"]
+
     def test_rk4_diffusion_limit_exits_2(self, tmp_path, monkeypatch):
         # the drift CFL alone asks 56 substeps of this step; explicit-rk4's
         # diffusion limit asks 418, past the 200 a step may take.  A config

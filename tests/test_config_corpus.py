@@ -3,9 +3,9 @@
 A corpus of invalid configs, each with its full sorted list of error
 messages, and the hashes of a few accepted configs (their `as_dict()` and
 their run_header.json).  The corpus covers every single-field bound, every
-kind error, missing and unknown keys, sections that are not mappings,
-directions, probes and sweep lists; a parser rewrite must keep every message
-and every accepted config as it is.
+kind error, missing and unknown keys, a root and sections that are not
+mappings, directions, probes (ragged lists too) and sweep lists; a parser
+rewrite must keep every message and every accepted config as it is.
 """
 
 import copy
@@ -79,6 +79,7 @@ CORPUS = {
     "missing_physical_grid": {"mode": "simulate-physical", "params": {"p": 2}},
     "unknown_keys": _edit(_SIM, extra=True, params={"bogus": 1}, solver={"foo": 1},
                           initial_data={"d3": 0.0, "d1": {"const": 0.1, "foo": 2}}),
+    "root_not_a_mapping": ["mode", "simulate-similarity"],
     "sections_not_mappings": _edit(_SIM, params=3, grid=[1, 2], solver="x",
                                    physical=None, sweep=0.5),
     "directions_shapes": _edit(_SIM, initial_data={
@@ -90,9 +91,11 @@ CORPUS = {
                                    "d2": {"const": math.nan,
                                           "quad": [[0.0, 0.5], [0.1, 0.0]]}}),
     "directions_types": _edit(_SIM, initial_data={"d1": [0.1], "d2": "x"}),
+    "directions_ragged": _edit(_SIM, initial_data={"d1": {"lin": [[0.1], [0.2, 0.3]]}}),
     "probes_not_a_list": _edit(_PHYS, physical={"probe_log_radii": "10.5"}),
     "probes_entries": _edit(_PHYS, physical={"probe_log_radii": [True, 4.0]}),
     "probes_non_finite": _edit(_PHYS, physical={"probe_log_radii": None}),
+    "probes_ragged": _edit(_PHYS, physical={"probe_log_radii": [[4.0], [5.0, 6.0]]}),
     "probes_range_and_dimension": _edit(_PHYS, params={"n_dim": 2}, grid={"L": 0.2},
                                         physical={"probe_log_radii": [-1.0, 1.0]}),
     "sweep_lists_not_lists": _edit(_SIM, mode="sweep", sweep={"ps": 5, "ns": None}),
@@ -146,6 +149,9 @@ EXPECTED = {
         "initial_data.d1.lin must be a list of 1 numbers, all finite",
         "initial_data.d2.lin must be a list of 1 numbers, all finite",
         "initial_data.d2.quad must be an 1x1 matrix of finite numbers",
+    ],
+    "directions_ragged": [
+        "initial_data.d1.lin must be a list of 1 numbers, all finite",
     ],
     "directions_types": [
         "initial_data.d1 must be a number or a mapping",
@@ -206,9 +212,15 @@ EXPECTED = {
     "probes_not_a_list": [
         "physical.probe_log_radii must be a list of numbers",
     ],
+    "probes_ragged": [
+        "physical.probe_log_radii must be a list of numbers",
+    ],
     "probes_range_and_dimension": [
         "physical.probe_log_radii entries must be positive",
         "simulate-physical supports n_dim = 1 only (profile extraction interpolates along a line)",
+    ],
+    "root_not_a_mapping": [
+        "configuration root must be a mapping",
     ],
     "sections_not_mappings": [
         "grid must be a mapping",

@@ -255,6 +255,16 @@ class TestMembership:
         assert margins["q2_jk"] == -1.0
         assert not all(m >= 0.0 for m in margins.values())
 
+    def test_zero_log_bounds_at_s_one(self):
+        # ln 1 = 0 makes the jk bounds 0: a zero coefficient keeps margin 1,
+        # any other is outside by -inf
+        rec = blank_record(1.0)
+        margins = dg.in_shrinking_set(rec, IDP)
+        assert margins["q1_jk"] == 1.0 and margins["q2_jk"] == 1.0
+        rec["q2"][0] = 1e-12
+        margins = dg.in_shrinking_set(rec, IDP)
+        assert margins["q1_jk"] == -math.inf and margins["q2_jk"] == 1.0
+
     def test_requires_s_at_least_one(self):
         with pytest.raises(ValueError):
             dg.shrinking_set_bounds(IDP, 0.5)
@@ -334,7 +344,7 @@ class TestModeResiduals:
                 "rate2_0": lambda s: p1_sizes[s][1],
             },
         )
-        series = dg.mode_ode_residuals(traj, IDP, pr)
+        series = dg.mode_ode_residuals(traj, IDP)
         for i, s in enumerate(series.s):
             want1 = abs(p1_sizes[s][0]) * s**2
             want2 = abs(p1_sizes[s][1]) * s ** (IDP.p1 + 2)
@@ -348,7 +358,7 @@ class TestModeResiduals:
         c = 1e-4
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q0": lambda s: c})
-        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP)
         assert series.residuals["q1_0"] == pytest.approx(c * series.s**2, rel=1e-12)
 
     def test_null_mode_power_law_is_near_solution(self):
@@ -356,14 +366,14 @@ class TestModeResiduals:
         # difference's O(ds^2) truncation remains
         s_values = 25.0 + 0.1 * np.arange(21)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q2": lambda s: 1.0 / s**2})
-        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP)
         assert np.max(series.residuals["q1_jk"]) < 1e-4
 
     def test_achieved_exponent_recovered(self):
         # q2 null mode ~ s^{-3/2} leaves a residual ~ s^{-5/2}
         s_values = 25.0 + 0.1 * np.arange(41)
         traj = synthetic_trajectory(s_values, q_fns={"d2_q2": lambda s: s**-1.5})
-        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP)
         assert series.achieved_exponent_q2_null == pytest.approx(2.5, abs=0.02)
 
     def test_achieved_exponent_not_fitted_on_a_short_window(self):
@@ -371,7 +381,7 @@ class TestModeResiduals:
         # short to tell one power of s from another
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d2_q2": lambda s: s**-1.5})
-        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP)
         assert math.isnan(series.achieved_exponent_q2_null)
         assert np.all(np.isfinite(series.residuals["q2_jk"]))
 
@@ -379,7 +389,7 @@ class TestModeResiduals:
         c = 1e-4
         s_values = 25.0 + 0.1 * np.arange(11)
         traj = synthetic_trajectory(s_values, q_fns={"d1_q0": lambda s: c})
-        series = dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+        series = dg.mode_ode_residuals(traj, IDP)
         assert series.constants["q1_0"] == pytest.approx(
             float(np.percentile(series.residuals["q1_0"], 95)), rel=1e-12
         )
@@ -387,12 +397,12 @@ class TestModeResiduals:
     def test_sparse_trajectory_rejected(self):
         traj = synthetic_trajectory([25.0, 25.5, 26.0])
         with pytest.raises(dg.TrajectoryTooSparseError, match="0.5"):
-            dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+            dg.mode_ode_residuals(traj, IDP)
 
     def test_too_few_records_rejected(self):
         traj = synthetic_trajectory([25.0, 25.1])
         with pytest.raises(dg.TrajectoryTooSparseError):
-            dg.mode_ode_residuals(traj, IDP, bp.make_params(2, 1))
+            dg.mode_ode_residuals(traj, IDP)
 
 
 class TestProfileError:
@@ -550,6 +560,12 @@ class TestExtractFinalProfile:
         t, vals = ptraj.snapshots[-1]
         ptraj.snapshots.append((1.0 - (1.0 - t) / 40.0, 1.05 * vals))
         with pytest.raises(dg.NonConvergenceError, match="not Cauchy"):
+            dg.extract_final_profile(ptraj, 0.8)
+
+    def test_trajectory_without_blowup_time_refused(self):
+        ptraj = self.make_converging()
+        ptraj.T_estimate = None
+        with pytest.raises(ValueError, match="no T_estimate"):
             dg.extract_final_profile(ptraj, 0.8)
 
     def test_diverging_point_rejected(self):

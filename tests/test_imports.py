@@ -1,7 +1,7 @@
 """src/blowlab carries no dead names.
 
 Every module-level import is used (names in __all__ count as used), every
-local name a function assigns is read in it, every
+local name a function assigns and every parameter it takes is read in it, every
 module-level function, class and method is read somewhere in the package,
 except the oracles that only tests call, which are listed by name, and every
 optional parameter and dataclass field with a default is set somewhere in the
@@ -85,6 +85,52 @@ def test_local_checker_finds_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_local_names(path):
     assert unread_locals(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """function(parameter) of each parameter that a function of source (a
+    module-level one, a method, a nested function or a lambda) never reads in
+    its body; dunder methods and parameters starting with _ are exempt."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, prefix)
+                continue
+            name = getattr(child, "name", "<lambda>")
+            if not (name.startswith("__") and name.endswith("__")):
+                args = child.args
+                params = [(a.arg, a.arg) for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [(f"*{a.arg}", a.arg) for a in (args.vararg,) if a]
+                params += [(f"**{a.arg}", a.arg) for a in (args.kwarg,) if a]
+                body = [child.body] if isinstance(child, ast.Lambda) else child.body
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.extend(f"{prefix}{name}({shown})" for shown, arg in params
+                              if arg not in read and not arg.startswith("_"))
+            visit(child, f"{prefix}{name}.")
+
+    visit(ast.parse(source), "")
+    return unread
+
+
+def test_parameter_checker_finds_unread_parameters():
+    src = ("def f(x, y, *a, _z=0, **k):\n    return x + k['v']\n"
+           "class C:\n    def __exit__(self, *exc): pass\n"
+           "    def m(self, u):\n        g = lambda v, w: v\n"
+           "        def h(t):\n            return u\n        return self, g, h\n")
+    # y, *a, the lambda's w and h's t are never read; _z and __exit__ are exempt,
+    # and m's u is read by its nested h
+    assert unread_parameters(src) == ["f(y)", "f(*a)", "C.m.<lambda>(w)", "C.m.h(t)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def unread_definitions(sources: dict) -> list[str]:

@@ -52,6 +52,10 @@ class TestMakeParams:
         with pytest.raises(TypeError):
             bp.make_params(True, 1)
 
+    def test_rejects_non_integer_n_dim(self):
+        with pytest.raises(TypeError, match="n_dim must be an integer"):
+            bp.make_params(2, 1.5)
+
     def test_rejects_large_p(self):
         with pytest.raises(ValueError):
             bp.make_params(10, 1)

@@ -84,15 +84,15 @@ class TestBarB:
 
 class TestPotentials:
     def test_v_frozen(self, p2):
-        assert rhs.potential_v(p2, 0.0, 10.0) == pytest.approx(0.05, rel=1e-13)
+        assert rhs.potential_v(p2, bp.phi(p2, 0.0, 10.0)) == pytest.approx(0.05, rel=1e-13)
 
     def test_v_vanishes_at_kappa_limit(self, p2):
-        assert rhs.potential_v(p2, 0.0, 1e10) == pytest.approx(0.0, abs=1e-9)
+        assert rhs.potential_v(p2, bp.phi(p2, 0.0, 1e10)) == pytest.approx(0.0, abs=1e-9)
 
     def test_vjk_p2_identities(self, p2):
         y2 = np.linspace(0, 200, 101)
         s = 10.0
-        v11, v12, v21, v22 = rhs.potentials_vjk(p2, y2, s)
+        v11, v12, v21, v22 = rhs.potentials_vjk(p2, bp.phi(p2, y2, s))
         p2v = bp.phi(p2, y2, s).imag
         assert np.all(v11 == 0.0)
         assert np.all(v22 == 0.0)
@@ -100,7 +100,7 @@ class TestPotentials:
         np.testing.assert_allclose(v21, 2.0 * p2v, rtol=1e-14)
 
     def test_vjk_frozen_values(self, p2):
-        v11, v12, v21, v22 = rhs.potentials_vjk(p2, 0.0, 10.0)
+        v11, v12, v21, v22 = rhs.potentials_vjk(p2, bp.phi(p2, 0.0, 10.0))
         assert v12 == pytest.approx(0.04, rel=1e-13)
         assert v21 == pytest.approx(-0.04, rel=1e-13)
 
@@ -115,7 +115,7 @@ class TestPotentials:
         dF1_du2 = (rhs.f1f2(u1, u2 + h, p)[0] - rhs.f1f2(u1, u2 - h, p)[0]) / (2 * h)
         dF2_du1 = (rhs.f1f2(u1 + h, u2, p)[1] - rhs.f1f2(u1 - h, u2, p)[1]) / (2 * h)
         dF2_du2 = (rhs.f1f2(u1, u2 + h, p)[1] - rhs.f1f2(u1, u2 - h, p)[1]) / (2 * h)
-        v11, v12, v21, v22 = rhs.potentials_vjk(pr, y2, s)
+        v11, v12, v21, v22 = rhs.potentials_vjk(pr, pair)
         diag = p * u1 ** (p - 1)
         assert v11 + diag == pytest.approx(dF1_du1, rel=1e-7, abs=1e-9)
         assert v12 == pytest.approx(dF1_du2, rel=1e-7, abs=1e-9)
@@ -129,7 +129,7 @@ class TestQuadraticB:
         q1 = rng.uniform(-0.5, 0.5, 300)
         q2 = rng.uniform(-0.5, 0.5, 300)
         y2 = rng.uniform(0, 100, 300)
-        b1, b2 = rhs.quadratic_b(p2, q1, q2, y2, 25.0)
+        b1, b2 = rhs.quadratic_b(p2, q1, q2, bp.phi(p2, y2, 25.0))
         np.testing.assert_allclose(b1, q1 * q1 - q2 * q2, atol=1e-12)
         np.testing.assert_allclose(b2, 2.0 * q1 * q2, atol=1e-12)
 
@@ -144,8 +144,8 @@ class TestQuadraticB:
         s = 30.0
         pair = bp.phi(pr, y2, s)
         p1v, p2v = pair.real, pair.imag
-        b1, b2 = rhs.quadratic_b(pr, q1, q2, y2, s)
-        v11, v12, v21, v22 = rhs.potentials_vjk(pr, y2, s)
+        b1, b2 = rhs.quadratic_b(pr, q1, q2, pair)
+        v11, v12, v21, v22 = rhs.potentials_vjk(pr, pair)
         diag = p * p1v ** (p - 1)
         f1_base, f2_base = rhs.f1f2(p1v, p2v, p)
         f1_route1 = b1 + f1_base + (diag + v11) * q1 + v12 * q2
@@ -159,8 +159,8 @@ class TestQuadraticB:
 
     def test_quadratic_smallness(self, p2):
         # remainder shrinks quadratically with the perturbation
-        b1a, b2a = rhs.quadratic_b(p2, 1e-3, 5e-4, 4.0, 25.0)
-        b1b, b2b = rhs.quadratic_b(p2, 1e-4, 5e-5, 4.0, 25.0)
+        b1a, b2a = rhs.quadratic_b(p2, 1e-3, 5e-4, bp.phi(p2, 4.0, 25.0))
+        b1b, b2b = rhs.quadratic_b(p2, 1e-4, 5e-5, bp.phi(p2, 4.0, 25.0))
         assert abs(b1b) < abs(b1a) / 50
         assert abs(b2b) < abs(b2a) / 50
 
@@ -284,6 +284,11 @@ class TestCutoff:
         chi = rhs.cutoff_chi(cut, grid.radius2(), s)
         assert np.all(chi[~box] == 0.0) and chi[(grid.npts // 2,) * n_dim] == 1.0
 
+    def test_cutoff_chi_needs_positive_s(self):
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="s must be > 0"):
+                rhs.cutoff_chi(rhs.CutoffSpec(), 1.0, s)
+
     def test_spec_validation(self):
         # NaN passes a "<= 0" test
         for K in (0.0, -1.0, math.nan, math.inf):
@@ -373,3 +378,18 @@ class TestInitialData:
         with pytest.raises(ValueError):
             rhs.InitialDataParams(A=10, s0=25, p1=0.5, n_dim=2,
                                   d2_quad=[[0.0, 1.0], [0.5, 0.0]])
+
+    def test_shapes_refused(self):
+        with pytest.raises(ValueError, match="linear direction entries must have shape"):
+            self.make(d1_lin=[0.1, 0.2])
+        with pytest.raises(ValueError, match="linear direction entries must have shape"):
+            self.make(d2_lin=0.1)
+        with pytest.raises(ValueError, match="d2_quad must have shape"):
+            self.make(d2_quad=[0.1])
+
+    def test_dimension_mismatch_refused(self):
+        pr, cut = bp.make_params(2, 1), rhs.CutoffSpec()
+        for idp, grid in ((self.make(n_dim=2), sp.Grid(1, 8.0, 33)),
+                          (self.make(), sp.Grid(2, 8.0, 33))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                rhs.initial_data(pr, idp, cut, grid)

@@ -364,6 +364,22 @@ class TestEvolve:
         with pytest.raises(ValueError):
             solver.evolve(constant_state(pr, grid, 12.0, pr.kappa), cfg, pr)
 
+    def test_non_finite_state_refused(self):
+        pr = bp.make_params(2, 1)
+        grid = sp.Grid(1, 8.0, 33)
+        state = constant_state(pr, grid, 25.0, pr.kappa)
+        state.w[5] = math.nan
+        with pytest.raises(ValueError, match="^state values must be finite$"):
+            solver.evolve(state, solver.SolverConfig(ds=0.01, s_end=25.1), pr)
+        u0 = solver.PhysicalState(t=0.0, grid=grid, u=state.w)
+        with pytest.raises(ValueError, match="^state values must be finite$"):
+            solver.run_physical_blowup(u0, pr)
+
+    def test_state_of_the_wrong_shape_refused(self):
+        grid = sp.Grid(1, 8.0, 33)
+        with pytest.raises(ValueError, match="does not match grid"):
+            solver.SimilarityState(s=25.0, grid=grid, w=np.ones(32))
+
     def test_helper_thread_lives_as_long_as_the_run(self):
         # a 2-D run's helper thread is alive while it steps and gone once it
         # returns or raises, so a process forked afterwards inherits no thread

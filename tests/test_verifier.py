@@ -172,6 +172,23 @@ def test_potential_bounds_pass(p, n):
         assert rep.details[key]["bounded"]
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (5, 2)])
+def test_potential_bounds_read_the_profile_once_per_grid(monkeypatch, p, n):
+    # one read on each s's 20 sqrt(s) grid (V and the four V_jk), one on its
+    # 2K sqrt(s) grid (V_tilde), and one at the origin
+    reads = []
+    phi = bp.phi
+
+    def counted(*args):
+        reads.append(args)
+        return phi(*args)
+
+    for module in (bp, br):  # every module that binds phi
+        monkeypatch.setattr(module, "phi", counted)
+    bv.check_potential_bounds(bp.make_params(p, n))
+    assert len(reads) == 2 * len(bv.S_GRID) + 1
+
+
 def test_square_case_diagonal_potentials_vanish():
     rep = bv.check_potential_bounds(bp.make_params(2, 1))
     assert rep.details["Vdiag_sup_s2"]["constant"] == 0.0
@@ -249,6 +266,12 @@ class TestBoundedVerdict:
         v = bv._bounded_verdict(self.s, 2.0 - 100.0 / self.s)
         assert v["bounded"]
         assert 1.9 < v["constant"] < 2.3
+
+    def test_late_drop_to_zero_passes_flat(self):
+        # a sup that drops to exactly zero late has a NaN slope; the flat
+        # increment test still judges it bounded
+        v = bv._bounded_verdict(self.s, [1.0] * 6 + [2.0] + [0.0] * 6)
+        assert v["bounded"] and v["constant"] == 2.0 and math.isnan(v["slope"])
 
     def test_log_growth_fails(self):
         assert not bv._bounded_verdict(self.s, np.log(self.s))["bounded"]
