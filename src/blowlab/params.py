@@ -12,6 +12,8 @@ outer expansion in z, f0 = R10 and g0 = R21 among them, and `phi` gives the
 profile pair Phi1 + i Phi2 in (y, s) that the perturbation system is
 written around.  Every radial profile here takes the *squared* radius
 z2 = |z|^2 (or y2 = |y|^2) so 1-D and n-D callers share one code path.
+Given a truncated Taylor series (`Series`) for z2, `outer_profile` returns
+the profile's series, whose exact derivatives the verifier and `rhs.rest_r` read.
 """
 
 from __future__ import annotations
@@ -70,11 +72,63 @@ def make_params(p: int, n_dim: int = 1) -> Params:
     return Params(p=p, n_dim=int(n_dim), kappa=kappa, b=b)
 
 
+class Series:
+    """Taylor coefficients c[0..2] of a function of one variable at an array of points.
+
+    The k-th derivative is k! c[k].  A closed form evaluated on Series.at(x)
+    gives its value and first two derivatives at x, exact up to roundoff
+    (Taylor-mode automatic differentiation: Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., SIAM 2008, ch. 13).  +, - and * take series or
+    numbers (a number meets only c[0] in a sum and scales each coefficient in
+    a product); ** (real exponent) and np.log need c[0] != 0.
+    """
+
+    def __init__(self, c):
+        self.c = c
+
+    @classmethod
+    def at(cls, x):
+        """The variable itself at the points x: coefficients [x, 1, 0], the constants as numbers."""
+        return cls([np.asarray(x, dtype=float), 1.0, 0.0])
+
+    def __add__(self, other):
+        if isinstance(other, Series):
+            return Series([a + b for a, b in zip(self.c, other.c)])
+        return Series([self.c[0] + other, *self.c[1:]])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __mul__(self, other):
+        if not isinstance(other, Series):
+            return Series([other * a for a in self.c])
+        (a0, a1, a2), (b0, b1, b2) = self.c, other.c
+        return Series([a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, alpha):
+        # from a f' = alpha a' f: k a0 f_k = sum_{j=1..k} (alpha j - (k - j)) a_j f_{k-j}
+        a0, a1, a2 = self.c
+        f0 = a0**alpha
+        f1 = alpha * a1 * f0 / a0
+        return Series([f0, f1, ((alpha - 1.0) * a1 * f1 + 2.0 * alpha * a2 * f0) / (2.0 * a0)])
+
+    def log(self):
+        # from a l' = a': k a0 l_k = k a_k - sum_{j=1..k-1} j l_j a_{k-j}
+        a0, a1, a2 = self.c
+        l1 = a1 / a0
+        return Series([np.log(a0), l1, (a2 - 0.5 * l1 * a1) / a0])
+
+
 def _check_nonneg(z2, name: str):
-    z2 = np.asarray(z2, dtype=float)
-    if np.any(z2 < 0):
+    """z2 as a float array (a Series as it is) once its values are >= 0."""
+    values = z2.c[0] if isinstance(z2, Series) else np.asarray(z2, dtype=float)
+    if (values < 0).any():
         raise ValueError(f"{name} is a squared radius and must be >= 0")
-    return z2
+    return z2 if isinstance(z2, Series) else values
 
 
 def phi(params: Params, y2, s) -> np.ndarray:
@@ -109,7 +163,7 @@ def outer_profile(params: Params, kind: str, z2):
       R22 = -2 A^{-p/(p-1)} - ((p-1)/2) z^2 A^{-(2p-1)/(p-1)}
             + ((p-2)/(p-1)) z^2 ln(A) A^{-p/(p-1)} + p z^2 ln(A) A^{-(2p-1)/(p-1)}
 
-    (verifier.fit_r22_constants certifies R22 against its ODE).
+    (verifier.fit_r22_constants certifies R22 against its ODE); a Series z2 gives a Series.
     """
     if kind not in OUTER_KINDS:
         raise ValueError(f"kind must be one of {OUTER_KINDS}, got {kind!r}")

@@ -15,9 +15,9 @@ off-profile parts of the Jacobian of (F1, F2), B the pure second-order
 Taylor remainder of F at Phi, and R the residual of the profile pair
 under the similarity flow.  All of those pieces live here, together with
 the smooth cutoff and the initial data of the trapped construction.  V,
-V_{i,j} and B take Phi1 + i Phi2 from their caller; R reads params.phi.
-F and its Jacobian stay binomial sums in the real pair: through complex
-powers, V11 = Re(p Phi^{p-1}) - p Phi1^{p-1} would cancel catastrophically.
+V_{i,j} and B take Phi1 + i Phi2 from their caller; R reads params.phi and
+the Taylor series of f0 and g0.  F and its Jacobian stay binomial sums in the
+real pair: V11 = Re(p Phi^{p-1}) - p Phi1^{p-1} would cancel catastrophically.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import Params, _checked_p, phi
+from .params import Params, Series, _checked_p, outer_profile, phi
 from .spectral import Grid
 
 
@@ -72,28 +72,24 @@ def potential_v(params: Params, pair):
 def potentials_vjk(params: Params, pair):
     """Profile-coupling potentials (V11, V12, V21, V22) at pair = Phi1 + i Phi2.
 
-    These are the entries of the Jacobian of (F1, F2) at (Phi1, Phi2)
-    minus the diagonal part p Phi1^{p-1} that is absorbed into V:
-      V11 = dF1/du1 - p Phi1^{p-1}     V12 = dF1/du2
-      V21 = dF2/du1                    V22 = dF2/du2 - p Phi1^{p-1}
-    For p=2 they reduce to V11 = V22 = 0, V12 = -2 Phi2, V21 = 2 Phi2.
+    The entries of the Jacobian of (F1, F2) at (Phi1, Phi2), less the diagonal
+    part p Phi1^{p-1} absorbed into V.  F is u -> u^p, so by Cauchy-Riemann the
+    Jacobian is [[a, -b], [b, a]] with a + i b = p Phi^{p-1}, and
+      V11 = V22 = a - p Phi1^{p-1} = p sum_{j>=1} (-1)^j C(p-1,2j) Phi1^{p-1-2j} Phi2^{2j}
+      V21 = -V12 = b = p sum_{j>=0} (-1)^j C(p-1,2j+1) Phi1^{p-2-2j} Phi2^{2j+1}
+    with no cancelling terms.  For p=2, V11 = V22 = 0 and V21 = -V12 = 2 Phi2.
     """
     p = params.p
     p1v, p2v = pair.real, pair.imag
     p2sq = p2v * p2v
-    v11, v12, v21, v22 = (np.zeros(np.shape(pair)) for _ in range(4))
-    for j in range(1, p // 2 + 1):
-        c = (-1) ** j * math.comb(p, 2 * j)
-        if p - 2 * j > 0:
-            v11 = v11 + c * (p - 2 * j) * p1v ** (p - 2 * j - 1) * p2sq**j
-        v12 = v12 + c * 2 * j * p1v ** (p - 2 * j) * p2sq ** (j - 1) * p2v
-    for j in range((p - 1) // 2 + 1):
-        c = (-1) ** j * math.comb(p, 2 * j + 1)
-        if p - 2 * j - 1 > 0:
-            v21 = v21 + c * (p - 2 * j - 1) * p1v ** (p - 2 * j - 2) * p2sq**j * p2v
-        if j >= 1:
-            v22 = v22 + c * (2 * j + 1) * p1v ** (p - 2 * j - 1) * p2sq**j
-    return v11, v12, v21, v22
+    v11, v21 = np.zeros(np.shape(pair)), np.zeros(np.shape(pair))
+    for j in range(1, (p - 1) // 2 + 1):
+        c = (-1) ** j * p * math.comb(p - 1, 2 * j)
+        v11 = v11 + c * p1v ** (p - 1 - 2 * j) * p2sq**j
+    for j in range((p - 2) // 2 + 1):
+        c = (-1) ** j * p * math.comb(p - 1, 2 * j + 1)
+        v21 = v21 + c * p1v ** (p - 2 - 2 * j) * p2sq**j * p2v
+    return v11, -v21, v21, v11
 
 
 def quadratic_b(params: Params, q1, q2, pair):
@@ -121,8 +117,10 @@ def rest_r(params: Params, y2, s):
 
     R_i = ΔPhi_i - (y/2)·∇Phi_i - Phi_i/(p-1) + F_i(Phi1, Phi2) - ∂_s Phi_i,
     evaluated analytically through the radial variable xi = |y|^2/s: for
-    g(y) = f(xi), Δg = (4 xi f'' + 2 n f')/s, (y/2)·∇g = xi f', and
-    ∂_s g|_y = -(xi/s) f'.
+    h(y, s) = s^-k f(xi), Δh = s^-k (4 xi f'' + 2 n f')/s, (y/2)·∇h = s^-k xi f'
+    and ∂_s h = -s^-k (xi f' + k f)/s.  Phi1 is f0 (k = 0) and Phi2 is g0
+    (k = 1), each plus a pure power of s (params.phi); the xi-derivatives of
+    f0 and g0 are read off their Taylor series (params.Series).
 
     At the origin s^2 R1 -> c1 (fitted elsewhere) and
     s^3 R2 -> -n(n+4) kappa/(p-1).  It reads Phi itself: like phi it is a
@@ -130,42 +128,19 @@ def rest_r(params: Params, y2, s):
     and none of its grids is shared with another piece.
     """
     pair = phi(params, y2, s)  # validates s > 0 and y2 >= 0
-    phi1v, phi2v = pair.real, pair.imag
     p = params.p
-    b = params.b
     n = params.n_dim
     kap = params.kappa
     xi = np.asarray(y2, dtype=float) / s
-    a = p - 1 + b * xi
-    ep = -p / (p - 1.0)       # first derivative exponent
-    e2p = -(2.0 * p - 1) / (p - 1)
-    e3p = -(3.0 * p - 2) / (p - 1)
 
-    f1p = -(b / (p - 1)) * a**ep
-    f1pp = (p * b * b / (p - 1) ** 2) * a**e2p
+    def flow(kind, k):
+        # (Δ - (y/2)·∇ - ∂_s) s^-k f(xi) for the profile f of kind
+        f, df, half_d2f = outer_profile(params, kind, Series.at(xi)).c
+        return ((8.0 * xi * half_d2f + 2.0 * n * df) / s - xi * df + (xi * df + k * f) / s) / s**k
 
-    gv = xi * a**ep
-    gp = a**ep - (p * b / (p - 1)) * xi * a**e2p
-    gpp = -2.0 * (p * b / (p - 1)) * a**e2p + (p * (2.0 * p - 1) * b * b / (p - 1) ** 2) * xi * a**e3p
-
-    fo1, fo2 = f1f2(phi1v, phi2v, p)
-
-    r1 = (
-        (4.0 * xi * f1pp + 2.0 * n * f1p) / s
-        - xi * f1p
-        - phi1v / (p - 1)
-        + fo1
-        + (xi / s) * f1p
-        + n * kap / (2.0 * p * s * s)
-    )
-    r2 = (
-        (4.0 * xi * gpp + 2.0 * n * gp) / (s * s)
-        - xi * gp / s
-        - phi2v / (p - 1)
-        + fo2
-        + (gv + xi * gp) / (s * s)
-        - 4.0 * n * kap / ((p - 1) * s**3)
-    )
+    fo1, fo2 = f1f2(pair.real, pair.imag, p)
+    r1 = flow("R10", 0) - pair.real / (p - 1) + fo1 + n * kap / (2.0 * p * s * s)
+    r2 = flow("R21", 1) - pair.imag / (p - 1) + fo2 - 4.0 * n * kap / ((p - 1) * s**3)
     return r1, r2
 
 

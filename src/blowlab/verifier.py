@@ -2,12 +2,12 @@
 
 Everything here is independent of the time steppers: each check plugs a
 closed form into the equation or bound it is supposed to satisfy and
-measures the residual.  Derivatives are taken with 7-point centered
-stencils at a step near the 6th-order roundoff optimum eps^{1/7}, so the
-residual of an exact identity sits at the differentiation noise floor.
-All four outer profiles R10, R11, R21 and R22 are closed forms
-(params.outer_profile) and are held to that floor; R22's check also
-integrates its linear ODE by classical RK4 on tabulated coefficients and
+measures the residual.  Derivatives come from evaluating the closed forms
+(params.outer_profile) on a truncated Taylor series in z (params.Series),
+so they are exact up to roundoff, and the residual of an exact identity
+sits at the roundoff floor.  All four outer profiles R10, R11, R21 and R22
+are held to that floor; R22's check also integrates its linear ODE by
+classical RK4 on tabulated coefficients, an independent oracle, and
 refits its three correction coefficients.
 
 Bound checks are slope tests: the envelope constants C are unspecified,
@@ -33,12 +33,6 @@ from . import diagnostics as _diag
 from . import params as _params
 from . import rhs as _rhs
 
-# 6th-order centered first and second derivative stencils on 7 points
-_D1_COEF = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2_COEF = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-# roundoff-optimal step for a 6th-order formula
-DIFF_STEP = float(np.finfo(float).eps ** (1.0 / 7.0))
-
 SLOPE_TOL = 0.05
 # slow-variable samples z of the outer-profile equations
 Z_SAMPLES = np.linspace(0.1, 10.0, 397)
@@ -57,26 +51,6 @@ R22_Z_WINDOW = (0.1, 5.0)
 R22_FIT_SAMPLES = 201
 Z_SAMPLES.setflags(write=False)
 S_GRID.setflags(write=False)
-
-
-def _stencil(fn, z, coef):
-    """sum_k coef_k fn(z + k h) over the 7 points k = -3..3, h = DIFF_STEP, zero weights skipped."""
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for k, c in zip(range(-3, 4), coef):
-        if c != 0.0:
-            acc = acc + c * fn(z + k * DIFF_STEP)
-    return acc
-
-
-def stencil_d1(fn, z):
-    """6th-order first derivative of fn at the points z, at step DIFF_STEP."""
-    return _stencil(fn, z, _D1_COEF) / DIFF_STEP
-
-
-def stencil_d2(fn, z):
-    """6th-order second derivative of fn at the points z, at step DIFF_STEP."""
-    return _stencil(fn, z, _D2_COEF) / DIFF_STEP**2
 
 
 @dataclass
@@ -109,89 +83,75 @@ class CheckReport:
         }
 
 
-def _in_z(params: _params.Params, kind: str):
-    """The outer profile of kind as a function of z (it takes z^2)."""
-    return lambda z: _params.outer_profile(params, kind, z * z)
+def _in_z(params: _params.Params, kind: str, z):
+    """The outer profile of kind as its Taylor series in z at the points z (it takes z^2):
+    c[0], c[1] and 2 c[2] are the profile and its first two z-derivatives."""
+    x = _params.Series.at(z)
+    return _params.outer_profile(params, kind, x * x)
 
 
-def _linear_operator(params: _params.Params, fn, z):
-    """-(z/2) f' - f/(p-1) + p R10^{p-1} f with stencil derivatives."""
+def _linear_operator(params: _params.Params, f, z):
+    """-(z/2) f' - f/(p-1) + p R10^{p-1} f for f given as its series in z at the points z."""
     p = params.p
     r10_pm1 = _params.outer_profile(params, "R10", z * z) ** (p - 1)
-    return -0.5 * z * stencil_d1(fn, z) - fn(z) / (p - 1) + p * r10_pm1 * fn(z)
+    return -0.5 * z * f.c[1] - f.c[0] / (p - 1) + p * r10_pm1 * f.c[0]
 
 
-def _r22_source(params: _params.Params, z, analytic: bool = False):
-    """R21'' + R21 + (z/2) R21' + p(p-1) R10^{p-2} R11 R21.
+def _r11_source(r10, z):
+    """F11 = R10'' + (z/2) R10', the source of R11's equation, from R10's series at the points z."""
+    return 2.0 * r10.c[2] + 0.5 * z * r10.c[1]
 
-    The stencil route is the measurement; the analytic route (closed-form
-    derivatives of R21) feeds the smooth ODE right-hand side for the
-    integrator cross-check.
-    """
+
+def _r22_source(params: _params.Params, z):
+    """R21'' + R21 + (z/2) R21' + p(p-1) R10^{p-2} R11 R21 at the points z."""
     p = params.p
-    b = params.b
-    z = np.asarray(z, dtype=float)
-    z2 = z * z
-    r21 = _params.outer_profile(params, "R21", z2)
-    r10 = _params.outer_profile(params, "R10", z2)
-    r11 = _params.outer_profile(params, "R11", z2)
-    if analytic:
-        m = p / (p - 1.0)
-        a = p - 1 + b * z2
-        d1 = 2.0 * z * a**-m - 2.0 * m * b * z**3 * a ** (-m - 1)
-        d2 = (
-            2.0 * a**-m
-            - 10.0 * m * b * z2 * a ** (-m - 1)
-            + 4.0 * m * (m + 1) * b**2 * z2**2 * a ** (-m - 2)
-        )
-    else:
-        d1 = stencil_d1(_in_z(params, "R21"), z)
-        d2 = stencil_d2(_in_z(params, "R21"), z)
-    return d2 + r21 + 0.5 * z * d1 + p * (p - 1) * r10 ** (p - 2) * r11 * r21
+    r21 = _in_z(params, "R21", z)
+    r10, r11 = (_params.outer_profile(params, kind, z * z) for kind in ("R10", "R11"))
+    coupling = p * (p - 1) * r10 ** (p - 2) * r11
+    return 2.0 * r21.c[2] + r21.c[0] + 0.5 * z * r21.c[1] + coupling * r21.c[0]
 
 
-def _r22_terms(params: _params.Params):
-    """R22's leading term and its three correction terms as functions of z.
+def _r22_terms(params: _params.Params, z):
+    """R22's leading term and its three correction terms as series in z at the points z.
 
     With A = p-1 + b z^2: -2 A^{-p/(p-1)}, then z^2 A^{-(2p-1)/(p-1)},
     z^2 ln(A) A^{-p/(p-1)} and z^2 ln(A) A^{-(2p-1)/(p-1)}.
     """
-    p, b = params.p, params.b
-    slow, steep = p / (p - 1.0), (2.0 * p - 1) / (p - 1.0)
-    base = lambda z: p - 1 + b * z * z
-    return lambda z: -2.0 * base(z) ** -slow, (
-        lambda z: z * z * base(z) ** -steep,
-        lambda z: z * z * np.log(base(z)) * base(z) ** -slow,
-        lambda z: z * z * np.log(base(z)) * base(z) ** -steep,
-    )
+    p = params.p
+    x = _params.Series.at(z)
+    z2 = x * x
+    base = p - 1 + params.b * z2
+    slow, steep = base ** (-p / (p - 1.0)), base ** (-(2.0 * p - 1) / (p - 1.0))
+    log_base = np.log(base)
+    return -2.0 * slow, (z2 * steep, z2 * log_base * slow, z2 * log_base * steep)
 
 
 def fit_r22_constants(params: _params.Params) -> CheckReport:
     """Certify the closed-form R22 profile against its ODE, two ways, and refit it.
 
     The closed form (params.outer_profile) has no free parameter.  Its
-    stencil residual on a dense grid must sit at the noise floor (< 1e-9),
-    like R10, R11 and R21, and a classical RK4 integration of the linear
-    ODE r' = a(z) r + g(z) started on it, over R22_STEPS geometric steps in
-    z, must follow it at every node (< 1e-6; it is about 1e-11 at 2000
-    steps).  Independently, the ODE residual is affine in the three
-    correction coefficients, so least squares over z samples recovers
-    them, and they must match the closed form's -(p-1)/2, (p-2)/(p-1) and
-    p (< 1e-6).  (Matching field values against
+    residual on a dense grid, with exact series derivatives, must sit at the
+    roundoff floor (< 1e-13), like R10, R11 and R21, and a classical RK4
+    integration of the linear ODE r' = a(z) r + g(z) started on it, over
+    R22_STEPS geometric steps in z, must follow it at every node (< 1e-6;
+    it is about 1e-11 at 2000 steps).  Independently, the ODE residual is
+    affine in the three correction coefficients, so least squares over z
+    samples recovers them, and they must match the closed form's -(p-1)/2,
+    (p-2)/(p-1) and p (< 1e-12).  (Matching field values against
     a shooting solution instead would be ill-posed: the regular solutions
     form a one-parameter family and any shot picks an arbitrary member.)
     """
     p = params.p
-    base, terms = _r22_terms(params)
     z_lo, z_hi = R22_Z_WINDOW
     z_fit = np.linspace(z_lo, z_hi, R22_FIT_SAMPLES)
+    base, terms = _r22_terms(params, z_fit)
     design = np.column_stack([_linear_operator(params, f, z_fit) for f in terms])
     target = -(_linear_operator(params, base, z_fit) + _r22_source(params, z_fit))
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     fit_dev = float(np.max(np.abs(coef - [-(p - 1) / 2.0, (p - 2) / (p - 1.0), p])))
 
-    closed = _in_z(params, "R22")
     z_dense = np.linspace(z_lo, z_hi, 601)
+    closed = _in_z(params, "R22", z_dense)
     residual = _linear_operator(params, closed, z_dense) + _r22_source(params, z_dense)
     worst = float(np.max(np.abs(residual)))
 
@@ -203,8 +163,8 @@ def fit_r22_constants(params: _params.Params) -> CheckReport:
     z_tab[1::2] = 0.5 * (z_nodes[:-1] + z_nodes[1:])
     r10_pm1 = _params.outer_profile(params, "R10", z_tab * z_tab) ** (p - 1)
     a = ((2.0 / z_tab) * (p * r10_pm1 - 1.0 / (p - 1))).tolist()
-    g = ((2.0 / z_tab) * _r22_source(params, z_tab, analytic=True)).tolist()
-    exact = closed(z_nodes)
+    g = ((2.0 / z_tab) * _r22_source(params, z_tab)).tolist()
+    exact = _params.outer_profile(params, "R22", z_nodes * z_nodes)
     r = float(exact[0])
     path = [r]
     for h, a0, am, a1, g0, gm, g1 in zip(np.diff(z_nodes).tolist(), a[0:-1:2], a[1::2],
@@ -217,9 +177,9 @@ def fit_r22_constants(params: _params.Params) -> CheckReport:
         path.append(r)
     ivp_dev = float(np.max(np.abs(np.array(path) - exact)))
 
-    passed = worst < 1e-9 and ivp_dev < 1e-6 and fit_dev < 1e-6
+    passed = worst < 1e-13 and ivp_dev < 1e-6 and fit_dev < 1e-12
     notes = (
-        f"differentiation step {DIFF_STEP:.3e}; integrator deviation {ivp_dev:.3e}; "
+        f"integrator deviation {ivp_dev:.3e}; "
         f"fit deviation {fit_dev:.3e}. The two log coefficients differ, so a form "
         "using a single shared log constant cannot satisfy this equation."
     )
@@ -231,7 +191,7 @@ def fit_r22_constants(params: _params.Params) -> CheckReport:
         details={
             "c_alg": float(coef[0]), "c_log_slow": float(coef[1]),
             "c_log_steep": float(coef[2]), "fit_deviation": fit_dev,
-            "integrator_deviation": ivp_dev, "diff_step": DIFF_STEP,
+            "integrator_deviation": ivp_dev,
         },
     )
 
@@ -242,23 +202,14 @@ def selection_coefficient(p: int, b: float) -> float:
 
 
 def _log_term_coefficient(params: _params.Params, z) -> tuple[float, float]:
-    """Fit (2H/z) F11 onto {1/z^3, 1/z, z/(p-1+b z^2)}.
+    """Fit (2H/z) F11 onto {1/z^3, 1/z, z/(p-1+b z^2)}, with F11 from R10's series.
 
     Returns the fitted 1/z coefficient and the fit residual.  A nonzero
     1/z part integrates to a ln z term, destroying analyticity at z=0.
     """
     p = params.p
-    b = params.b
-    z = np.asarray(z, dtype=float)
-    z2 = z * z
-    a = p - 1 + b * z2
-    m = p / (p - 1.0)
-    f11 = (
-        -(2.0 * b / (p - 1)) * a**-m
-        + (4.0 * p * b**2 * z2 / (p - 1) ** 2) * a ** (-(2.0 * p - 1) / (p - 1))
-        - (b * z2 / (p - 1)) * a**-m
-    )
-    g = (2.0 * a**m / z**3) * f11
+    a = p - 1 + params.b * (z * z)
+    g = (2.0 * a ** (p / (p - 1.0)) / z**3) * _r11_source(_in_z(params, "R10", z), z)
     design = np.column_stack([1.0 / z**3, 1.0 / z, z / a])
     coef, *_ = np.linalg.lstsq(design, g, rcond=None)
     resid = float(np.max(np.abs(design @ coef - g)))
@@ -268,29 +219,27 @@ def _log_term_coefficient(params: _params.Params, z) -> tuple[float, float]:
 def check_outer_ode_residuals(params: _params.Params) -> list[CheckReport]:
     """Certify the four order-by-order profile equations.
 
-    All four closed forms are exact solutions, so their residuals must sit
-    at the differentiation noise floor (< 1e-9); R22's report also carries
-    an integrator cross-check and a refit of its coefficients
-    (fit_r22_constants).  A final report perturbs the curvature constant
-    and verifies the log-term obstruction appears.
+    All four closed forms are exact solutions, so their residuals, with
+    exact series derivatives, must sit at the roundoff floor (< 1e-13);
+    R22's report also carries an integrator cross-check and a refit of its
+    coefficients (fit_r22_constants).  A final report perturbs the curvature
+    constant and verifies the log-term obstruction appears.
     """
     z = Z_SAMPLES
     p = params.p
-    f10, f11, f21 = (_in_z(params, kind) for kind in ("R10", "R11", "R21"))
-    # (profile, residual of its equation at z, notes)
+    f10, f11, f21 = (_in_z(params, kind, z) for kind in ("R10", "R11", "R21"))
+    # (profile, residual of its equation at z)
     table = (
-        ("R10", -0.5 * z * stencil_d1(f10, z) - f10(z) / (p - 1) + f10(z) ** p,
-         f"differentiation step {DIFF_STEP:.3e}"),
-        ("R11", _linear_operator(params, f11, z) + stencil_d2(f10, z) + 0.5 * z * stencil_d1(f10, z),
-         ""),
-        ("R21", _linear_operator(params, f21, z), ""),
+        ("R10", -0.5 * z * f10.c[1] - f10.c[0] / (p - 1) + f10.c[0] ** p),
+        ("R11", _linear_operator(params, f11, z) + _r11_source(f10, z)),
+        ("R21", _linear_operator(params, f21, z)),
     )
     reports = []
-    for kind, residual, notes in table:
+    for kind, residual in table:
         worst = float(np.max(np.abs(residual)))
         reports.append(CheckReport(
             check_name=f"outer_ode_{kind}_p{p}", samples=len(z),
-            worst_residual=worst, passed=worst < 1e-9, notes=notes,
+            worst_residual=worst, passed=worst < 1e-13,
         ))
 
     reports.append(fit_r22_constants(params))
@@ -405,8 +354,9 @@ def _bounded_verdict(s_grid, sups) -> dict:
 
     A bounded envelope shows one of three signatures: a flat curve, a
     shrinking one, or saturation from below with geometrically decaying
-    increments (then the limit is extrapolated and reported).  Logarithmic
-    or power growth keeps its increments and fails.
+    increments (then the limit is extrapolated, and the constant is the
+    larger of it and the sweep's maximum).  Logarithmic or power growth
+    keeps its increments and fails.
     """
     sups = np.asarray(sups, dtype=float)
     slope = _diag.late_loglog_slope(s_grid, sups)
@@ -423,7 +373,7 @@ def _bounded_verdict(s_grid, sups) -> dict:
     d_prev, d_last = deltas[-2], deltas[-1]
     if d_prev > floor and d_last > floor and d_last / d_prev <= 0.8:
         ratio = d_last / d_prev
-        verdict["constant"] = float(late[-1] + d_last * ratio / (1.0 - ratio))
+        verdict["constant"] = max(constant, float(late[-1] + d_last * ratio / (1.0 - ratio)))
         return verdict
     verdict["bounded"] = False
     return verdict

@@ -84,8 +84,8 @@ def test_1_certification_battery():
     for p in (2, 3, 4):
         ok &= by_name[f"b_selection_p{p}"]["worst_residual"] <= 1e-14
         ok &= by_name[f"complex_identity_p{p}"]["worst_residual"] < 1e-12
-        ok &= by_name[f"outer_ode_R10_p{p}"]["worst_residual"] < 1e-9
-        ok &= by_name[f"outer_ode_R21_p{p}"]["worst_residual"] < 1e-9
+        ok &= by_name[f"outer_ode_R10_p{p}"]["worst_residual"] < 1e-13
+        ok &= by_name[f"outer_ode_R21_p{p}"]["worst_residual"] < 1e-13
         bar = by_name[f"barB_expansion_p{p}"]["details"]
         ok &= abs(bar["coefficient_1"] - bar["target_1"]) <= 1e-6
         ok &= abs(bar["coefficient_2"] - bar["target_2"]) <= 1e-6
@@ -101,8 +101,8 @@ def test_1_certification_battery():
     for p in (2, 3, 4):
         assert by_name[f"b_selection_p{p}"]["worst_residual"] <= 1e-14
         assert by_name[f"complex_identity_p{p}"]["worst_residual"] < 1e-12
-        assert by_name[f"outer_ode_R10_p{p}"]["worst_residual"] < 1e-9
-        assert by_name[f"outer_ode_R21_p{p}"]["worst_residual"] < 1e-9
+        assert by_name[f"outer_ode_R10_p{p}"]["worst_residual"] < 1e-13
+        assert by_name[f"outer_ode_R21_p{p}"]["worst_residual"] < 1e-13
         bar = by_name[f"barB_expansion_p{p}"]["details"]
         kappa = bp.make_params(p, 1).kappa
         assert bar["target_1"] == pytest.approx(p / (2.0 * kappa), rel=1e-12)

@@ -220,6 +220,67 @@ class TestOuterProfiles:
             bp.outer_profile(self.p2, "R99", 1.0)
 
 
+class TestSeries:
+    # Taylor coefficients c[k] = f^(k)(x)/k! of known expansions about the points x
+    x = np.linspace(-0.4, 0.6, 11)
+
+    def assert_coefficients(self, series, want):
+        assert isinstance(series, bp.Series) and len(series.c) == 3
+        for got, ref in zip(series.c, want):
+            np.testing.assert_allclose(got, ref, rtol=2e-15, atol=1e-300)
+
+    def test_variable_is_x_one_zero(self):
+        t = bp.Series.at(self.x)
+        np.testing.assert_array_equal(t.c[0], self.x)
+        np.testing.assert_array_equal(t.c[1], 1.0)
+        np.testing.assert_array_equal(t.c[2], 0.0)
+
+    @pytest.mark.parametrize("alpha", [-2.5, -1.0, 0.5, 3.0])
+    def test_real_power(self, alpha):
+        u = 1.0 + self.x
+        self.assert_coefficients((1.0 + bp.Series.at(self.x)) ** alpha, [
+            u**alpha, alpha * u ** (alpha - 1), 0.5 * alpha * (alpha - 1) * u ** (alpha - 2)])
+
+    def test_log(self):
+        u = 1.0 + self.x
+        self.assert_coefficients(np.log(1.0 + bp.Series.at(self.x)),
+                                 [np.log(u), 1.0 / u, -0.5 / u**2])
+
+    def test_geometric_series(self):
+        # 1/(1 - x) has every Taylor coefficient equal to (1 - x)^{-k-1}
+        u = 1.0 - self.x
+        self.assert_coefficients((-1.0 * bp.Series.at(self.x) + 1.0) ** -1.0,
+                                 [1.0 / u, u**-2, u**-3])
+
+    def test_product_and_numbers(self):
+        # (3 + 2x) x^2 / 4 - x = 0.5 x^3 + 0.75 x^2 - x
+        t = bp.Series.at(self.x)
+        x = self.x
+        self.assert_coefficients((3.0 + 2.0 * t) * (t * t) * 0.25 - t,
+                                 [0.5 * x**3 + 0.75 * x**2 - x, 1.5 * x**2 + 1.5 * x - 1.0,
+                                  1.5 * x + 0.75])
+
+    def test_numbers_touch_only_their_coefficients(self):
+        # a number shifts only c[0] (the other coefficients are the same objects) and
+        # scales every coefficient in a product
+        t = bp.Series.at(self.x)
+        shifted = 2.0 + t
+        assert shifted.c[1] is t.c[1] and shifted.c[2] is t.c[2]
+        self.assert_coefficients(3.0 * t - 1.0, [3.0 * self.x - 1.0, 3.0, 0.0])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 9])
+    @pytest.mark.parametrize("kind", bp.OUTER_KINDS)
+    def test_outer_profile_value_is_the_array_call(self, p, kind):
+        pr = bp.make_params(p, 1)
+        z2 = np.linspace(0.0, 40.0, 81)
+        series = bp.outer_profile(pr, kind, bp.Series.at(z2))
+        np.testing.assert_array_equal(series.c[0], bp.outer_profile(pr, kind, z2))
+
+    def test_outer_profile_refuses_a_negative_series(self):
+        with pytest.raises(ValueError, match="z2 is a squared radius"):
+            bp.outer_profile(bp.make_params(2, 1), "R10", bp.Series.at([1.0, -1e-3]))
+
+
 class TestExactSolution:
     def test_values(self):
         pr = bp.make_params(2, 1)

@@ -104,6 +104,19 @@ class TestPotentials:
         assert v12 == pytest.approx(0.04, rel=1e-13)
         assert v21 == pytest.approx(-0.04, rel=1e-13)
 
+    @pytest.mark.parametrize("p", range(2, bp.MAX_P + 1))
+    def test_vjk_are_the_complex_derivative(self, p):
+        # F = u^p is analytic, so its Jacobian is [[a, -b], [b, a]] with
+        # a + i b = p Phi^{p-1} (Cauchy-Riemann); V11 and V22 leave out p Phi1^{p-1}
+        pr = bp.make_params(p, 1)
+        pair = bp.phi(pr, np.linspace(0.0, 400.0, 201), 20.0)
+        deriv = p * pair ** (p - 1)
+        v11, v12, v21, v22 = rhs.potentials_vjk(pr, pair)
+        np.testing.assert_array_equal(v11, v22)
+        np.testing.assert_array_equal(v12, -v21)
+        np.testing.assert_allclose(v11 + p * pair.real ** (p - 1), deriv.real, rtol=1e-13)
+        np.testing.assert_allclose(v21, deriv.imag, rtol=1e-13, atol=1e-300)
+
     @pytest.mark.parametrize("p", [3, 4, 7])
     def test_vjk_match_numerical_jacobian(self, p):
         pr = bp.make_params(p, 1)
@@ -207,6 +220,34 @@ class TestRestR:
         core = (slice(2, -2),) * grid.n_dim
         assert np.max(np.abs((r1_an - r1_fd)[core])) < tol
         assert np.max(np.abs((r2_an - r2_fd)[core])) < tol
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_series_derivatives_match_the_hand_derived_ones(self, p, n):
+        # rest_r reads f0', f0'', g0' and g0'' off the Taylor series of R10 and
+        # R21; their hand-derived closed forms are the oracle
+        pr = bp.make_params(p, n)
+        b, kap = pr.b, pr.kappa
+        for s in (10.0, 100.0, 1e3, 1e4):
+            y2 = np.linspace(0.0, 20.0 * math.sqrt(s), 2001) ** 2
+            pair = bp.phi(pr, y2, s)
+            xi = y2 / s
+            a = p - 1 + b * xi
+            ep, e2p, e3p = -p / (p - 1.0), -(2.0 * p - 1) / (p - 1), -(3.0 * p - 2) / (p - 1)
+            f1p = -(b / (p - 1)) * a**ep
+            f1pp = (p * b * b / (p - 1) ** 2) * a**e2p
+            gv = xi * a**ep
+            gp = a**ep - (p * b / (p - 1)) * xi * a**e2p
+            gpp = (-2.0 * (p * b / (p - 1)) * a**e2p
+                   + (p * (2.0 * p - 1) * b * b / (p - 1) ** 2) * xi * a**e3p)
+            fo1, fo2 = rhs.f1f2(pair.real, pair.imag, p)
+            r1 = ((4.0 * xi * f1pp + 2.0 * n * f1p) / s - xi * f1p - pair.real / (p - 1) + fo1
+                  + (xi / s) * f1p + n * kap / (2.0 * p * s * s))
+            r2 = ((4.0 * xi * gpp + 2.0 * n * gp) / (s * s) - xi * gp / s - pair.imag / (p - 1)
+                  + fo2 + (gv + xi * gp) / (s * s) - 4.0 * n * kap / ((p - 1) * s**3))
+            got1, got2 = rhs.rest_r(pr, y2, s)
+            assert np.max(np.abs(got1 - r1)) <= 1e-15
+            assert np.max(np.abs(got2 - r2)) <= 1e-15
 
     def test_fd_error_shrinks_quadratically(self):
         pr = bp.make_params(2, 1)
