@@ -505,7 +505,9 @@ def _spline_at(ptraj: PhysicalTrajectory, j: int, ys: np.ndarray) -> complex:
     end this is the global not-a-knot spline's condition; elsewhere the end's
     influence decays like (2 - sqrt 3)^k over the k >= SPLINE_HALF_WINDOW - 1
     nodes to the probe, so the value is the global spline's to roundoff.  The
-    slopes solve one real tridiagonal system (dgttrf, zgttrs).
+    slopes solve one real tridiagonal system by a general LU (dgttrf, zgttrs):
+    the not-a-knot end rows are not symmetric, so the diffusion's LDL^T pair
+    does not apply.
     """
     xs, k = ptraj.grid.axis()[ptraj.windows[j]], ptraj.cells[j]
     dx = np.diff(xs)

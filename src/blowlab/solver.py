@@ -1,11 +1,15 @@
 """Time integration in similarity and physical variables.
 
 The state is one complex128 array, w = w1 + i w2 (resp. u = u1 + i u2).
-The linear operators are real.  The diffusion solve applies a real LU
-factor of I - dt D2 to the complex state by zgttrs; the drift stencil acts
-on the real view (`_real`, trailing axis of length two), so both components
-go through one solve, one stencil, one boundary pass.  One _Stepper per run
-takes every semi-implicit substep of either frame in place.
+The linear operators are real.  The diffusion solve applies a real factor
+of I - dt D2 to the complex state: on a 1-D grid an LDL^T factor (dpttrf)
+of the matrix with its Dirichlet rows folded into the right-hand side,
+applied by zpttrs; on a 2-D grid an LU factor (dgttrf) applied by zgttrs,
+whose wrapper releases the GIL for the helper thread (see
+_diffusion_factor).  The drift stencil acts on the real view (`_real`,
+trailing axis of length two), so both components go through one solve, one
+stencil, one boundary pass.  One _Stepper per run takes every semi-implicit
+substep of either frame in place.
 
 Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
 default scheme is operator splitting per step: implicit diffusion
@@ -166,14 +170,30 @@ class SolverConfig:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
 
 
-def _diffusion_factor(npts: int, r: float) -> tuple:
-    """LU factor of I - r D2 (identity boundary rows) as zgttrs takes it.
+def _diffusion_factor(npts: int, r: float, n_dim: int) -> tuple:
+    """Factor of I - r D2 (identity boundary rows) for one grid dimension, r = dt/h^2.
 
-    The factor is real (dgttrf); its four arrays are cast to complex128 so
-    zgttrs applies it to a complex right-hand side.  r = dt/h^2.
+    1-D: (d, e, r) for _diffuse_in_place's fold and zpttrs.  Adding r x_0 and
+    r x_{n-1} to the right-hand side's rows 1 and n-2 decouples the boundary
+    rows, which leaves a symmetric positive definite matrix with diagonal
+    1, 1 + 2r, ..., 1 + 2r, 1 and off-diagonal 0, -r, ..., -r, 0.  Its LDL^T
+    factor (dpttrf: no pivoting, real d) returns the boundary rows bit for bit;
+    e is cast to complex128, as zpttrs takes it.  2-D: the LU factor (dgttrf)
+    of the unfolded matrix as zgttrs takes it, its four arrays cast to
+    complex128.  scipy's wrappers release the GIL for zgttrs but hold it for
+    every *pttrs routine: twenty solves on each of two 20001 x 16 blocks took
+    0.186 s on two threads against 0.184 s in turn with zpttrs, and 0.121 s
+    against 0.239 s with zgttrs (2-CPU Xeon host), so the ADI halves keep the
+    LU path.
     """
     diag = np.full(npts, 1.0 + 2.0 * r)
     diag[[0, -1]] = 1.0
+    if n_dim == 1:
+        off = np.full(npts - 1, -r)
+        off[[0, -1]] = 0.0
+        # positive definite for r > 0, so the factor always exists
+        d, e, _ = _spectral.lapack.dpttrf(diag, off)
+        return d, e.astype(np.complex128), r
     lower = np.full(npts - 1, -r)
     upper = np.full(npts - 1, -r)
     upper[0] = lower[-1] = 0.0
@@ -185,12 +205,20 @@ def _diffusion_factor(npts: int, r: float) -> tuple:
 def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf, axis: int, lines: slice) -> None:
     """Solve (I - dt D2) x = w along axis on the lines (a half) into the C-order complex w.
 
-    Axis 0 of a 2-D w: the columns in lines, through the Fortran-order fbuf (shaped
-    like w); the last axis: w[lines].T.  ADI solves axis 0 on every column before
-    axis 1 on any row; that order fixes the last bits.  Each line is its own
-    right-hand side, so the halves do not move them.  Boundary rows are identity.
+    A 1-D w (one half): the boundary values folded into rows 1 and n-2, then
+    zpttrs on the whole line.  Axis 0 of a 2-D w: the columns in lines, through
+    the Fortran-order fbuf (shaped like w); the last axis: w[lines].T.  ADI
+    solves axis 0 on every column before axis 1 on any row; that order fixes
+    the last bits.  Each line is its own right-hand side, so the halves do not
+    move them.  Boundary rows are identity.
     """
-    if axis < w.ndim - 1:
+    if w.ndim == 1:
+        d, e, r = factor
+        v = _real(w)
+        v[1] += r * v[0]
+        v[-2] += r * v[-1]
+        _spectral.lapack.zpttrs(d, e, w, overwrite_b=1)
+    elif axis == 0:
         cols = (slice(None), lines)
         fbuf[cols] = w[cols]
         _spectral.lapack.zgttrs(*factor, fbuf[cols], overwrite_b=1)
@@ -283,16 +311,17 @@ class _Stepper:
     w, a block of three arrays shaped like it, the boundary nodes as indices (in
     _edge_mask's order; a mask is slower to apply), the halves of the grid's rows,
     the drift stencil's views on the block per half (similarity frame only) and the
-    LU factor of the last dt, factored again only when dt changes.  The caller sets
-    the boundary.
+    factor of the last dt (_diffusion_factor: LDL^T on a 1-D grid, LU on a 2-D one),
+    factored again only when dt changes.  The caller sets the boundary.
 
-    A 1-D grid is one half; a 2-D grid splits at row n // 2, where the drift's upwind
-    stencil changes side (columns for the axis-0 solve).  Every phase (each ADI axis,
-    the drift, the reaction) ends on both halves before the next starts.  Entered as
-    a context, the stepper runs half 1 on a helper thread, which calls only private
-    numpy and LAPACK kernels and is joined on exit, so no thread outlives the run
-    (nor reaches a fork after it); outside one, the halves run in turn, with the
-    same bits.
+    A 1-D grid is one half and has no helper thread, so its zpttrs solves, which
+    hold the GIL, never run beside another; a 2-D grid splits at row n // 2, where
+    the drift's upwind stencil changes side (columns for the axis-0 solve).  Every
+    phase (each ADI axis, the drift, the reaction) ends on both halves before the
+    next starts.  Entered as a context, the stepper runs half 1 on a helper thread,
+    which calls only private numpy and LAPACK kernels and is joined on exit, so no
+    thread outlives the run (nor reaches a fork after it); outside one, the halves
+    run in turn, with the same bits.
     """
 
     def __init__(self, grid: _spectral.Grid, w: np.ndarray, p: int, frame: str):
@@ -353,7 +382,7 @@ class _Stepper:
     def step(self, dt: float) -> None:
         """Diffuse (ADI in 2-D, axis 0 first), drift (similarity frame), react; each a phase."""
         if dt != self.dt:
-            self.dt, self.factor = dt, _diffusion_factor(self.w.shape[0], dt / self.h2)
+            self.dt, self.factor = dt, _diffusion_factor(self.w.shape[0], dt / self.h2, self.w.ndim)
         for axis in range(self.w.ndim):
             self._both(self._diffuse, axis)
         if self.drift is not None:

@@ -12,7 +12,11 @@ Runs need only the projections onto h_0, h_1 and h_2, which
 explicit RK4 scheme, `diffusion_drift`.  Grids are uniform, symmetric about
 the origin, with an odd point count so y = 0 is a gridline.  The module also
 binds `lapack`, scipy's compiled LAPACK wrappers, for the package's
-tridiagonal solves.
+tridiagonal solves: the LDL^T pair dpttrf/zpttrs for a 1-D grid's diffusion,
+whose Dirichlet rows fold into a symmetric positive definite matrix, and the
+LU pair dgttrf/zgttrs for the 2-D ADI lines (scipy's wrapper releases the
+GIL for zgttrs, not for zpttrs, and the ADI halves run on two threads) and
+the final-profile spline, whose not-a-knot end rows are not symmetric.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ def _load_flapack():
     """scipy's compiled LAPACK wrappers, loaded from their file on their own.
 
     `scipy.linalg.lapack` only re-exports this extension (`from
-    scipy.linalg._flapack import *`), so `dgttrf` and `zgttrs` here are the
-    same compiled functions and every result is bit-identical.  The public
+    scipy.linalg._flapack import *`), so `dgttrf`, `zgttrs`, `dpttrf` and
+    `zpttrs` here are the same compiled functions and every result is
+    bit-identical.  The public
     import is avoided because the package init of `scipy.linalg` clones the
     numpy namespace through `scipy._lib._array_api` (numpy.f2py, numpy.testing,
     numpy.ma, numpy.random, ...): about 0.3 s and 18 MiB of every run's start-up.

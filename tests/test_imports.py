@@ -390,6 +390,8 @@ def test_lapack_routines_are_scipys_own():
 
     assert spectral.lapack.dgttrf is lapack.dgttrf
     assert spectral.lapack.zgttrs is lapack.zgttrs
+    assert spectral.lapack.dpttrf is lapack.dpttrf
+    assert spectral.lapack.zpttrs is lapack.zpttrs
 
 
 def test_missing_lapack_extension_names_the_path(monkeypatch):

@@ -304,9 +304,15 @@ class TestBoundedVerdict:
         assert bv._bounded_verdict(self.s, 5.0 / self.s**0.5)["bounded"]
 
     def test_saturation_passes_with_extrapolated_constant(self):
-        v = bv._bounded_verdict(self.s, 2.0 - 100.0 / self.s)
+        # late slope 0.095, above SLOPE_TOL, so the saturation branch judges it:
+        # the increments shrink by 10^-0.25 a grid step and the limit 2 is
+        # extrapolated above the sweep's maximum 1.98
+        sups = 2.0 - 200.0 / self.s
+        v = bv._bounded_verdict(self.s, sups)
         assert v["bounded"]
+        assert v["slope"] > bv.SLOPE_TOL
         assert 1.9 < v["constant"] < 2.3
+        assert v["constant"] > max(sups)
 
     def test_saturation_constant_covers_an_early_spike(self):
         # the late half still rises (slope 0.18) with geometrically shrinking
