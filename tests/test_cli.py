@@ -392,42 +392,42 @@ def _sweep_digests(out):
 # ps [2, 3], ns [1] over s 25 -> 35 at d1 = 0.3, d2 = 0.1, where the inner fit runs
 SWEEP_SHA256 = {
     "inner fits": {
-        "sweep_summary.json": "ebb353742aea6637",
-        "sweep_table.csv": "c6624a10bfbb9566",
-        "p2_n1/fits.json": "4658c5b08cfc437a",
-        "p2_n1/trajectory.csv": "6c640cb1ae6c2932",
-        "p3_n1/fits.json": "234153db26c3b121",
-        "p3_n1/trajectory.csv": "e754b72c41f55388",
+        "sweep_summary.json": "93d75ad8c12b9819",
+        "sweep_table.csv": "4265f4d0c2938c11",
+        "p2_n1/fits.json": "be75e68ce1407b3f",
+        "p2_n1/trajectory.csv": "7e44f0f631c56fa0",
+        "p3_n1/fits.json": "d05d6296c600a2b8",
+        "p3_n1/trajectory.csv": "76ad3585d3284a5d",
     },
     0.0: {
-        "sweep_summary.json": "b823c314e0d6d611",
-        "sweep_table.csv": "7d93625091bbd6ac",
-        "p2_n1/fits.json": "18841a069be14a7f",
-        "p2_n1/trajectory.csv": "de0e3060723b3985",
+        "sweep_summary.json": "8e4818bbd54cb416",
+        "sweep_table.csv": "17dfb258eb827f56",
+        "p2_n1/fits.json": "eaf88b517164de7c",
+        "p2_n1/trajectory.csv": "5cc2c372f9c54fff",
         "p2_n2/fits.json": "e1afcdb0aa70167f",
         "p2_n2/trajectory.csv": "15e53609bca5a7c1",
-        "p3_n1/fits.json": "7706518be6a3b155",
-        "p3_n1/trajectory.csv": "15002d968f5305ee",
+        "p3_n1/fits.json": "ec15110514ca9aab",
+        "p3_n1/trajectory.csv": "bf7d7ba2d1e900c4",
         "p3_n2/fits.json": "70989e39b3b7e110",
         "p3_n2/trajectory.csv": "f2b3e8404c01f8eb",
     },
     0.5: {
-        "sweep_summary.json": "220542899ab97219",
-        "sweep_table.csv": "a88be19a53537f01",
-        "p2_n1/fits.json": "89e6d38fc3785635",
-        "p2_n1/trajectory.csv": "5d456dec1d872990",
+        "sweep_summary.json": "c44333e9c1724cb7",
+        "sweep_table.csv": "34fe76ba9f74a968",
+        "p2_n1/fits.json": "416479130887956d",
+        "p2_n1/trajectory.csv": "b0fea4b1be7fe642",
         "p2_n2/fits.json": "afc47da085622aed",
         "p2_n2/trajectory.csv": "d3c248a8b1ddfb94",
-        "p3_n1/fits.json": "0073da074b896d30",
-        "p3_n1/trajectory.csv": "b1c6f56af92aeb79",
+        "p3_n1/fits.json": "0f9096f2a9ca3773",
+        "p3_n1/trajectory.csv": "56fe95bd3c3a006a",
         "p3_n2/fits.json": "824322769d86433b",
         "p3_n2/trajectory.csv": "30a776478f98c68a",
     },
     "p3 fails": {
-        "sweep_summary.json": "cae1e0a1b1b9e897",
-        "sweep_table.csv": "ce8531ebff1a81c8",
-        "p2_n1/fits.json": "18841a069be14a7f",
-        "p2_n1/trajectory.csv": "de0e3060723b3985",
+        "sweep_summary.json": "0d62aae3e3bc55b2",
+        "sweep_table.csv": "68acafc9c62e912c",
+        "p2_n1/fits.json": "eaf88b517164de7c",
+        "p2_n1/trajectory.csv": "5cc2c372f9c54fff",
         "p2_n2/fits.json": "e1afcdb0aa70167f",
         "p2_n2/trajectory.csv": "15e53609bca5a7c1",
     },

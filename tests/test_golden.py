@@ -290,10 +290,10 @@ GOLDEN = {
 # sha256 of trajectory.csv (17 significant digits): per-step t, dt, max|u|,
 # argmax and probe values of the physical run, the records of the similarity runs
 GOLDEN_CSV_SHA256 = {
-    "sim_p2_n1": "de0e3060723b3985c52d585c4a0227501f678d6e43239330f45a4941dde9dad7",
+    "sim_p2_n1": "5cc2c372f9c54fffefdd2df7c373629560a652efc5f197846089ab2e68b861b4",
     "sim_p2_n1_rk4": "640fa4012a7ea33044bbfc577a4a1f7ec4338d46409ba6a703ef5849bcae9237",
     "sim_p3_n2": "7c9c387430bb6c5a7f61d53ba94103e2b3755e33fde219b8c666524027ea030e",
-    "phys_p2": "a92ff416994f47877d606e046d46f70189549e1c9594466fd45f736ba4e79631",
+    "phys_p2": "0f184f8b068e3130b36d2f918b0182dff86dbb7edf910aa0be96dd069986bd31",
 }
 
 
@@ -301,7 +301,7 @@ GOLDEN_CSV_SHA256 = {
 # values u1*, u2* of the physical run in their last bit, as the windowed
 # spline reads them
 GOLDEN_FITS_SHA256 = {
-    "phys_p2": "cbe8c7063640a30609ba1dcd37f888a859cc6de7c095cebb033d13f7a90022de",
+    "phys_p2": "750d70904e35b1f11ef4e44e1c75c0539d4ca2999a18861f607246e8fd659f0b",
 }
 
 
