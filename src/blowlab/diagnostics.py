@@ -25,6 +25,7 @@ All operations are read-only on their inputs; a finished trajectory can be
 analyzed concurrently.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,8 +61,6 @@ class NoBlowupError(RuntimeError):
 MIN_EXPONENT_LOG_SPAN = 0.1
 # largest relative change between the last two dyadic samples of a converged final profile
 FINAL_PROFILE_REL_TOL = 0.01
-# nodes on each side of a final-profile probe in the window its spline is fitted on
-SPLINE_HALF_WINDOW = 32
 # a physical trajectory.csv is thinned to about this many rows
 MAX_PHYSICAL_CSV_ROWS = 5000
 
@@ -139,12 +138,12 @@ class PhysicalTrajectory(_RowStore):
     records is a numpy structured array with one row per recorded step and
     the fields t, dt, max_u, argmax (the position of max|u|, shape (n_dim,))
     and probe_u (complex u at the probes, x positions on a 1-D grid, shape
-    (n_probes,)).  A probe's spline window is the 2 SPLINE_HALF_WINDOW nodes
-    around its cell, shifted inward at a grid end (the whole axis when that is
-    shorter); windows holds their indices, one row per probe, and cells the
-    index of each probe's cell in its window.  A snapshot (t, values) keeps u
-    on the windows only, all that extract_final_profile reads, so values is
-    empty without probes.
+    (n_probes,)).  u at a probe is read by one rule, at_probes: the cubic
+    through the four nodes around the probe's cell, shifted inward at a grid
+    end, an O(h^4) read.  nodes holds their indices, one row per probe, and
+    weights their Lagrange weights at the probe, both fixed on construction.
+    A snapshot (t, values) keeps u at the probes, all that
+    extract_final_profile reads, so values is empty without probes.
     """
 
     grid: _spectral.Grid
@@ -161,29 +160,33 @@ class PhysicalTrajectory(_RowStore):
         # NaN fails the comparison too
         if not np.all(np.abs(self.probes) <= L):
             raise CoverageError(f"probes {self.probes} must lie within the grid's half-width {L}")
-        ax = self.grid.axis()
-        n = min(2 * SPLINE_HALF_WINDOW, ax.size)
-        cells = np.clip(np.searchsorted(ax, self.probes, side="right") - 1, 0, ax.size - 2)
-        lo = np.clip(cells - SPLINE_HALF_WINDOW + 1, 0, ax.size - n)
-        self.windows, self.cells, self._axis = lo[:, None] + np.arange(n), cells - lo, ax
+        ax = self._axis = self.grid.axis()
+        cells = np.searchsorted(ax, self.probes, side="right") - 1
+        self.nodes = np.clip(cells - 1, 0, ax.size - 4)[:, None] + np.arange(4)
+        xs = ax[self.nodes]
+        self.weights = np.ones(xs.shape)
+        for k, m in itertools.permutations(range(4), 2):
+            self.weights[:, k] *= (self.probes - xs[:, m]) / (xs[:, k] - xs[:, m])
         self._start_rows([
             ("t", float), ("dt", float), ("max_u", float),
             ("argmax", float, (self.grid.n_dim,)),
             ("probe_u", complex, (self.probes.size,)),
         ])
 
+    def at_probes(self, u: np.ndarray) -> np.ndarray:
+        """u at the probes, each the cubic through its four nodes, shape (n_probes,)."""
+        return np.sum(np.take(u, self.nodes) * self.weights, axis=1)
+
     def record(self, t: float, dt: float, i: int, max_u: float, u: np.ndarray) -> None:
         """Append the row of the step to t of length dt, where max|u| = max_u at the flat
-        index i: argmax is the position of node i, probe_u u at the probes, linearly
-        interpolated (probes off the grid, where np.interp would read the boundary
-        value, are refused on construction)."""
+        index i: argmax is the position of node i, probe_u u at the probes (at_probes)."""
         ax = self._axis
         pos = ax[i : i + 1] if u.ndim == 1 else ax[list(np.unravel_index(i, u.shape))]
-        self.add(t, dt, max_u, pos, np.interp(self.probes, ax, u) if self.probes.size else ())
+        self.add(t, dt, max_u, pos, self.at_probes(u))
 
     def keep_snapshot(self, t: float, u: np.ndarray) -> None:
-        """Append the snapshot (t, u on each probe's window), a copy of shape windows.shape."""
-        self.snapshots.append((t, np.take(u, self.windows)))
+        """Append the snapshot (t, u at the probes), read as the records read it."""
+        self.snapshots.append((t, self.at_probes(u)))
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpec) -> tuple:
@@ -497,48 +500,13 @@ def inner_fit(traj: Trajectory, params: _params.Params) -> InnerFit:
     )
 
 
-def _spline_at(ptraj: PhysicalTrajectory, j: int, ys: np.ndarray) -> complex:
-    """The complex cubic spline through probe j's window values ys, at that probe.
-
-    The spline lies on the nodes of the probe's window, with CubicSpline's
-    not-a-knot condition at both window ends.  Where a window end is a grid
-    end this is the global not-a-knot spline's condition; elsewhere the end's
-    influence decays like (2 - sqrt 3)^k over the k >= SPLINE_HALF_WINDOW - 1
-    nodes to the probe, so the value is the global spline's to roundoff.  The
-    slopes solve one real tridiagonal system by a general LU (dgttrf, zgttrs):
-    the not-a-knot end rows are not symmetric, so the diffusion's LDL^T pair
-    does not apply.
-    """
-    xs, k = ptraj.grid.axis()[ptraj.windows[j]], ptraj.cells[j]
-    dx = np.diff(xs)
-    slope = np.diff(ys) / dx
-    # row i of the slope equations: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i
-    # + dx_{i-1} s_{i+1} = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i); the end
-    # rows make the third derivative continuous at the second and the
-    # second-to-last node (not-a-knot)
-    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
-    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    rhs = np.concatenate((
-        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
-    ))
-    dl, d, du, du2, ipiv, _ = _spectral.lapack.dgttrf(
-        np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]))
-    s, _ = _spectral.lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
-    h, t = dx[k], ptraj.probes[j] - xs[k]
-    c = (s[k] + s[k + 1] - 2.0 * slope[k]) / h
-    return ((c / h * t + (slope[k] - s[k]) / h - c) * t + s[k]) * t + ys[k]
-
-
 def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
     """Cauchy-converged values (u1, u2) of u(x, t) as t approaches blow-up, at the probe x.
 
-    Snapshots are (t, values) pairs, values = u1 + i u2 on the probes'
-    windows.  Samples the distinct snapshots nearest a dyadic sequence in
-    T - t, reads the last two through the probe's windowed spline
-    (_spline_at), and requires their values of each component to differ by
-    less than FINAL_PROFILE_REL_TOL relative to the final magnitude, or
+    Snapshots are (t, values) pairs, values = u1 + i u2 at the probes.
+    Samples the distinct snapshots nearest a dyadic sequence in T - t and
+    requires the probe's values in the last two to differ in each component
+    by less than FINAL_PROFILE_REL_TOL relative to the final magnitude, or
     raises NonConvergenceError.  An x that is not one of the trajectory's
     probes raises CoverageError.
     """
@@ -560,11 +528,10 @@ def extract_final_profile(ptraj: PhysicalTrajectory, x: float) -> tuple:
         delta /= 2.0
     targets.append(left[-1])
     # several targets can pick one snapshot; the test compares the last two
-    # distinct snapshots picked (the first and last targets pick two), so only
-    # those are read
+    # distinct snapshots picked (the first and last targets pick two)
     picks = np.unique([int(np.argmin(np.abs(left - tgt))) for tgt in targets])
     j = at[0]
-    prev, last = (_spline_at(ptraj, j, snaps[i][1][j]) for i in picks[-2:])
+    prev, last = (snaps[i][1][j] for i in picks[-2:])
     for name, part in (("u1", np.real), ("u2", np.imag)):
         a, b = float(part(prev)), float(part(last))
         scale = max(abs(b), 1e-300)

@@ -26,10 +26,11 @@ explicit reaction, advanced with steps proportional to the local collapse
 timescale (kappa/max|u|)^{p-1}.  Each step also takes max|u| (it overflows
 when that is not finite); step_physical is one step on a copy of the state.
 The run hands every step to diagnostics.PhysicalTrajectory.record, keeps
-snapshots as max|u| grows (u on the probes' spline windows only, so their
-size does not grow with the grid), names its end in one place (see its
-docstring) and fits the blow-up time with diagnostics.fit_blowup_time.  Its
-settings, STOP_GROWTH among them, are the module constants below.
+snapshots as max|u| grows (u at the probes only, read as the records read
+it, so their size does not grow with the grid), names its end in one place
+(see its docstring) and fits the blow-up time with
+diagnostics.fit_blowup_time.  Its settings, STOP_GROWTH among them, are the
+module constants below.
 
 One trajectory is single-owner and its steps are sequential; independent
 trajectories share no mutable state.  In 2-D a run's stepper splits each
@@ -593,11 +594,11 @@ def run_physical_blowup(
 
     dt = eta kappa^{p-1} max|u|^{1-p} is held fixed until max|u| grows by
     SHRINK_FACTOR, then refreshed (for p=2 this halves dt every doubling).
-    One _Stepper takes every step, and each is recorded, with u at
-    the probes (x positions, 1-D grids only); a snapshot of u on the probes'
-    spline windows (see diagnostics.PhysicalTrajectory) is kept at the start,
-    whenever max|u| has grown by SNAPSHOT_FACTOR, and at the end unless that
-    state was just kept or overflowed.  eta must be positive and finite, and
+    One _Stepper takes every step, and each is recorded, with u at the probes
+    (x positions, 1-D grids only, see diagnostics.PhysicalTrajectory); a
+    snapshot of u at the probes is kept at the start, whenever max|u| has
+    grown by SNAPSHOT_FACTOR, and at the end unless that state was just kept
+    or overflowed.  eta must be positive and finite, and
     the trajectory refuses a probe off the grid.  Returns the trajectory, its
     T_estimate fitted by diagnostics.fit_blowup_time to the records up to the
     last peak, and its status naming what ended the run:

@@ -15,8 +15,7 @@ binds `lapack`, scipy's compiled LAPACK wrappers, for the package's
 tridiagonal solves: the LDL^T pair dpttrf/zpttrs for a 1-D grid's diffusion,
 whose Dirichlet rows fold into a symmetric positive definite matrix, and the
 LU pair dgttrf/zgttrs for the 2-D ADI lines (scipy's wrapper releases the
-GIL for zgttrs, not for zpttrs, and the ADI halves run on two threads) and
-the final-profile spline, whose not-a-knot end rows are not symmetric.
+GIL for zgttrs, not for zpttrs, and the ADI halves run on two threads).
 """
 
 from __future__ import annotations

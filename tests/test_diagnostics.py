@@ -76,8 +76,9 @@ class TestTrajectoryTypes:
 
 
 class TestPhysicalRecord:
-    def test_probes_read_by_linear_interpolation_in_1d(self):
+    def test_probes_read_by_the_four_node_cubic_in_1d(self):
         grid = sp.Grid(1, 4.0, 33)
+        ax = grid.axis()
         probes = np.array([-3.1, 0.0, 0.37, 4.0])
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=probes)
         rng = np.random.default_rng(3)
@@ -87,8 +88,14 @@ class TestPhysicalRecord:
         (rec,) = ptraj.records
         assert (rec["t"], rec["dt"], rec["max_u"]) == (0.25, 1e-3, np.abs(u[i]))
         assert rec["argmax"][0] == grid.axis()[i]
-        want = np.interp(probes, grid.axis(), u)
-        assert np.array_equal(rec["probe_u"].view(np.uint64), want.view(np.uint64))
+        # the first of the four nodes around each probe's cell; the last probe's
+        # are shifted inward
+        assert np.array_equal(ptraj.nodes[:, 0], [2, 15, 16, 29])
+        # the cubic through them in powers of (x - probe): its constant term
+        want = [np.polyfit(ax[n] - x, u[n], 3)[-1] for x, n in zip(probes, ptraj.nodes)]
+        np.testing.assert_allclose(rec["probe_u"], want, rtol=1e-12, atol=1e-14)
+        # a probe on a node reads the node's value
+        assert rec["probe_u"][1] == u[16] and rec["probe_u"][3] == u[32]
 
     @pytest.mark.parametrize("i", [0, 7, 17 * 9 + 4, 17 * 17 - 1])
     def test_argmax_is_the_node_position_in_2d(self, i):
@@ -606,7 +613,7 @@ class TestExtractFinalProfile:
 
     def test_position_outside_grid_rejected(self):
         # refused when the trajectory is built, before any snapshot is kept,
-        # where a window would fall off the grid and a spline extrapolate
+        # where a probe's nodes would fall off the grid and its cubic extrapolate
         ptraj = self.make_converging([0.8, -4.0])
         assert dg.extract_final_profile(ptraj, -4.0) == pytest.approx((2.0, 0.5), rel=1e-4)
         for x in (4.0 + 1e-9, -4.5, math.nan):
@@ -614,8 +621,8 @@ class TestExtractFinalProfile:
                 dg.PhysicalTrajectory(grid=ptraj.grid, probes=np.array([0.8, x]))
 
     def test_position_that_is_not_a_probe_rejected(self):
-        # the trajectory keeps values near its probes only; x = 0.8 is on the
-        # grid and inside the window of the probe at 0.75, and still refused
+        # the trajectory keeps values at its probes only; x = 0.8 is on the
+        # grid and among the nodes of the probe at 0.75, and still refused
         ptraj = self.make_converging([0.75, -2.0])
         assert dg.extract_final_profile(ptraj, 0.75) == pytest.approx((2.0, 0.5), rel=1e-4)
         for x in (0.8, 0.75 + 1e-12, 4.0):
@@ -624,48 +631,69 @@ class TestExtractFinalProfile:
 
 
 class TestSnapshotSpline:
+    """The probe read, PhysicalTrajectory.at_probes, with scipy's cubic spline as the oracle."""
+
     @pytest.mark.parametrize("npts", [33, 65, 7201])
     def test_matches_global_cubic_spline(self, npts):
-        # the windowed spline against scipy's global not-a-knot spline as the oracle
+        # the four-node cubic and the global not-a-knot spline are both O(h^4)
+        # reads: they differ by at most h^4 sup|u''''| / 8 (the cubic's error
+        # constant is at most 1/24 in an end cell, the spline's near 5/384)
         from scipy.interpolate import CubicSpline
 
         grid = sp.Grid(1, 9e-5, npts)
-        ax, h = grid.axis(), grid.h
-        rng = np.random.default_rng(npts)
-        smooth = 3.0 + np.sin(4e4 * ax) + 1j * (2.0 + np.exp(-((ax / 3e-5) ** 2)))
-        u = 1e12 * (smooth + 0.05 * (rng.standard_normal(npts) + 1j * rng.standard_normal(npts)))
-        # an interior probe, then probes within 3 nodes of each grid end
-        xs = np.array([0.37 * grid.half_width, ax[0], ax[0] + 0.5 * h, ax[2] + 0.3 * h,
-                       ax[-1], ax[-1] - 0.5 * h, ax[-3] - 0.4 * h])
-        ptraj = dg.PhysicalTrajectory(grid=grid, probes=xs)
-        ptraj.keep_snapshot(0.0, u)
-        got = [dg._spline_at(ptraj, j, ys) for j, ys in enumerate(ptraj.snapshots[0][1])]
-        np.testing.assert_allclose(got, CubicSpline(ax, u)(xs), rtol=1e-12, atol=0.0)
+        ax, h, k, a = grid.axis(), grid.h, 4e4, 3e-5
+        u = 1e12 * (3.0 + np.sin(k * ax) + 1j * (2.0 + np.exp(-((ax / a) ** 2))))
+        # sup|u''''| of the sine and of the Gaussian (12/a^4, at its center)
+        bound = h**4 * 1e12 * (k**4 + 12.0 / a**4) / 8.0
+        # interior probes on both sides, then probes within 3 nodes of each grid end
+        xs = np.array([0.37 * grid.half_width, -0.61 * grid.half_width, ax[0],
+                       ax[0] + 0.5 * h, ax[2] + 0.3 * h, ax[-1], ax[-1] - 0.5 * h,
+                       ax[-3] - 0.4 * h])
+        got = dg.PhysicalTrajectory(grid=grid, probes=xs).at_probes(u)
+        assert np.max(np.abs(got - CubicSpline(ax, u)(xs))) <= bound
 
     @pytest.mark.parametrize("npts", [33, 7201])
     def test_windows_hold_the_nodes_around_each_probe(self, npts):
-        # 2 SPLINE_HALF_WINDOW nodes, SPLINE_HALF_WINDOW on each side of the
-        # probe's cell, shifted inward at a grid end; the whole axis when shorter
+        # four consecutive nodes, two on each side of the probe's cell, shifted
+        # inward at a grid end
         grid = sp.Grid(1, 1.0, npts)
-        ax, half = grid.axis(), dg.SPLINE_HALF_WINDOW
-        xs = np.array([0.1 + 0.3 * grid.h, ax[0], ax[-1], ax[-2] - 0.5 * grid.h])
+        ax, h = grid.axis(), grid.h
+        xs = np.array([0.1 + 0.3 * h, ax[0], ax[0] + 0.5 * h, ax[-1], ax[-2] - 0.5 * h])
         ptraj = dg.PhysicalTrajectory(grid=grid, probes=xs)
-        n = min(2 * half, npts)
-        assert ptraj.windows.shape == (xs.size, n)
-        for x, nodes, k in zip(xs, ptraj.windows, ptraj.cells):
-            assert np.array_equal(np.diff(nodes), np.ones(n - 1))
-            assert ax[nodes[k]] <= x <= ax[nodes[k + 1]]
-        if npts > 2 * half:
-            cell = int(np.searchsorted(ax, xs[0])) - 1
-            assert np.array_equal(ptraj.windows[0], np.arange(cell - half + 1, cell + half + 1))
-            assert ptraj.windows[1][0] == 0 and ptraj.windows[2][-1] == npts - 1
-            assert ptraj.windows[3][-1] == npts - 1
-        else:
-            assert np.all(ptraj.windows == np.arange(npts))
+        assert ptraj.nodes.shape == ptraj.weights.shape == (xs.size, 4)
+        for x, nodes in zip(xs, ptraj.nodes):
+            assert np.array_equal(np.diff(nodes), [1, 1, 1])
+            assert ax[nodes[0]] <= x <= ax[nodes[-1]]
+        cell = int(np.searchsorted(ax, xs[0])) - 1
+        assert np.array_equal(ptraj.nodes[0], np.arange(cell - 1, cell + 3))
+        assert ptraj.nodes[1][0] == ptraj.nodes[2][0] == 0
+        assert ptraj.nodes[3][-1] == ptraj.nodes[4][-1] == npts - 1
         u = ax + 1j * ax**2
         ptraj.keep_snapshot(0.0, u)
         t, values = ptraj.snapshots[0]
-        assert t == 0.0 and np.array_equal(values, u[ptraj.windows])
+        assert t == 0.0 and values.shape == xs.shape
+        np.testing.assert_allclose(values, xs + 1j * xs**2, rtol=1e-13, atol=1e-15)
+
+    def test_exact_on_cubics(self):
+        # a probe on a node, mid-cell, in the first and the last cell (nodes
+        # shifted inward) and at negative x
+        grid = sp.Grid(1, 4.0, 33)
+        ax, h = grid.axis(), grid.h
+        xs = np.array([ax[21], ax[20] + 0.5 * h, ax[0] + 0.3 * h, ax[-1] - 0.3 * h, -2.7])
+        coef = np.array([0.7 - 1.1j, -2.0 + 0.4j, 0.3 + 1.5j, -0.9 + 0.2j])
+        got = dg.PhysicalTrajectory(grid=grid, probes=xs).at_probes(np.polyval(coef, ax))
+        np.testing.assert_allclose(got, np.polyval(coef, xs), rtol=1e-13, atol=1e-13)
+
+    def test_record_and_snapshot_read_alike(self):
+        # probe_u of a record and the values of a snapshot of one state agree bit for bit
+        grid = sp.Grid(1, 4.0, 65)
+        ptraj = dg.PhysicalTrajectory(grid=grid, probes=np.array([-3.99, -0.3, 1.23, 3.9]))
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        ptraj.record(0.5, 0.1, 0, float(np.abs(u[0])), u)
+        ptraj.keep_snapshot(0.5, u)
+        assert np.array_equal(ptraj.records["probe_u"][0].view(np.uint64),
+                              ptraj.snapshots[0][1].view(np.uint64))
 
 
 def min_margins(traj):

@@ -921,7 +921,7 @@ class TestPhysical:
             solver.run_physical_blowup(st, pr, probes=[0.5])
 
     @pytest.mark.parametrize("kwargs,match", [
-        # np.interp clamps: these probes would read the boundary value u = 1
+        # off the grid a probe's cubic would extrapolate from the end nodes
         ({"probes": [0.5, 20.0]}, "probes .* must lie within the grid"),
         ({"probes": [-50.0]}, "probes .* must lie within the grid"),
         ({"probes": [math.nan]}, "probes .* must lie within the grid"),
@@ -940,23 +940,21 @@ class TestPhysical:
         traj = self.constant_run(1.0, eta=2.0, probes=[-8.0, 8.0])
         assert np.all(traj.records["probe_u"] == 1.0)
 
-    def test_snapshots_keep_the_probe_windows_whatever_the_grid(self):
-        # the same constant-data run on two grids: every snapshot holds
-        # n_probes x 2 SPLINE_HALF_WINDOW values
+    def test_snapshots_keep_the_probe_values_whatever_the_grid(self):
+        # the same constant-data run on two grids: every snapshot holds one
+        # complex value per probe
         pr = bp.make_params(2, 1)
         probes = [-3.0, 0.1, 8.0]
-        window = (len(probes), 2 * dg.SPLINE_HALF_WINDOW)
         for npts in (129, 1025):
             grid = sp.Grid(1, 8.0, npts)
             st = solver.PhysicalState(t=0.0, grid=grid, u=np.ones(grid.shape, dtype=complex))
             traj = solver.run_physical_blowup(st, pr, eta=2e-2, probes=probes)
             assert traj.status == "blown-up" and len(traj.snapshots) > 100
-            assert traj.windows.shape == window
             for t, vals in traj.snapshots:
-                assert vals.shape == window and vals.dtype == np.complex128
-            # the window of the probe at x = 8 ends on the Dirichlet node, where u = 1
+                assert vals.shape == (len(probes),) and vals.dtype == np.complex128
+            # the probe at x = 8 is the Dirichlet node, where u = 1
             t, vals = traj.snapshots[-1]
-            assert vals[2, -1] == 1.0 and np.max(np.abs(vals[1])) > 1e5
+            assert vals[2] == 1.0 and abs(vals[1]) > 1e5
 
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_run_without_probes_keeps_snapshot_times_only(self, n_dim):
@@ -1062,10 +1060,8 @@ class TestPhysical:
         recs = traj.records
         assert np.all(np.diff(recs["t"]) > 0)
         assert recs["probe_u"].shape == (len(recs), probes.size)
-        # the last snapshot keeps u on each probe's window, which holds its cell
-        last = [np.interp(x, grid_x.axis()[nodes], vals)
-                for x, nodes, vals in zip(probes, traj.windows, traj.snapshots[-1][1])]
-        assert recs["probe_u"][-1] == pytest.approx(last, rel=1e-12)
+        # the last snapshot keeps u at the probes as the last record read it
+        assert np.array_equal(recs["probe_u"][-1], traj.snapshots[-1][1])
 
     def test_underresolved_collapse_recedes_but_still_fits_T(self):
         # on a grid too coarse to follow the shrinking core, max|u| grows
@@ -1085,10 +1081,10 @@ class TestPhysical:
         """The run's states rebuilt one step_physical call per recorded dt.
 
         Each state is recorded as the step-by-step loop records it: np.abs, then
-        np.max and np.argmax of the modulus, np.interp at the probes.  Returns the
-        states, the records as rebuilt and the final state.
+        np.max and np.argmax of the modulus, the trajectory's at_probes read.
+        Returns the states and the records as rebuilt.
         """
-        grid, ax, probes = u0.grid, u0.grid.axis(), traj.probes
+        grid, ax = u0.grid, u0.grid.axis()
         state, states = u0, [u0]
         for dt in traj.records["dt"][1:]:
             state = solver.step_physical(state, float(dt), pr)
@@ -1097,8 +1093,8 @@ class TestPhysical:
         for k, st in enumerate(states):
             mod = np.abs(st.u)
             idx = np.unravel_index(int(np.argmax(mod)), grid.shape)
-            at = np.interp(probes, ax, st.u) if probes.size else ()
-            want[k] = (st.t, traj.records["dt"][k], float(np.max(mod)), ax[list(idx)], at)
+            want[k] = (st.t, traj.records["dt"][k], float(np.max(mod)), ax[list(idx)],
+                       traj.at_probes(st.u))
         return states, want
 
     @pytest.mark.parametrize("case", ["constructed-1d", "receded-1d", "constant-2d"])
@@ -1151,7 +1147,7 @@ class TestPhysical:
         assert len(traj.snapshots) == len(keep)
         for (t, u), k in zip(traj.snapshots, keep):
             assert t == states[k].t
-            assert np.array_equal(u, np.take(states[k].u, traj.windows))
+            assert np.array_equal(u, traj.at_probes(states[k].u))
 
     def test_similarity_physical_equivalence(self):
         # the two pictures agree through the similarity change of variables
