@@ -15,8 +15,9 @@ entry (counts, flags, status, messages) must match exactly.
 The trajectory.csv of the physical run and of the three short similarity
 runs is pinned byte for byte by its sha256, which the 1e-9 band cannot
 replace: a change in the last bit of any recorded value shows there.  So is
-the physical run's fits.json, whose final-profile values u1*, u2* are read
-from the snapshots by splines and would otherwise be seen only to 1e-9.
+the physical run's fits.json, whose final-profile values u1*, u2* are the
+snapshots' four-node cubic reads at the probes and would otherwise be seen
+only to 1e-9.
 A refactor that only reorders floating-point work passes the fits.json
 check; one that moves an answer does not.
 """
@@ -91,30 +92,30 @@ GOLDEN = {
             {
                 "converged": True,
                 "log_radius": 10.5,
-                "ratio_u1_over_prediction": 1.2599020998895796,
-                "ratio_u2_lnx_over_u1": 3.295138753797424,
-                "u1_star": 279145223824.7938,
-                "u2_star": 87602118567.8604,
+                "ratio_u1_over_prediction": 1.2599020992995276,
+                "ratio_u2_lnx_over_u1": 3.295138753916721,
+                "u1_star": 279145223694.0613,
+                "u2_star": 87602118530.0051,
                 "u_star_prediction": 221561043393.18005,
                 "x": 2.7536449349747158e-05,
             },
             {
                 "converged": True,
                 "log_radius": 11.0,
-                "ratio_u1_over_prediction": 1.2673401840273646,
-                "ratio_u2_lnx_over_u1": 3.3502006685698484,
-                "u1_star": 799621522680.3716,
-                "u2_star": 243535687262.4201,
+                "ratio_u1_over_prediction": 1.2673401836976776,
+                "ratio_u2_lnx_over_u1": 3.350200668634435,
+                "u1_star": 799621522472.3573,
+                "u2_star": 243535687203.7615,
                 "u_star_prediction": 630944660919.1602,
                 "x": 1.670170079024566e-05,
             },
             {
                 "converged": True,
                 "log_radius": 11.5,
-                "ratio_u1_over_prediction": 1.3051940007086043,
-                "ratio_u2_lnx_over_u1": 3.3903886918352084,
-                "u1_star": 2340270055287.662,
-                "u2_star": 689950011416.3346,
+                "ratio_u1_over_prediction": 1.3051939654821783,
+                "ratio_u2_lnx_over_u1": 3.390388697053797,
+                "u1_star": 2340269992125.136,
+                "u2_star": 689949993856.9774,
                 "u_star_prediction": 1793043834109.798,
                 "x": 1.013009359863071e-05,
             },
@@ -293,15 +294,15 @@ GOLDEN_CSV_SHA256 = {
     "sim_p2_n1": "5cc2c372f9c54fffefdd2df7c373629560a652efc5f197846089ab2e68b861b4",
     "sim_p2_n1_rk4": "640fa4012a7ea33044bbfc577a4a1f7ec4338d46409ba6a703ef5849bcae9237",
     "sim_p3_n2": "7c9c387430bb6c5a7f61d53ba94103e2b3755e33fde219b8c666524027ea030e",
-    "phys_p2": "0f184f8b068e3130b36d2f918b0182dff86dbb7edf910aa0be96dd069986bd31",
+    "phys_p2": "c94840e4ac1eb5df43f36894fa00eaf73d1ec10b2aba69ba44d1cf50198f92d9",
 }
 
 
 # sha256 of fits.json where the 1e-9 band is too coarse: the final-profile
-# values u1*, u2* of the physical run in their last bit, as the windowed
-# spline reads them
+# values u1*, u2* of the physical run in their last bit, as the probes'
+# four-node cubics read them
 GOLDEN_FITS_SHA256 = {
-    "phys_p2": "750d70904e35b1f11ef4e44e1c75c0539d4ca2999a18861f607246e8fd659f0b",
+    "phys_p2": "3775c85efd2745d93944bab98a5ba1c089bbe19ec942694f96d0f09bd90476ea",
 }
 
 
