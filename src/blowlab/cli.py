@@ -160,6 +160,7 @@ BOUNDS = (
      f"be a list of integers in {_spectral.N_DIMS}"),
     ("sweep_ns", _distinct, "not repeat a value"),
     ("sweep_n2d", lambda v: v >= 17 and v % 2, "be an odd integer >= 17"),
+    ("output_dir", lambda v: v != "", "not be empty"),
     ("seed", lambda v: v >= 0, "be >= 0"),
     ("workers", lambda v: v >= 1, "be >= 1"),
 )
@@ -291,10 +292,11 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
                                  required=need is True or values.get("mode") in need, kind=kind)
     errors += [f"unknown key {section or '<root>'}.{key}"
                for section, node in nodes.items() for key in node]
-    # command-line overrides replace the file's values before they are checked
+    # command-line overrides replace the file's values and are checked like them
+    given = {flag: v for flag, v in (overrides or {}).items() if v is not None}
     for name, flag in (("output_dir", "out"), ("seed", "seed"), ("workers", "workers")):
-        if overrides and overrides.get(flag) is not None:
-            values[name] = overrides[flag]
+        if flag in given:
+            values[name] = _take(given, flag, "override", errors, kind=_FIELD[name][3])
 
     bad = set()
     for name, test, requirement in BOUNDS:
@@ -319,6 +321,9 @@ def config_from_dict(raw: dict, overrides: dict = None) -> RunConfig:
             errors.append("verify needs params.p when params.n_dim is set "
                           "(without p it runs the default battery over n = 1, 2)")
         values["n_dim"] = None
+    if mode == "sweep" and ok("n_dim") and n_dim != 1:
+        errors.append("sweep cells take their dimension from sweep.ns, so params.n_dim "
+                      f"must be 1 (one entry per direction), got {n_dim}")
     if mode == "simulate-similarity" and ok("n_dim") and n_dim not in _spectral.N_DIMS:
         errors.append(
             f"simulate-similarity needs params.n_dim in {_spectral.N_DIMS} "
@@ -654,6 +659,8 @@ def main(argv=None) -> int:
                 [f"subcommand {args.command} requires mode in {allowed}, "
                  f"got {config.mode!r}"]
             )
+        # an OSError here is the output directory that could not be made or written
+        return run(config)
     except (ConfigError, OSError) as exc:
         error = "ConfigError" if isinstance(exc, ConfigError) else "OSError"
         messages = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
@@ -662,7 +669,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

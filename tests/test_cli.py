@@ -248,6 +248,21 @@ class TestConfigParsing:
         assert config.seed == 7
         assert config.workers == 5
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": "3"}, "override.seed must be an integer, got '3'"),
+        ({"seed": True}, "override.seed must be an integer, got True"),
+        ({"seed": 2.5}, "override.seed must be an integer, got 2.5"),
+        ({"workers": 1.5}, "override.workers must be an integer, got 1.5"),
+        ({"out": 7}, "override.out must be a string, got 7"),
+        ({"out": ""}, "output_dir must not be empty, got ''"),
+    ], ids=["seed-str", "seed-bool", "seed-float", "workers-float", "out-int", "out-empty"])
+    def test_override_validated_like_the_value_it_replaces(self, overrides, message):
+        given = dict(overrides)
+        with pytest.raises(cli.ConfigError) as info:
+            cli.config_from_dict({"mode": "verify"}, given)
+        assert info.value.errors == [message]
+        assert given == overrides
+
     def test_config_hash_stable_and_sensitive(self):
         a = cli.config_from_dict(tiny_raw())
         b = cli.config_from_dict(tiny_raw())
@@ -754,6 +769,20 @@ class TestGridDimensionValidation:
         assert "sweep.ns must be a list of integers in (1, 2)" in json.loads(err)["messages"]
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_with_a_dimension_of_its_own_exits_2(self, tmp_path):
+        # each cell takes its dimension from sweep.ns and its direction data
+        # from the one entry of a 1-D config; a second entry would be dropped
+        raw = tiny_raw(mode="sweep", output_dir=str(tmp_path / "out"))
+        raw["params"]["n_dim"] = 2
+        raw["initial_data"]["d1"] = {"lin": [0.3, -0.5]}
+        raw["sweep"] = {"ps": [2], "ns": [1, 2], "N_2d": 65}
+        code, err = _main_on(raw, tmp_path, "sweep")
+        assert code == 2
+        assert json.loads(err)["messages"] == [
+            "sweep cells take their dimension from sweep.ns, so params.n_dim "
+            "must be 1 (one entry per direction), got 2"]
+        assert not (tmp_path / "out").exists()
+
     def test_allowed_set_is_the_grid_set(self):
         for n in spectral.N_DIMS:
             spectral.Grid(n, 1.0, 17)
@@ -802,6 +831,23 @@ class TestValidationBeforeRun:
         assert code == 2
         assert json.loads(err.getvalue())["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
+
+    def test_empty_output_dir_exits_2(self, tmp_path):
+        code, err = _main_on({"mode": "verify", "output_dir": ""}, tmp_path, "verify")
+        assert code == 2
+        assert json.loads(err)["messages"] == ["output_dir must not be empty, got ''"]
+
+    def test_output_dir_that_cannot_be_made_exits_2(self, tmp_path):
+        # exit 1 is a sweep with failed cells; a directory that cannot be made
+        # is refused like a bad config, before the battery runs
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = cli.main(["verify", "--out", str(taken)])
+        assert code == 2
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "OSError" and str(taken) in payload["messages"][0]
 
     def test_config_root_not_a_mapping_exits_2(self, tmp_path):
         code, err = _main_on(["mode", "verify"], tmp_path, "verify")

@@ -59,6 +59,7 @@ CORPUS = {
                    "eta": 0.2},
         "shrinking_set": {"A": 0.5, "p1": 1.0, "K": 0.0},
         "sweep": {"N_2d": 18},
+        "output_dir": "",
         "seed": -1,
         "workers": 0,
     },
@@ -101,6 +102,10 @@ CORPUS = {
     "sweep_lists_not_lists": _edit(_SIM, mode="sweep", sweep={"ps": 5, "ns": None}),
     "sweep_list_entries": _edit(_SIM, mode="sweep",
                                 sweep={"ps": ["2", 10], "ns": [True, 3]}),
+    # a sweep cell's dimension comes from sweep.ns; a 2-D config's second
+    # direction entries would be dropped
+    "sweep_n_dim": _edit(_SIM, mode="sweep", params={"n_dim": 2},
+                         initial_data={"d1": {"lin": [0.3, -0.5]}}),
     "window_coverage_and_step": {
         "mode": "simulate-similarity",
         "params": {"p": 11},
@@ -123,6 +128,7 @@ EXPECTED = {
         "grid.N must be an odd integer >= 17 (origin on a gridline), got 16",
         "mode must be one of ('simulate-similarity', 'simulate-physical', 'verify', 'sweep'), "
         "got 'bogus'",
+        "output_dir must not be empty, got ''",
         "params.n_dim must be >= 1, got 0",
         "params.p must be an integer in [2, 9], got 1",
         "seed must be >= 0, got -1",
@@ -240,6 +246,10 @@ EXPECTED = {
     "sweep_list_entries": [
         "sweep.ns must be a list of integers in (1, 2)",
         "sweep.ps must be a list of integers in [2, 9]",
+    ],
+    "sweep_n_dim": [
+        "sweep cells take their dimension from sweep.ns, so params.n_dim "
+        "must be 1 (one entry per direction), got 2",
     ],
     "sweep_lists_not_lists": [
         "sweep.ns must be a list of integers in (1, 2)",
