@@ -175,7 +175,7 @@ class PhysicalTrajectory(_RowStore):
 
     def at_probes(self, u: np.ndarray) -> np.ndarray:
         """u at the probes, each the cubic through its four nodes, shape (n_probes,)."""
-        return np.sum(np.take(u, self.nodes) * self.weights, axis=1)
+        return (u.ravel()[self.nodes] * self.weights).sum(axis=1)
 
     def record(self, t: float, dt: float, i: int, max_u: float, u: np.ndarray) -> None:
         """Append the row of the step to t of length dt, where max|u| = max_u at the flat
