@@ -654,7 +654,7 @@ class TestSnapshotSpline:
 
     @pytest.mark.parametrize("npts", [33, 7201])
     def test_windows_hold_the_nodes_around_each_probe(self, npts):
-        # four consecutive nodes, two on each side of the probe's cell, shifted
+        # four consecutive nodes, two on each side of the probe, shifted
         # inward at a grid end
         grid = sp.Grid(1, 1.0, npts)
         ax, h = grid.axis(), grid.h
