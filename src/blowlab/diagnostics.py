@@ -120,14 +120,14 @@ class Trajectory(_RowStore):
 
     def record(self, state, params: _params.Params, cut: _rhs.CutoffSpec, removal_rate) -> None:
         """Append the row of the similarity state, with the complex removal_rate (1 + n,); a
-        record forms a run's only full-grid profiles: Phi here (the modes about cut), f0
-        and g0 in profile_error."""
-        grid, w = state.grid, state.w
-        modes = decompose(grid, w - _params.phi(params, grid.radius2(), state.s), state.s, cut)
+        record reads a run's only full-grid profiles, through the grid's radial table: Phi
+        here (the modes about cut), f0 and g0 in profile_error."""
+        grid, w, s = state.grid, state.w, state.s
+        modes = decompose(grid, w - grid.radial(lambda y2: _params.phi(params, y2, s)), s, cut)
         e1, e2 = profile_error(state, params)
         c0, c2 = radial_mode_coefficients(grid, w - params.kappa)
         # max_w is the larger of max|w1| and max|w2|
-        self.add(state.s, *modes, e1, e2, np.max(np.abs(w.view(np.float64))),
+        self.add(s, *modes, e1, e2, np.max(np.abs(w.view(np.float64))),
                  c2.real, c0.imag, c2.imag, np.array([removal_rate.real, removal_rate.imag]))
 
 
@@ -222,7 +222,7 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
         for k in range(n):
             poly = poly + 0.5 * q2[j, k] * meshes[j] * meshes[k]
     q_minus = q_b - poly
-    weight = 1.0 + np.sqrt(grid.radius2()) ** 3
+    weight = grid.radial(lambda y2: 1.0 + np.sqrt(y2) ** 3)
     parts = [(part(q0), part(q1), part(q2), np.max(np.abs(part(q_minus)) / weight),
               np.max(np.abs(part(q_e)))) for part in (np.real, np.imag)]
     return tuple(np.array(column) for column in zip(*parts))
@@ -423,10 +423,9 @@ def profile_error(state, params: _params.Params) -> tuple:
     space since both the deviation and the profiles decay or are clamped
     beyond the boundary.
     """
-    z2 = state.grid.radius2() / state.s
-    e1 = float(np.max(np.abs(state.w.real - _params.outer_profile(params, "R10", z2))))
-    e2 = float(np.max(np.abs(state.s * state.w.imag - _params.outer_profile(params, "R21", z2))))
-    return e1, e2
+    f0, g0 = (state.grid.radial(lambda y2: _params.outer_profile(params, kind, y2 / state.s))
+              for kind in ("R10", "R21"))
+    return tuple(float(np.max(np.abs(d))) for d in (state.w.real - f0, state.s * state.w.imag - g0))
 
 
 def radial_mode_coefficients(grid: _spectral.Grid, vals: np.ndarray) -> tuple:

@@ -189,7 +189,7 @@ def cutoff_box(cut: CutoffSpec, grid: Grid, s: float) -> tuple:
     """(rows, chi): the axis nodes with |y| < 2K sqrt(s) as a slice, and chi(y, s) on the
     box of those rows on every axis; chi is zero off that box."""
     rows = grid.rows_within(2.0 * cut.K * math.sqrt(s))
-    return rows, cutoff_chi(cut, grid.radius2()[(rows,) * grid.n_dim], s)
+    return rows, grid.radial(lambda y2: cutoff_chi(cut, y2, s), rows)
 
 
 @dataclass(frozen=True)

@@ -446,7 +446,7 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     """
     rows, chi = _rhs.cutoff_box(cut, grid, s)
     box = (rows,) * grid.n_dim
-    phi = _params.phi(params, grid.radius2()[box], s)
+    phi = grid.radial(lambda y2: _params.phi(params, y2, s), rows)
     q = np.subtract(w[box], phi, out=buf[: phi.size].reshape(phi.shape))
     m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
     correction = m0

@@ -112,6 +112,23 @@ class Grid:
         return r2
 
     @functools.lru_cache(maxsize=32)
+    def radial_table(self) -> tuple:
+        """(r2, index): the sorted distinct |y|^2, and each node's place in r2 shaped like the
+        grid in the smallest integer dtype (read-only, shared by equal grids)."""
+        r2, index = np.unique(self.radius2(), return_inverse=True)
+        index = index.reshape(self.shape).astype(np.min_scalar_type(r2.size - 1))
+        for table in (r2, index):
+            table.setflags(write=False)
+        return r2, index
+
+    def radial(self, fn, rows: slice = slice(None)) -> np.ndarray:
+        """fn(radius2()[box])'s bits for an elementwise fn on the box of rows on every axis
+        (default: the grid), fn evaluated once per distinct |y|^2 up to the box's largest."""
+        r2, index = self.radial_table()
+        index = index[(rows,) * self.n_dim]
+        return np.take(fn(r2[: int(index.max()) + 1]), index)
+
+    @functools.lru_cache(maxsize=32)
     def rho(self) -> np.ndarray:
         """Gaussian weight ρ = e^{-|y|²/4} / (4π)^{n/2} (read-only, shared by equal grids)."""
         rho = np.exp(-self.radius2() / 4.0) / (4.0 * math.pi) ** (self.n_dim / 2.0)

@@ -689,20 +689,59 @@ class TestPin:
         else:
             assert not np.all(box)
 
+    @pytest.mark.parametrize("n_dim,npts,half_width", [(1, 513, 87.5), (1, 4097, 87.4),
+                                                       (2, 129, 24.0), (2, 257, 87.5)])
+    @pytest.mark.parametrize("s", [25.0, 26.0, 30.7])
+    def test_pin_matches_its_formula_on_the_box(self, n_dim, npts, half_width, s):
+        # bit for bit the pin as written on the box, every profile formed node by node:
+        # chi and Phi at radius2() on the box, the moments against chi rho, then
+        # w <- Phi + (q - (m0 + m.y) chi); beyond the box w is left as it was.  The
+        # pin reads chi and Phi through the grid's radial table
+        pr, cut = bp.make_params(3, n_dim), rhs.CutoffSpec(K=5.0)
+        grid = sp.Grid(n_dim, half_width, npts)
+        rng = np.random.default_rng(5)
+        w = 0.3 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        w += bp.phi(pr, grid.radius2(), s)
+        got = w.copy()
+        removed = solver._pin(got, grid, pr, cut, s, np.empty(w.size, dtype=complex))
+        rows = grid.rows_within(2.0 * cut.K * math.sqrt(s))
+        box = (rows,) * n_dim
+        r2 = grid.radius2()[box]
+        chi, phi = rhs.cutoff_chi(cut, r2, s), bp.phi(pr, r2, s)
+        q = w[box] - phi
+        m0, m1, _ = sp.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
+        correction = m0
+        for m, y in zip(m1, grid.meshes(rows)):
+            correction = correction + m * y
+        q -= correction * chi
+        want = w.copy()
+        want[box] = phi + q
+        assert np.array_equal(bits(removed), bits(np.concatenate(([m0], m1))))
+        assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("n_dim,npts", [(1, 513), (2, 65)])
     def test_full_grid_profiles_only_on_records(self, monkeypatch, n_dim, npts):
-        # the pin forms Phi and chi on chi's support box: a full-grid Phi is formed
-        # once per record (the initial one included) and a full-grid chi never
+        # Phi and chi are read through the grid's radial table, once per distinct |y|^2:
+        # the pin and each record's decomposition on the table's entries up to the
+        # corner of chi's support box, a record's Phi on the whole table, once per
+        # record (the initial one included).  Apart from the clamp's boundary values,
+        # neither is formed node by node
         pr, cut = bp.make_params(2, n_dim), rhs.CutoffSpec(K=5.0)
         grid = sp.Grid(n_dim, 87.5, npts)
         idp = rhs.InitialDataParams(A=10.0, s0=25.0, p1=0.5, d1_const=0.3, n_dim=n_dim)
         initial = solver.similarity_initial_state(pr, idp, cut, grid)
         cfg = solver.SolverConfig(ds=0.01, s_end=25.1, pin_unstable_modes=True, record_every=3)
+        table = grid.radial_table()[0]
+        edges = np.count_nonzero(solver._edge_mask(grid))
         full = {"phi": 0, "chi": 0}
+        node_by_node = []
 
         def counting(fn, name):
             def wrapped(first, y2, s):
-                full[name] += np.shape(y2) == grid.shape
+                if np.shares_memory(y2, table):
+                    full[name] += np.shape(y2) == table.shape
+                elif np.shape(y2) != (edges,):
+                    node_by_node.append((name, np.shape(y2)))
                 return fn(first, y2, s)
             return wrapped
 
@@ -711,6 +750,7 @@ class TestPin:
         traj = solver.evolve(initial, cfg, pr)
         assert len(traj.records) == 5
         assert full == {"phi": 5, "chi": 0}
+        assert node_by_node == []
 
 
 class TestInstability:

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowlab import params as bp
+from blowlab import rhs
 from blowlab import spectral as sp
 from blowlab.solver import _real
+
+
+def bits(vals):
+    """The bit patterns of vals; np.array_equal counts -0 and +0 as equal."""
+    return np.ascontiguousarray(vals).view(np.uint64)
 
 
 def hermite_explicit_sum(m, y):
@@ -59,6 +66,64 @@ class TestGrid:
         assert r2.shape == (17, 17)
         assert r2[8, 8] == 0.0
         assert r2[0, 0] == pytest.approx(32.0)
+
+
+class TestRadialTable:
+    @pytest.mark.parametrize("n_dim,half_width,npts", [(1, 8.0, 33), (1, 9e-5, 7201),
+                                                       (2, 4.0, 17), (2, 87.5, 257)])
+    def test_table_holds_each_nodes_radius(self, n_dim, half_width, npts):
+        # sorted distinct |y|^2 and an index shaped like the grid, in the smallest
+        # integer dtype, read-only and shared by equal grids, that gives radius2()
+        grid = sp.Grid(n_dim, half_width, npts)
+        r2, index = grid.radial_table()
+        assert np.all(np.diff(r2) > 0.0)
+        assert index.shape == grid.shape and index.dtype == np.min_scalar_type(r2.size - 1)
+        assert index.dtype.itemsize <= 4
+        assert np.array_equal(bits(r2[index]), bits(grid.radius2()))
+        assert not r2.flags.writeable and not index.flags.writeable
+        assert sp.Grid(n_dim, half_width, npts).radial_table()[1] is index
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n_dim=st.sampled_from((1, 2)),
+        half_width=st.sampled_from((4.0, 24.0, 87.5, 120.0)),
+        npts=st.sampled_from((17, 33, 65, 129, 257)),
+        p=st.integers(2, bp.MAX_P),
+        K=st.sampled_from((0.5, 2.0, 5.0)),
+        s=st.floats(1.0, 400.0),
+        radius=st.floats(0.01, 200.0),
+    )
+    def test_tabled_profiles_are_the_direct_bits(self, n_dim, half_width, npts, p, K, s,
+                                                 radius):
+        # every radial profile read through the table, on the whole grid and on
+        # rows_within boxes (the cutoff's support among them), has the bits of the
+        # same elementwise call on radius2() there: Phi, chi, chi rho, f0 = R10,
+        # g0 = R21 at |y|^2/s and decompose's weight 1 + |y|^3
+        grid = sp.Grid(n_dim, half_width, npts)
+        pr, cut = bp.make_params(p, n_dim), rhs.CutoffSpec(K=K)
+        norm = (4.0 * math.pi) ** (n_dim / 2.0)
+        profiles = {
+            "phi": lambda y2: bp.phi(pr, y2, s),
+            "chi": lambda y2: rhs.cutoff_chi(cut, y2, s),
+            "chi rho": lambda y2: rhs.cutoff_chi(cut, y2, s) * (np.exp(-y2 / 4.0) / norm),
+            "R10": lambda y2: bp.outer_profile(pr, "R10", y2 / s),
+            "R21": lambda y2: bp.outer_profile(pr, "R21", y2 / s),
+            "weight": lambda y2: 1.0 + np.sqrt(y2) ** 3,
+        }
+        for rows in (slice(None), grid.rows_within(2.0 * K * math.sqrt(s)),
+                     grid.rows_within(radius)):
+            box = (rows,) * n_dim
+            r2 = grid.radius2()[box]
+            for name, fn in profiles.items():
+                got = grid.radial(fn, rows)
+                assert got.shape == r2.shape, name
+                assert np.array_equal(bits(got), bits(fn(r2))), name
+            chi_rho = rhs.cutoff_chi(cut, r2, s) * grid.rho()[box]
+            assert np.array_equal(bits(grid.radial(profiles["chi rho"], rows)), bits(chi_rho))
+            assert np.array_equal(bits(rhs.cutoff_box(cut, grid, s)[1]),
+                                  bits(rhs.cutoff_chi(cut, grid.radius2()[(grid.rows_within(
+                                      2.0 * K * math.sqrt(s)),) * n_dim], s)))
+
 
 class TestHermite:
     def test_frozen_values(self):
