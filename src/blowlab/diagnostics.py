@@ -126,8 +126,7 @@ class Trajectory(_RowStore):
         modes = decompose(grid, w - grid.radial(lambda y2: _params.phi(params, y2, s)), s, cut)
         e1, e2 = profile_error(state, params)
         c0, c2 = radial_mode_coefficients(grid, w - params.kappa)
-        # max_w is the larger of max|w1| and max|w2|
-        self.add(s, *modes, e1, e2, np.max(np.abs(w.view(np.float64))),
+        self.add(s, *modes, e1, e2, max_part(w),
                  c2.real, c0.imag, c2.imag, np.array([removal_rate.real, removal_rate.imag]))
 
 
@@ -187,6 +186,11 @@ class PhysicalTrajectory(_RowStore):
     def keep_snapshot(self, t: float, u: np.ndarray) -> None:
         """Append the snapshot (t, u at the probes), read as the records read it."""
         self.snapshots.append((t, self.at_probes(u)))
+
+
+def max_part(w: np.ndarray) -> float:
+    """The larger of max|w1| and max|w2| (NaN if a part is; +0, not -0), with no temporary."""
+    return abs(max(float(np.max(w.view(np.float64))), -float(np.min(w.view(np.float64)))))
 
 
 def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpec) -> tuple:

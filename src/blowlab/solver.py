@@ -430,8 +430,7 @@ def step_similarity(
             w[...] = w + dss / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         w[work.edge] = clamp[k]
     s = float(state.s + n_sub * dss)
-    # the larger of max|w1| and max|w2|, as recorded in max_w
-    max_w = float(np.max(np.abs(_real(w))))
+    max_w = _diag.max_part(w)
     if not math.isfinite(max_w) or max_w > 10.0 * params.kappa:
         raise BlowupInSimilarityError(s, max_w)
     return SimilarityState(s=s, grid=grid, w=w)

@@ -21,6 +21,23 @@ import blowlab.rhs as rhs
 import blowlab.spectral as sp
 
 
+def test_max_part_reads_the_largest_part_magnitude():
+    # the same float as the max over |w1| and |w2| node by node, +0 for a zero w of
+    # either sign, NaN when a part is NaN and inf when a part is infinite
+    rng = np.random.default_rng(3)
+    for w in (rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33)),
+              -np.abs(rng.standard_normal(65)) + 0j, np.full(17, 2.5j)):
+        got = dg.max_part(w)
+        assert got == np.max(np.abs(w.view(np.float64))) and type(got) is float
+    for zero in (0.0, -0.0):
+        got = dg.max_part(np.full(5, complex(zero, zero)))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    w = np.ones(9, dtype=complex)
+    for bad, want in ((complex(math.nan, 0.0), math.isnan), (complex(0.0, -math.inf), math.isinf)):
+        w[4] = bad
+        assert want(dg.max_part(w))
+
+
 def plateau_grid_1d():
     # K sqrt(s) = 25 at s = 25, so a half-width of 16 sits inside the
     # cutoff plateau and chi is identically 1 on the grid

@@ -506,6 +506,24 @@ class TestEvolve:
         assert 10.0 < err.value.s <= 15.0
         assert err.value.max_w > 10.0 * pr.kappa
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["w1", "w2"])
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_blowup_guard_refuses_non_finite_values(self, bad, part, n_dim):
+        # max|w| is read as max(max, -min) of the parts: a NaN or an infinity of
+        # either sign in either part of one interior node still trips the guard
+        pr = bp.make_params(2, n_dim)
+        grid = sp.Grid(n_dim, 8.0, 33)
+        st = profile_state(pr, grid, 25.0)
+        node = (16,) * n_dim
+        w1, w2 = st.w[node].real, st.w[node].imag
+        st.w[node] = complex(bad, w2) if part == "w1" else complex(w1, bad)
+        cfg = solver.SolverConfig(ds=0.005, s_end=26.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(solver.BlowupInSimilarityError) as err:
+                solver.step_similarity(st, cfg, pr)
+        assert not math.isfinite(err.value.max_w)
+
     def test_rk4_agrees_with_semi_implicit(self):
         pr = bp.make_params(2, 1)
         grid = sp.Grid(1, 10.0, 201)
