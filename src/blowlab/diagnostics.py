@@ -211,25 +211,25 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
             f"transition [{edge}, {2 * edge}]; enlarge it past 2K sqrt(s) "
             "or shrink it inside K sqrt(s)"
         )
-    n = grid.n_dim
+
+    def sup(field, weight=1.0):  # sup |part| / weight of each part
+        return np.array([np.max(np.abs(part(field)) / weight) for part in (np.real, np.imag)])
     rows, chi_box = _rhs.cutoff_box(cut, grid, s)
     chi = np.zeros(grid.shape)
-    chi[(rows,) * n] = chi_box
+    chi[(rows,) * grid.n_dim] = chi_box
+    q_e_norm = sup((1.0 - chi) * q)
     q_b = chi * q
-    q_e = (1.0 - chi) * q
     q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, grid.rho())
-
-    meshes = grid.meshes()
-    poly = np.full(grid.shape, q0 - np.trace(q2))
-    for j in range(n):
-        poly = poly + q1[j] * meshes[j]
-        for k in range(n):
-            poly = poly + 0.5 * q2[j, k] * meshes[j] * meshes[k]
-    q_minus = q_b - poly
-    weight = grid.radial(lambda y2: 1.0 + np.sqrt(y2) ** 3)
-    parts = [(part(q0), part(q1), part(q2), np.max(np.abs(part(q_minus)) / weight),
-              np.max(np.abs(part(q_e)))) for part in (np.real, np.imag)]
-    return tuple(np.array(column) for column in zip(*parts))
+    # q0 + q1.y + y^T q2 y/2 - tr q2 per axis, a(y_0) + b(y_1) + (q2_01 + q2_10) y_0 y_1/2
+    y = grid.axis()
+    poly = q0 - np.trace(q2) + (q1[0] + 0.5 * q2[0, 0] * y) * y
+    if grid.n_dim == 2:
+        poly = np.multiply.outer(y, 0.5 * (q2[0, 1] + q2[1, 0]) * y) + poly[:, None]
+        poly += (q1[1] + 0.5 * q2[1, 1] * y) * y
+    q_minus = np.subtract(q_b, poly, out=q_b)
+    del poly  # each full-grid field is dropped once read: they set a record's peak memory
+    modes = (np.array([part(m) for part in (np.real, np.imag)]) for m in (q0, q1, q2))
+    return (*modes, sup(q_minus, grid.radial(lambda y2: 1.0 + np.sqrt(y2) ** 3)), q_e_norm)
 
 
 def shrinking_set_bounds(idp: _rhs.InitialDataParams, s: float) -> dict:

@@ -11,14 +11,15 @@ trailing axis of length two), so both components go through one solve, one
 stencil, one boundary pass.  One _Stepper per run takes every semi-implicit
 substep of either frame in place.
 
-Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The
-default scheme is operator splitting per step: implicit diffusion
-(tridiagonal solve per axis, ADI in 2D), explicit second-order upwind
-drift, explicit reaction.  Splitting is first order in ds and second order
-in h.  Substeps are taken when the drift CFL y_max ds/(2h) exceeds
-CFL_SAFETY.  evolve steps its stepper through step_similarity, once per
-step, and takes the clamped boundary values of every substep up to the
-next record from one profile call.  It pins on the cutoff's support box;
+Similarity frame: d_s w = Lap w - (y/2).grad w - w/(p-1) + w^p.  The default
+scheme is operator splitting per step: implicit diffusion (tridiagonal solve
+per axis, ADI in 2D), explicit second-order upwind drift (per-node weights
+built once per (grid, dt)), explicit reaction (Horner form, with the decay).
+Splitting is first order in ds and second order in h.  Substeps are taken when
+the drift CFL y_max ds/(2h) exceeds CFL_SAFETY.  evolve steps its stepper
+through step_similarity, once per step, and takes the clamped boundary values
+of every substep up to the next record from one profile call.  It pins on the
+cutoff's support box (profiles through spectral.Grid.radial);
 diagnostics.Trajectory.record builds each record and its full-grid profiles.
 
 Physical frame: d_t u = Lap u + u^p with the same implicit diffusion and
@@ -228,58 +229,47 @@ def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf, axis: int, lines: slic
         _spectral.lapack.zgttrs(*factor, w[lines].T, overwrite_b=1)
 
 
-def _drift_views(grid: _spectral.Grid, vals, work, halves) -> list:
-    """[(out, per-axis views, 2h)] per half (a slice of rows): the drift stencil's operands.
+def _stencil_terms(grid: _spectral.Grid, vals, work, coef, halves) -> list:
+    """[(out, keep, vals, terms)] per half (a slice of rows): the explicit drift's operands.
 
-    Each entry is the arguments of _drift.  vals is the real view of a state,
-    grid.shape + (2,); work holds three arrays shaped like it: the result out,
-    then two scratch.  A half writes its rows of work only, but reads vals up to
-    two rows past them.  Views follow the contents of the arrays they are taken
-    from, so a run builds them once.
+    vals is a state's real view, grid.shape + (2,); work holds three arrays shaped like
+    it: out, a scratch and keep.  A term (weights, neighbours, scratch, rows of out) adds
+    coef's weights of the neighbours toward the origin to those rows.  A half writes its
+    rows of work only, but reads vals up to two rows past them.  Views follow their
+    arrays' contents, so a run builds them once.
     """
-    n, y2 = grid.npts, 0.5 * grid.axis()
-    k = int(np.count_nonzero(y2[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
-    out, d, e = work
-    whole = (vals, d, e, out)
+    n, (out, scratch, keep) = grid.npts, work
+    k = int(np.count_nonzero(grid.axis()[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
     per_half = []
     for rows in halves:
         lo, hi = max(rows.start, 1), min(rows.stop, n - 1)  # the half's interior rows
-        views = []
+        terms = []
         for axis in range(grid.n_dim):
-            # axis 0: the half's interior rows of the whole arrays, split where the
-            # flow turns; any other axis: its whole interior on the half's rows
-            m, dm, em, om = (a.swapaxes(0, axis) for a in
-                             (whole if axis == 0 else (x[rows] for x in whole)))
+            # axis 0: the half's interior rows, split where the flow turns; axis 1: its
+            # whole interior on the half's rows, weights broadcast down the rows
             a, b, c = (lo, min(max(k + 1, lo), hi), hi) if axis == 0 else (1, k + 1, n - 1)
-            # y/2 along the axis; on the last one repeated per component: one loop, not pairs
-            v = (y2[a:c].reshape((-1,) + (1,) * grid.n_dim) if axis < grid.n_dim - 1
-                 else np.repeat(y2[a:c], 2).reshape((-1,) + (1,) * (grid.n_dim - 1) + (2,)))
-            # outward flow on the left part: stencil uses i, i+1, i+2; on the right
-            # part i, i-1, i-2
-            left = (dm[a:b], em[a:b], m[a:b], m[a + 1 : b + 1], m[a + 2 : b + 2])
-            right = (dm[b:c], em[b:c], m[b:c], m[b - 1 : c - 1], m[b - 2 : c - 2])
-            views.append((left, right, v, dm[a:c], om[a:c]))
-        per_half.append((out[rows], views, 2.0 * grid.h))
+            at = (lambda x, nodes: x[nodes]) if axis == 0 else (lambda x, nodes: x[rows, nodes])
+            wt = coef if axis == grid.n_dim - 1 else coef[:, :, None, :1]
+            for nodes, side in ((slice(a, b), 1), (slice(b, c), -1)):  # neighbours at i ± 1, 2
+                for j in (0, 1):
+                    near = slice(nodes.start + side * (j + 1), nodes.stop + side * (j + 1))
+                    terms.append((wt[j, nodes], at(vals, near), at(scratch, nodes), at(out, nodes)))
+        per_half.append((out[rows], keep[rows], vals[rows], terms))
     return per_half
 
 
-def _drift(out, views, two_h) -> np.ndarray:
-    """(y/2).grad of the viewed state into out, by second-order upwind one-sided differences.
-
-    The drift velocity y/2 points outward, so the stencil leans toward the
-    origin.  Boundary nodes of the result are left at zero.
-    """
-    out.fill(0.0)
-    for (dl, el, l0, l1, l2), (dr, er, r0, r1, r2), vel, dc, oc in views:
-        np.multiply(-3.0, l0, out=dl)
-        np.add(dl, np.multiply(4.0, l1, out=el), out=dl)
-        np.divide(np.subtract(dl, l2, out=dl), two_h, out=dl)
-        np.multiply(3.0, r0, out=dr)
-        np.subtract(dr, np.multiply(4.0, r1, out=er), out=dr)
-        np.divide(np.add(dr, r2, out=dr), two_h, out=dr)
-        np.multiply(vel, dc, out=dc)
-        np.add(oc, dc, out=oc)
-    return out
+def _stencil(out, keep, vals, terms) -> None:
+    """out = keep vals plus every term: one explicit upwind drift step.  A 2-D grid's terms
+    broadcast or stride along rows, which numpy's default 8192-item ufunc buffer copies to
+    lengthen its loops, at twice the time of a 16-item buffer."""
+    size = out.ndim == 3 and np.setbufsize(16)
+    try:
+        np.multiply(keep, vals, out=out)
+        for weights, near, scratch, dst in terms:
+            np.add(dst, np.multiply(weights, near, out=scratch), out=dst)
+    finally:
+        if size:
+            np.setbufsize(size)
 
 
 @functools.lru_cache(maxsize=32)
@@ -310,10 +300,12 @@ def _rk4_rhs(w, grid, params):
 class _Stepper:
     """Semi-implicit substeps in place of one state w in the "similarity" or "physical" frame:
     w, a block of three arrays shaped like it, the boundary nodes as indices (in
-    _edge_mask's order; a mask is slower to apply), the halves of the grid's rows,
-    the drift stencil's views on the block per half (similarity frame only) and the
-    factor of the last dt (_diffusion_factor: LDL^T on a 1-D grid, LU on a 2-D one),
-    factored again only when dt changes.  The caller sets the boundary.
+    _edge_mask's order; a mask is slower to apply), the halves of the grid's rows and
+    the operator of the last dt, built again only when dt changes: the factor
+    (_diffusion_factor: LDL^T on a 1-D grid, LU on a 2-D one) and, in the similarity
+    frame, the drift's weights (_weigh: keep in the third block array, the neighbours'
+    in coef), which _stencil applies into the first block array for _react.  The caller
+    sets the boundary.
 
     A 1-D grid is one half and has no helper thread, so its zpttrs solves, which
     hold the GIL, never run beside another; a 2-D grid splits at row n // 2, where
@@ -326,12 +318,13 @@ class _Stepper:
     """
 
     def __init__(self, grid: _spectral.Grid, w: np.ndarray, p: int, frame: str):
-        self.w, self.p, self.h2, self.dt = w, p, grid.h * grid.h, None
+        self.w, self.p, self.grid, self.h2, self.dt = w, p, grid, grid.h * grid.h, None
         self.block = np.empty((3,) + grid.shape, np.complex128)
         self.edge = np.nonzero(_edge_mask(grid))
         n = grid.npts
         self.halves = (slice(0, n),) if grid.n_dim == 1 else (slice(0, n // 2), slice(n // 2, n))
-        self.drift = (_drift_views(grid, _real(w), _real(self.block), self.halves)
+        self.coef = np.empty((2, n, 2))  # untouched in the physical frame
+        self.drift = (_stencil_terms(grid, _real(w), _real(self.block), self.coef, self.halves)
                       if frame == "similarity" else None)
         # w and the first two block arrays on each half's rows, for _react
         self.parts = [(w[r], self.block[0][r], self.block[1][r]) for r in self.halves]
@@ -353,21 +346,27 @@ class _Stepper:
     def _diffuse(self, axis: int, i: int) -> None:
         _diffuse_in_place(self.w, self.factor, self.block[0].T, axis, self.halves[i])
 
+    def _weigh(self, dt: float) -> None:
+        """The drift's weights for dt: g = dt |y|/(4h) at each interior axis node, 4g and -g
+        on its two neighbours toward the origin, and keep = 1 - 3 (g summed over the axes)."""
+        g = dt / (4.0 * self.grid.h) * np.abs(self.grid.axis())
+        g[[0, -1]] = 0.0
+        self.coef[:] = np.stack([4.0 * g, -g])[..., None]
+        diag = np.add.outer(g, g) if self.w.ndim == 2 else g
+        _real(self.block[2])[...] = (1.0 - 3.0 * diag)[..., None]
+
     def _react(self, i: int) -> None:
-        """Drift update (similarity frame) and reaction on the rows of half i: w + dt w^p,
-        less dt w/(p-1) in the similarity frame (the physical one skips it: 0 w would
-        turn an inf into NaN)."""
-        (w, a, b), dt = self.parts[i], self.dt
-        if self.drift is not None:
-            wr, drift = _real(w), _real(a)
-            np.subtract(wr, np.multiply(dt, drift, out=drift), out=wr)
-        if self.p == 2:  # what w**2 calls; np.power(w, 2) moves the last bit
-            np.square(w, out=a)
-        else:
-            np.power(w, self.p, out=a)
-        if self.drift is not None:
-            np.subtract(a, np.multiply(1.0 / (self.p - 1), w, out=b), out=a)
-        np.add(w, np.multiply(dt, a, out=a), out=w)
+        """Reaction on the rows of half i: w + dt w^p in the physical frame; in the similarity
+        frame w = u (1 - dt/(p-1) + dt u^(p-1)) from the drift's result u (first block array)."""
+        (w, a, b), dt, p = self.parts[i], self.dt, self.p
+        # as w**p or u**(p-1) calls them: np.square for 2 (np.power(w, 2) moves the last bit)
+        if self.drift is None:
+            up = np.square(w, out=a) if p == 2 else np.power(w, p, out=a)
+            np.add(w, np.multiply(dt, up, out=a), out=w)
+            return
+        up = a if p == 2 else np.square(a, out=b) if p == 3 else np.power(a, p - 1, out=b)
+        np.add(np.multiply(dt, up, out=b), 1.0 - dt / (p - 1), out=b)
+        np.multiply(a, b, out=w)
 
     def _both(self, phase, *args) -> None:
         """phase(*args, i) on each half i, half 1 on the helper if any; returns when all end."""
@@ -384,10 +383,12 @@ class _Stepper:
         """Diffuse (ADI in 2-D, axis 0 first), drift (similarity frame), react; each a phase."""
         if dt != self.dt:
             self.dt, self.factor = dt, _diffusion_factor(self.w.shape[0], dt / self.h2, self.w.ndim)
+            if self.drift is not None:
+                self._weigh(dt)
         for axis in range(self.w.ndim):
             self._both(self._diffuse, axis)
         if self.drift is not None:
-            self._both(lambda i: _drift(*self.drift[i]))
+            self._both(lambda i: _stencil(*self.drift[i]))
         self._both(self._react)
 
 

@@ -66,19 +66,24 @@ def implicit_diffusion(w, h, dt):
     return out
 
 
-def upwind_drift(grid, vals):
-    """(y/2).grad of the real view vals, written out unsplit: per axis the
-    second-order upwind stencil on whole slices, in the kernel's operation order."""
-    out = np.zeros_like(vals)
+def drift_step(grid, vals, dt):
+    """vals - dt (y/2).grad vals of the real view vals, written out unsplit in the fused
+    kernel's operation order: the weights g = dt |y|/(4h) per interior axis node, then
+    keep vals with keep = 1 - 3 (g summed over the axes), then per axis, side and
+    neighbour toward the origin (near, far) the neighbour times its weight 4g or -g."""
     ax = grid.axis()
+    g = dt / (4.0 * grid.h) * np.abs(ax)
+    g[[0, -1]] = 0.0
+    diag = np.add.outer(g, g) if grid.n_dim == 2 else g
+    out = (1.0 - 3.0 * diag)[..., None] * vals
     k = int(np.count_nonzero(ax[1:-2] < 0.0))
-    two_h = 2.0 * grid.h
     for axis in range(grid.n_dim):
         m, o = np.moveaxis(vals, axis, 0), np.moveaxis(out, axis, 0)
-        left = (-3.0 * m[1 : k + 1] + 4.0 * m[2 : k + 2] - m[3 : k + 3]) / two_h
-        right = (3.0 * m[k + 1 : -1] - 4.0 * m[k:-2] + m[k - 1 : -3]) / two_h
-        vel = (0.5 * ax[1:-1]).reshape((-1,) + (1,) * grid.n_dim)
-        o[1:-1] += vel * np.concatenate([left, right])
+        near, far = ((c * g).reshape((-1,) + (1,) * grid.n_dim) for c in (4.0, -1.0))
+        o[1 : k + 1] += near[1 : k + 1] * m[2 : k + 2]
+        o[1 : k + 1] += far[1 : k + 1] * m[3 : k + 3]
+        o[k + 1 : -1] += near[k + 1 : -1] * m[k:-2]
+        o[k + 1 : -1] += far[k + 1 : -1] * m[k - 1 : -3]
     return out
 
 
@@ -184,15 +189,20 @@ class TestKernels:
         ids=["1-33", "2-17", "1-87.4-4097", "2-24.0-65"],
     )
     def test_upwind_matches_pointwise_stencil(self, n_dim, half_width, npts):
-        # the slice-wise drift, written out and as the kernel on halves, equals
-        # the node-by-node upwind stencil exactly, for a real view whose
-        # trailing axis holds the two components; on the
-        # last two grids 2h is not a power of two, so dividing by 2h and
-        # multiplying by its reciprocal round differently
+        # one explicit drift step at drift CFL 0.9 on a real view whose trailing axis
+        # holds the two components: the kernel, half by half, on the stepper's halves and
+        # on halves split off the row where the stencil changes side (each half fills its
+        # rows), equals the written-out fused order bit for bit.  The node-by-node upwind
+        # stencil v - dt (y/2) d, d divided by 2h, is an independent oracle: the fused
+        # weights fold -dt (y/2)/(2h) in and round otherwise, so it is met within 6 eps
+        # times the sum of the magnitudes of the node's terms (at most 2.5 measured)
         grid = sp.Grid(n_dim, half_width, npts)
-        vals = np.random.default_rng(1).standard_normal(grid.shape + (2,))
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        vals = solver._real(w)
+        dt = 0.9 * 2.0 * grid.h / half_width
         ax, h = grid.axis(), grid.h
-        want = np.zeros_like(vals)
+        want, scale = vals.copy(), np.abs(vals)
         for idx in np.ndindex(grid.shape):
             for axis in range(n_dim):
                 i = idx[axis]
@@ -202,20 +212,21 @@ class TestKernels:
                 def at(j):
                     return vals[idx[:axis] + (j,) + idx[axis + 1:]]
 
-                if ax[i] < 0.0:
-                    d = (-3.0 * at(i) + 4.0 * at(i + 1) - at(i + 2)) / (2.0 * h)
-                else:
-                    d = (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * h)
-                want[idx] += 0.5 * ax[i] * d
-        assert np.array_equal(upwind_drift(grid, vals), want)
-        # the kernel, half by half, on the stepper's halves and on halves split
-        # off the row where the stencil changes side; each half fills its rows
-        stepper = solver._Stepper(grid, np.zeros(grid.shape, complex), 2, "physical")
-        for halves in (stepper.halves, (slice(0, 3), slice(3, npts))):
-            work = np.full((3,) + vals.shape, np.nan)
-            for views in solver._drift_views(grid, vals, work, halves):
-                solver._drift(*views)
-            assert np.array_equal(work[0], want)
+                side = 1 if ax[i] < 0.0 else -1  # the neighbours toward the origin
+                d = side * (-3.0 * at(i) + 4.0 * at(i + side) - at(i + 2 * side)) / (2.0 * h)
+                want[idx] -= dt * (0.5 * ax[i] * d)
+                scale[idx] += dt * abs(ax[i]) / (4.0 * h) * (
+                    3.0 * abs(at(i)) + 4.0 * abs(at(i + side)) + abs(at(i + 2 * side)))
+        got = drift_step(grid, vals, dt)
+        assert np.all(np.abs(got - want) <= 6.0 * np.finfo(float).eps * scale)
+        run = solver._Stepper(grid, w, 2, "similarity")
+        run._weigh(dt)
+        keep = solver._real(run.block[2])
+        for halves in (run.halves, (slice(0, 3), slice(3, npts))):
+            work = np.stack([np.full(vals.shape, np.nan), np.full(vals.shape, np.nan), keep])
+            for half in solver._stencil_terms(grid, vals, work, run.coef, halves):
+                solver._stencil(*half)
+            assert np.array_equal(bits(work[0]), bits(got))
 
     def test_implicit_diffusion_matches_banded_reference(self):
         # the written-out solve and the kernel on halves against one banded LU
@@ -270,15 +281,25 @@ class TestKernels:
     @pytest.mark.parametrize("n_dim", [1, 2])
     def test_stepper_factors_again_when_dt_changes(self, frame, n_dim):
         # one stepper stepped at dt1, dt2, dt1 gives, bit for bit, what a fresh
-        # stepper gives for each of those steps, so no factor of another dt is reused
+        # stepper gives for each of those steps, so no factor of another dt is reused;
+        # in the similarity frame its drift weights (neighbours and keep) are those of
+        # the step's dt, as a fresh stepper builds them
         pr = bp.make_params(3, n_dim)
         grid = symmetry_grid(n_dim)
         run = solver._Stepper(grid, random_field(grid, 5, pr.kappa), pr.p, frame)
+        weights = {}
         for dt in (1e-3, 4e-3, 1e-3):
             fresh = solver._Stepper(grid, run.w.copy(), pr.p, frame)
             fresh.step(dt)
             run.step(dt)
             assert np.array_equal(run.w, fresh.w)
+            if frame == "similarity":
+                assert np.array_equal(bits(run.coef), bits(fresh.coef))
+                assert np.array_equal(bits(run.block[2]), bits(fresh.block[2]))
+                weights.setdefault(dt, bits(run.block[2]).copy())
+        if frame == "similarity":
+            assert not np.array_equal(weights[1e-3], weights[4e-3])
+            assert np.array_equal(bits(run.block[2]), weights[1e-3])
 
     @pytest.mark.parametrize(
         "scheme,n_dim,p,half_width,npts",
@@ -290,8 +311,9 @@ class TestKernels:
         self, scheme, n_dim, p, half_width, npts
     ):
         # bit for bit the substep sequence written out unsplit: diffusion solve,
-        # drift on the real view, reaction (or one RK4 stage set), then the
-        # boundary values of that substep's s; the incoming state is left as it
+        # drift step on the real view, reaction u (1 - dt/(p-1) + dt u^(p-1)) (or one
+        # RK4 stage set), then the boundary values of that substep's s; the incoming
+        # state is left as it
         # was.  The step runs on a default stepper, halves one after the other,
         # and on one entered as a context, whose helper thread takes half of
         # each phase in 2-D (the 257 grid is the 2-D sweep cell's)
@@ -301,14 +323,15 @@ class TestKernels:
             dss = ds / n_sub
             edge = solver._edge_mask(grid)
             r2_edge = grid.radius2()[edge]
-            inv = 1.0 / (pr.p - 1)
             w = state.w
             for k in range(n_sub):
                 if cfg.scheme == "semi-implicit":
                     w = implicit_diffusion(w, grid.h, dss)
-                    wr = w.view(np.float64).reshape(w.shape + (2,))
-                    wr -= dss * upwind_drift(grid, wr)
-                    w = w + dss * (w**pr.p - inv * w)
+                    u = solver._complex(drift_step(grid, solver._real(w), dss))
+                    # named: with a temporary, numpy takes the product as factor * u,
+                    # and a complex product's last bit depends on the order
+                    factor = dss * u ** (pr.p - 1) + (1.0 - dss / (pr.p - 1))
+                    w = u * factor
                 else:
                     k1 = solver._rk4_rhs(w, grid, pr)
                     k2 = solver._rk4_rhs(w + 0.5 * dss * k1, grid, pr)
