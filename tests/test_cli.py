@@ -407,44 +407,44 @@ def _sweep_digests(out):
 # ps [2, 3], ns [1] over s 25 -> 35 at d1 = 0.3, d2 = 0.1, where the inner fit runs
 SWEEP_SHA256 = {
     "inner fits": {
-        "sweep_summary.json": "93d75ad8c12b9819",
-        "sweep_table.csv": "4265f4d0c2938c11",
-        "p2_n1/fits.json": "be75e68ce1407b3f",
-        "p2_n1/trajectory.csv": "7e44f0f631c56fa0",
-        "p3_n1/fits.json": "d05d6296c600a2b8",
-        "p3_n1/trajectory.csv": "76ad3585d3284a5d",
+        "sweep_summary.json": "a9761d44c3b475c6",
+        "sweep_table.csv": "3e587629ac4e6581",
+        "p2_n1/fits.json": "99fc8366efaa6830",
+        "p2_n1/trajectory.csv": "a6d26d7da437da11",
+        "p3_n1/fits.json": "08b544adc7226468",
+        "p3_n1/trajectory.csv": "f0e497087460e6b3",
     },
     0.0: {
-        "sweep_summary.json": "8e4818bbd54cb416",
-        "sweep_table.csv": "17dfb258eb827f56",
-        "p2_n1/fits.json": "eaf88b517164de7c",
-        "p2_n1/trajectory.csv": "5cc2c372f9c54fff",
-        "p2_n2/fits.json": "e1afcdb0aa70167f",
-        "p2_n2/trajectory.csv": "15e53609bca5a7c1",
-        "p3_n1/fits.json": "ec15110514ca9aab",
-        "p3_n1/trajectory.csv": "bf7d7ba2d1e900c4",
-        "p3_n2/fits.json": "70989e39b3b7e110",
-        "p3_n2/trajectory.csv": "f2b3e8404c01f8eb",
+        "sweep_summary.json": "82b2c0e1ff4e12bb",
+        "sweep_table.csv": "1ea3f912168cf222",
+        "p2_n1/fits.json": "72313c8f889a7b0f",
+        "p2_n1/trajectory.csv": "5f3b04d56afd108f",
+        "p2_n2/fits.json": "2170243f06ab12a0",
+        "p2_n2/trajectory.csv": "d46549cc1d994157",
+        "p3_n1/fits.json": "c2e9853914c7fc0b",
+        "p3_n1/trajectory.csv": "8ab344815227cf7a",
+        "p3_n2/fits.json": "3d43a926a2c3a888",
+        "p3_n2/trajectory.csv": "f7bb6cde9e23b89b",
     },
     0.5: {
-        "sweep_summary.json": "c44333e9c1724cb7",
-        "sweep_table.csv": "34fe76ba9f74a968",
-        "p2_n1/fits.json": "416479130887956d",
-        "p2_n1/trajectory.csv": "b0fea4b1be7fe642",
-        "p2_n2/fits.json": "afc47da085622aed",
-        "p2_n2/trajectory.csv": "d3c248a8b1ddfb94",
-        "p3_n1/fits.json": "0f9096f2a9ca3773",
-        "p3_n1/trajectory.csv": "56fe95bd3c3a006a",
-        "p3_n2/fits.json": "824322769d86433b",
-        "p3_n2/trajectory.csv": "30a776478f98c68a",
+        "sweep_summary.json": "3b033c320db0d412",
+        "sweep_table.csv": "8cf7b7468e3f22ea",
+        "p2_n1/fits.json": "98d833c3bcdcd0b6",
+        "p2_n1/trajectory.csv": "9e6f3e71745e3596",
+        "p2_n2/fits.json": "99394738bf6a9d3a",
+        "p2_n2/trajectory.csv": "7f1acb73e5dc1306",
+        "p3_n1/fits.json": "2acd0c6bd26c8f87",
+        "p3_n1/trajectory.csv": "026f7f75b388e8fb",
+        "p3_n2/fits.json": "829605efde07781c",
+        "p3_n2/trajectory.csv": "2d5a8492269340c8",
     },
     "p3 fails": {
-        "sweep_summary.json": "0d62aae3e3bc55b2",
-        "sweep_table.csv": "68acafc9c62e912c",
-        "p2_n1/fits.json": "eaf88b517164de7c",
-        "p2_n1/trajectory.csv": "5cc2c372f9c54fff",
-        "p2_n2/fits.json": "e1afcdb0aa70167f",
-        "p2_n2/trajectory.csv": "15e53609bca5a7c1",
+        "sweep_summary.json": "c466da900c44f37f",
+        "sweep_table.csv": "c10066aad799659d",
+        "p2_n1/fits.json": "72313c8f889a7b0f",
+        "p2_n1/trajectory.csv": "5f3b04d56afd108f",
+        "p2_n2/fits.json": "2170243f06ab12a0",
+        "p2_n2/trajectory.csv": "d46549cc1d994157",
     },
 }
 

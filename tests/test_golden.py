@@ -291,9 +291,9 @@ GOLDEN = {
 # sha256 of trajectory.csv (17 significant digits): per-step t, dt, max|u|,
 # argmax and probe values of the physical run, the records of the similarity runs
 GOLDEN_CSV_SHA256 = {
-    "sim_p2_n1": "5cc2c372f9c54fffefdd2df7c373629560a652efc5f197846089ab2e68b861b4",
+    "sim_p2_n1": "5f3b04d56afd108fab0c4b1796d5420ef2a561f709d92ff9d3090760062d9d97",
     "sim_p2_n1_rk4": "640fa4012a7ea33044bbfc577a4a1f7ec4338d46409ba6a703ef5849bcae9237",
-    "sim_p3_n2": "7c9c387430bb6c5a7f61d53ba94103e2b3755e33fde219b8c666524027ea030e",
+    "sim_p3_n2": "320c97c6e4898b8194bb2a351cfad8291d064e8d6ada48b8164d5eab944c7fcf",
     "phys_p2": "c94840e4ac1eb5df43f36894fa00eaf73d1ec10b2aba69ba44d1cf50198f92d9",
 }
 
