@@ -229,16 +229,16 @@ def _diffuse_in_place(w: np.ndarray, factor: tuple, fbuf, axis: int, lines: slic
         _spectral.lapack.zgttrs(*factor, w[lines].T, overwrite_b=1)
 
 
-def _stencil_terms(grid: _spectral.Grid, vals, work, coef, halves) -> list:
-    """[(out, keep, vals, terms)] per half (a slice of rows): the explicit drift's operands.
+def _stencil_terms(grid: _spectral.Grid, vals, work, halves) -> tuple:
+    """(coef, [(out, keep, vals, terms)] per half, a slice of rows): the explicit drift's operands.
 
     vals is a state's real view, grid.shape + (2,); work holds three arrays shaped like
     it: out, a scratch and keep.  A term (weights, neighbours, scratch, rows of out) adds
     coef's weights of the neighbours toward the origin to those rows.  A half writes its
     rows of work only, but reads vals up to two rows past them.  Views follow their
-    arrays' contents, so a run builds them once.
+    arrays' contents, so a run builds them once and fills coef and keep per dt.
     """
-    n, (out, scratch, keep) = grid.npts, work
+    n, (out, scratch, keep), coef = grid.npts, work, np.empty((2, grid.npts, 2))
     k = int(np.count_nonzero(grid.axis()[1:-2] < 0.0))  # interior nodes 1..k lie at y < 0
     per_half = []
     for rows in halves:
@@ -255,7 +255,7 @@ def _stencil_terms(grid: _spectral.Grid, vals, work, coef, halves) -> list:
                     near = slice(nodes.start + side * (j + 1), nodes.stop + side * (j + 1))
                     terms.append((wt[j, nodes], at(vals, near), at(scratch, nodes), at(out, nodes)))
         per_half.append((out[rows], keep[rows], vals[rows], terms))
-    return per_half
+    return coef, per_half
 
 
 def _stencil(out, keep, vals, terms) -> None:
@@ -323,9 +323,8 @@ class _Stepper:
         self.edge = np.nonzero(_edge_mask(grid))
         n = grid.npts
         self.halves = (slice(0, n),) if grid.n_dim == 1 else (slice(0, n // 2), slice(n // 2, n))
-        self.coef = np.empty((2, n, 2))  # untouched in the physical frame
-        self.drift = (_stencil_terms(grid, _real(w), _real(self.block), self.coef, self.halves)
-                      if frame == "similarity" else None)
+        self.coef, self.drift = (_stencil_terms(grid, _real(w), _real(self.block), self.halves)
+                                 if frame == "similarity" else (None, None))
         # w and the first two block arrays on each half's rows, for _react
         self.parts = [(w[r], self.block[0][r], self.block[1][r]) for r in self.halves]
         self.helper = None
