@@ -12,8 +12,9 @@ Gaussian-weighted integrals: q0 = int q_b rho, q1_j = int q_b (y_j/2) rho,
 q2_jk = int q_b (y_j y_k/4 - delta_jk/2) rho, rho the normalized Gaussian
 weight.  q_minus is the pointwise remainder.  The flattened radial modes of
 the full solution w use the radial quadratic |y|^2 - 2n in the same weight.
-All of these moments come from one routine, spectral.gaussian_moments, which
-the solver's mode pinning uses too.  decompose acts on the complex deviation
+All of these moments come from one routine, spectral.gaussian_moments, and
+the polynomial of q0, q1 and q2 from spectral.mode_field; the solver's mode
+pinning uses both.  decompose acts on the complex deviation
 q = q1 + i q2 at once and returns each mode field for both components.
 Similarity and physical records are columns of one numpy structured array
 per trajectory; each trajectory's record builds its rows from the run's
@@ -220,12 +221,7 @@ def decompose(grid: _spectral.Grid, q: np.ndarray, s: float, cut: _rhs.CutoffSpe
     q_e_norm = sup((1.0 - chi) * q)
     q_b = chi * q
     q0, q1, q2 = _spectral.gaussian_moments(grid, q_b, grid.rho())
-    # q0 + q1.y + y^T q2 y/2 - tr q2 per axis, a(y_0) + b(y_1) + (q2_01 + q2_10) y_0 y_1/2
-    y = grid.axis()
-    poly = q0 - np.trace(q2) + (q1[0] + 0.5 * q2[0, 0] * y) * y
-    if grid.n_dim == 2:
-        poly = np.multiply.outer(y, 0.5 * (q2[0, 1] + q2[1, 0]) * y) + poly[:, None]
-        poly += (q1[1] + 0.5 * q2[1, 1] * y) * y
+    poly = _spectral.mode_field(grid, q0, q1, q2)
     q_minus = np.subtract(q_b, poly, out=q_b)
     del poly  # each full-grid field is dropped once read: they set a record's peak memory
     modes = (np.array([part(m) for part in (np.real, np.imag)]) for m in (q0, q1, q2))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import Params, Series, _checked_p, outer_profile, phi
-from .spectral import Grid
+from .spectral import Grid, mode_field
 
 
 def f1f2(u1, u2, p: int):
@@ -254,6 +254,7 @@ def initial_data(
     q2 = [ (A^2/s0^{p1+2}) (d2_const + d2_lin·y)
            + (A^5 ln s0 / s0^{p1+2}) (y·d2_quad·y - 2 tr d2_quad) ] chi(2y, s0)
 
+    Each polynomial is a spectral.mode_field (the quadratic one with m2 = 2 d2_quad).
     The single cutoff factor multiplies the whole bracket; its argument 2y
     confines the support to |y| <= K sqrt(s0), so the outer components of
     both fields vanish identically at s0.
@@ -261,19 +262,11 @@ def initial_data(
     if idp.n_dim != params.n_dim or grid.n_dim != params.n_dim:
         raise ValueError("dimension mismatch between params, initial data and grid")
     A, s0, p1 = idp.A, idp.s0, idp.p1
-    ys = grid.meshes()
     chi2 = cutoff_chi(cut, 4.0 * grid.radius2(), s0)  # chi(2y, s0)
-
-    lin1 = np.full(grid.shape, idp.d1_const, dtype=float)
-    lin2 = np.full(grid.shape, idp.d2_const, dtype=float)
-    for i, y in enumerate(ys):
-        lin1 = lin1 + idp.d1_lin[i] * y
-        lin2 = lin2 + idp.d2_lin[i] * y
-    quad = np.zeros(grid.shape)
-    for i, yi in enumerate(ys):
-        for j, yj in enumerate(ys):
-            quad = quad + idp.d2_quad[i, j] * yi * yj
-    quad = quad - 2.0 * np.trace(idp.d2_quad)
+    flat = np.zeros((idp.n_dim, idp.n_dim))
+    lin1 = mode_field(grid, idp.d1_const, idp.d1_lin, flat)
+    lin2 = mode_field(grid, idp.d2_const, idp.d2_lin, flat)
+    quad = mode_field(grid, 0.0, np.zeros(idp.n_dim), 2.0 * idp.d2_quad)
 
     scale2 = A * A / s0 ** (p1 + 2.0)
     q1 = (A / s0**2) * lin1 * chi2

@@ -448,10 +448,7 @@ def _pin(w, grid, params, cut, s, buf) -> np.ndarray:
     phi = grid.radial(lambda y2: _params.phi(params, y2, s), rows)
     q = np.subtract(w[box], phi, out=buf[: phi.size].reshape(phi.shape))
     m0, m1, _ = _spectral.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
-    correction = m0
-    for m, y in zip(m1, grid.meshes(rows)):
-        correction = correction + m * y
-    q -= correction * chi
+    q -= _spectral.mode_field(grid, m0, m1, np.zeros((grid.n_dim, grid.n_dim)), rows) * chi
     np.add(phi, q, out=w[box])
     return np.concatenate(([m0], m1))
 

@@ -8,8 +8,9 @@ Its eigenfunctions are products of the rescaled Hermite polynomials
 
 with ∫ h_i h_j ρ dy = i! 2^i δ_{ij} and L h_m = (1 - m/2) h_m per axis.
 Runs need only the projections onto h_0, h_1 and h_2, which
-`gaussian_moments` computes, and the finite-difference Δ - y/2·∇ of the
-explicit RK4 scheme, `diffusion_drift`.  Grids are uniform, symmetric about
+`gaussian_moments` computes, the field of given coefficients, which
+`mode_field` builds, and the finite-difference Δ - y/2·∇ of the explicit RK4
+scheme, `diffusion_drift`.  Grids are uniform, symmetric about
 the origin, with an odd point count so y = 0 is a gridline.  The module also
 binds `lapack`, scipy's compiled LAPACK wrappers, for the package's
 tridiagonal solves: the LDL^T pair dpttrf/zpttrs for a 1-D grid's diffusion,
@@ -96,9 +97,9 @@ class Grid:
         ax.setflags(write=False)
         return ax
 
-    def meshes(self, rows: slice = slice(None)) -> list[np.ndarray]:
-        """Coordinate arrays, one per axis, broadcastable to the box of rows on every axis."""
-        ax = self.axis()[rows]
+    def meshes(self) -> list[np.ndarray]:
+        """Coordinate arrays, one per axis, broadcastable to the grid's shape."""
+        ax = self.axis()
         if self.n_dim == 1:
             return [ax]
         return [ax[:, None], ax[None, :]]
@@ -218,6 +219,17 @@ def gaussian_moments(grid: Grid, f: np.ndarray, weight: np.ndarray,
     raw = vals[..., 0] + 1j * vals[..., 1] if is_complex else vals[..., 0]
     eye = np.eye(grid.n_dim, dtype=int)
     return raw[(0,) * grid.n_dim], raw[tuple(eye)], raw[tuple(e[:, None] + e for e in eye)]
+
+
+def mode_field(grid: Grid, m0, m1, m2, rows: slice = slice(None)) -> np.ndarray:
+    """m0 + m1·y + y^T m2 y/2 − tr m2 on the box of rows (default: the grid), for coefficients
+    shaped as gaussian_moments returns them; built per axis, complex when one is."""
+    y = grid.axis()[rows]
+    field = m0 - np.trace(m2) + (m1[0] + 0.5 * m2[0, 0] * y) * y
+    if grid.n_dim == 2:
+        field = np.multiply.outer(y, 0.5 * (m2[0, 1] + m2[1, 0]) * y) + field[:, None]
+        field += (m1[1] + 0.5 * m2[1, 1] * y) * y
+    return field
 
 
 def second_derivative(vals: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

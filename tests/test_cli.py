@@ -1013,12 +1013,27 @@ class TestValidationBeforeRun:
 
 # grids that validate and then diverge at the outflow edge, y ~ L: the explicit
 # upwind drift is stable on its own only to CFL 0.5, and a substep may reach
-# CFL_SAFETY = 0.9 (ROADMAP, Finding 2 and direction 2)
-_DIVERGES = "validates, then exits 4 with BlowupInSimilarityError by s = 25.21"
+# CFL_SAFETY = 0.9 on each axis; in 2-D the two axes' drift adds up at the box's
+# corners (ROADMAP, Findings 2 and 11, direction 1)
+_DIVERGES = "validates, then exits 4 with BlowupInSimilarityError by s = 25.3"
 
 
 class TestAcceptedConfigsRun:
     """Every config the validator accepts either runs or exits 2."""
+
+    @staticmethod
+    def _raw(tmp_path, p, n_dim, L, N):
+        # a benchmark similarity run (zero direction data at seed 0) on a short window
+        return {
+            "mode": "simulate-similarity",
+            "params": {"p": p, "n_dim": n_dim},
+            "grid": {"L": L, "N": N},
+            "solver": {"ds": 5e-3, "s0": 25.0, "s_end": 25.5, "scheme": "semi-implicit",
+                       "pin": True, "record_every": 20},
+            "shrinking_set": {"A": 10.0, "p1": 0.5, "K": 5.0},
+            "initial_data": {"d1": 0.0, "d2": 0.0},
+            "output_dir": str(tmp_path / "out"),
+        }
 
     @pytest.mark.parametrize("L, N", [
         (87.5, 1023),
@@ -1028,20 +1043,27 @@ class TestAcceptedConfigsRun:
                        (250.0, 5883))),
     ])
     def test_similarity_grid_runs_or_exits_2(self, tmp_path, L, N):
-        # the sim-desk-1d benchmark settings (zero direction data at seed 0)
-        # on a short window
-        raw = {
-            "mode": "simulate-similarity",
-            "params": {"p": 2, "n_dim": 1},
-            "grid": {"L": L, "N": N},
-            "solver": {"ds": 5e-3, "s0": 25.0, "s_end": 25.5, "scheme": "semi-implicit",
-                       "pin": True, "record_every": 20},
-            "shrinking_set": {"A": 10.0, "p1": 0.5, "K": 5.0},
-            "initial_data": {"d1": 0.0, "d2": 0.0},
-            "output_dir": str(tmp_path / "out"),
-        }
-        code, _ = _main_on(raw, tmp_path, "simulate")
+        # the sim-desk-1d settings
+        code, _ = _main_on(self._raw(tmp_path, 2, 1, L, N), tmp_path, "simulate")
         assert code in (0, 2), (tmp_path / "out" / "error.json").read_text()
+
+    @pytest.mark.parametrize("N", [
+        257,
+        321,
+        *(pytest.param(N, marks=pytest.mark.xfail(strict=True, reason=_DIVERGES))
+          for N in (385, 513)),
+    ])
+    def test_2d_similarity_grid_runs_or_exits_2(self, tmp_path, N):
+        # the sim-2d-cell settings
+        code, _ = _main_on(self._raw(tmp_path, 3, 2, 87.5, N), tmp_path, "simulate")
+        assert code in (0, 2), (tmp_path / "out" / "error.json").read_text()
+
+    @pytest.mark.xfail(strict=True, reason="its 2-D cell diverges as N = 385 does; exits 1")
+    def test_2d_sweep_cell_runs_or_exits_2(self, tmp_path):
+        raw = self._raw(tmp_path, 3, 1, 87.5, 1023)
+        raw.update(mode="sweep", sweep={"ps": [3], "ns": [2], "N_2d": 385}, workers=1)
+        code, _ = _main_on(raw, tmp_path, "sweep")
+        assert code in (0, 2)
 
 
 def test_module_entry_point_help():

@@ -392,6 +392,27 @@ class TestInitialData:
         want = 10.0**5 * math.log(s0) / s0**2.5 * (-2.0 * 0.5)
         assert q2[i0, i0] == pytest.approx(want, rel=1e-13)
 
+    def test_docstring_formula_2d(self):
+        # q1 and q2 written out node by node, the d2_quad cross term included, for
+        # non-dyadic entries; to a tolerance, as the fields sum their terms in
+        # another order
+        pr, cut = bp.make_params(3, 2), rhs.CutoffSpec(K=5.0)
+        grid = sp.Grid(2, 30.0, 65)
+        quad = [[0.7, 0.3], [0.3, -0.45]]
+        idp = self.make(n_dim=2, d1_const=0.4, d1_lin=[0.6, -0.35], d2_const=-0.8,
+                        d2_lin=[-0.25, 0.9], d2_quad=quad)
+        q1, q2 = rhs.initial_data(pr, idp, cut, grid)
+        A, s0, p1 = idp.A, idp.s0, idp.p1
+        y0, y1 = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+        chi2 = rhs.chi0(2.0 * np.sqrt((y0**2 + y1**2) / (cut.K**2 * s0)))
+        ydy = 0.7 * y0 * y0 + 0.3 * y0 * y1 + 0.3 * y1 * y0 - 0.45 * y1 * y1
+        want1 = A / s0**2 * (0.4 + 0.6 * y0 - 0.35 * y1) * chi2
+        want2 = (A**2 / s0 ** (p1 + 2) * (-0.8 - 0.25 * y0 + 0.9 * y1)
+                 + A**5 * math.log(s0) / s0 ** (p1 + 2) * (ydy - 2.0 * (0.7 - 0.45))) * chi2
+        assert np.max(np.abs(want1 * want2)) > 0.0
+        for got, want in ((q1, want1), (q2, want2)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("entry,value", [
         ("d1_const", math.nan), ("d1_lin", [math.nan]), ("d2_const", math.inf),
         ("d2_lin", [-math.inf]), ("d2_quad", [[math.nan]]),

@@ -87,6 +87,12 @@ def drift_step(grid, vals, dt):
     return out
 
 
+def box_meshes(grid, rows):
+    """Coordinate arrays of the box of rows on every axis, broadcastable to its shape."""
+    ax = grid.axis()[rows]
+    return [ax] if grid.n_dim == 1 else [ax[:, None], ax[None, :]]
+
+
 def bits(w):
     """The bit patterns of w; np.array_equal counts -0 and +0 as equal."""
     return np.ascontiguousarray(w).view(np.uint64)
@@ -616,7 +622,7 @@ class TestEvolve:
                 q = w[box] - phi
                 m0, m1, _ = sp.gaussian_moments(grid, q, chi * rho[box], rows)
                 correction = m0
-                for m, y in zip(m1, grid.meshes(rows)):
+                for m, y in zip(m1, box_meshes(grid, rows)):
                     correction = correction + m * y
                 w[box] = phi + (q - correction * chi)
                 removed = removed + np.concatenate(([m0], m1))
@@ -754,7 +760,7 @@ class TestPin:
         q = w[box] - phi
         m0, m1, _ = sp.gaussian_moments(grid, q, chi * grid.rho()[box], rows)
         correction = m0
-        for m, y in zip(m1, grid.meshes(rows)):
+        for m, y in zip(m1, box_meshes(grid, rows)):
             correction = correction + m * y
         q -= correction * chi
         want = w.copy()
@@ -1277,6 +1283,10 @@ def random_field(grid, seed, scale):
     return scale * ((amp[0] + 1j * amp[1]) + (amp[2] + 1j * amp[3]) * bump + noise)
 
 
+# mu with mu^2 and mu^{2/(p-1)} powers of two (p = 5 at mu = 2 misses by about 1e-15)
+DILATION = {2: 2.0, 3: 2.0, 5: 4.0}
+
+
 def symmetry_grid(n_dim):
     return sp.Grid(1, 6.0, 49) if n_dim == 1 else sp.Grid(2, 6.0, 17)
 
@@ -1290,7 +1300,10 @@ class TestExactSymmetries:
     solutions (omega^{p-1} = 1), but omega is rounded, so it commutes to
     roundoff.  The profile clamp pins Phi1 + i Phi2 on the edge, which breaks
     both, so the similarity steps here freeze the edge at its incoming values
-    (step_frozen), as step_physical does.
+    (step_frozen), as step_physical does.  Dilation v(x, t) = c u(mu x, mu^2 t),
+    c = mu^{2/(p-1)}, maps solutions to solutions; with mu^2 and c powers of
+    two every operation of a physical step maps exactly, so it commutes bitwise
+    (DILATION gives such a mu per p).
     """
 
     @settings(deadline=None, max_examples=30)
@@ -1328,6 +1341,52 @@ class TestExactSymmetries:
         for (ta, ua), (tb, ub) in zip(a.snapshots, b.snapshots):
             assert ta == tb
             assert np.array_equal(np.conj(ua), ub)
+
+    @pytest.mark.parametrize("p", sorted(DILATION))
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_dilation_commutes_with_step_physical(self, p, n_dim):
+        mu, pr = DILATION[p], bp.make_params(p, n_dim)
+        c = mu ** (2.0 / (p - 1))
+        grid = symmetry_grid(n_dim)
+        small = sp.Grid(n_dim, grid.half_width / mu, grid.npts)
+        assert np.array_equal(small.axis(), grid.axis() / mu)
+        u = random_field(grid, p + 10 * n_dim, 1.5)
+        a = solver.PhysicalState(t=0.0, grid=grid, u=u)
+        b = solver.PhysicalState(t=0.0, grid=small, u=c * u)
+        for _ in range(20):
+            a = solver.step_physical(a, 1e-3, pr)
+            b = solver.step_physical(b, 1e-3 / mu**2, pr)
+        assert np.array_equal(c * a.u, b.u)
+        assert b.t == a.t / mu**2
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dilation_commutes_with_run_physical_blowup(self, monkeypatch, p):
+        # a whole run at max|u0| >= 1 on both sides, since the stop threshold
+        # STOP_GROWTH max(1, max|u0|) is absolute below 1: the same status and
+        # steps, times and dt over mu^2, argmax and probes over mu, moduli,
+        # probe values and snapshots times c, T over mu^2
+        monkeypatch.setattr(solver, "STOP_GROWTH", 30.0)
+        mu, pr = DILATION[p], bp.make_params(p, 1)
+        c = mu ** (2.0 / (p - 1))
+        idp = rhs.InitialDataParams(A=10.0, s0=20.0, p1=0.5, d1_const=0.5, d2_const=-1.0)
+        grid = sp.Grid(1, 20.0 * math.exp(-10.0), 257)
+        small = sp.Grid(1, grid.half_width / mu, grid.npts)
+        u0 = solver.physical_initial_from_similarity(pr, idp, rhs.CutoffSpec(K=5.0), grid)
+        assert np.max(np.abs(u0.u)) >= 1.0
+        probes = np.array([-0.3, 0.0, 0.6]) * grid.half_width
+        a = solver.run_physical_blowup(u0, pr, eta=5e-3, probes=probes)
+        b = solver.run_physical_blowup(solver.PhysicalState(t=0.0, grid=small, u=c * u0.u), pr,
+                                       eta=5e-3, probes=probes / mu)
+        assert a.status == b.status
+        assert len(a.records) == len(b.records) > 100
+        for name, factor in (("t", mu**-2), ("dt", mu**-2), ("max_u", c), ("argmax", 1.0 / mu),
+                             ("probe_u", c)):
+            assert np.array_equal(factor * a.records[name], b.records[name]), name
+        assert len(a.snapshots) == len(b.snapshots)
+        for (ta, ua), (tb, ub) in zip(a.snapshots, b.snapshots):
+            assert tb == ta / mu**2
+            assert np.array_equal(c * ua, ub)
+        assert b.T_estimate == a.T_estimate / mu**2
 
     @settings(deadline=None, max_examples=30)
     @given(

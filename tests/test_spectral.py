@@ -250,6 +250,36 @@ class TestGaussianMoments:
             assert np.array_equal(m2, m2.T)
 
 
+class TestModeField:
+    @pytest.mark.parametrize("n,half_width,npts", [(1, 30.0, 601), (1, 20.0, 97), (2, 20.0, 97)])
+    def test_moments_return_the_coefficients(self, n, half_width, npts):
+        # the field lies in the span of h_0, h_{e_j} and h_{e_j+e_k}, onto which
+        # gaussian_moments projects, so the round trip gives the coefficients back
+        grid = sp.Grid(n, half_width, npts)
+        rng = np.random.default_rng(11 + n)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for _ in range(5):
+            m2 = draw(n, n)
+            want = (draw(), draw(n), m2 + m2.T)
+            got = sp.gaussian_moments(grid, sp.mode_field(grid, *want), grid.rho())
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n,npts", [(1, 201), (2, 61)])
+    def test_rows_box_is_the_fields_box(self, n, npts):
+        grid = sp.Grid(n, 12.0, npts)
+        rows = slice(npts // 4, npts - npts // 3)
+        rng = np.random.default_rng(5)
+        m2 = rng.standard_normal((n, n))
+        coeffs = (rng.standard_normal() - 0.5j, rng.standard_normal(n) + 1j, m2 + m2.T)
+        box = sp.mode_field(grid, *coeffs, rows)
+        assert np.array_equal(bits(box), bits(sp.mode_field(grid, *coeffs)[(rows,) * n]))
+
+
 class TestApplyL:
     @pytest.mark.parametrize("m,lam", [(0, 1.0), (1, 0.5), (2, 0.0), (3, -0.5),
                                        (4, -1.0), (5, -1.5), (6, -2.0)])
